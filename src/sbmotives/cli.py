@@ -2,10 +2,19 @@
 
 One subcommand per engine operation, batch-style (no interactive mode).
 Output is deterministic and byte-stable for fixed arguments: no timestamps,
-canonical orderings everywhere.  Three formats are supported via
-``--format`` (or the ``SBMOTIVES_FORMAT`` environment variable): ``text``,
-``json`` and ``csv``.  JSON integers are emitted as decimal strings so
-values above 2**53 survive any consumer.
+canonical orderings everywhere.
+
+Each command body computes its answer once and returns a :class:`Result`
+holding that answer in all three formats: the JSON payload, the CSV rows
+(header first) and the text lines.  Every field is a zero-argument callable,
+so only the format that was asked for is built.  The shared
+:func:`_renders_result` decorator does everything else: it adds ``--format``
+(``text``, ``json`` or ``csv``, or the ``SBMOTIVES_FORMAT`` environment
+variable) and ``--out``, reports an :class:`EngineError` as ``error: ...`` on
+stderr with exit 1, renders the selected format and writes it.  The renderer
+emits every JSON integer as a decimal string, so values above 2**53 survive
+any consumer; ``bool`` and ``None`` stay JSON literals.  CSV fields are
+joined with commas and never quoted.
 
 Exit codes: 0 success, 1 engine domain error, 2 usage error, 3 failed
 ``verify`` identities.
@@ -13,14 +22,15 @@ Exit codes: 0 success, 1 engine domain error, 2 usage error, 3 failed
 
 from __future__ import annotations
 
-import io
+import functools
 import json
 import sys
+from typing import Callable, Iterable, NamedTuple
 
 import click
 
-from .errors import EngineError
-from .motive import DivisionContext, MotiveExpr
+from .errors import DomainError, EngineError
+from .motive import DivisionContext
 from .qpoly import gaussian_binomial
 from .severi_brauer import (
     CoverageReason,
@@ -40,40 +50,51 @@ from .verify import run_identity_suite
 FORMATS = ("text", "json", "csv")
 
 
-def _emit(text: str, out: str | None) -> None:
-    if not text.endswith("\n"):
-        text += "\n"
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+class Result(NamedTuple):
+    """A command's answer in every output format, each built on demand.
+
+    ``json`` returns the payload, ``csv`` the rows with the header row first,
+    and ``text`` the lines.  The process exits with ``exit_code`` after the
+    output is written.
+    """
+
+    json: Callable[[], object]
+    csv: Callable[[], Iterable[Iterable[object]]]
+    text: Callable[[], Iterable[str]]
+    exit_code: int = 0
 
 
-def _dump_json(obj: object) -> str:
-    # compact separators; keys are emitted in canonical insertion order
-    return json.dumps(obj, separators=(",", ":"))
+def _json_strings(obj: object) -> object:
+    """``obj`` with every integer that is not a ``bool`` as a decimal string."""
+    if isinstance(obj, str):  # most leaves already are; testing this first halves the walk
+        return obj
+    if isinstance(obj, dict):
+        return {key: _json_strings(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_json_strings(value) for value in obj]
+    if isinstance(obj, int) and not isinstance(obj, bool):
+        return str(obj)
+    return obj
 
 
-def _csv_lines(header: str, rows: list[str]) -> str:
-    return "\n".join([header] + rows)
+def _render(result: Result, fmt: str) -> str:
+    if fmt == "json":
+        # compact separators; keys are emitted in canonical insertion order
+        return json.dumps(_json_strings(result.json()), separators=(",", ":"))
+    if fmt == "csv":
+        rows = list(result.csv())
+        # every row has the header's width; one %-template formats a row
+        # about twice as fast as joining str() of each field
+        line = ",".join(["%s"] * len(rows[0]))
+        return "\n".join([line % tuple(row) for row in rows])
+    return "\n".join(result.text())
 
 
-def _prime_option():
-    def validate(ctx, param, value):
-        from .motive import _is_prime
+def _renders_result(body: Callable[..., Result]):
+    """Turn a body returning a :class:`Result` into a command callback."""
 
-        if value is not None and not _is_prime(value):
-            raise click.BadParameter(f"{value} is not prime")
-        return value
-
-    return click.option(
-        "--p", "p", type=int, required=True, callback=validate, help="Prime of the algebra."
-    )
-
-
-def _format_option(fn):
-    fn = click.option(
+    @click.option("--out", "out", type=click.Path(dir_okay=False, writable=True), default=None, help="Write output to a file instead of stdout.")
+    @click.option(
         "--format",
         "-f",
         "fmt",
@@ -82,18 +103,41 @@ def _format_option(fn):
         show_default=True,
         envvar="SBMOTIVES_FORMAT",
         help="Output format (env: SBMOTIVES_FORMAT).",
-    )(fn)
-    fn = click.option("--out", "out", type=click.Path(dir_okay=False, writable=True), default=None, help="Write output to a file instead of stdout.")(fn)
-    return fn
+    )
+    @functools.wraps(body)
+    def command(fmt: str, out: str | None, **params) -> None:
+        try:
+            result = body(**params)
+        except EngineError as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(1)
+        text = _render(result, fmt)
+        if not text.endswith("\n"):
+            text += "\n"
+        if out is None:
+            sys.stdout.write(text)
+        else:
+            with open(out, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+        if result.exit_code:
+            sys.exit(result.exit_code)
+
+    return command
 
 
-def _run(fn):
-    """Map engine domain errors to exit code 1 with the engine's message."""
+def _check_prime(ctx: click.Context, param: click.Parameter, p: int) -> int:
     try:
-        return fn()
-    except EngineError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
+        DivisionContext(p, 0)
+    except DomainError:
+        raise click.BadParameter(f"{p} is not prime") from None
+    return p
+
+
+def _variety_options(fn):
+    """``--p/--n/--k``: the variety SB_{p^k} of a degree-p^n division algebra."""
+    fn = click.option("--k", "k", type=int, required=True, help="Level; the variety is SB_{p^k}.")(fn)
+    fn = click.option("--n", "n", type=int, required=True, help="Exponent; the algebra has degree p^n.")(fn)
+    return click.option("--p", "p", type=int, required=True, callback=_check_prime, help="Prime of the algebra.")(fn)
 
 
 @click.group()
@@ -104,292 +148,226 @@ def cli() -> None:
 @cli.command()
 @click.argument("d", type=int)
 @click.argument("k", type=int)
-@_format_option
-def gaussian(d: int, k: int, fmt: str, out: str | None) -> None:
+@_renders_result
+def gaussian(d: int, k: int) -> Result:
     """Gaussian binomial [D choose K]_q with exact integer coefficients."""
-    poly = _run(lambda: gaussian_binomial(d, k))
-    if fmt == "json":
-        _emit(_dump_json(poly.to_json_dict()), out)
-    elif fmt == "csv":
-        rows = [f"{deg},{coeff}" for deg, coeff in poly.items()]
-        _emit(_csv_lines("degree,coefficient", rows), out)
-    else:
-        lines = [
+    poly = gaussian_binomial(d, k)
+    return Result(
+        json=poly.to_json_dict,
+        csv=lambda: [("degree", "coefficient"), *poly.items()],
+        text=lambda: [
             f"[{d} choose {k}]_q = {poly}",
             f"rank {poly.rank()}, dimension {poly.dim() if poly else 0}",
-        ]
-        _emit("\n".join(lines), out)
+        ],
+    )
 
 
 @cli.command(name="mu")
-@_prime_option()
-@click.option("--n", "n", type=int, required=True, help="Exponent; the algebra has degree p^n.")
-@click.option("--k", "k", type=int, required=True, help="Level; the variety is SB_{p^k}.")
+@_variety_options
 @click.option("--i", "i", type=int, default=None, help="Single degree to report.")
 @click.option("--all", "all_", is_flag=True, help="Tabulate every degree with a possibly nonzero count.")
-@_format_option
-def mu_command(p: int, n: int, k: int, i: int | None, all_: bool, fmt: str, out: str | None) -> None:
+@_renders_result
+def mu_command(p: int, n: int, k: int, i: int | None, all_: bool) -> Result:
     """Box-partition counts behind the rational Chow-group orders."""
     if (i is None) == (not all_):
         raise click.UsageError("exactly one of --i or --all is required")
-
-    def compute() -> list[tuple[int, int]]:
-        context = DivisionContext(p, n)
-        variety = SBVariety(context, k)  # validates the level range
-        if all_:
-            degrees = range(0, context.degree + variety.dimension() + 1)
-        else:
-            degrees = [i]
-        return [(deg, mu(context, k, deg)) for deg in degrees]
-
-    table = _run(compute)
-    if fmt == "json":
-        payload = {
-            "p": str(p),
-            "n": str(n),
-            "k": str(k),
-            "values": [{"i": str(deg), "mu": str(count)} for deg, count in table],
-        }
-        _emit(_dump_json(payload), out)
-    elif fmt == "csv":
-        _emit(_csv_lines("i,mu", [f"{deg},{count}" for deg, count in table]), out)
-    else:
-        lines = [f"mu counts for p={p}, n={n}, k={k}"]
-        lines += [f"  i={deg}: {count}" for deg, count in table]
-        _emit("\n".join(lines), out)
+    context = DivisionContext(p, n)
+    variety = SBVariety(context, k)  # validates the level range
+    degrees = range(0, context.degree + variety.dimension() + 1) if all_ else [i]
+    table = [(deg, mu(context, k, deg)) for deg in degrees]
+    return Result(
+        json=lambda: {"p": p, "n": n, "k": k, "values": [{"i": d, "mu": c} for d, c in table]},
+        csv=lambda: [("i", "mu"), *table],
+        text=lambda: [f"mu counts for p={p}, n={n}, k={k}", *(f"  i={d}: {c}" for d, c in table)],
+    )
 
 
 @cli.command(name="chow-order")
-@_prime_option()
-@click.option("--n", "n", type=int, required=True, help="Exponent; the algebra has degree p^n.")
-@click.option("--k", "k", type=int, required=True, help="Level; the variety is SB_{p^k}.")
-@_format_option
-def chow_order(p: int, n: int, k: int, fmt: str, out: str | None) -> None:
+@_variety_options
+@_renders_result
+def chow_order(p: int, n: int, k: int) -> Result:
     """Orders of the rational Chow groups of SB_1 x SB_{p^k}, all degrees."""
-
-    def compute():
-        variety = SBVariety(DivisionContext(p, n), k)
-        max_i = (variety.context.degree - 1) + variety.dimension()
-        return [rational_chow_order(variety, deg) for deg in range(max_i + 1)]
-
-    reports = _run(compute)
-    if fmt == "json":
-        payload = {
-            "p": str(p),
-            "n": str(n),
-            "k": str(k),
-            "rows": [report.to_json_obj() for report in reports],
-        }
-        _emit(_dump_json(payload), out)
-    elif fmt == "csv":
-        rows = [
-            f"{r.i},{r.summand_count},{r.order_exponent},{r.literal_order}"
-            for r in reports
-        ]
-        _emit(_csv_lines("i,mu,order_exponent,literal_order", rows), out)
-    else:
-        lines = [f"rational Chow-group orders for p={p}, n={n}, k={k}"]
-        for r in reports:
-            lines.append(
-                f"  i={r.i}: mu={r.summand_count}, order {p}^{r.order_exponent}"
+    variety = SBVariety(DivisionContext(p, n), k)
+    max_i = (variety.context.degree - 1) + variety.dimension()
+    reports = [rational_chow_order(variety, deg) for deg in range(max_i + 1)]
+    return Result(
+        json=lambda: {"p": p, "n": n, "k": k, "rows": [r.to_json_obj() for r in reports]},
+        csv=lambda: [
+            ("i", "mu", "order_exponent", "literal_order"),
+            *((r.i, r.summand_count, r.summand_count, r.literal_order) for r in reports),
+        ],
+        text=lambda: [
+            f"rational Chow-group orders for p={p}, n={n}, k={k}",
+            *(
+                f"  i={r.i}: mu={r.summand_count}, order {p}^{r.summand_count}"
                 f" = {r.group_order()} (literal mu*p = {r.literal_order})"
-            )
-        _emit("\n".join(lines), out)
-
-
-def _render_expr_text(expr: MotiveExpr) -> list[str]:
-    if expr.is_zero:
-        return ["  (zero motive)"]
-    lines = []
-    for term, mult in expr.term_items():
-        suffix = f"  x{mult}" if mult > 1 else ""
-        lines.append(f"  {term.obj!r} (twist {term.twist}){suffix}")
-    return lines
+                for r in reports
+            ),
+        ],
+    )
 
 
 @cli.command()
-@_prime_option()
-@click.option("--n", "n", type=int, required=True, help="Exponent; the algebra has degree p^n.")
-@click.option("--k", "k", type=int, required=True, help="Level; the variety is SB_{p^k}.")
-@_format_option
-def decompose(p: int, n: int, k: int, fmt: str, out: str | None) -> None:
+@_variety_options
+@_renders_result
+def decompose(p: int, n: int, k: int) -> Result:
     """Function-field decomposition of SB_{2^k} with its conservation check."""
+    variety = SBVariety(DivisionContext(p, n), k)
+    expr = function_field_decomposition(variety)
+    conserved = expr.split_poincare() == gaussian_binomial(
+        variety.context.degree, variety.reduced_dimension
+    )
+    status = "ok" if conserved else "failed"
 
-    def compute():
-        variety = SBVariety(DivisionContext(p, n), k)
-        expr = function_field_decomposition(variety)
-        conserved = expr.split_poincare() == gaussian_binomial(
-            variety.context.degree, variety.reduced_dimension
-        )
-        return expr, conserved
-
-    expr, conserved = _run(compute)
-    if fmt == "json":
-        payload = {
-            "p": str(p),
-            "n": str(n),
-            "k": str(k),
-            "terms": expr.to_json_obj(),
-            "conservation": "ok" if conserved else "failed",
-        }
-        _emit(_dump_json(payload), out)
-    elif fmt == "csv":
-        rows = []
+    def csv():
+        yield ("kind", "p", "n", "payload", "twist", "multiplicity")
         for entry in expr.to_json_obj():
             obj = entry["object"]
-            payload_field = "" if obj["kind"] == "tate" else (
+            payload = "" if obj["kind"] == "tate" else (
                 obj.get("level") or ";".join(obj.get("dims", []))
             )
-            rows.append(
-                f"{obj['kind']},{obj.get('p', '')},{obj.get('n', '')},"
-                f"{payload_field},{entry['twist']},{entry['multiplicity']}"
+            yield (
+                obj["kind"], obj.get("p", ""), obj.get("n", ""),
+                payload, entry["twist"], entry["multiplicity"],
             )
-        rows.append(f"conservation,,,{'ok' if conserved else 'failed'},,")
-        _emit(_csv_lines("kind,p,n,payload,twist,multiplicity", rows), out)
-    else:
-        lines = [f"function-field decomposition of SB_{2**k} (p={p}, n={n}, k={k}):"]
-        lines += _render_expr_text(expr)
-        lines.append(f"conservation: {'OK' if conserved else 'FAILED'}")
-        _emit("\n".join(lines), out)
+        yield ("conservation", "", "", status, "", "")
+
+    def text():
+        yield f"function-field decomposition of SB_{2**k} (p={p}, n={n}, k={k}):"
+        if expr.is_zero:
+            yield "  (zero motive)"
+        for term, mult in expr.term_items():
+            suffix = f"  x{mult}" if mult > 1 else ""
+            yield f"  {term.obj!r} (twist {term.twist}){suffix}"
+        yield f"conservation: {status.upper()}"
+
+    return Result(
+        json=lambda: {"p": p, "n": n, "k": k, "terms": expr.to_json_obj(), "conservation": status},
+        csv=csv,
+        text=text,
+    )
 
 
 @cli.command(name="type-bound")
-@_prime_option()
-@click.option("--n", "n", type=int, required=True, help="Exponent; the algebra has degree p^n.")
-@click.option("--k", "k", type=int, required=True, help="Level; the variety is SB_{p^k}.")
+@_variety_options
 @click.option("--trace", "show_trace", is_flag=True, help="Include the full proof trace.")
-@_format_option
-def type_bound_command(p: int, n: int, k: int, show_trace: bool, fmt: str, out: str | None) -> None:
+@_renders_result
+def type_bound_command(p: int, n: int, k: int, show_trace: bool) -> Result:
     """Derived type bound with indecomposability and rigidity judgments."""
+    variety = SBVariety(DivisionContext(p, n), k)
+    bound = type_bound(variety)
+    summary = {
+        "bound": bound.bound,
+        "indecomposability": indecomposability_judgment(variety).status.value,
+        "rigidity": rigidity_judgment(variety).status.value,
+    }
+    steps = bound.trace.steps if show_trace else ()
 
-    def compute():
-        variety = SBVariety(DivisionContext(p, n), k)
-        return (
-            type_bound(variety),
-            indecomposability_judgment(variety),
-            rigidity_judgment(variety),
-        )
-
-    bound, indec, rigid = _run(compute)
-    if fmt == "json":
-        payload = {
-            "p": str(p),
-            "n": str(n),
-            "k": str(k),
-            "bound": str(bound.bound),
-            "indecomposability": indec.status.value,
-            "rigidity": rigid.status.value,
-        }
+    def json_payload():
+        payload = {"p": p, "n": n, "k": k, **summary}
         if show_trace:
             payload["trace"] = bound.trace.to_json_obj()
-        _emit(_dump_json(payload), out)
-    elif fmt == "csv":
-        rows = [
-            f"bound,{bound.bound}",
-            f"indecomposability,{indec.status.value}",
-            f"rigidity,{rigid.status.value}",
-        ]
+        return payload
+
+    def text():
+        yield f"type bound for SB_{p**k} of a degree-{p}^{n} division algebra: {bound.bound}"
+        yield f"indecomposability: {summary['indecomposability']}"
+        yield f"rigidity: {summary['rigidity']}"
         if show_trace:
-            rows += [
-                f"step {idx + 1},{step.rule_id}"
-                for idx, step in enumerate(bound.trace.steps)
-            ]
-        _emit(_csv_lines("key,value", rows), out)
-    else:
-        lines = [
-            f"type bound for SB_{p**k} of a degree-{p}^{n} division algebra: {bound.bound}",
-            f"indecomposability: {indec.status.value}",
-            f"rigidity: {rigid.status.value}",
-        ]
-        if show_trace:
-            lines.append(bound.trace.render_text())
-        _emit("\n".join(lines), out)
+            yield bound.trace.render_text()
+
+    return Result(
+        json=json_payload,
+        csv=lambda: [
+            ("key", "value"),
+            *summary.items(),
+            *((f"step {index}", step.rule_id) for index, step in enumerate(steps, start=1)),
+        ],
+        text=text,
+    )
 
 
 @cli.command()
 @click.option("--k", "k", type=int, required=True, help="Reduced dimension of the ideals.")
-@_format_option
-def conjecture(k: int, fmt: str, out: str | None) -> None:
+@_renders_result
+def conjecture(k: int) -> Result:
     """Is the decomposition-lifting question settled for SB_k?"""
-    case = _run(lambda: classify_reduced_dimension(k))
-    if fmt == "json":
-        payload = {
-            "k": str(k),
-            "covered": case.covered,
-            "reason": case.reason.value if case.reason else None,
-            "odd_squarefree_part": (
-                str(case.odd_squarefree_part) if case.odd_squarefree_part is not None else None
-            ),
-            "blocking_factor": (
-                str(case.blocking_factor) if case.blocking_factor is not None else None
-            ),
-            "reductions": [
-                {"p": str(c.prime), "reduced_dimension": str(c.reduced_dimension)}
-                for c in case.reductions
-            ],
-        }
-        _emit(_dump_json(payload), out)
-    elif fmt == "csv":
-        rows = [f"covered,{str(case.covered).lower()}"]
+    case = classify_reduced_dimension(k)
+
+    def csv():
+        yield ("key", "value")
+        yield ("covered", "true" if case.covered else "false")
         if case.reason:
-            rows.append(f"reason,{case.reason.value}")
+            yield ("reason", case.reason.value)
         if case.odd_squarefree_part is not None:
-            rows.append(f"odd_squarefree_part,{case.odd_squarefree_part}")
+            yield ("odd_squarefree_part", case.odd_squarefree_part)
         if case.blocking_factor is not None:
-            rows.append(f"blocking_factor,{case.blocking_factor}")
+            yield ("blocking_factor", case.blocking_factor)
         for c in case.reductions:
-            rows.append(f"reduction,p={c.prime}:SB_{c.reduced_dimension}")
-        _emit(_csv_lines("key,value", rows), out)
-    else:
+            yield ("reduction", f"p={c.prime}:SB_{c.reduced_dimension}")
+
+    def text():
         if not case.covered:
-            _emit(f"OPEN (blocking factor {case.blocking_factor})", out)
+            yield f"OPEN (blocking factor {case.blocking_factor})"
             return
         if case.reason is CoverageReason.SQUAREFREE:
-            lines = ["COVERED (squarefree)"]
+            yield "COVERED (squarefree)"
         else:
-            lines = [f"COVERED (4 x odd squarefree, odd part {case.odd_squarefree_part})"]
+            yield f"COVERED (4 x odd squarefree, odd part {case.odd_squarefree_part})"
         for c in case.reductions:
-            lines.append(f"  reduces to: SB_{c.reduced_dimension} at p={c.prime}")
-        _emit("\n".join(lines), out)
+            yield f"  reduces to: SB_{c.reduced_dimension} at p={c.prime}"
+
+    return Result(
+        json=lambda: {
+            "k": k,
+            "covered": case.covered,
+            "reason": case.reason.value if case.reason else None,
+            "odd_squarefree_part": case.odd_squarefree_part,
+            "blocking_factor": case.blocking_factor,
+            "reductions": [
+                {"p": c.prime, "reduced_dimension": c.reduced_dimension}
+                for c in case.reductions
+            ],
+        },
+        csv=csv,
+        text=text,
+    )
 
 
 @cli.command()
 @click.option("--max-n", "max_n", type=click.IntRange(min=1), default=5, show_default=True, help="Largest exponent for range-parameterized identities.")
-@_format_option
-def verify(max_n: int, fmt: str, out: str | None) -> None:
+@_renders_result
+def verify(max_n: int) -> Result:
     """Run the full identity suite; exit 3 when any identity fails."""
     report = run_identity_suite(max_n)
-    if fmt == "json":
-        payload = {
-            "max_n": str(max_n),
-            "passed": report.passed,
-            "results": [
-                {
-                    "identity": r.identity,
-                    "passed": r.passed,
-                    "failures": list(r.failures[:5]),
-                }
-                for r in report.results
-            ],
-        }
-        _emit(_dump_json(payload), out)
-    elif fmt == "csv":
-        rows = [f"{r.identity},{'pass' if r.passed else 'fail'}" for r in report.results]
-        _emit(_csv_lines("identity,status", rows), out)
-    else:
-        buffer = io.StringIO()
+
+    def text():
         for r in report.results:
-            buffer.write(f"{'ok  ' if r.passed else 'FAIL'} {r.identity}\n")
+            yield f"{'ok  ' if r.passed else 'FAIL'} {r.identity}"
             if not r.passed:
                 for failure in r.failures[:5]:
-                    buffer.write(f"       {failure}\n")
+                    yield f"       {failure}"
         passed = sum(1 for r in report.results if r.passed)
-        buffer.write(f"{passed}/{len(report.results)} identities hold (max n = {max_n})")
+        yield f"{passed}/{len(report.results)} identities hold (max n = {max_n})"
         if not report.passed:
-            buffer.write("\nfailing: " + ", ".join(report.failing()))
-        _emit(buffer.getvalue(), out)
-    if not report.passed:
-        sys.exit(3)
+            yield "failing: " + ", ".join(report.failing())
+
+    return Result(
+        json=lambda: {
+            "max_n": max_n,
+            "passed": report.passed,
+            "results": [
+                {"identity": r.identity, "passed": r.passed, "failures": r.failures[:5]}
+                for r in report.results
+            ],
+        },
+        csv=lambda: [
+            ("identity", "status"),
+            *((r.identity, "pass" if r.passed else "fail") for r in report.results),
+        ],
+        text=text,
+        exit_code=0 if report.passed else 3,
+    )
 
 
 def main() -> None:

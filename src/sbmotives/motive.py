@@ -42,18 +42,40 @@ __all__ = [
 ]
 
 
+# The least strong pseudoprime to all of these bases is _PRIMALITY_BOUND
+# (Sorenson & Webster, "Strong pseudoprimes to twelve prime bases", 2015),
+# so Miller-Rabin on them is exact below it.  Dropping 41 would
+# lower the bound to 318665857834031151167461.
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIMALITY_BOUND = 3317044064679887385961981
+
+
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p < 4:
-        return True
+    """Deterministic Miller-Rabin primality test.
+
+    Raises :class:`DomainError` at or above ``_PRIMALITY_BOUND``, where these
+    bases no longer decide primality.
+    """
+    if p <= _MILLER_RABIN_BASES[-1]:
+        return p in _MILLER_RABIN_BASES
+    if p >= _PRIMALITY_BOUND:
+        raise DomainError(f"primality is only decided below {_PRIMALITY_BOUND}, got p={p}")
     if p % 2 == 0:
         return False
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
+    odd, halvings = p - 1, 0
+    while odd % 2 == 0:
+        odd //= 2
+        halvings += 1
+    for base in _MILLER_RABIN_BASES:
+        x = pow(base, odd, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(halvings - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -331,17 +353,6 @@ class MotiveExpr:
 
     def __hash__(self) -> int:
         return hash(tuple(self._terms.items()))
-
-    def krull_schmidt_equal(self, other: "MotiveExpr") -> bool:
-        """Multiset equality of normalized terms.
-
-        Because decompositions into indecomposables are unique, this is the
-        honest notion of isomorphism the engine can certify; it coincides with
-        ``==``.
-        """
-        if not isinstance(other, MotiveExpr):
-            raise DomainError(f"cannot compare {other!r} with a motive expression")
-        return self == other
 
     def split_poincare(self) -> GradedRankPoly:
         """Rank polynomial over a splitting field.

@@ -105,10 +105,6 @@ class ChowOrderReport:
     summand_count: int
 
     @property
-    def order_exponent(self) -> int:
-        return self.summand_count
-
-    @property
     def literal_order(self) -> int:
         return self.summand_count * self.prime
 
@@ -119,7 +115,7 @@ class ChowOrderReport:
         return {
             "i": str(self.i),
             "mu": str(self.summand_count),
-            "order_exponent": str(self.order_exponent),
+            "order_exponent": str(self.summand_count),
             "literal_order": str(self.literal_order),
         }
 

@@ -210,7 +210,7 @@ def test_criterion_9_chow_order_degenerate_sanity():
         v = SBVariety(DivisionContext(2, 1), 0)
         orders = [rational_chow_order(v, i) for i in (0, 1, 2)]
         assert [r.group_order() for r in orders] == [1, 2, 2]
-        assert [r.order_exponent for r in orders] == [0, 1, 1]
+        assert [r.summand_count for r in orders] == [0, 1, 1]
         # both readings preserved; the literal one degenerates to 0 at i=0
         assert [r.literal_order for r in orders] == [0, 2, 2]
         assert orders[0].group_order() == 1 != orders[0].literal_order

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -102,6 +103,25 @@ class TestMuCommand:
     def test_level_out_of_range_is_engine_error(self, runner):
         result = invoke(runner, "mu", "--p", "2", "--n", "1", "--k", "3", "--all")
         assert result.exit_code == 1
+
+
+class TestPrimeOption:
+    def test_mersenne_61_answers_within_a_second(self, runner):
+        start = time.perf_counter()
+        result = invoke(runner, "type-bound", "--p", str(2**61 - 1), "--n", "1", "--k", "0")
+        assert result.exit_code == 0
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("p", [2**61 + 1, 561, 2047])
+    def test_composite_is_usage_error(self, runner, p):
+        result = invoke(runner, "type-bound", "--p", str(p), "--n", "1", "--k", "0")
+        assert result.exit_code == 2
+        assert f"Invalid value for '--p': {p} is not prime" in result.stderr
+
+    def test_beyond_primality_bound_is_usage_error(self, runner):
+        result = invoke(runner, "type-bound", "--p", str(2**89 - 1), "--n", "1", "--k", "0")
+        assert result.exit_code == 2
+        assert "Invalid value for '--p'" in result.stderr
 
 
 class TestChowOrderCommand:

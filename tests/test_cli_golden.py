@@ -1,0 +1,48 @@
+"""Byte-exact CLI output, pinned against a recorded fixture.
+
+Each entry of ``cli_golden.json`` holds one invocation and the exact
+``(exit_code, stdout, stderr)`` it produced, plus the file contents for
+``--out`` runs (the argument ``{out}`` stands for a fresh file path).
+Entries marked ``"suite": "failing"`` run ``verify`` against a fixed report
+with failing identities, to pin the exit-3 path.  Help text is rendered at
+80 columns so the pinned wrapping does not depend on the terminal.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+from click.testing import CliRunner
+
+from sbmotives.cli import cli
+from sbmotives.verify import IdentityResult, SuiteReport
+
+CASES = json.loads((Path(__file__).parent / "cli_golden.json").read_text(encoding="utf-8"))
+
+FAILING_SUITE = SuiteReport(
+    max_n=2,
+    results=(
+        IdentityResult("demo/pass", True, ()),
+        IdentityResult("demo/fail", False, tuple(f"broken {i}" for i in range(7))),
+        IdentityResult("demo/also-fail", False, ("x",)),
+    ),
+)
+
+
+@pytest.mark.parametrize("case", CASES, ids=[" ".join(c["args"]) or "<none>" for c in CASES])
+def test_cli_bytes(case, tmp_path, monkeypatch):
+    if case.get("suite") == "failing":
+        monkeypatch.setattr("sbmotives.cli.run_identity_suite", lambda max_n: FAILING_SUITE)
+    out = tmp_path / "out.txt"
+    args = [str(out) if a == "{out}" else a for a in case["args"]]
+    env = {"COLUMNS": "80", "SBMOTIVES_FORMAT": None, **case.get("env", {})}
+    result = CliRunner().invoke(cli, args, env=env)
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert (result.exit_code, result.stdout, result.stderr) == (
+        case["exit_code"],
+        case["stdout"],
+        case["stderr"],
+    )
+    if "out" in case:
+        written = out.read_bytes().decode("utf-8") if out.exists() else None
+        assert written == case["out"]

@@ -27,9 +27,22 @@ class TestDivisionContext:
         assert DivisionContext(3, 2).degree == 9
         assert DivisionContext(5, 0).degree == 1
 
-    @pytest.mark.parametrize("p", [0, 1, 4, 6, 9, -3])
+    # 561 is a Carmichael number, 2047 the least strong pseudoprime to base 2,
+    # 318665857834031151167461 the least one to every prime base up to 37
+    @pytest.mark.parametrize(
+        "p", [0, 1, 4, 6, 9, -3, 561, 2047, 2**61 + 1, 318665857834031151167461]
+    )
     def test_rejects_non_primes(self, p):
         with pytest.raises(DomainError):
+            DivisionContext(p, 1)
+
+    @pytest.mark.parametrize("p", [2, 41, 43, 2**31 - 1, 2**61 - 1])
+    def test_accepts_primes(self, p):
+        assert DivisionContext(p, 1).degree == p
+
+    @pytest.mark.parametrize("p", [3317044064679887385961981, 2**89 - 1])
+    def test_rejects_p_beyond_primality_bound(self, p):
+        with pytest.raises(DomainError, match="primality is only decided below"):
             DivisionContext(p, 1)
 
     def test_rejects_negative_exponent(self):
@@ -98,16 +111,16 @@ class TestKrullSchmidtEquality:
     def test_order_insensitive(self):
         a = MotiveExpr.of((TATE, 0), (TATE, 4))
         b = MotiveExpr.of((TATE, 4), (TATE, 0))
-        assert a.krull_schmidt_equal(b)
+        assert a == b
 
     def test_multiplicity_sensitive(self):
         a = MotiveExpr.of((TATE, 0))
         b = MotiveExpr.of((TATE, 0), (TATE, 0))
-        assert not a.krull_schmidt_equal(b)
+        assert a != b
 
     def test_point_products_are_tate(self):
         a = MotiveExpr.of((SBProduct(C21, (0, 0)), 1))
-        assert a.krull_schmidt_equal(MotiveExpr.of((TATE, 1)))
+        assert a == MotiveExpr.of((TATE, 1))
 
     def test_equivalence_respects_poincare(self):
         a = MotiveExpr.of((SBProduct(C22, (0, 2)), 1))
@@ -249,9 +262,9 @@ def test_poincare_multiplicative(a, b):
 
 @given(exprs, exprs)
 def test_equality_is_symmetric_and_respects_hash(a, b):
-    assert a.krull_schmidt_equal(a)
-    if a.krull_schmidt_equal(b):
-        assert b.krull_schmidt_equal(a)
+    assert a == a
+    if a == b:
+        assert b == a
         assert hash(a) == hash(b)
         assert a.split_poincare() == b.split_poincare()
 
