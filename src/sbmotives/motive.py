@@ -231,11 +231,32 @@ def _object_poincare(obj: MotiveObject) -> GradedRankPoly:
             poly = poly * gaussian_binomial(degree, d)
         return poly
     if isinstance(obj, UpperMotive):
-        raise UnsupportedOperationError(
-            f"the split polynomial of the opaque upper motive {obj!r} is not "
-            "determined; refusing to guess"
-        )
+        raise _opaque_polynomial_error(obj)
     raise DomainError(f"not a motive object: {obj!r}")
+
+
+def _object_top_degree(obj: MotiveObject) -> int:
+    """Top degree of the split polynomial, read without building it.
+
+    Every factor ``[degree choose d]_q`` of an :class:`SBProduct` has bottom
+    degree 0 and top degree ``d * (degree - d)``, so the product's bottom
+    degree is 0 and its top degree is their sum.
+    """
+    if isinstance(obj, TateUnit):
+        return 0
+    if isinstance(obj, SBProduct):
+        degree = obj.context.degree
+        return sum(d * (degree - d) for d in obj.dims)
+    if isinstance(obj, UpperMotive):
+        raise _opaque_polynomial_error(obj)
+    raise DomainError(f"not a motive object: {obj!r}")
+
+
+def _opaque_polynomial_error(obj: UpperMotive) -> UnsupportedOperationError:
+    return UnsupportedOperationError(
+        f"the split polynomial of the opaque upper motive {obj!r} is not "
+        "determined; refusing to guess"
+    )
 
 
 def _object_product(a: MotiveObject, b: MotiveObject) -> MotiveObject:
@@ -375,12 +396,10 @@ class MotiveExpr:
         """
         if self.is_zero:
             raise DomainError("the zero motive has no upper or lower summand")
-        spans: list[tuple[Term, int, int, int]] = []
-        for term, mult in self._terms.items():
-            poly = _object_poincare(term.obj)
-            spans.append(
-                (term, mult, term.twist + poly.bottom_degree(), term.twist + poly.top_degree())
-            )
+        spans = [
+            (term, mult, term.twist, term.twist + _object_top_degree(term.obj))
+            for term, mult in self._terms.items()
+        ]
         global_bottom = min(s[2] for s in spans)
         global_top = max(s[3] for s in spans)
         upper = [(t, m) for t, m, bot, _ in spans if bot == global_bottom]

@@ -13,15 +13,18 @@ implementations are shipped on purpose: a dynamic-programming recurrence
 (:func:`count_partitions_in_box`, the production path) and an exhaustive
 enumerator (:func:`count_partitions_by_enumeration`, kept as a cross-checking
 oracle).  The degree-``s`` coefficient of ``gaussian_binomial(m + c, c)``
-equals the number of partitions of ``s`` inside an ``m x c`` box; the test
-suite and the ``verify`` command check all three paths against each other.
+equals the number of partitions of ``s`` inside an ``m x c`` box.
+:func:`gaussian_binomial` computes it by the q-product formula, which shares
+no code with the DP or the enumerator; the test suite and the ``verify``
+command check the product formula, the DP and the enumerator against each
+other.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
 
 from .errors import DomainError
 
@@ -36,7 +39,7 @@ __all__ = [
 
 
 def _checked_count(value: object, what: str) -> int:
-    if not isinstance(value, int):
+    if isinstance(value, bool) or not isinstance(value, int):
         raise DomainError(f"{what} must be an integer, got {value!r}")
     if value < 0:
         raise DomainError(f"{what} must be nonnegative, got {value}")
@@ -46,23 +49,44 @@ def _checked_count(value: object, what: str) -> int:
 class GradedRankPoly:
     """Finitely supported map from nonnegative degree to a nonnegative count.
 
-    Instances are immutable; every operation returns a new polynomial.  Zero
-    coefficients are never stored, so two equal polynomials always have equal
-    internal maps.
+    Instances are immutable; every operation returns a new polynomial.  The
+    coefficients are stored densely, as a bottom degree and a tuple whose
+    first and last entries are nonzero, so two equal polynomials always have
+    equal internal state.  The zero polynomial stores bottom 0 and ``()``.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_bottom", "_coeffs")
 
     def __init__(self, coefficients: Mapping[int, int] | None = None):
         checked: dict[int, int] = {}
         if coefficients:
             for degree, count in coefficients.items():
                 _checked_count(degree, "degree")
-                _checked_count(count, "coefficient")
-                if count:
+                if _checked_count(count, "coefficient"):
                     checked[degree] = count
-        # ascending-degree insertion order backs bottom_degree/top_degree
-        self._coeffs = {d: checked[d] for d in sorted(checked)}
+        self._bottom = min(checked, default=0)
+        dense = [0] * (max(checked) - self._bottom + 1 if checked else 0)
+        for degree, count in checked.items():
+            dense[degree - self._bottom] = count
+        self._coeffs = tuple(dense)
+
+    @classmethod
+    def _trusted(cls, bottom: int, coeffs: Sequence[int]) -> "GradedRankPoly":
+        """Polynomial with ``coeffs[i]`` in degree ``bottom + i``, unchecked.
+
+        For results of internal arithmetic, whose entries are nonnegative
+        integers by construction; only zero ends are trimmed.
+        """
+        hi = len(coeffs)
+        while hi and not coeffs[hi - 1]:
+            hi -= 1
+        lo = 0
+        while lo < hi and not coeffs[lo]:
+            lo += 1
+        poly = object.__new__(cls)
+        poly._bottom = bottom + lo if hi else 0
+        poly._coeffs = tuple(coeffs[lo:hi])
+        return poly
 
     @classmethod
     def zero(cls) -> "GradedRankPoly":
@@ -78,24 +102,25 @@ class GradedRankPoly:
         return not self._coeffs
 
     def items(self) -> tuple[tuple[int, int], ...]:
-        """(degree, coefficient) pairs in ascending degree order."""
-        return tuple(self._coeffs.items())
+        """(degree, coefficient) pairs of the nonzero coefficients, ascending."""
+        return tuple((d, c) for d, c in enumerate(self._coeffs, self._bottom) if c)
 
     def support(self) -> tuple[int, ...]:
-        return tuple(self._coeffs)
+        return tuple(d for d, c in enumerate(self._coeffs, self._bottom) if c)
 
     def coefficient(self, degree: int) -> int:
-        return self._coeffs.get(degree, 0)
+        index = degree - self._bottom
+        return self._coeffs[index] if 0 <= index < len(self._coeffs) else 0
 
     def bottom_degree(self) -> int:
         if not self._coeffs:
             raise DomainError("the zero polynomial has no bottom degree")
-        return next(iter(self._coeffs))
+        return self._bottom
 
     def top_degree(self) -> int:
         if not self._coeffs:
             raise DomainError("the zero polynomial has no top degree")
-        return next(reversed(self._coeffs))
+        return self._bottom + len(self._coeffs) - 1
 
     def dim(self) -> int:
         """Top degree minus bottom degree (motive dimension at the rank level)."""
@@ -103,73 +128,69 @@ class GradedRankPoly:
 
     def rank(self) -> int:
         """Sum of all coefficients (total number of Tate summands)."""
-        return sum(self._coeffs.values())
+        return sum(self._coeffs)
 
     def shift(self, twist: int) -> "GradedRankPoly":
         """Add ``twist`` to every degree; the rank-level effect of a Tate twist."""
         _checked_count(twist, "twist")
         if twist == 0 or not self._coeffs:
             return self
-        return GradedRankPoly({d + twist: c for d, c in self._coeffs.items()})
+        return GradedRankPoly._trusted(self._bottom + twist, self._coeffs)
 
     def __add__(self, other: "GradedRankPoly") -> "GradedRankPoly":
         if not isinstance(other, GradedRankPoly):
             return NotImplemented
-        total = dict(self._coeffs)
-        for degree, count in other._coeffs.items():
-            total[degree] = total.get(degree, 0) + count
-        return GradedRankPoly(total)
+        if not other._coeffs:
+            return self
+        if not self._coeffs:
+            return other
+        low, high = (self, other) if self._bottom <= other._bottom else (other, self)
+        out = list(low._coeffs)
+        start = high._bottom - low._bottom
+        end = start + len(high._coeffs)
+        out.extend([0] * (end - len(out)))
+        out[start:end] = [x + y for x, y in zip(out[start:end], high._coeffs)]
+        return GradedRankPoly._trusted(low._bottom, out)
 
     def __mul__(self, other: "GradedRankPoly | int") -> "GradedRankPoly":
         if isinstance(other, int):
-            other = GradedRankPoly({0: other})
+            _checked_count(other, "scalar")
+            return GradedRankPoly._trusted(self._bottom, [c * other for c in self._coeffs])
         if not isinstance(other, GradedRankPoly):
             return NotImplemented
-        if self.is_zero or other.is_zero:
+        a, b = self._coeffs, other._coeffs
+        if not a or not b:
             return GradedRankPoly.zero()
-        # Dense convolution: rank polynomials have no gaps worth exploiting.
-        oa, arr_a = self._dense()
-        ob, arr_b = other._dense()
-        if len(arr_a) * len(arr_b) > 1 << 12:
-            out = _kronecker_convolve(arr_a, arr_b)
+        if len(a) * len(b) > 1 << 12:
+            out = _kronecker_convolve(a, b)
         else:
-            out = [0] * (len(arr_a) + len(arr_b) - 1)
-            for i, a in enumerate(arr_a):
-                if a:
-                    for j, b in enumerate(arr_b):
-                        if b:
-                            out[i + j] += a * b
-        base = oa + ob
-        return GradedRankPoly({base + d: c for d, c in enumerate(out) if c})
+            out = [0] * (len(a) + len(b) - 1)
+            for i, x in enumerate(a):
+                if x:
+                    out[i : i + len(b)] = [y * x + z for y, z in zip(b, out[i : i + len(b)])]
+        return GradedRankPoly._trusted(self._bottom + other._bottom, out)
 
     __rmul__ = __mul__
-
-    def _dense(self) -> tuple[int, list[int]]:
-        bottom = self.bottom_degree()
-        arr = [0] * (self.top_degree() - bottom + 1)
-        for degree, count in self._coeffs.items():
-            arr[degree - bottom] = count
-        return bottom, arr
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GradedRankPoly):
             return NotImplemented
-        return self._coeffs == other._coeffs
+        return self._bottom == other._bottom and self._coeffs == other._coeffs
 
     def __hash__(self) -> int:
-        return hash(tuple(self._coeffs.items()))
+        return hash((self._bottom, self._coeffs))
 
     def __bool__(self) -> bool:
         return bool(self._coeffs)
 
     def __repr__(self) -> str:
-        return f"GradedRankPoly({dict(self._coeffs)!r})"
+        return f"GradedRankPoly({dict(self.items())!r})"
 
     def __str__(self) -> str:
         if not self._coeffs:
             return "0"
         parts = []
-        for degree, count in self._coeffs.items():
+        for degree, count in self.items():
             if degree == 0:
                 parts.append(str(count))
             elif degree == 1:
@@ -183,7 +204,7 @@ class GradedRankPoly:
 
         Strings keep values above 2**53 exact for any JSON consumer.
         """
-        return {str(d): str(c) for d, c in self._coeffs.items()}
+        return {str(d): str(c) for d, c in self.items()}
 
     @classmethod
     def from_json_dict(cls, data: Mapping[str, str]) -> "GradedRankPoly":
@@ -216,59 +237,55 @@ class PartitionBoxSpec:
         return self.parts * self.max_part
 
 
-def _kronecker_convolve(a: list[int], b: list[int]) -> list[int]:
+def _kronecker_convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """Exact convolution of nonnegative coefficient lists via integer packing.
 
-    Each polynomial is evaluated at 2**width with ``width`` chosen so that no
-    convolution coefficient can spill into its neighbor; one big-integer
-    multiplication then carries out the whole convolution.
+    Each polynomial is evaluated at 256**size with ``size`` bytes chosen so
+    that no convolution coefficient can spill into its neighbor; one
+    big-integer multiplication then carries out the whole convolution.
+    Packing and unpacking go through ``to_bytes``/``from_bytes``, linear in
+    the packed length (Harvey, J. Symb. Comput. 2009).
     """
     bound = min(len(a), len(b)) * max(a) * max(b)
-    width = bound.bit_length() + 1
-    packed_a = sum(c << (i * width) for i, c in enumerate(a) if c)
-    packed_b = sum(c << (i * width) for i, c in enumerate(b) if c)
-    product = packed_a * packed_b
-    mask = (1 << width) - 1
-    out = []
-    for _ in range(len(a) + len(b) - 1):
-        out.append(product & mask)
-        product >>= width
-    return out
+    size = (bound.bit_length() + 7) // 8
+
+    def pack(coeffs: Sequence[int]) -> int:
+        return int.from_bytes(b"".join(c.to_bytes(size, "little") for c in coeffs), "little")
+
+    length = (len(a) + len(b) - 1) * size
+    packed = memoryview((pack(a) * pack(b)).to_bytes(length, "little"))
+    return [int.from_bytes(packed[i : i + size], "little") for i in range(0, length, size)]
 
 
-def _add_shifted(a: list[int], b: list[int] | None, t: int) -> list[int]:
-    # a + q^t * b on dense coefficient lists
-    if b is None:
-        return list(a)
-    out = list(a) + [0] * max(0, t + len(b) - len(a))
-    for i, c in enumerate(b):
-        out[t + i] += c
-    return out
-
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def gaussian_binomial(d: int, k: int) -> GradedRankPoly:
     """The Gaussian binomial coefficient [d choose k]_q as a rank polynomial.
 
-    Computed by the q-Pascal recurrence
-    ``[m, j] = [m-1, j-1] + q^j [m-1, j]`` over exact integers.  The result
-    has bottom degree 0, top degree ``k*(d-k)``, symmetric coefficients and
-    total rank ``C(d, k)``; it is the split Poincare polynomial of the
-    Grassmannian of ``k``-planes in ``d``-space.
+    Computed by the product formula
+    ``[m+i+1, i+1] = [m+i, i] * (1 - q^(m+i+1)) / (1 - q^(i+1))``
+    (Andrews, *The Theory of Partitions*, ch. 3) over exact integers, for
+    ``i`` up to the narrow side ``min(k, d-k)``.  Each step is one sweep
+    that multiplies by the numerator and divides exactly by the
+    denominator; every intermediate is itself a Gaussian binomial, so the
+    division never leaves the integers.  The result has bottom degree 0,
+    top degree ``k*(d-k)``, symmetric coefficients and total rank
+    ``C(d, k)``; it is the split Poincare polynomial of the Grassmannian of
+    ``k``-planes in ``d``-space.
     """
     _checked_count(d, "d")
     _checked_count(k, "k")
     if k > d:
         raise DomainError(f"gaussian_binomial requires 0 <= k <= d, got k={k} > d={d}")
-    col = min(k, d - k)  # [d, k] = [d, d-k]; iterate the narrow half
-    row: list[list[int]] = [[1]]
-    for m in range(1, d + 1):
-        new_row: list[list[int]] = [[1]]
-        for j in range(1, min(col, m) + 1):
-            above = row[j] if j < len(row) else None
-            new_row.append(_add_shifted(row[j - 1], above, j))
-        row = new_row
-    return GradedRankPoly({i: c for i, c in enumerate(row[col]) if c})
+    col = min(k, d - k)  # [d, k] = [d, d-k]; iterate the narrow side
+    m = d - col
+    row = [1]  # [m, 0]
+    for i in range(col):
+        a, b = m + i + 1, i + 1
+        prev = [0] * a + row + [0] * m  # prev[j + a] is the degree-j coefficient of row
+        row = [0] * (len(row) + m)
+        for j in range(len(row)):
+            row[j] = prev[j + a] - prev[j] + (row[j - b] if j >= b else 0)
+    return GradedRankPoly._trusted(0, row)
 
 
 @lru_cache(maxsize=None)
@@ -278,7 +295,8 @@ def _box_size_counts(parts: int, max_part: int) -> tuple[int, ...]:
     Dynamic programming on the recurrence
     ``N(m, c, s) = N(m-1, c, s) + N(m, c-1, s-m)``: a partition either uses
     fewer than ``m`` rows, or all rows are positive and a full column can be
-    stripped.  Independent of the q-Pascal path used by the polynomials.
+    stripped.  Shares no code with the product formula of
+    :func:`gaussian_binomial` or with the enumerator.
     """
     cap = parts * max_part
     width = cap + 1
@@ -311,19 +329,21 @@ def enumerate_partitions_in_box(parts: int, max_part: int) -> Iterator[tuple[int
 
     Exhaustive and deliberately naive: this is the oracle the recurrence is
     tested against, so it shares no code with :func:`count_partitions_in_box`.
+    Partitions come in descending lexicographic order, from the full box to
+    the empty one, by an odometer: lower the last nonzero entry by one and
+    refill every entry after it with the lowered value.
     """
     _checked_count(parts, "parts")
     _checked_count(max_part, "max_part")
-
-    def rec(prefix: tuple[int, ...], slots: int, bound: int) -> Iterator[tuple[int, ...]]:
-        if slots == 0:
-            yield prefix
+    lam = [max_part] * parts
+    while True:
+        yield tuple(lam)
+        i = parts - 1
+        while i >= 0 and not lam[i]:
+            i -= 1
+        if i < 0:
             return
-        for value in range(bound, -1, -1):
-            yield from rec(prefix + (value,), slots - 1, value)
-
-    yield from rec((), parts, max_part)
-
+        lam[i:] = [lam[i] - 1] * (parts - i)
 
 def count_partitions_by_enumeration(box: PartitionBoxSpec) -> int:
     """Brute-force counterpart of :func:`count_partitions_in_box`."""

@@ -20,7 +20,9 @@ steps whose citations come from a fixed rule catalog and whose numeric side
 conditions can be re-checked from the recorded values alone, with no access
 to engine state (:meth:`ProofTrace.replay`).  The induction is replayed in
 full for the requested exponent rather than memoized away, so traces are
-self-contained; the cost is linear in the exponent and negligible.
+self-contained.  Replay is not cheap: re-checking a valuation case split
+walks every splitting of ``2**k``, so replaying the trace of level ``k``
+and exponent ``n`` costs about ``(n - k) * 2**k``.
 """
 
 from __future__ import annotations

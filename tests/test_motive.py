@@ -175,6 +175,11 @@ class TestIdentifyUpperLower:
         assert located.upper == Term(TATE, 0)
         assert located.lower == Term(SBProduct(C21, (1,)), 2)
 
+    def test_opaque_upper_rejected(self):
+        e = MotiveExpr.of((TATE, 0), (UpperMotive(C22, 1), 0))
+        with pytest.raises(UnsupportedOperationError, match="opaque upper motive"):
+            e.identify_upper_lower()
+
 
 class TestProductRank:
     def test_sbproduct_rank_is_product_of_binomials(self):
@@ -275,3 +280,35 @@ def test_single_term_is_its_own_extremes(term):
     e = MotiveExpr.of((obj, twist))
     located = e.identify_upper_lower()
     assert located.upper == located.lower == Term(obj, twist)
+
+
+@st.composite
+def sbproduct_exprs(draw):
+    """Sums of up to five twisted, repeated products over one of a few algebras."""
+    context = draw(st.sampled_from([C21, C22, DivisionContext(2, 3), C31, DivisionContext(3, 2)]))
+    dims = st.lists(st.integers(0, context.degree), max_size=3)
+    entries = draw(
+        st.lists(
+            st.tuples(dims, st.integers(0, 20), st.integers(1, 3)), min_size=1, max_size=5
+        )
+    )
+    return MotiveExpr(
+        [(SBProduct(context, tuple(ds)), twist, mult) for ds, twist, mult in entries]
+    )
+
+
+@given(sbproduct_exprs())
+def test_extremes_agree_with_split_polynomials(e):
+    spans = []
+    for term, mult in e.term_items():
+        poly = MotiveExpr.of(term).split_poincare()
+        spans.append((term, mult, poly.bottom_degree(), poly.top_degree()))
+    bottom = min(s[2] for s in spans)
+    top = max(s[3] for s in spans)
+    upper = [(t, m) for t, m, b, _ in spans if b == bottom]
+    lower = [(t, m) for t, m, _, tp in spans if tp == top]
+    located = e.identify_upper_lower()
+    assert located.upper_multiplicity == sum(m for _, m in upper)
+    assert located.lower_multiplicity == sum(m for _, m in lower)
+    assert located.upper == (upper[0][0] if located.upper_multiplicity == 1 else None)
+    assert located.lower == (lower[0][0] if located.lower_multiplicity == 1 else None)

@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 from collections import Counter
 
 import pytest
@@ -13,6 +15,7 @@ from sbmotives import (
     enumerate_partitions_in_box,
     gaussian_binomial,
 )
+from sbmotives.qpoly import _box_size_counts
 
 
 def brute_force_histogram(parts, max_part):
@@ -80,6 +83,18 @@ class TestGradedRankPoly:
         b = GradedRankPoly({2: 1, 0: 1})
         assert a == b and hash(a) == hash(b)
 
+    def test_bool_degree_rejected(self):
+        with pytest.raises(DomainError):
+            str(GradedRankPoly({True: 1}))
+
+    @pytest.mark.parametrize("scalar", [True, False, -1])
+    def test_invalid_scalar_rejected(self, scalar):
+        poly = GradedRankPoly({1: 2})
+        with pytest.raises(DomainError):
+            poly * scalar
+        with pytest.raises(DomainError):
+            scalar * poly
+
 
 class TestGaussianBinomial:
     def test_two_by_two_box(self):
@@ -99,6 +114,8 @@ class TestGaussianBinomial:
         with pytest.raises(DomainError):
             gaussian_binomial(2, 5)
         with pytest.raises(DomainError):
+            gaussian_binomial(2.0, 1)
+        with pytest.raises(DomainError):
             gaussian_binomial(-1, 0)
         with pytest.raises(DomainError):
             gaussian_binomial(4, -1)
@@ -108,6 +125,29 @@ class TestGaussianBinomial:
         for k in range(d + 1):
             expected = GradedRankPoly(brute_force_histogram(k, d - k))
             assert gaussian_binomial(d, k) == expected
+
+    def test_bool_arguments_miss_the_cache_and_are_rejected(self):
+        gaussian_binomial(1, 1)
+        with pytest.raises(DomainError):
+            gaussian_binomial(True, True)
+        with pytest.raises(DomainError):
+            gaussian_binomial(3, True)
+
+    @given(st.integers(0, 40), st.data())
+    def test_matches_box_count_table(self, d, data):
+        k = data.draw(st.integers(0, d))
+        poly = gaussian_binomial(d, k)
+        table = _box_size_counts(k, d - k)
+        assert [poly.coefficient(s) for s in range(len(table))] == list(table)
+        assert poly.top_degree() == len(table) - 1
+
+    @given(st.integers(0, 200), st.data())
+    def test_value_at_two_is_the_q_product(self, d, data):
+        k = data.draw(st.integers(0, d))
+        numerator = math.prod(2 ** (d - i) - 1 for i in range(k))
+        denominator = math.prod(2 ** (i + 1) - 1 for i in range(k))
+        value = sum(c << degree for degree, c in gaussian_binomial(d, k).items())
+        assert value * denominator == numerator
 
     @given(st.integers(0, 12))
     def test_symmetry_and_total_rank(self, d):
@@ -133,6 +173,18 @@ class TestBoxCounts:
             PartitionBoxSpec(-1, 2, 0)
         with pytest.raises(DomainError):
             PartitionBoxSpec(1, 2, -3)
+        with pytest.raises(DomainError):
+            PartitionBoxSpec(True, 2, 1)
+
+    @pytest.mark.parametrize("parts,max_part", [(0, 0), (0, 5), (1, 0), (1, 4), (3, 2), (4, 5), (6, 3)])
+    def test_enumeration_order(self, parts, max_part):
+        # weakly decreasing tuples in descending lexicographic order
+        expected = itertools.combinations_with_replacement(range(max_part, -1, -1), parts)
+        assert list(enumerate_partitions_in_box(parts, max_part)) == list(expected)
+
+    def test_enumeration_of_degenerate_boxes(self):
+        assert list(enumerate_partitions_in_box(2000, 0)) == [(0,) * 2000]
+        assert list(enumerate_partitions_in_box(0, 5)) == [()]
 
     def test_enumeration_yields_padded_decreasing_tuples(self):
         partitions = list(enumerate_partitions_in_box(3, 2))
@@ -174,3 +226,57 @@ class TestRankHomomorphism:
         total = a + b
         degrees = set(a.support()) | set(b.support())
         assert all(total.coefficient(d) == a.coefficient(d) + b.coefficient(d) for d in degrees)
+
+
+def _canonical(poly):
+    """The same polynomial rebuilt through the checked public constructor."""
+    return GradedRankPoly(dict(poly.items()))
+
+
+def _schoolbook(a, b):
+    """Reference product on {degree: coefficient} maps."""
+    out = Counter()
+    for da, ca in a.items():
+        for db, cb in b.items():
+            out[da + db] += ca * cb
+    return dict(out)
+
+
+def _random_coeffs(rng, length, bits):
+    """Dense length ``length`` (both ends nonzero), about a tenth of the interior zero."""
+    offset = rng.randint(0, 9)
+    coeffs = {}
+    for i in range(length):
+        if 0 < i < length - 1 and rng.random() < 0.1:
+            continue
+        coeffs[offset + i] = rng.getrandbits(bits) | 1
+    return coeffs
+
+
+class TestFastPath:
+    polys = st.dictionaries(st.integers(0, 30), st.integers(0, 2**70), max_size=8).map(
+        GradedRankPoly
+    )
+
+    @given(polys, polys, st.integers(0, 9), st.integers(0, 3))
+    def test_results_are_canonical(self, a, b, t, scalar):
+        for result in (a + b, a * b, a * scalar, scalar * b, a.shift(t)):
+            assert result == _canonical(result)
+            assert hash(result) == hash(_canonical(result))
+
+    @given(st.integers(0, 30), st.data())
+    def test_gaussian_results_are_canonical(self, d, data):
+        poly = gaussian_binomial(d, data.draw(st.integers(0, d)))
+        assert poly == _canonical(poly) and hash(poly) == hash(_canonical(poly))
+
+    @given(polys, polys)
+    def test_product_matches_reference(self, a, b):
+        assert a * b == GradedRankPoly(_schoolbook(dict(a.items()), dict(b.items())))
+
+    # 64 * 64 = 4096 coefficient pairs is the last schoolbook product
+    @pytest.mark.parametrize("la,lb", [(64, 64), (64, 65), (1, 4097), (4097, 2), (90, 91)])
+    def test_kronecker_and_schoolbook_agree(self, la, lb):
+        rng = random.Random(la * 10007 + lb)
+        a = _random_coeffs(rng, la, 200)
+        b = _random_coeffs(rng, lb, 200)
+        assert GradedRankPoly(a) * GradedRankPoly(b) == GradedRankPoly(_schoolbook(a, b))
