@@ -9,6 +9,7 @@ rule calculus that derives type bounds, indecomposability and rigidity
 conclusions as replayable proof traces.
 """
 
+from . import motive, qpoly, severi_brauer, type_calculus, verify
 from .errors import DomainError, EngineError, UnsupportedOperationError
 from .motive import (
     TATE,
@@ -47,11 +48,10 @@ from .severi_brauer import (
 from .type_calculus import (
     RULE_CATALOG,
     DimensionObstruction,
-    IndecomposabilityJudgment,
     IndecomposabilityStatus,
+    Judgment,
     ProofStep,
     ProofTrace,
-    RigidityJudgment,
     RigidityStatus,
     Rule,
     TypeBound,
@@ -64,53 +64,14 @@ from .verify import IdentityResult, SuiteReport, run_identity_suite
 
 __version__ = "0.1.0"
 
+# One list per module: the package exports exactly the modules' exports.
 __all__ = [
     "EngineError",
     "DomainError",
     "UnsupportedOperationError",
-    "GradedRankPoly",
-    "PartitionBoxSpec",
-    "gaussian_binomial",
-    "count_partitions_in_box",
-    "count_partitions_by_enumeration",
-    "enumerate_partitions_in_box",
-    "DivisionContext",
-    "TateUnit",
-    "TATE",
-    "UpperMotive",
-    "SBProduct",
-    "MotiveObject",
-    "Term",
-    "MotiveExpr",
-    "ExtremeTerms",
-    "normalize_object",
-    "object_sort_key",
-    "dim_upper_motive",
-    "SBVariety",
-    "ChowOrderReport",
-    "mu",
-    "rational_chow_order",
-    "function_field_decomposition",
-    "function_field_endpoints",
-    "CoverageReason",
-    "PrimaryCase",
-    "CaseClassification",
-    "classify_reduced_dimension",
-    "Rule",
-    "RULE_CATALOG",
-    "ProofStep",
-    "ProofTrace",
-    "DimensionObstruction",
-    "dimension_obstruction",
-    "TypeBound",
-    "type_bound",
-    "IndecomposabilityStatus",
-    "IndecomposabilityJudgment",
-    "indecomposability_judgment",
-    "RigidityStatus",
-    "RigidityJudgment",
-    "rigidity_judgment",
-    "IdentityResult",
-    "SuiteReport",
-    "run_identity_suite",
+    *qpoly.__all__,
+    *motive.__all__,
+    *severi_brauer.__all__,
+    *type_calculus.__all__,
+    *verify.__all__,
 ]

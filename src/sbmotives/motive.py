@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Union
 
 from .errors import DomainError, UnsupportedOperationError
-from .qpoly import GradedRankPoly, gaussian_binomial
+from .qpoly import GradedRankPoly, _is_int, gaussian_binomial
 
 __all__ = [
     "DivisionContext",
@@ -92,9 +92,9 @@ class DivisionContext:
     n: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.p, int) or not _is_prime(self.p):
+        if not _is_int(self.p) or not _is_prime(self.p):
             raise DomainError(f"p must be a prime number, got {self.p!r}")
-        if not isinstance(self.n, int) or self.n < 0:
+        if not _is_int(self.n) or self.n < 0:
             raise DomainError(f"exponent n must be a nonnegative integer, got {self.n!r}")
 
     @property
@@ -121,7 +121,7 @@ class UpperMotive:
     level: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.level, int) or not 0 <= self.level <= self.context.n:
+        if not _is_int(self.level) or not 0 <= self.level <= self.context.n:
             raise DomainError(
                 f"upper-motive level must satisfy 0 <= level <= {self.context.n}, "
                 f"got {self.level!r}"
@@ -147,7 +147,7 @@ class SBProduct:
         object.__setattr__(self, "dims", tuple(self.dims))
         degree = self.context.degree
         for d in self.dims:
-            if not isinstance(d, int) or not 0 <= d <= degree:
+            if not _is_int(d) or not 0 <= d <= degree:
                 raise DomainError(
                     f"reduced dimension must lie in [0, {degree}], got {d!r}"
                 )
@@ -209,7 +209,7 @@ class Term:
     twist: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.twist, int) or self.twist < 0:
+        if not _is_int(self.twist) or self.twist < 0:
             raise DomainError(f"twist must be a nonnegative integer, got {self.twist!r}")
         object.__setattr__(self, "obj", normalize_object(self.obj))
 
@@ -311,10 +311,10 @@ class MotiveExpr:
                 term = Term(entry[0], entry[1])
             elif isinstance(entry, tuple) and len(entry) == 3:
                 term = Term(entry[0], entry[1])
-                mult *= entry[2]
+                mult = mult * entry[2] if _is_int(entry[2]) else entry[2]
             else:
                 raise DomainError(f"not a term: {entry!r}")
-            if not isinstance(mult, int) or mult < 0:
+            if not _is_int(mult) or mult < 0:
                 raise DomainError(f"multiplicity must be a nonnegative integer, got {mult!r}")
             if mult:
                 counts[term] += mult
@@ -351,7 +351,7 @@ class MotiveExpr:
         return MotiveExpr(merged)
 
     def twist(self, t: int) -> "MotiveExpr":
-        if not isinstance(t, int) or t < 0:
+        if not _is_int(t) or t < 0:
             raise DomainError(f"twist must be a nonnegative integer, got {t!r}")
         return MotiveExpr(
             {Term(term.obj, term.twist + t): mult for term, mult in self._terms.items()}
@@ -486,7 +486,7 @@ def _object_from_json(data: Mapping) -> MotiveObject:
 def dim_upper_motive(context: DivisionContext, level: int) -> int:
     """Dimension of the level-``level`` upper motive: it is maximal, equal to
     the dimension ``p**level * (p**n - p**level)`` of its variety."""
-    if not isinstance(level, int) or not 0 <= level <= context.n:
+    if not _is_int(level) or not 0 <= level <= context.n:
         raise DomainError(
             f"level must satisfy 0 <= level <= {context.n}, got {level!r}"
         )

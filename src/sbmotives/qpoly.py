@@ -38,8 +38,13 @@ __all__ = [
 ]
 
 
+def _is_int(value: object) -> bool:
+    """The engine's one integer test: an ``int`` that is not a ``bool``."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _checked_count(value: object, what: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not _is_int(value):
         raise DomainError(f"{what} must be an integer, got {value!r}")
     if value < 0:
         raise DomainError(f"{what} must be nonnegative, got {value}")

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import DomainError, UnsupportedOperationError
-from .motive import DivisionContext, MotiveExpr, SBProduct, Term, UpperMotive
-from .qpoly import PartitionBoxSpec, count_partitions_in_box
+from .motive import DivisionContext, MotiveExpr, SBProduct, Term, UpperMotive, _is_prime
+from .qpoly import PartitionBoxSpec, _is_int, count_partitions_in_box
 
 __all__ = [
     "SBVariety",
@@ -45,7 +45,7 @@ class SBVariety:
     level: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.level, int) or not 0 <= self.level <= self.context.n:
+        if not _is_int(self.level) or not 0 <= self.level <= self.context.n:
             raise DomainError(
                 f"level must satisfy 0 <= level <= {self.context.n}, got {self.level!r}"
             )
@@ -71,11 +71,11 @@ def mu(context: DivisionContext, level: int, i: int) -> int:
     the rational cycle classes in homological degree ``i - 1`` on the product
     of the classical variety with the level-``level`` one.
     """
-    if not isinstance(level, int) or not 0 <= level <= context.n:
+    if not _is_int(level) or not 0 <= level <= context.n:
         raise DomainError(
             f"level must satisfy 0 <= level <= {context.n}, got {level!r}"
         )
-    if not isinstance(i, int):
+    if not _is_int(i):
         raise DomainError(f"homological degree must be an integer, got {i!r}")
     reduced = context.p**level
     degree = context.degree
@@ -127,7 +127,7 @@ def rational_chow_order(variety: SBVariety, i: int) -> ChowOrderReport:
     """
     context = variety.context
     max_i = (context.degree - 1) + variety.dimension()
-    if not isinstance(i, int) or not 0 <= i <= max_i:
+    if not _is_int(i) or not 0 <= i <= max_i:
         raise DomainError(
             f"homological degree must satisfy 0 <= i <= {max_i}, got {i!r}"
         )
@@ -183,7 +183,7 @@ def function_field_endpoints(context: DivisionContext, level: int) -> tuple[Term
     """
     if context.n < 1:
         raise DomainError("a split algebra has no function-field reduction")
-    if not isinstance(level, int) or not 0 <= level <= context.n - 1:
+    if not _is_int(level) or not 0 <= level <= context.n - 1:
         raise DomainError(
             f"level must satisfy 0 <= level <= {context.n - 1}, got {level!r}"
         )
@@ -227,17 +227,27 @@ class CaseClassification:
     reductions: tuple[PrimaryCase, ...]
 
 
+# Every k below _TRIAL_DIVISION_LIMIT**2 factors completely.
+_TRIAL_DIVISION_LIMIT = 2**20
+
+
 def _factorize(k: int) -> list[tuple[int, int]]:
+    """Trial division that stops once the cofactor is prime; a composite
+    cofactor without a prime factor up to the limit raises DomainError."""
     factors = []
     rest = k
     p = 2
-    while p * p <= rest:
+    composite = rest > 1 and not _is_prime(rest)
+    while composite:
+        if p > _TRIAL_DIVISION_LIMIT:
+            raise DomainError(f"cannot factor {k}: no prime factor up to {_TRIAL_DIVISION_LIMIT}")
         if rest % p == 0:
             exp = 0
             while rest % p == 0:
                 rest //= p
                 exp += 1
             factors.append((p, exp))
+            composite = rest > 1 and not _is_prime(rest)
         p += 1 if p == 2 else 2
     if rest > 1:
         factors.append((rest, 1))
@@ -250,7 +260,7 @@ def classify_reduced_dimension(k: int) -> CaseClassification:
     The settled condition is arithmetic: every odd prime must divide ``k`` at
     most once, and 2 may divide it 0, 1 or exactly 2 times.
     """
-    if not isinstance(k, int) or k < 1:
+    if not _is_int(k) or k < 1:
         raise DomainError(f"reduced dimension must be a positive integer, got {k!r}")
     factors = _factorize(k)
     blocking = sorted(
@@ -258,29 +268,16 @@ def classify_reduced_dimension(k: int) -> CaseClassification:
     )
     reductions = tuple(PrimaryCase(p, p**e) for p, e in factors)
     if blocking:
-        return CaseClassification(
-            k=k,
-            covered=False,
-            reason=None,
-            odd_squarefree_part=None,
-            blocking_factor=blocking[0],
-            reductions=reductions,
-        )
-    two_exp = next((e for p, e in factors if p == 2), 0)
-    if two_exp == 2:
-        return CaseClassification(
-            k=k,
-            covered=True,
-            reason=CoverageReason.FOUR_TIMES_ODD_SQUAREFREE,
-            odd_squarefree_part=k // 4,
-            blocking_factor=None,
-            reductions=reductions,
-        )
+        reason = None
+    elif (2, 2) in factors:
+        reason = CoverageReason.FOUR_TIMES_ODD_SQUAREFREE
+    else:
+        reason = CoverageReason.SQUAREFREE
     return CaseClassification(
         k=k,
-        covered=True,
-        reason=CoverageReason.SQUAREFREE,
-        odd_squarefree_part=None,
-        blocking_factor=None,
+        covered=not blocking,
+        reason=reason,
+        odd_squarefree_part=k // 4 if reason is CoverageReason.FOUR_TIMES_ODD_SQUAREFREE else None,
+        blocking_factor=blocking[0] if blocking else None,
         reductions=reductions,
     )

@@ -16,23 +16,25 @@ rule out two by the induction hypothesis, and kill the third by a dimension
 count.
 
 Every derivation is returned as a :class:`ProofTrace`: an ordered list of
-steps whose citations come from a fixed rule catalog and whose numeric side
-conditions can be re-checked from the recorded values alone, with no access
-to engine state (:meth:`ProofTrace.replay`).  The induction is replayed in
-full for the requested exponent rather than memoized away, so traces are
-self-contained.  Replay is not cheap: re-checking a valuation case split
-walks every splitting of ``2**k``, so replaying the trace of level ``k``
-and exponent ``n`` costs about ``(n - k) * 2**k``.
+steps whose numeric side conditions can be re-checked from the recorded
+values alone, with no access to engine state (:meth:`ProofTrace.replay`).  A
+step stores only its rule id; its citation is read from the fixed rule
+catalog, so a trace cannot carry a citation the catalog does not state.  The
+induction is replayed in full for the requested exponent rather than
+memoized away, so traces are self-contained.  Replay also checks that every
+step speaks about the variety of the opening level bound.  Every rule check
+is closed form, so replaying the trace of level ``k`` and exponent ``n``
+takes time linear in ``n - k``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import DomainError
+from .qpoly import _is_int
 from .severi_brauer import SBVariety
 
 __all__ = [
@@ -45,10 +47,9 @@ __all__ = [
     "TypeBound",
     "type_bound",
     "IndecomposabilityStatus",
-    "IndecomposabilityJudgment",
-    "indecomposability_judgment",
     "RigidityStatus",
-    "RigidityJudgment",
+    "Judgment",
+    "indecomposability_judgment",
     "rigidity_judgment",
 ]
 
@@ -71,14 +72,6 @@ class Rule:
     @property
     def citation(self) -> str:
         return f"{self.statement} [{self.source}]"
-
-
-def _two_valuation(x: int) -> int:
-    v = 0
-    while x % 2 == 0:
-        x //= 2
-        v += 1
-    return v
 
 
 def _check_level_bound(c: Conditions) -> bool:
@@ -116,13 +109,11 @@ def _check_valuation_case_split(c: Conditions) -> bool:
         return False
     if c["required_level"] != k - 1:
         return False
-    m = 2**k
-    half = 2 ** (n - 1)
-    expected = set()
-    for i in range(max(0, m - half), min(m, half) + 1):
-        j = m - i
-        if _two_valuation(math.gcd(i, j) if i and j else m) >= k - 1:
-            expected.add((i, j))
+    m, step, half = 2**k, 2 ** (k - 1), 2 ** (n - 1)
+    lo, hi = max(0, m - half), min(m, half)
+    # For i + j = 2^k, 2^(k-1) divides gcd(i, j) exactly when it divides i,
+    # and gcd(0, m) = m: the candidates are the multiples of 2^(k-1) in range.
+    expected = {(i, m - i) for i in range(-(-lo // step) * step, hi + 1, step)}
     recorded = {
         (c["candidate_0_i"], c["candidate_0_j"]),
         (c["candidate_1_i"], c["candidate_1_j"]),
@@ -274,35 +265,59 @@ RULE_CATALOG: dict[str, Rule] = {
 
 @dataclass(frozen=True)
 class ProofStep:
-    """One applied rule: recorded side conditions plus a drawn conclusion."""
+    """One applied rule: recorded side conditions plus a drawn conclusion.
+
+    The rule id must name a catalog rule; the citation is the catalog's.
+    """
 
     rule_id: str
-    citation: str
     side_conditions: tuple[tuple[str, int], ...]
     conclusion: str
+
+    def __post_init__(self) -> None:
+        if self.rule_id not in RULE_CATALOG:
+            raise DomainError(f"unknown rule id: {self.rule_id!r}")
+
+    @property
+    def citation(self) -> str:
+        return RULE_CATALOG[self.rule_id].citation
 
     def conditions(self) -> dict[str, int]:
         return dict(self.side_conditions)
 
     def replay(self) -> bool:
         """Re-check this step's side conditions from the recorded values."""
-        rule = RULE_CATALOG.get(self.rule_id)
-        if rule is None:
-            return False
         try:
-            return bool(rule.check(self.conditions()))
+            return bool(RULE_CATALOG[self.rule_id].check(self.conditions()))
         except KeyError:
             return False
 
 
 def _step(rule_id: str, conclusion: str, **side: int) -> ProofStep:
-    rule = RULE_CATALOG[rule_id]
-    return ProofStep(
-        rule_id=rule_id,
-        citation=rule.citation,
-        side_conditions=tuple(side.items()),
-        conclusion=conclusion,
-    )
+    return ProofStep(rule_id, tuple(side.items()), conclusion)
+
+
+def _expected_subjects(steps: tuple[ProofStep, ...]) -> list[dict[str, int]] | None:
+    """The ``p, n, k, level, bound`` each step must record, read off the
+    opening level bound: a rule check alone accepts a step sound for *any*
+    variety.  The point base and the halving ladder (four steps per exponent)
+    climb from exponent ``k`` to ``n``.  ``None`` when the trace does not open
+    with a level bound or stops inside the ladder.
+    """
+    opening = steps[0].conditions() if steps else {}
+    if not steps or steps[0].rule_id != "level-bound" or not {"p", "n", "k"} <= opening.keys():
+        return None
+    p, n, k = opening["p"], opening["n"], opening["k"]
+    halving = p == 2 and 1 <= k <= n
+    if halving and len(steps) < 2 + 4 * (n - k):
+        return None
+    ladder = [k] + [m for m in range(k + 1, n + 1) for _ in range(4)] if halving else []
+    exponents = [n] + ladder + [n] * (len(steps) - 1 - len(ladder))
+    bound = max(k - 2 if halving else k - 1, -1)
+    return [
+        dict(p=p, n=e, k=k, level=k - 1, bound=bound if i else k - 1)
+        for i, e in enumerate(exponents)
+    ]
 
 
 @dataclass(frozen=True)
@@ -321,11 +336,19 @@ class ProofTrace:
         return ProofTrace(self.steps + steps)
 
     def replay(self) -> bool:
-        """True when every step re-checks from its own recorded values."""
-        return all(step.replay() for step in self.steps)
+        """True when every step re-checks from its own recorded values and
+        speaks about the variety of the opening step."""
+        return not self.failing_steps()
 
     def failing_steps(self) -> tuple[int, ...]:
-        return tuple(i for i, step in enumerate(self.steps) if not step.replay())
+        subjects = _expected_subjects(self.steps)
+        return tuple(
+            i
+            for i, step in enumerate(self.steps)
+            if subjects is None
+            or any(subjects[i].get(name, value) != value for name, value in step.side_conditions)
+            or not step.replay()
+        )
 
     def render_text(self) -> str:
         lines = []
@@ -350,25 +373,24 @@ class ProofTrace:
 
     @classmethod
     def from_json_obj(cls, data: Iterable[Mapping]) -> "ProofTrace":
+        """Decode a trace; an unknown rule id or a citation that differs from
+        the catalog's raises :class:`DomainError`."""
         steps = []
         for entry in data:
             try:
-                rule_id = entry["rule_id"]
-                if rule_id not in RULE_CATALOG:
-                    raise DomainError(f"unknown rule id: {rule_id!r}")
-                steps.append(
-                    ProofStep(
-                        rule_id=rule_id,
-                        citation=entry["citation"],
-                        side_conditions=tuple(
-                            (name, int(value))
-                            for name, value in entry["conditions"].items()
-                        ),
-                        conclusion=entry["conclusion"],
-                    )
+                step = ProofStep(
+                    rule_id=entry["rule_id"],
+                    side_conditions=tuple(
+                        (name, int(value)) for name, value in entry["conditions"].items()
+                    ),
+                    conclusion=entry["conclusion"],
                 )
+                citation = entry["citation"]
             except (KeyError, TypeError, ValueError) as exc:
                 raise DomainError(f"malformed trace encoding: {exc}") from exc
+            if citation != step.citation:
+                raise DomainError(f"citation of {step.rule_id!r} differs from the rule catalog")
+            steps.append(step)
         return cls(tuple(steps))
 
 
@@ -389,7 +411,7 @@ def dimension_obstruction(n: int, k: int) -> DimensionObstruction:
     twisted endpoint copies.  The obstruction holds (strictly less) for every
     ``1 <= k <= n``; the engine evaluates it rather than assuming it.
     """
-    if not isinstance(n, int) or not isinstance(k, int) or not 1 <= k <= n:
+    if not _is_int(n) or not _is_int(k) or not 1 <= k <= n:
         raise DomainError(f"dimension obstruction requires 1 <= k <= n, got k={k!r}, n={n!r}")
     product_dim = 2 ** (n + k - 1) - 2 ** (2 * k - 1)
     endpoint_dim = 2 ** (n + k - 1) - 2 ** (2 * k - 2)
@@ -527,15 +549,22 @@ class IndecomposabilityStatus(Enum):
     UNKNOWN = "unknown"
 
 
+class RigidityStatus(Enum):
+    CONJECTURE_HOLDS = "conjecture-holds"
+    UNKNOWN = "unknown"
+
+
 @dataclass(frozen=True)
-class IndecomposabilityJudgment:
+class Judgment:
+    """A verdict on a variety, the type bound it rests on, and its derivation."""
+
     variety: SBVariety
-    status: IndecomposabilityStatus
+    status: IndecomposabilityStatus | RigidityStatus
     bound: int
     trace: ProofTrace
 
 
-def indecomposability_judgment(variety: SBVariety) -> IndecomposabilityJudgment:
+def indecomposability_judgment(variety: SBVariety) -> Judgment:
     """Indecomposable when the derived type bound reaches -1; never the
     opposite claim, since the calculus only proves upper bounds."""
     derived = type_bound(variety)
@@ -553,28 +582,11 @@ def indecomposability_judgment(variety: SBVariety) -> IndecomposabilityJudgment:
                 ch0_rank=1,
             )
         )
-        return IndecomposabilityJudgment(
-            variety, IndecomposabilityStatus.INDECOMPOSABLE, derived.bound, trace
-        )
-    return IndecomposabilityJudgment(
-        variety, IndecomposabilityStatus.UNKNOWN, derived.bound, derived.trace
-    )
+        return Judgment(variety, IndecomposabilityStatus.INDECOMPOSABLE, derived.bound, trace)
+    return Judgment(variety, IndecomposabilityStatus.UNKNOWN, derived.bound, derived.trace)
 
 
-class RigidityStatus(Enum):
-    CONJECTURE_HOLDS = "conjecture-holds"
-    UNKNOWN = "unknown"
-
-
-@dataclass(frozen=True)
-class RigidityJudgment:
-    variety: SBVariety
-    status: RigidityStatus
-    bound: int
-    trace: ProofTrace
-
-
-def rigidity_judgment(variety: SBVariety) -> RigidityJudgment:
+def rigidity_judgment(variety: SBVariety) -> Judgment:
     """Decide whether motivic decompositions of the variety lift along every
     division-preserving extension.
 
@@ -589,7 +601,7 @@ def rigidity_judgment(variety: SBVariety) -> RigidityJudgment:
     n = variety.context.n
     k = variety.level
     if derived.bound > 0:
-        return RigidityJudgment(variety, RigidityStatus.UNKNOWN, derived.bound, derived.trace)
+        return Judgment(variety, RigidityStatus.UNKNOWN, derived.bound, derived.trace)
     closing = [
         _step(
             "rational-cycle-persistence",
@@ -633,7 +645,7 @@ def rigidity_judgment(variety: SBVariety) -> RigidityJudgment:
             bound=derived.bound,
         )
     )
-    return RigidityJudgment(
+    return Judgment(
         variety,
         RigidityStatus.CONJECTURE_HOLDS,
         derived.bound,

@@ -11,10 +11,12 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
+from .errors import DomainError
 from .motive import TATE, DivisionContext, MotiveExpr, SBProduct, Term
 from .qpoly import (
     GradedRankPoly,
     PartitionBoxSpec,
+    _is_int,
     count_partitions_by_enumeration,
     count_partitions_in_box,
     enumerate_partitions_in_box,
@@ -284,14 +286,17 @@ def _check_classifier_known_cases(max_n: int) -> list[str]:
 
 
 def _check_dimension_obstruction(max_n: int) -> list[str]:
+    """Both dimensions read from the half-degree algebra C: the candidate
+    factor is SB_{2^(k-1)}(C) squared, and the endpoint copies span that
+    variety's dimension plus their twist apart."""
     failures = []
     limit = max(10, max_n)
     for n in range(1, limit + 1):
         for k in range(1, n + 1):
             result = dimension_obstruction(n, k)
-            lhs = 2 ** (n + k - 1) - 2 ** (2 * k - 1)
-            rhs = 2 ** (n + k - 1) - 2 ** (2 * k - 2)
-            if result != (lhs, rhs, True):
+            factor_dim = SBVariety(DivisionContext(2, n - 1), k - 1).dimension()
+            _, lower = function_field_endpoints(DivisionContext(2, n), k - 1)
+            if result != (2 * factor_dim, factor_dim + lower.twist, True):
                 failures.append(f"obstruction fails at (n={n}, k={k})")
     return failures
 
@@ -370,8 +375,8 @@ _REGISTRY: tuple[tuple[str, Callable[[int], list[str]]], ...] = (
 
 def run_identity_suite(max_n: int = 5) -> SuiteReport:
     """Run every identity over the requested range and report per-identity."""
-    if not isinstance(max_n, int) or max_n < 1:
-        raise ValueError(f"max_n must be a positive integer, got {max_n!r}")
+    if not _is_int(max_n) or max_n < 1:
+        raise DomainError(f"max_n must be a positive integer, got {max_n!r}")
     results = []
     for identity, check in _REGISTRY:
         failures = tuple(check(max_n))

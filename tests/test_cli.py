@@ -211,7 +211,30 @@ class TestConjectureCommand:
         ]
 
 
+class TestConjectureBounds:
+    def test_mersenne_61_answers_within_a_second(self, runner):
+        start = time.perf_counter()
+        result = invoke(runner, "conjecture", "--k", str(2**61 - 1))
+        assert result.exit_code == 0
+        assert result.output.splitlines()[0] == "COVERED (squarefree)"
+        assert time.perf_counter() - start < 1.0
+
+    def test_product_of_two_large_primes_exits_one_within_a_second(self, runner):
+        # 2147483659 and 2147483693 are the two least primes above 2**31
+        start = time.perf_counter()
+        result = invoke(runner, "conjecture", "--k", str(2147483659 * 2147483693))
+        assert result.exit_code == 1
+        assert result.stderr.startswith("error: cannot factor")
+        assert time.perf_counter() - start < 1.0
+
+
 class TestVerifyCommand:
+    def test_suite_rejects_nonpositive_range(self):
+        from sbmotives import DomainError, run_identity_suite
+
+        with pytest.raises(DomainError):
+            run_identity_suite(0)
+
     def test_passes_on_correct_build(self, runner):
         result = invoke(runner, "verify", "--max-n", "3")
         assert result.exit_code == 0

@@ -49,6 +49,26 @@ class TestDivisionContext:
         with pytest.raises(DomainError):
             DivisionContext(2, -1)
 
+    def test_rejects_bool_exponent(self):
+        with pytest.raises(DomainError):
+            DivisionContext(2, True)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: MotiveExpr.of((TATE, True)),
+        lambda: MotiveExpr.of((TATE, 0, True)),
+        lambda: MotiveExpr.tate(0).twist(True),
+        lambda: UpperMotive(C22, True),
+        lambda: SBProduct(C22, (True,)),
+        lambda: dim_upper_motive(C22, False),
+    ],
+)
+def test_bool_is_not_an_integer(build):
+    with pytest.raises(DomainError):
+        build()
+
 
 class TestNormalization:
     def test_point_factors_drop(self):

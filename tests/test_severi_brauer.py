@@ -34,6 +34,19 @@ class TestVarietyDimension:
         with pytest.raises(DomainError):
             SBVariety(DivisionContext(2, 2), -1)
 
+    def test_rejects_bool_arguments(self):
+        ctx = DivisionContext(2, 2)
+        for build in (
+            lambda: SBVariety(ctx, True),
+            lambda: mu(ctx, True, 0),
+            lambda: mu(ctx, 1, False),
+            lambda: rational_chow_order(SBVariety(ctx, 1), True),
+            lambda: function_field_endpoints(ctx, False),
+            lambda: classify_reduced_dimension(True),
+        ):
+            with pytest.raises(DomainError):
+                build()
+
 
 class TestMu:
     def test_examples_against_enumeration(self):
@@ -216,3 +229,21 @@ class TestClassifier:
     def test_rejects_nonpositive(self):
         with pytest.raises(DomainError):
             classify_reduced_dimension(0)
+
+    def test_prime_cofactor_ends_the_factorization(self):
+        case = classify_reduced_dimension(2**61 - 1)
+        assert case.reason is CoverageReason.SQUAREFREE
+        assert [(c.prime, c.reduced_dimension) for c in case.reductions] == [
+            (2**61 - 1, 2**61 - 1)
+        ]
+        case = classify_reduced_dimension(4 * 1048573 * 1048571)
+        assert case.reason is CoverageReason.FOUR_TIMES_ODD_SQUAREFREE
+        assert [c.prime for c in case.reductions] == [2, 1048571, 1048573]
+
+    def test_composite_without_small_factor_is_rejected(self):
+        with pytest.raises(DomainError, match="no prime factor up to"):
+            classify_reduced_dimension(2147483659 * 2147483693)
+
+    def test_beyond_primality_bound_is_rejected(self):
+        with pytest.raises(DomainError, match="primality is only decided below"):
+            classify_reduced_dimension(2**89)

@@ -1,6 +1,8 @@
 import json
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sbmotives import (
     DivisionContext,
@@ -97,7 +99,6 @@ class TestTraceReplay:
         last = trace.steps[-1]
         forged = ProofStep(
             rule_id=last.rule_id,
-            citation=last.citation,
             side_conditions=tuple(
                 (name, value + 1 if name == "product_dim" else value)
                 for name, value in last.side_conditions
@@ -109,11 +110,11 @@ class TestTraceReplay:
         assert tampered.failing_steps() == (len(trace.steps) - 1,)
 
     def test_unknown_rule_fails_replay(self):
-        step = ProofStep("no-such-rule", "made up", (("x", 1),), "nothing")
-        assert not ProofTrace((step,)).replay()
+        with pytest.raises(DomainError):
+            ProofStep("no-such-rule", (("x", 1),), "nothing")
 
     def test_missing_condition_fails_replay(self):
-        step = ProofStep("level-bound", RULE_CATALOG["level-bound"].citation, (), "no data")
+        step = ProofStep("level-bound", (), "no data")
         assert not ProofTrace((step,)).replay()
 
     def test_citations_come_from_the_catalog(self):
@@ -183,3 +184,45 @@ class TestTraceSerialization:
         assert text.count("step ") == len(trace)
         assert "dimension-obstruction" in text
         assert "conditions:" in text and "citation:" in text
+
+
+two_primary = st.integers(2, 400).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n - 1)))
+
+
+class TestReplayProperties:
+    @settings(max_examples=25, deadline=None)
+    @given(two_primary)
+    def test_rigidity_trace_replays_within_a_second(self, nk):
+        start = time.perf_counter()
+        assert rigidity_judgment(variety(2, *nk)).trace.replay()
+        assert time.perf_counter() - start < 1.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(two_primary, st.data())
+    def test_any_side_condition_off_by_one_fails_replay(self, nk, data):
+        encoded = rigidity_judgment(variety(2, *nk)).trace.to_json_obj()
+        entry = data.draw(st.sampled_from(encoded))
+        name = data.draw(st.sampled_from(sorted(entry["conditions"])))
+        entry["conditions"][name] = str(int(entry["conditions"][name]) + data.draw(st.sampled_from((-1, 1))))
+        assert not ProofTrace.from_json_obj(encoded).replay()
+
+    @settings(max_examples=25, deadline=None)
+    @given(two_primary, st.data())
+    def test_edited_citation_fails_to_decode(self, nk, data):
+        encoded = rigidity_judgment(variety(2, *nk)).trace.to_json_obj()
+        entry = data.draw(st.sampled_from(encoded))
+        entry["citation"] += data.draw(st.text(min_size=1, max_size=3))
+        with pytest.raises(DomainError, match="citation"):
+            ProofTrace.from_json_obj(encoded)
+
+    def test_level_25_exponent_50_replays(self):
+        assert rigidity_judgment(variety(2, 50, 25)).trace.replay()
+
+    def test_ladder_cut_short_fails_replay(self):
+        trace = rigidity_judgment(variety(2, 6, 2)).trace
+        assert not ProofTrace(trace.steps[:6] + trace.steps[-3:]).replay()
+
+    def test_step_about_another_variety_fails_replay(self):
+        other = rigidity_judgment(variety(2, 5, 2)).trace
+        trace = rigidity_judgment(variety(2, 6, 2)).trace
+        assert not trace.extended(other.steps[-1]).replay()
