@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Union
 
 from .errors import DomainError, UnsupportedOperationError
-from .qpoly import GradedRankPoly, _is_int, gaussian_binomial
+from .qpoly import GradedRankPoly, _is_int, _sum_of_shifts, gaussian_binomial
 
 __all__ = [
     "DivisionContext",
@@ -381,11 +381,25 @@ class MotiveExpr:
         Sum over terms of the shifted polynomial of each object; a monoid
         homomorphism with respect to sum, twist and product.  Raises for
         opaque upper motives, whose polynomials are not determined.
+        Products whose factors differ only in order, such as the mirrored
+        pairs ``(i, j)`` and ``(j, i)`` of a function-field split, share one
+        polynomial: it is built once and added at each of their twists.
         """
-        total = GradedRankPoly.zero()
+        if not self._terms:
+            return GradedRankPoly.zero()
+        # Every object's polynomial has bottom degree 0; reading the top
+        # degrees first also rejects the first upper motive in canonical order.
+        top = max(t.twist + _object_top_degree(t.obj) for t in self._terms)
+        bottom = min(t.twist for t in self._terms)
+        groups: dict[MotiveObject, list[tuple[int, int]]] = {}
         for term, mult in self._terms.items():
-            total = total + _object_poincare(term.obj).shift(term.twist) * mult
-        return total
+            obj = term.obj
+            if isinstance(obj, SBProduct):
+                obj = SBProduct(obj.context, tuple(sorted(obj.dims)))
+            groups.setdefault(obj, []).append((term.twist, mult))
+        return _sum_of_shifts(
+            bottom, top, ((_object_poincare(obj), at) for obj, at in groups.items())
+        )
 
     def identify_upper_lower(self) -> ExtremeTerms:
         """Locate the summands realizing the extreme split degrees.

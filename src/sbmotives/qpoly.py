@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DomainError
 
@@ -36,6 +36,10 @@ __all__ = [
     "count_partitions_by_enumeration",
     "enumerate_partitions_in_box",
 ]
+
+# Most dense slots (top - bottom + 1) the public constructor allocates.
+# Results of internal arithmetic are sized by the operations that make them.
+_MAX_DENSE_SPAN = 2**24
 
 
 def _is_int(value: object) -> bool:
@@ -58,6 +62,8 @@ class GradedRankPoly:
     coefficients are stored densely, as a bottom degree and a tuple whose
     first and last entries are nonzero, so two equal polynomials always have
     equal internal state.  The zero polynomial stores bottom 0 and ``()``.
+    The public constructor refuses a degree span wider than
+    ``_MAX_DENSE_SPAN`` before it allocates anything.
     """
 
     __slots__ = ("_bottom", "_coeffs")
@@ -70,7 +76,12 @@ class GradedRankPoly:
                 if _checked_count(count, "coefficient"):
                     checked[degree] = count
         self._bottom = min(checked, default=0)
-        dense = [0] * (max(checked) - self._bottom + 1 if checked else 0)
+        span = max(checked) - self._bottom + 1 if checked else 0
+        if span > _MAX_DENSE_SPAN:
+            raise DomainError(
+                f"degree span {span} exceeds the dense storage limit {_MAX_DENSE_SPAN}"
+            )
+        dense = [0] * span
         for degree, count in checked.items():
             dense[degree - self._bottom] = count
         self._coeffs = tuple(dense)
@@ -260,6 +271,30 @@ def _kronecker_convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
     length = (len(a) + len(b) - 1) * size
     packed = memoryview((pack(a) * pack(b)).to_bytes(length, "little"))
     return [int.from_bytes(packed[i : i + size], "little") for i in range(0, length, size)]
+
+
+def _sum_of_shifts(
+    bottom: int,
+    top: int,
+    parts: Iterable[tuple[GradedRankPoly, Sequence[tuple[int, int]]]],
+) -> GradedRankPoly:
+    """``sum(mult * q**twist * poly)`` over every placement of every part.
+
+    Each part is a polynomial with the ``(twist, mult)`` placements it is
+    added at.  The copies are added in place into one dense buffer spanning
+    degrees ``[bottom, top]``, which must contain every placed copy.  Parts
+    are consumed one at a time and each polynomial is released before the
+    next is drawn, so a lazy ``parts`` keeps only one of them alive.
+    """
+    out = [0] * (top - bottom + 1)
+    for poly, placements in parts:
+        coeffs = poly._coeffs
+        for twist, mult in placements:
+            start = poly._bottom + twist - bottom
+            end = start + len(coeffs)
+            out[start:end] = [x + mult * y for x, y in zip(out[start:end], coeffs)]
+        del poly, coeffs
+    return GradedRankPoly._trusted(bottom, out)
 
 
 @lru_cache(maxsize=None, typed=True)

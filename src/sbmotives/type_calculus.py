@@ -24,7 +24,9 @@ induction is replayed in full for the requested exponent rather than
 memoized away, so traces are self-contained.  Replay also checks that every
 step speaks about the variety of the opening level bound.  Every rule check
 is closed form, so replaying the trace of level ``k`` and exponent ``n``
-takes time linear in ``n - k``.
+takes time linear in ``n - k``.  A check builds a power only after the bit
+length of a recorded value allows it, so a decoded trace costs time in the
+size of its encoding, however large the exponents it names.
 """
 
 from __future__ import annotations
@@ -74,18 +76,27 @@ class Rule:
         return f"{self.statement} [{self.source}]"
 
 
+def _power_fits(value: int, base: int, exponent: int) -> bool:
+    """Whether ``base**exponent`` can be at most ``|value|``, read from bit
+    lengths before the power is built: a base of bit length ``b`` has
+    ``base**exponent >= 2**(exponent * (b - 1))``.  Guarding each power with
+    a recorded value keeps replay cost bounded by the size of the encoding.
+    """
+    return exponent * (base.bit_length() - 1) < value.bit_length()
+
+
 def _check_level_bound(c: Conditions) -> bool:
     return c["p"] >= 2 and 0 <= c["k"] <= c["n"] and c["bound"] == c["k"] - 1
 
 
 def _check_point_base(c: Conditions) -> bool:
-    p, n, k = c["p"], c["n"], c["k"]
-    return k == n and c["variety_dim"] == p**k * (p**n - p**k) == 0
+    # p^k * (p^n - p^k) vanishes exactly when k = n
+    return c["k"] == c["n"] and c["variety_dim"] == 0
 
 
 def _check_function_field_split(c: Conditions) -> bool:
     p, n, k = c["p"], c["n"], c["k"]
-    if p != 2 or not 1 <= k < n:
+    if p != 2 or not 1 <= k < n or not _power_fits(c["lower_twist"], 2, n + k - 1):
         return False
     return (
         c["degree"] == 2**n
@@ -98,7 +109,7 @@ def _check_function_field_split(c: Conditions) -> bool:
 
 def _check_halved_endpoints(c: Conditions) -> bool:
     p, n, level = c["p"], c["n"], c["level"]
-    if not 0 <= level <= n - 1:
+    if p < 2 or not 0 <= level < n or not _power_fits(c["lower_twist"], p, n + level - 1):
         return False
     return c["upper_twist"] == 0 and c["lower_twist"] == p ** (n + level - 1) * (p - 1)
 
@@ -109,22 +120,23 @@ def _check_valuation_case_split(c: Conditions) -> bool:
         return False
     if c["required_level"] != k - 1:
         return False
-    m, step, half = 2**k, 2 ** (k - 1), 2 ** (n - 1)
-    lo, hi = max(0, m - half), min(m, half)
-    # For i + j = 2^k, 2^(k-1) divides gcd(i, j) exactly when it divides i,
-    # and gcd(0, m) = m: the candidates are the multiples of 2^(k-1) in range.
-    expected = {(i, m - i) for i in range(-(-lo // step) * step, hi + 1, step)}
     recorded = {
         (c["candidate_0_i"], c["candidate_0_j"]),
         (c["candidate_1_i"], c["candidate_1_j"]),
         (c["candidate_2_i"], c["candidate_2_j"]),
     }
-    return expected == recorded
+    if not _power_fits(max(max(pair) for pair in recorded), 2, k):
+        return False
+    # For i + j = 2^k, 2^(k-1) divides gcd(i, j) exactly when it divides i,
+    # and gcd(0, m) = m; k < n keeps every i in [0, 2^k] within the half
+    # degree 2^(n-1), so the candidates are i = 0, 2^(k-1) and 2^k.
+    m, step = 2**k, 2 ** (k - 1)
+    return recorded == {(0, m), (step, step), (m, 0)}
 
 
 def _check_dimension_obstruction(c: Conditions) -> bool:
     n, k = c["n"], c["k"]
-    if not 1 <= k <= n:
+    if not 1 <= k <= n or not _power_fits(c["endpoint_dim"], 2, n + k - 2):
         return False
     product_dim = 2 ** (n + k - 1) - 2 ** (2 * k - 1)
     endpoint_dim = 2 ** (n + k - 1) - 2 ** (2 * k - 2)

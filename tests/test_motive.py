@@ -8,11 +8,14 @@ from sbmotives import (
     GradedRankPoly,
     MotiveExpr,
     SBProduct,
+    SBVariety,
     Term,
     UnsupportedOperationError,
     UpperMotive,
     dim_upper_motive,
+    function_field_decomposition,
     gaussian_binomial,
+    motive,
     normalize_object,
 )
 
@@ -170,6 +173,35 @@ class TestSplitPoincare:
 
     def test_zero_expression(self):
         assert MotiveExpr.zero().split_poincare() == GradedRankPoly.zero()
+
+    def test_far_twist_is_one_coefficient(self):
+        assert MotiveExpr.tate(10**9).split_poincare() == GradedRankPoly({10**9: 1})
+
+    def test_first_opaque_upper_in_canonical_order_is_named(self):
+        e = MotiveExpr.of(
+            (SBProduct(C22, (1,)), 0),
+            (UpperMotive(DivisionContext(2, 3), 2), 0),
+            (UpperMotive(C22, 1), 3),
+        )
+        with pytest.raises(UnsupportedOperationError) as excinfo:
+            e.split_poincare()
+        assert str(excinfo.value) == (
+            "the split polynomial of the opaque upper motive "
+            "Upper(p=2, n=2, level=1) is not determined; refusing to guess"
+        )
+
+    def test_mirrored_products_are_built_once(self, monkeypatch):
+        expr = function_field_decomposition(SBVariety(DivisionContext(2, 6), 5))
+        keys = {
+            tuple(sorted(term.obj.dims)) if isinstance(term.obj, SBProduct) else term.obj
+            for term, _ in expr.term_items()
+        }
+        assert len(expr.term_items()) == 33 and len(keys) == 17
+        built = []
+        original = motive._object_poincare
+        monkeypatch.setattr(motive, "_object_poincare", lambda obj: built.append(obj) or original(obj))
+        assert expr.split_poincare() == gaussian_binomial(64, 32)
+        assert len(built) == len(keys)
 
 
 class TestIdentifyUpperLower:
@@ -332,3 +364,39 @@ def test_extremes_agree_with_split_polynomials(e):
     assert located.lower_multiplicity == sum(m for _, m in lower)
     assert located.upper == (upper[0][0] if located.upper_multiplicity == 1 else None)
     assert located.lower == (lower[0][0] if located.lower_multiplicity == 1 else None)
+
+
+@st.composite
+def mixed_exprs(draw):
+    """Tate terms and products over a few algebras, factors in any order,
+    each product possibly joined by its mirror image at another twist."""
+    contexts = [C21, C22, DivisionContext(2, 3), C31, DivisionContext(3, 2)]
+    entries = []
+    for _ in range(draw(st.integers(0, 6))):
+        twist, mult = draw(st.integers(0, 50)), draw(st.integers(1, 3))
+        if draw(st.booleans()):
+            entries.append((TATE, twist, mult))
+            continue
+        context = draw(st.sampled_from(contexts))
+        dims = tuple(draw(st.lists(st.integers(0, context.degree), max_size=3)))
+        entries.append((SBProduct(context, dims), twist, mult))
+        if draw(st.booleans()):
+            entries.append((SBProduct(context, dims[::-1]), draw(st.integers(0, 50)), mult))
+    return MotiveExpr(entries)
+
+
+def reference_split_poincare(e):
+    """Sum of mult * q^twist * prod [deg, d] over the terms, one term at a time."""
+    total = GradedRankPoly.zero()
+    for term, mult in e.term_items():
+        poly = GradedRankPoly.one()
+        if isinstance(term.obj, SBProduct):
+            for d in term.obj.dims:
+                poly = poly * gaussian_binomial(term.obj.context.degree, d)
+        total = total + poly.shift(term.twist) * mult
+    return total
+
+
+@given(mixed_exprs())
+def test_split_poincare_matches_termwise_sum(e):
+    assert e.split_poincare() == reference_split_poincare(e)

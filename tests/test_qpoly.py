@@ -15,6 +15,7 @@ from sbmotives import (
     enumerate_partitions_in_box,
     gaussian_binomial,
 )
+from sbmotives import qpoly
 from sbmotives.qpoly import _box_size_counts
 
 
@@ -77,6 +78,23 @@ class TestGradedRankPoly:
         encoded = poly.to_json_dict()
         assert all(isinstance(k, str) and isinstance(v, str) for k, v in encoded.items())
         assert GradedRankPoly.from_json_dict(encoded) == poly
+
+    def test_far_apart_degrees_rejected_before_allocating(self):
+        with pytest.raises(DomainError, match="dense storage limit"):
+            GradedRankPoly({0: 1, 10**10: 1})
+        with pytest.raises(DomainError, match="dense storage limit"):
+            GradedRankPoly.from_json_dict({"0": "1", "10000000000": "1"})
+
+    def test_dense_span_limit_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(qpoly, "_MAX_DENSE_SPAN", 8)
+        assert GradedRankPoly({3: 1, 10: 2}).dim() == 7
+        with pytest.raises(DomainError):
+            GradedRankPoly({3: 1, 11: 2})
+
+    def test_json_round_trip_of_a_wide_binomial(self):
+        poly = gaussian_binomial(60, 30)
+        assert GradedRankPoly.from_json_dict(poly.to_json_dict()) == poly
+        assert GradedRankPoly(dict(poly.items())) == poly
 
     def test_hashable_and_eq(self):
         a = GradedRankPoly({0: 1, 2: 1})

@@ -226,3 +226,64 @@ class TestReplayProperties:
         other = rigidity_judgment(variety(2, 5, 2)).trace
         trace = rigidity_judgment(variety(2, 6, 2)).trace
         assert not trace.extended(other.steps[-1]).replay()
+
+
+def _encoded_step(rule_id, **conditions):
+    return {
+        "rule_id": rule_id,
+        "citation": RULE_CATALOG[rule_id].citation,
+        "conditions": {name: str(value) for name, value in conditions.items()},
+        "conclusion": "hand-encoded",
+    }
+
+
+class TestHandEncodedTraces:
+    """Replay reads only the recorded values: huge exponents with small
+    recorded values must not build huge powers."""
+
+    def test_point_base_requires_a_zero_dimensional_variety(self):
+        for dim in (-1, 1):
+            trace = ProofTrace.from_json_obj(
+                [
+                    _encoded_step("level-bound", p=2, n=3, k=3, bound=2),
+                    _encoded_step("point-base", p=2, n=3, k=3, variety_dim=dim),
+                ]
+            )
+            assert trace.failing_steps() == (1,)
+
+    def test_point_base_at_huge_exponent_replays(self):
+        n = k = 10**12
+        start = time.perf_counter()
+        trace = ProofTrace.from_json_obj(
+            [
+                _encoded_step("level-bound", p=2, n=n, k=k, bound=k - 1),
+                _encoded_step("point-base", p=2, n=n, k=k, variety_dim=0),
+            ]
+        )
+        assert trace.replay()
+        assert time.perf_counter() - start < 1.0
+
+    def test_halving_step_with_small_values_fails_fast(self):
+        k = 10**9
+        n = k + 1
+        start = time.perf_counter()
+        trace = ProofTrace.from_json_obj(
+            [
+                _encoded_step("level-bound", p=2, n=n, k=k, bound=k - 1),
+                _encoded_step("point-base", p=2, n=k, k=k, variety_dim=0),
+                _encoded_step(
+                    "function-field-split", p=2, n=n, k=k, degree=4, split_degree=2,
+                    term_count=3, upper_twist=0, lower_twist=8,
+                ),
+                _encoded_step("halved-endpoints", p=2, n=n, level=k - 1, upper_twist=0, lower_twist=4),
+                _encoded_step(
+                    "valuation-case-split", p=2, n=n, k=k, required_level=k - 1,
+                    candidate_0_i=2, candidate_0_j=0, candidate_1_i=0, candidate_1_j=2,
+                    candidate_2_i=1, candidate_2_j=1,
+                ),
+                _encoded_step("dimension-obstruction", p=2, n=n, k=k, product_dim=2, endpoint_dim=3),
+            ]
+        )
+        assert trace.failing_steps() == (2, 3, 4, 5)
+        assert not trace.replay()
+        assert time.perf_counter() - start < 1.0
