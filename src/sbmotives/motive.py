@@ -384,6 +384,8 @@ class MotiveExpr:
         Products whose factors differ only in order, such as the mirrored
         pairs ``(i, j)`` and ``(j, i)`` of a function-field split, share one
         polynomial: it is built once and added at each of their twists.
+        Raises :class:`DomainError` before building anything when the terms
+        spread over more than ``qpoly._MAX_DENSE_SPAN`` degrees.
         """
         if not self._terms:
             return GradedRankPoly.zero()

@@ -14,16 +14,30 @@ implementations are shipped on purpose: a dynamic-programming recurrence
 enumerator (:func:`count_partitions_by_enumeration`, kept as a cross-checking
 oracle).  The degree-``s`` coefficient of ``gaussian_binomial(m + c, c)``
 equals the number of partitions of ``s`` inside an ``m x c`` box.
-:func:`gaussian_binomial` computes it by the q-product formula, which shares
-no code with the DP or the enumerator; the test suite and the ``verify``
-command check the product formula, the DP and the enumerator against each
-other.
+:func:`gaussian_binomial` computes it by the q-product formula, stepping
+along row ``d`` from the nearest value still cached, and hands out one object
+for ``[d, k]`` and ``[d, d-k]``; it shares no code with the DP or the
+enumerator.  The test suite and the ``verify`` command check the product
+formula, the DP and the enumerator against each other.
+
+Products of more than 4096 coefficient pairs are packed into one big number
+and multiplied once (:func:`_packed_convolve`).  The carrier is ``int``
+(CPython's Karatsuba) below 100 000 packed bits and ``decimal`` (libmpdec's
+number-theoretic transform, exact at ``MAX_PREC``) from there up.  Measured
+with CPython 3.11 on a shared 2-vCPU x86-64 machine, the two stay within
+about 15% of each other between 55 000 and 100 000 packed bits for operands
+of equal length; below, ``int`` wins (100 x 100 coefficients of 64 bits:
+0.19 ms against 0.64 ms), above, ``decimal`` does (1400 x 1400 of 256 bits:
+62 ms against 20 ms).
 """
 
 from __future__ import annotations
 
+import sys
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DomainError
@@ -37,9 +51,29 @@ __all__ = [
     "enumerate_partitions_in_box",
 ]
 
-# Most dense slots (top - bottom + 1) the public constructor allocates.
-# Results of internal arithmetic are sized by the operations that make them.
+# Most dense slots (top - bottom + 1) that the public constructor, a sum or a
+# product allocates.
 _MAX_DENSE_SPAN = 2**24
+
+# Products of more coefficient pairs than this are packed (see __mul__).
+_SCHOOLBOOK_PAIRS = 1 << 12
+
+# Packed size (shorter operand length times slot bits) from which a packed
+# product is carried by decimal, not int: see _packed_convolve.
+_DECIMAL_CARRIER_BITS = 100_000
+
+# [d, c] values held by the binomial cache, keyed by (d, c) with c the narrow
+# side; weak, so gaussian_binomial.cache_clear() frees every coefficient tuple.
+_ROWS: "weakref.WeakValueDictionary[tuple[int, int], GradedRankPoly]" = (
+    weakref.WeakValueDictionary()
+)
+
+
+def _check_span(span: int) -> None:
+    if span > _MAX_DENSE_SPAN:
+        raise DomainError(
+            f"degree span {span} exceeds the dense storage limit {_MAX_DENSE_SPAN}"
+        )
 
 
 def _is_int(value: object) -> bool:
@@ -62,11 +96,11 @@ class GradedRankPoly:
     coefficients are stored densely, as a bottom degree and a tuple whose
     first and last entries are nonzero, so two equal polynomials always have
     equal internal state.  The zero polynomial stores bottom 0 and ``()``.
-    The public constructor refuses a degree span wider than
-    ``_MAX_DENSE_SPAN`` before it allocates anything.
+    The public constructor, sums and products refuse a degree span wider
+    than ``_MAX_DENSE_SPAN`` before they allocate anything.
     """
 
-    __slots__ = ("_bottom", "_coeffs")
+    __slots__ = ("_bottom", "_coeffs", "__weakref__")
 
     def __init__(self, coefficients: Mapping[int, int] | None = None):
         checked: dict[int, int] = {}
@@ -77,10 +111,7 @@ class GradedRankPoly:
                     checked[degree] = count
         self._bottom = min(checked, default=0)
         span = max(checked) - self._bottom + 1 if checked else 0
-        if span > _MAX_DENSE_SPAN:
-            raise DomainError(
-                f"degree span {span} exceeds the dense storage limit {_MAX_DENSE_SPAN}"
-            )
+        _check_span(span)
         dense = [0] * span
         for degree, count in checked.items():
             dense[degree - self._bottom] = count
@@ -161,24 +192,37 @@ class GradedRankPoly:
         if not self._coeffs:
             return other
         low, high = (self, other) if self._bottom <= other._bottom else (other, self)
-        out = list(low._coeffs)
         start = high._bottom - low._bottom
         end = start + len(high._coeffs)
+        _check_span(max(end, len(low._coeffs)))
+        out = list(low._coeffs)
         out.extend([0] * (end - len(out)))
         out[start:end] = [x + y for x, y in zip(out[start:end], high._coeffs)]
         return GradedRankPoly._trusted(low._bottom, out)
 
     def __mul__(self, other: "GradedRankPoly | int") -> "GradedRankPoly":
+        """Product with a rank polynomial or with a nonnegative integer scalar.
+
+        Up to ``_SCHOOLBOOK_PAIRS`` coefficient pairs the product is the
+        schoolbook convolution; above it, :func:`_packed_convolve` packs each
+        operand into one big number and makes a single exact multiplication,
+        carried by ``int`` below ``_DECIMAL_CARRIER_BITS`` packed bits and by
+        ``decimal`` from there up (the module docstring gives the measured
+        crossover).  A result wider than ``_MAX_DENSE_SPAN`` degrees raises
+        :class:`DomainError` before anything is allocated.
+        """
         if isinstance(other, int):
             _checked_count(other, "scalar")
+            _check_span(len(self._coeffs))
             return GradedRankPoly._trusted(self._bottom, [c * other for c in self._coeffs])
         if not isinstance(other, GradedRankPoly):
             return NotImplemented
         a, b = self._coeffs, other._coeffs
         if not a or not b:
             return GradedRankPoly.zero()
-        if len(a) * len(b) > 1 << 12:
-            out = _kronecker_convolve(a, b)
+        _check_span(len(a) + len(b) - 1)
+        if len(a) * len(b) > _SCHOOLBOOK_PAIRS:
+            out = _packed_convolve(a, b)
         else:
             out = [0] * (len(a) + len(b) - 1)
             for i, x in enumerate(a):
@@ -253,24 +297,54 @@ class PartitionBoxSpec:
         return self.parts * self.max_part
 
 
-def _kronecker_convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Exact convolution of nonnegative coefficient lists via integer packing.
+def _packed_convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Exact convolution of nonnegative coefficient lists by one multiplication.
 
-    Each polynomial is evaluated at 256**size with ``size`` bytes chosen so
-    that no convolution coefficient can spill into its neighbor; one
-    big-integer multiplication then carries out the whole convolution.
-    Packing and unpacking go through ``to_bytes``/``from_bytes``, linear in
-    the packed length (Harvey, J. Symb. Comput. 2009).
+    Each operand is packed into one number, a coefficient to a slot wide
+    enough that no convolution coefficient spills into its neighbor; one
+    exact product then carries out the whole convolution, and the slots are
+    read back.  Equal operands are packed once and squared.  Two carriers:
+
+    * ``int``: byte slots through ``to_bytes``/``from_bytes``, linear in the
+      packed length (Harvey, J. Symb. Comput. 2009); CPython multiplies by
+      Karatsuba.
+    * ``decimal``: zero-padded decimal slots and one ``Context.multiply`` at
+      ``MAX_PREC``, which is exact; libmpdec multiplies large operands by a
+      number-theoretic transform, in the line of Schoenhage-Strassen (1971).
+
+    The decimal carrier takes over at ``_DECIMAL_CARRIER_BITS`` of packed
+    size (shorter length times slot bits), the top of the band where the two
+    were measured to break even, unless a slot has more digits than ``str``
+    may convert.
     """
-    bound = min(len(a), len(b)) * max(a) * max(b)
-    size = (bound.bit_length() + 7) // 8
+    shorter = min(len(a), len(b))
+    bits = (shorter * max(a) * max(b)).bit_length()
+    square = a is b or a == b
+    width = bits * 30103 // 100000 + 1  # decimal digits; 10**width > 2**bits
+    str_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if shorter * bits < _DECIMAL_CARRIER_BITS or 0 < str_limit < width:
+        size = (bits + 7) // 8
 
-    def pack(coeffs: Sequence[int]) -> int:
-        return int.from_bytes(b"".join(c.to_bytes(size, "little") for c in coeffs), "little")
+        def pack(coeffs: Sequence[int]) -> int:
+            return int.from_bytes(b"".join([c.to_bytes(size, "little") for c in coeffs]), "little")
 
-    length = (len(a) + len(b) - 1) * size
-    packed = memoryview((pack(a) * pack(b)).to_bytes(length, "little"))
-    return [int.from_bytes(packed[i : i + size], "little") for i in range(0, length, size)]
+        packed_a = pack(a)
+        length = (len(a) + len(b) - 1) * size
+        product = packed_a * (packed_a if square else pack(b))
+        slots = memoryview(product.to_bytes(length, "little"))
+        return [int.from_bytes(slots[i : i + size], "little") for i in range(0, length, size)]
+
+    import decimal  # here, so that a process packing nothing this large never loads it
+
+    def pack_decimal(coeffs: Sequence[int]) -> "decimal.Decimal":
+        return decimal.Decimal("".join([str(c).zfill(width) for c in reversed(coeffs)]))
+
+    packed_a = pack_decimal(a)
+    length = (len(a) + len(b) - 1) * width
+    context = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+    product = context.multiply(packed_a, packed_a if square else pack_decimal(b))
+    digits = str(product).zfill(length)
+    return [int(digits[i - width : i]) for i in range(length, 0, -width)]
 
 
 def _sum_of_shifts(
@@ -284,8 +358,11 @@ def _sum_of_shifts(
     added at.  The copies are added in place into one dense buffer spanning
     degrees ``[bottom, top]``, which must contain every placed copy.  Parts
     are consumed one at a time and each polynomial is released before the
-    next is drawn, so a lazy ``parts`` keeps only one of them alive.
+    next is drawn, so a lazy ``parts`` keeps only one of them alive.  A span
+    wider than ``_MAX_DENSE_SPAN`` raises :class:`DomainError` before the
+    buffer is allocated or a part is drawn.
     """
+    _check_span(top - bottom + 1)
     out = [0] * (top - bottom + 1)
     for poly, placements in parts:
         coeffs = poly._coeffs
@@ -301,31 +378,42 @@ def _sum_of_shifts(
 def gaussian_binomial(d: int, k: int) -> GradedRankPoly:
     """The Gaussian binomial coefficient [d choose k]_q as a rank polynomial.
 
-    Computed by the product formula
-    ``[m+i+1, i+1] = [m+i, i] * (1 - q^(m+i+1)) / (1 - q^(i+1))``
-    (Andrews, *The Theory of Partitions*, ch. 3) over exact integers, for
-    ``i`` up to the narrow side ``min(k, d-k)``.  Each step is one sweep
-    that multiplies by the numerator and divides exactly by the
-    denominator; every intermediate is itself a Gaussian binomial, so the
-    division never leaves the integers.  The result has bottom degree 0,
-    top degree ``k*(d-k)``, symmetric coefficients and total rank
-    ``C(d, k)``; it is the split Poincare polynomial of the Grassmannian of
-    ``k``-planes in ``d``-space.
+    Computed along row ``d`` by the product formula
+    ``[d, i+1] = [d, i] * (1 - q^(d-i)) / (1 - q^(i+1))``
+    (Andrews, *The Theory of Partitions*, ch. 3) over exact integers, up to
+    the narrow side ``c = min(k, d-k)``.  The walk starts from the nearest
+    ``[d, c0]`` with ``c0 <= c`` that the cache still holds, or from
+    ``[d, 0] = 1``.  Each step is two passes: multiply by the numerator, then
+    divide exactly by the denominator as running sums over the residue
+    classes of its degree; every intermediate is itself a Gaussian binomial,
+    so the division never leaves the integers.  ``[d, k]`` and ``[d, d-k]``
+    are the same object.  The result has bottom degree 0, top degree
+    ``k*(d-k)``, symmetric coefficients and total rank ``C(d, k)``; it is the
+    split Poincare polynomial of the Grassmannian of ``k``-planes in
+    ``d``-space.  Shares no code with the box DP or the enumerator.
     """
     _checked_count(d, "d")
     _checked_count(k, "k")
     if k > d:
         raise DomainError(f"gaussian_binomial requires 0 <= k <= d, got k={k} > d={d}")
-    col = min(k, d - k)  # [d, k] = [d, d-k]; iterate the narrow side
-    m = d - col
-    row = [1]  # [m, 0]
-    for i in range(col):
-        a, b = m + i + 1, i + 1
-        prev = [0] * a + row + [0] * m  # prev[j + a] is the degree-j coefficient of row
-        row = [0] * (len(row) + m)
-        for j in range(len(row)):
-            row[j] = prev[j + a] - prev[j] + (row[j - b] if j >= b else 0)
-    return GradedRankPoly._trusted(0, row)
+    c = min(k, d - k)
+    start, row = 0, [1]
+    for i in range(c, -1, -1):
+        known = _ROWS.get((d, i))
+        if known is not None:
+            if i == c:
+                return known
+            start, row = i, list(known._coeffs)
+            break
+    for i in range(start, c):
+        a, b = d - i, i + 1  # [d, i+1] = [d, i] * (1 - q^a) / (1 - q^b)
+        length = len(row) + a - b  # a > b because i < d/2
+        row += [0] * (length - len(row))
+        row = row[:a] + [x - y for x, y in zip(row[a:], row)]
+        for r in range(b):
+            row[r::b] = accumulate(row[r::b])
+    poly = _ROWS[d, c] = GradedRankPoly._trusted(0, row)
+    return poly
 
 
 @lru_cache(maxsize=None)

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -18,6 +20,7 @@ from sbmotives import (
     motive,
     normalize_object,
 )
+from sbmotives import qpoly
 
 C21 = DivisionContext(2, 1)
 C22 = DivisionContext(2, 2)
@@ -176,6 +179,20 @@ class TestSplitPoincare:
 
     def test_far_twist_is_one_coefficient(self):
         assert MotiveExpr.tate(10**9).split_poincare() == GradedRankPoly({10**9: 1})
+
+    def test_wide_span_rejected_before_allocating(self, monkeypatch):
+        monkeypatch.setattr(qpoly, "_MAX_DENSE_SPAN", 1000)
+        assert MotiveExpr.of((TATE, 0), (TATE, 999)).split_poincare().dim() == 999
+        with pytest.raises(DomainError, match="dense storage limit"):
+            MotiveExpr.of((TATE, 0), (TATE, 2 * 10**6)).split_poincare()
+
+    def test_far_apart_twists_from_json_rejected_quickly(self):
+        near = {"object": {"kind": "tate"}, "twist": "0", "multiplicity": "1"}
+        far = dict(near, twist=str(10**9))
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match="dense storage limit"):
+            MotiveExpr.from_json_obj([near, far]).split_poincare()
+        assert time.perf_counter() - start < 1.0
 
     def test_first_opaque_upper_in_canonical_order_is_named(self):
         e = MotiveExpr.of(

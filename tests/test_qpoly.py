@@ -1,10 +1,12 @@
+import gc
 import itertools
 import math
 import random
+import sys
 from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from sbmotives import (
     DomainError,
@@ -91,6 +93,21 @@ class TestGradedRankPoly:
         with pytest.raises(DomainError):
             GradedRankPoly({3: 1, 11: 2})
 
+    def test_wide_sums_and_products_rejected_before_allocating(self, monkeypatch):
+        one = GradedRankPoly.one()
+        near, far = one + one.shift(3000), one + one.shift(10**6)
+        monkeypatch.setattr(qpoly, "_MAX_DENSE_SPAN", 1000)
+        assert (one + one.shift(999)).dim() == 999
+        assert (GradedRankPoly({0: 1, 499: 1}) * GradedRankPoly({0: 1, 500: 1})).dim() == 999
+        for wide in (
+            lambda: one + one.shift(2 * 10**6),
+            lambda: near * one.shift(5),  # schoolbook
+            lambda: near * far,  # packed
+            lambda: near * 2,  # scalar
+        ):
+            with pytest.raises(DomainError, match="dense storage limit"):
+                wide()
+
     def test_json_round_trip_of_a_wide_binomial(self):
         poly = gaussian_binomial(60, 30)
         assert GradedRankPoly.from_json_dict(poly.to_json_dict()) == poly
@@ -166,6 +183,60 @@ class TestGaussianBinomial:
         denominator = math.prod(2 ** (i + 1) - 1 for i in range(k))
         value = sum(c << degree for degree, c in gaussian_binomial(d, k).items())
         assert value * denominator == numerator
+
+    requests = st.lists(
+        st.none() | st.integers(0, 60).flatmap(lambda d: st.tuples(st.just(d), st.integers(0, d))),
+        max_size=8,
+    )
+
+    # None clears the cache between requests
+    @settings(max_examples=25, deadline=None)
+    @given(requests)
+    def test_any_request_order_matches_box_counts(self, requests):
+        for request in requests:
+            if request is None:
+                gaussian_binomial.cache_clear()
+                continue
+            d, k = request
+            poly = gaussian_binomial(d, k)
+            table = _box_size_counts(min(k, d - k), max(k, d - k))
+            assert [poly.coefficient(s) for s in range(len(table))] == list(table)
+            assert poly.top_degree() == len(table) - 1
+
+    @pytest.mark.parametrize("d", [0, 1, 7, 8, 41])
+    def test_mirrored_requests_share_one_value(self, d):
+        for k in range(d + 1):
+            gaussian_binomial.cache_clear()
+            assert gaussian_binomial(d, k) is gaussian_binomial(d, d - k)
+        for k in range(d + 1):
+            assert gaussian_binomial(d, k) is gaussian_binomial(d, d - k)
+
+    def test_cache_clear_empties_the_row_index(self):
+        held = [gaussian_binomial(50, k) for k in (3, 20, 47, 25)]
+        assert len(qpoly._ROWS) >= 3
+        del held
+        gaussian_binomial.cache_clear()
+        gc.collect()
+        assert len(qpoly._ROWS) == 0
+
+    def test_wide_binomial_needs_no_recursion(self):
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        gaussian_binomial.cache_clear()
+        sys.setrecursionlimit(depth + 30)
+        try:
+            cold = gaussian_binomial(400, 200).items()  # the value itself dies on clearing
+            gaussian_binomial.cache_clear()
+            for i in random.Random(400).sample(range(401), 6):
+                gaussian_binomial(400, i)
+            warm = gaussian_binomial(400, 200)
+        finally:
+            sys.setrecursionlimit(limit)
+            gaussian_binomial.cache_clear()
+        assert warm.items() == cold
+        assert warm.top_degree() == 200 * 200 and warm.rank() == math.comb(400, 200)
 
     @given(st.integers(0, 12))
     def test_symmetry_and_total_rank(self, d):
@@ -292,9 +363,76 @@ class TestFastPath:
         assert a * b == GradedRankPoly(_schoolbook(dict(a.items()), dict(b.items())))
 
     # 64 * 64 = 4096 coefficient pairs is the last schoolbook product
-    @pytest.mark.parametrize("la,lb", [(64, 64), (64, 65), (1, 4097), (4097, 2), (90, 91)])
+    @pytest.mark.parametrize(
+        "la,lb",
+        [(64, 64), (64, 65), (1, 4096), (1, 4097), (2048, 2), (2049, 2), (4097, 2), (90, 91)],
+    )
     def test_kronecker_and_schoolbook_agree(self, la, lb):
         rng = random.Random(la * 10007 + lb)
         a = _random_coeffs(rng, la, 200)
         b = _random_coeffs(rng, lb, 200)
         assert GradedRankPoly(a) * GradedRankPoly(b) == GradedRankPoly(_schoolbook(a, b))
+
+    @pytest.mark.parametrize("side", ["below", "at"])
+    @pytest.mark.parametrize("la,lb", [(400, 400), (401, 300), (100, 800)])
+    def test_both_carriers_agree_with_schoolbook(self, la, lb, side):
+        a, b = _around_carrier_switch(random.Random(la + lb), la, lb, side)
+        assert GradedRankPoly(a) * GradedRankPoly(b) == GradedRankPoly(_schoolbook(a, b))
+
+    @pytest.mark.parametrize("side", ["below", "at"])
+    def test_squares_of_one_object_and_of_equal_objects(self, side):
+        a, _ = _around_carrier_switch(random.Random(7), 300, 300, side)
+        poly, twin = GradedRankPoly(a), GradedRankPoly(a)
+        expected = GradedRankPoly(_schoolbook(a, a))
+        assert twin is not poly and twin == poly
+        assert poly * poly == expected
+        assert poly * twin == expected
+
+    @pytest.mark.parametrize("side", ["below", "at"])
+    def test_slots_hold_the_largest_possible_coefficient(self, side):
+        # with every coefficient at the maximum, the middle coefficient of the
+        # square is short * top**2, the bound the slot width is taken from
+        short, switch = 400, qpoly._DECIMAL_CARRIER_BITS
+        bits = (switch - 1) // short if side == "below" else -(-switch // short)
+        top = math.isqrt(((1 << bits) - 1) // short)
+        assert (short * top * top).bit_length() == bits
+        a = {i: top for i in range(short)}
+        assert GradedRankPoly(a) * GradedRankPoly(a) == GradedRankPoly(_schoolbook(a, a))
+
+    # 2**2330 has 702 digits
+    @pytest.mark.parametrize("str_digits,big_bits", [(None, 20000), (640, 2330)])
+    def test_slots_too_wide_for_str_stay_exact(self, str_digits, big_bits):
+        rng = random.Random(big_bits)
+        a = _random_coeffs(rng, 60, 64)
+        a[min(a) + 30] = 1 << big_bits
+        b = _random_coeffs(rng, 80, 64)
+        limit = sys.get_int_max_str_digits()
+        if str_digits is not None:
+            sys.set_int_max_str_digits(str_digits)
+        try:
+            product = GradedRankPoly(a) * GradedRankPoly(b)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert product == GradedRankPoly(_schoolbook(a, b))
+
+
+def _around_carrier_switch(rng, la, lb, side):
+    """Operands whose packed size is just below, or at least, the carrier switch.
+
+    The packed size is the shorter length times the bit length of
+    ``shorter * max(a) * max(b)``; both operands get the same largest
+    coefficient, and some interior zeros.
+    """
+    short, switch = min(la, lb), qpoly._DECIMAL_CARRIER_BITS
+    bits = (switch - 1) // short if side == "below" else -(-switch // short)
+    top = math.isqrt((1 << (bits - 1)) // short)
+    while (short * top * top).bit_length() < bits:
+        top += 1
+    assert (short * top * top).bit_length() == bits
+    assert (short * bits < switch) == (side == "below")
+    operands = []
+    for length in (la, lb):
+        coeffs = _random_coeffs(rng, length, bits // 2 - 8)
+        coeffs[min(coeffs) + rng.randrange(length)] = top
+        operands.append(coeffs)
+    return operands
