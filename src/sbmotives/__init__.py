@@ -21,7 +21,6 @@ from .motive import (
     TateUnit,
     Term,
     UpperMotive,
-    dim_upper_motive,
     normalize_object,
     object_sort_key,
 )

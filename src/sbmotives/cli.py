@@ -40,11 +40,7 @@ from .severi_brauer import (
     mu,
     rational_chow_order,
 )
-from .type_calculus import (
-    indecomposability_judgment,
-    rigidity_judgment,
-    type_bound,
-)
+from .type_calculus import type_bound
 from .verify import run_identity_suite
 
 FORMATS = ("text", "json", "csv")
@@ -258,8 +254,8 @@ def type_bound_command(p: int, n: int, k: int, show_trace: bool) -> Result:
     bound = type_bound(variety)
     summary = {
         "bound": bound.bound,
-        "indecomposability": indecomposability_judgment(variety).status.value,
-        "rigidity": rigidity_judgment(variety).status.value,
+        "indecomposability": bound.indecomposability.value,
+        "rigidity": bound.rigidity.value,
     }
     steps = bound.trace.steps if show_trace else ()
 

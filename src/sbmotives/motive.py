@@ -38,7 +38,6 @@ __all__ = [
     "ExtremeTerms",
     "normalize_object",
     "object_sort_key",
-    "dim_upper_motive",
 ]
 
 
@@ -136,21 +135,24 @@ class SBProduct:
     """Motive of a product of Severi-Brauer varieties of one division algebra.
 
     ``dims`` lists the reduced dimensions of the factors, each in
-    ``[0, degree]``.  Factors of reduced dimension 0 or ``degree`` are points
-    and normalize away.
+    ``[0, degree]``, in any order.  The product is canonical once built:
+    factors of reduced dimension 0 or ``degree`` are points and are dropped,
+    and the rest are kept in ascending order.  So equality and hash mean
+    isomorphic products: ``SB_1 x SB_2`` and ``SB_2 x SB_1`` are one object.
     """
 
     context: DivisionContext
     dims: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "dims", tuple(self.dims))
+        dims = tuple(self.dims)
         degree = self.context.degree
-        for d in self.dims:
+        for d in dims:
             if not _is_int(d) or not 0 <= d <= degree:
                 raise DomainError(
                     f"reduced dimension must lie in [0, {degree}], got {d!r}"
                 )
+        object.__setattr__(self, "dims", tuple(sorted(d for d in dims if 0 < d < degree)))
 
     def __repr__(self) -> str:
         return f"SBProduct(p={self.context.p}, n={self.context.n}, dims={self.dims})"
@@ -162,21 +164,15 @@ MotiveObject = Union[TateUnit, UpperMotive, SBProduct]
 def normalize_object(obj: MotiveObject) -> MotiveObject:
     """Canonical representative of an object's isomorphism class.
 
-    Point factors of an :class:`SBProduct` are dropped (an empty product is
-    the Tate unit).  An :class:`UpperMotive` of level ``n`` is the Tate unit,
-    and one of level 0 is the full motive of the classical Severi-Brauer
-    variety of its algebra.
+    An :class:`SBProduct` is canonical already; one without factors is the
+    Tate unit.  An :class:`UpperMotive` of level ``n`` is the Tate unit, and
+    one of level 0 is the full motive of the classical Severi-Brauer variety
+    of its algebra.
     """
     if isinstance(obj, TateUnit):
         return TATE
     if isinstance(obj, SBProduct):
-        degree = obj.context.degree
-        kept = tuple(d for d in obj.dims if 0 < d < degree)
-        if not kept:
-            return TATE
-        if kept != obj.dims:
-            return SBProduct(obj.context, kept)
-        return obj
+        return obj if obj.dims else TATE
     if isinstance(obj, UpperMotive):
         if obj.level == obj.context.n:
             return TATE
@@ -201,8 +197,10 @@ def object_sort_key(obj: MotiveObject) -> tuple:
 class Term:
     """One summand: an object together with a nonnegative Tate twist.
 
-    The object is normalized on construction, so structurally equal terms are
-    exactly the isomorphic ones.
+    The object is normalized on construction to the Tate unit, a canonical
+    :class:`SBProduct` with at least one factor, or an opaque
+    :class:`UpperMotive` of level strictly between 0 and ``n``.  So
+    structurally equal terms are exactly the isomorphic ones.
     """
 
     obj: MotiveObject
@@ -221,18 +219,12 @@ class Term:
         return f"({self.obj!r}, twist={self.twist})"
 
 
-def _object_poincare(obj: MotiveObject) -> GradedRankPoly:
-    if isinstance(obj, TateUnit):
-        return GradedRankPoly.one()
+def _object_poincare(obj: TateUnit | SBProduct) -> GradedRankPoly:
+    poly = GradedRankPoly.one()
     if isinstance(obj, SBProduct):
-        poly = GradedRankPoly.one()
-        degree = obj.context.degree
         for d in obj.dims:
-            poly = poly * gaussian_binomial(degree, d)
-        return poly
-    if isinstance(obj, UpperMotive):
-        raise _opaque_polynomial_error(obj)
-    raise DomainError(f"not a motive object: {obj!r}")
+            poly = poly * gaussian_binomial(obj.context.degree, d)
+    return poly
 
 
 def _object_top_degree(obj: MotiveObject) -> int:
@@ -240,23 +232,18 @@ def _object_top_degree(obj: MotiveObject) -> int:
 
     Every factor ``[degree choose d]_q`` of an :class:`SBProduct` has bottom
     degree 0 and top degree ``d * (degree - d)``, so the product's bottom
-    degree is 0 and its top degree is their sum.
+    degree is 0 and its top degree is their sum.  Raises for an opaque upper
+    motive, whose polynomial is not determined.
     """
+    if isinstance(obj, UpperMotive):
+        raise UnsupportedOperationError(
+            f"the split polynomial of the opaque upper motive {obj!r} is not "
+            "determined; refusing to guess"
+        )
     if isinstance(obj, TateUnit):
         return 0
-    if isinstance(obj, SBProduct):
-        degree = obj.context.degree
-        return sum(d * (degree - d) for d in obj.dims)
-    if isinstance(obj, UpperMotive):
-        raise _opaque_polynomial_error(obj)
-    raise DomainError(f"not a motive object: {obj!r}")
-
-
-def _opaque_polynomial_error(obj: UpperMotive) -> UnsupportedOperationError:
-    return UnsupportedOperationError(
-        f"the split polynomial of the opaque upper motive {obj!r} is not "
-        "determined; refusing to guess"
-    )
+    degree = obj.context.degree
+    return sum(d * (degree - d) for d in obj.dims)
 
 
 def _object_product(a: MotiveObject, b: MotiveObject) -> MotiveObject:
@@ -321,10 +308,6 @@ class MotiveExpr:
         self._terms = dict(sorted(counts.items(), key=lambda kv: kv[0].sort_key()))
 
     @classmethod
-    def zero(cls) -> "MotiveExpr":
-        return cls()
-
-    @classmethod
     def of(cls, *terms: _TermLike) -> "MotiveExpr":
         return cls(terms)
 
@@ -339,9 +322,6 @@ class MotiveExpr:
     def term_items(self) -> tuple[tuple[Term, int], ...]:
         """(term, multiplicity) pairs in canonical order."""
         return tuple(self._terms.items())
-
-    def total_multiplicity(self) -> int:
-        return sum(self._terms.values())
 
     def __add__(self, other: "MotiveExpr") -> "MotiveExpr":
         if not isinstance(other, MotiveExpr):
@@ -381,24 +361,21 @@ class MotiveExpr:
         Sum over terms of the shifted polynomial of each object; a monoid
         homomorphism with respect to sum, twist and product.  Raises for
         opaque upper motives, whose polynomials are not determined.
-        Products whose factors differ only in order, such as the mirrored
-        pairs ``(i, j)`` and ``(j, i)`` of a function-field split, share one
-        polynomial: it is built once and added at each of their twists.
+        The polynomial of each object is built once and added at each of its
+        twists; since products are canonical, the mirrored pairs ``(i, j)``
+        and ``(j, i)`` of a function-field split are one object.
         Raises :class:`DomainError` before building anything when the terms
         spread over more than ``qpoly._MAX_DENSE_SPAN`` degrees.
         """
         if not self._terms:
-            return GradedRankPoly.zero()
+            return GradedRankPoly()
         # Every object's polynomial has bottom degree 0; reading the top
         # degrees first also rejects the first upper motive in canonical order.
         top = max(t.twist + _object_top_degree(t.obj) for t in self._terms)
         bottom = min(t.twist for t in self._terms)
         groups: dict[MotiveObject, list[tuple[int, int]]] = {}
         for term, mult in self._terms.items():
-            obj = term.obj
-            if isinstance(obj, SBProduct):
-                obj = SBProduct(obj.context, tuple(sorted(obj.dims)))
-            groups.setdefault(obj, []).append((term.twist, mult))
+            groups.setdefault(term.obj, []).append((term.twist, mult))
         return _sum_of_shifts(
             bottom, top, ((_object_poincare(obj), at) for obj, at in groups.items())
         )
@@ -476,14 +453,12 @@ def _object_to_json(obj: MotiveObject) -> dict:
             "n": str(obj.context.n),
             "level": str(obj.level),
         }
-    if isinstance(obj, SBProduct):
-        return {
-            "kind": "product",
-            "p": str(obj.context.p),
-            "n": str(obj.context.n),
-            "dims": [str(d) for d in obj.dims],
-        }
-    raise DomainError(f"not a motive object: {obj!r}")
+    return {
+        "kind": "product",
+        "p": str(obj.context.p),
+        "n": str(obj.context.n),
+        "dims": [str(d) for d in obj.dims],
+    }
 
 
 def _object_from_json(data: Mapping) -> MotiveObject:
@@ -497,14 +472,3 @@ def _object_from_json(data: Mapping) -> MotiveObject:
         ctx = DivisionContext(int(data["p"]), int(data["n"]))
         return SBProduct(ctx, tuple(int(d) for d in data["dims"]))
     raise DomainError(f"unknown motive object kind: {kind!r}")
-
-
-def dim_upper_motive(context: DivisionContext, level: int) -> int:
-    """Dimension of the level-``level`` upper motive: it is maximal, equal to
-    the dimension ``p**level * (p**n - p**level)`` of its variety."""
-    if not _is_int(level) or not 0 <= level <= context.n:
-        raise DomainError(
-            f"level must satisfy 0 <= level <= {context.n}, got {level!r}"
-        )
-    reduced = context.p**level
-    return reduced * (context.degree - reduced)

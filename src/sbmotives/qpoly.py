@@ -51,8 +51,8 @@ __all__ = [
     "enumerate_partitions_in_box",
 ]
 
-# Most dense slots (top - bottom + 1) that the public constructor, a sum or a
-# product allocates.
+# Most dense slots (top - bottom + 1) that the public constructor, a sum, a
+# product or a Gaussian binomial allocates.
 _MAX_DENSE_SPAN = 2**24
 
 # Products of more coefficient pairs than this are packed (see __mul__).
@@ -136,10 +136,6 @@ class GradedRankPoly:
         return poly
 
     @classmethod
-    def zero(cls) -> "GradedRankPoly":
-        return cls()
-
-    @classmethod
     def one(cls) -> "GradedRankPoly":
         """The rank polynomial of a single untwisted Tate summand."""
         return cls({0: 1})
@@ -151,9 +147,6 @@ class GradedRankPoly:
     def items(self) -> tuple[tuple[int, int], ...]:
         """(degree, coefficient) pairs of the nonzero coefficients, ascending."""
         return tuple((d, c) for d, c in enumerate(self._coeffs, self._bottom) if c)
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(d for d, c in enumerate(self._coeffs, self._bottom) if c)
 
     def coefficient(self, degree: int) -> int:
         index = degree - self._bottom
@@ -219,7 +212,7 @@ class GradedRankPoly:
             return NotImplemented
         a, b = self._coeffs, other._coeffs
         if not a or not b:
-            return GradedRankPoly.zero()
+            return GradedRankPoly()
         _check_span(len(a) + len(b) - 1)
         if len(a) * len(b) > _SCHOOLBOOK_PAIRS:
             out = _packed_convolve(a, b)
@@ -387,16 +380,19 @@ def gaussian_binomial(d: int, k: int) -> GradedRankPoly:
     divide exactly by the denominator as running sums over the residue
     classes of its degree; every intermediate is itself a Gaussian binomial,
     so the division never leaves the integers.  ``[d, k]`` and ``[d, d-k]``
-    are the same object.  The result has bottom degree 0, top degree
-    ``k*(d-k)``, symmetric coefficients and total rank ``C(d, k)``; it is the
-    split Poincare polynomial of the Grassmannian of ``k``-planes in
-    ``d``-space.  Shares no code with the box DP or the enumerator.
+    are the same object.  A result of more than ``_MAX_DENSE_SPAN`` degrees
+    raises :class:`DomainError` before the first step.  The result has bottom
+    degree 0, top degree ``k*(d-k)``, symmetric coefficients and total rank
+    ``C(d, k)``; it is the split Poincare polynomial of the Grassmannian of
+    ``k``-planes in ``d``-space.  Shares no code with the box DP or the
+    enumerator.
     """
     _checked_count(d, "d")
     _checked_count(k, "k")
     if k > d:
         raise DomainError(f"gaussian_binomial requires 0 <= k <= d, got k={k} > d={d}")
     c = min(k, d - k)
+    _check_span(c * (d - c) + 1)
     start, row = 0, [1]
     for i in range(c, -1, -1):
         known = _ROWS.get((d, i))

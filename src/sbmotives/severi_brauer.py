@@ -71,20 +71,15 @@ def mu(context: DivisionContext, level: int, i: int) -> int:
     the rational cycle classes in homological degree ``i - 1`` on the product
     of the classical variety with the level-``level`` one.
     """
-    if not _is_int(level) or not 0 <= level <= context.n:
-        raise DomainError(
-            f"level must satisfy 0 <= level <= {context.n}, got {level!r}"
-        )
+    variety = SBVariety(context, level)  # validates the level range
     if not _is_int(i):
         raise DomainError(f"homological degree must be an integer, got {i!r}")
-    reduced = context.p**level
-    degree = context.degree
-    parts = degree - reduced
-    capacity = reduced * parts
-    target = degree + capacity - i
+    reduced = variety.reduced_dimension
+    capacity = variety.dimension()
+    target = context.degree + capacity - i
     if target < 0 or target > capacity:
         return 0
-    return count_partitions_in_box(PartitionBoxSpec(parts, reduced, target))
+    return count_partitions_in_box(PartitionBoxSpec(context.degree - reduced, reduced, target))
 
 
 @dataclass(frozen=True)

@@ -430,17 +430,43 @@ def dimension_obstruction(n: int, k: int) -> DimensionObstruction:
     return DimensionObstruction(product_dim, endpoint_dim, product_dim < endpoint_dim)
 
 
+class IndecomposabilityStatus(Enum):
+    INDECOMPOSABLE = "indecomposable"
+    UNKNOWN = "unknown"
+
+
+class RigidityStatus(Enum):
+    CONJECTURE_HOLDS = "conjecture-holds"
+    UNKNOWN = "unknown"
+
+
 @dataclass(frozen=True)
 class TypeBound:
     """A derived upper bound on the type of a variety, with its derivation.
 
     ``bound`` is at most ``level - 1`` (the level bound always applies) and
     at least -1 (there are no upper motives of negative level to exclude).
+    Both verdicts are read off the bound; the judgments add the closing
+    steps of their derivations.
     """
 
     variety: SBVariety
     bound: int
     trace: ProofTrace
+
+    @property
+    def indecomposability(self) -> IndecomposabilityStatus:
+        """Indecomposable when the bound reaches -1, unknown otherwise."""
+        if self.bound <= -1:
+            return IndecomposabilityStatus.INDECOMPOSABLE
+        return IndecomposabilityStatus.UNKNOWN
+
+    @property
+    def rigidity(self) -> RigidityStatus:
+        """The conjecture holds when the bound is at most 0, unknown otherwise."""
+        if self.bound <= 0:
+            return RigidityStatus.CONJECTURE_HOLDS
+        return RigidityStatus.UNKNOWN
 
 
 def _halving_induction_steps(n: int, k: int) -> list[ProofStep]:
@@ -556,16 +582,6 @@ def type_bound(variety: SBVariety) -> TypeBound:
     return TypeBound(variety=variety, bound=bound, trace=ProofTrace(tuple(steps)))
 
 
-class IndecomposabilityStatus(Enum):
-    INDECOMPOSABLE = "indecomposable"
-    UNKNOWN = "unknown"
-
-
-class RigidityStatus(Enum):
-    CONJECTURE_HOLDS = "conjecture-holds"
-    UNKNOWN = "unknown"
-
-
 @dataclass(frozen=True)
 class Judgment:
     """A verdict on a variety, the type bound it rests on, and its derivation."""
@@ -580,8 +596,10 @@ def indecomposability_judgment(variety: SBVariety) -> Judgment:
     """Indecomposable when the derived type bound reaches -1; never the
     opposite claim, since the calculus only proves upper bounds."""
     derived = type_bound(variety)
-    if derived.bound <= -1:
-        trace = derived.trace.extended(
+    status = derived.indecomposability
+    trace = derived.trace
+    if status is IndecomposabilityStatus.INDECOMPOSABLE:
+        trace = trace.extended(
             _step(
                 "rank-one-upper",
                 "type -1 leaves only the upper motive, and the rank-one "
@@ -594,8 +612,7 @@ def indecomposability_judgment(variety: SBVariety) -> Judgment:
                 ch0_rank=1,
             )
         )
-        return Judgment(variety, IndecomposabilityStatus.INDECOMPOSABLE, derived.bound, trace)
-    return Judgment(variety, IndecomposabilityStatus.UNKNOWN, derived.bound, derived.trace)
+    return Judgment(variety, status, derived.bound, trace)
 
 
 def rigidity_judgment(variety: SBVariety) -> Judgment:
@@ -612,7 +629,7 @@ def rigidity_judgment(variety: SBVariety) -> Judgment:
     p = variety.context.p
     n = variety.context.n
     k = variety.level
-    if derived.bound > 0:
+    if derived.rigidity is RigidityStatus.UNKNOWN:
         return Judgment(variety, RigidityStatus.UNKNOWN, derived.bound, derived.trace)
     closing = [
         _step(

@@ -149,7 +149,7 @@ def _sample_expressions() -> list[MotiveExpr]:
     c21 = DivisionContext(2, 1)
     c22 = DivisionContext(2, 2)
     return [
-        MotiveExpr.zero(),
+        MotiveExpr(),
         MotiveExpr.tate(0),
         MotiveExpr.of((TATE, 0), (TATE, 4)),
         MotiveExpr.of((SBProduct(c21, (1, 1)), 1)),
@@ -183,10 +183,12 @@ def _check_poincare_homomorphism(max_n: int) -> list[str]:
 def _check_ks_equality(max_n: int) -> list[str]:
     failures = []
     c21 = DivisionContext(2, 1)
+    c22 = DivisionContext(2, 2)
     pairs = [
         (MotiveExpr.of((TATE, 0), (TATE, 4)), MotiveExpr.of((TATE, 4), (TATE, 0)), True),
         (MotiveExpr.of((TATE, 0)), MotiveExpr.of((TATE, 0), (TATE, 0)), False),
         (MotiveExpr.of((SBProduct(c21, (0, 0)), 1)), MotiveExpr.of((TATE, 1)), True),
+        (MotiveExpr.of((SBProduct(c22, (1, 2)), 0)), MotiveExpr.of((SBProduct(c22, (2, 1)), 0)), True),
     ]
     for a, b, expected in pairs:
         if (a == b) is not expected:

@@ -6,6 +6,7 @@ from click.testing import CliRunner
 
 from sbmotives import (
     DivisionContext,
+    type_calculus,
     GradedRankPoly,
     MotiveExpr,
     ProofTrace,
@@ -17,6 +18,7 @@ from sbmotives import (
     rational_chow_order,
     type_bound,
 )
+from sbmotives import cli as cli_module
 from sbmotives.cli import cli
 from sbmotives.verify import IdentityResult, SuiteReport
 
@@ -59,6 +61,13 @@ class TestGaussianCommand:
         result = invoke(runner, "gaussian", "2", "5")
         assert result.exit_code == 1
         assert "error:" in result.stderr
+
+    def test_too_wide_binomial_exits_one_within_a_second(self, runner):
+        start = time.perf_counter()
+        result = invoke(runner, "gaussian", "1000000000", "500000000")
+        assert time.perf_counter() - start < 1.0
+        assert result.exit_code == 1
+        assert "dense storage limit" in result.stderr
 
     def test_usage_error_exits_two(self, runner):
         result = invoke(runner, "gaussian", "two", "1")
@@ -185,6 +194,21 @@ class TestTypeBoundCommand:
         result = invoke(runner, "type-bound", "--p", "2", "--n", "3", "--k", "1", "--trace")
         assert "step 1: level-bound" in result.output
         assert "dimension-obstruction" in result.output
+
+    def test_one_derivation_per_invocation(self, runner, monkeypatch):
+        # counts every build, whether the command or a judgment asks for it
+        builds = []
+        original = type_calculus.type_bound
+
+        def counting(variety):
+            builds.append(variety)
+            return original(variety)
+
+        monkeypatch.setattr(type_calculus, "type_bound", counting)
+        monkeypatch.setattr(cli_module, "type_bound", counting)
+        result = invoke(runner, "type-bound", "--p", "2", "--n", "4", "--k", "2", "--trace")
+        assert result.exit_code == 0
+        assert builds == [SBVariety(DivisionContext(2, 4), 2)]
 
 
 class TestConjectureCommand:

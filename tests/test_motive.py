@@ -14,7 +14,6 @@ from sbmotives import (
     Term,
     UnsupportedOperationError,
     UpperMotive,
-    dim_upper_motive,
     function_field_decomposition,
     gaussian_binomial,
     motive,
@@ -68,7 +67,6 @@ class TestDivisionContext:
         lambda: MotiveExpr.tate(0).twist(True),
         lambda: UpperMotive(C22, True),
         lambda: SBProduct(C22, (True,)),
-        lambda: dim_upper_motive(C22, False),
     ],
 )
 def test_bool_is_not_an_integer(build):
@@ -89,6 +87,12 @@ class TestNormalization:
         assert normalize_object(UpperMotive(C22, 1)) == UpperMotive(C22, 1)
         assert normalize_object(UpperMotive(DivisionContext(2, 0), 0)) == TATE
 
+    def test_products_are_canonical_when_built(self):
+        assert SBProduct(C22, (3, 0, 1, 4, 2)).dims == (1, 2, 3)
+        assert SBProduct(C22, (d for d in (2, 1))).dims == (1, 2)
+        assert SBProduct(C22, (0, 4)).dims == ()
+        assert repr(SBProduct(C22, (3, 1))) == "SBProduct(p=2, n=2, dims=(1, 3))"
+
     def test_validation(self):
         with pytest.raises(DomainError):
             UpperMotive(C22, 3)
@@ -106,7 +110,7 @@ class TestExprAlgebra:
     def test_twist_distributes(self):
         e = MotiveExpr.of((TATE, 0))
         assert e.twist(4) == MotiveExpr.of((TATE, 4))
-        assert MotiveExpr.zero().twist(3) == MotiveExpr.zero()
+        assert MotiveExpr().twist(3) == MotiveExpr()
 
     def test_product_concatenates_factor_lists(self):
         a = MotiveExpr.of((SBProduct(C22, (1,)), 0))
@@ -119,7 +123,7 @@ class TestExprAlgebra:
 
     def test_zero_annihilates(self):
         b = MotiveExpr.of((SBProduct(C22, (2,)), 1))
-        assert MotiveExpr.zero() * b == MotiveExpr.zero()
+        assert MotiveExpr() * b == MotiveExpr()
 
     def test_product_rejects_opaque_upper(self):
         a = MotiveExpr.of((UpperMotive(C22, 1), 0))
@@ -148,6 +152,16 @@ class TestKrullSchmidtEquality:
         a = MotiveExpr.of((SBProduct(C21, (0, 0)), 1))
         assert a == MotiveExpr.of((TATE, 1))
 
+    def test_factor_order_is_isomorphism(self):
+        a = MotiveExpr.of((SBProduct(C22, (1, 2)), 0))
+        b = MotiveExpr.of((SBProduct(C22, (2, 1)), 0))
+        assert a == b and hash(a) == hash(b)
+
+    def test_mirrored_pair_is_one_object_at_two_twists(self):
+        expr = function_field_decomposition(SBVariety(DivisionContext(2, 3), 2))
+        products = [(term.obj.dims, term.twist) for term, _ in expr.term_items() if term.obj != TATE]
+        assert products == [((1, 3), 1), ((1, 3), 9), ((2, 2), 4)]
+
     def test_equivalence_respects_poincare(self):
         a = MotiveExpr.of((SBProduct(C22, (0, 2)), 1))
         b = MotiveExpr.of((SBProduct(C22, (2, 0)), 1))
@@ -175,7 +189,7 @@ class TestSplitPoincare:
         assert "Upper(p=2, n=2, level=1)" in str(excinfo.value)
 
     def test_zero_expression(self):
-        assert MotiveExpr.zero().split_poincare() == GradedRankPoly.zero()
+        assert MotiveExpr().split_poincare() == GradedRankPoly()
 
     def test_far_twist_is_one_coefficient(self):
         assert MotiveExpr.tate(10**9).split_poincare() == GradedRankPoly({10**9: 1})
@@ -209,10 +223,7 @@ class TestSplitPoincare:
 
     def test_mirrored_products_are_built_once(self, monkeypatch):
         expr = function_field_decomposition(SBVariety(DivisionContext(2, 6), 5))
-        keys = {
-            tuple(sorted(term.obj.dims)) if isinstance(term.obj, SBProduct) else term.obj
-            for term, _ in expr.term_items()
-        }
+        keys = {term.obj for term, _ in expr.term_items()}
         assert len(expr.term_items()) == 33 and len(keys) == 17
         built = []
         original = motive._object_poincare
@@ -236,7 +247,7 @@ class TestIdentifyUpperLower:
 
     def test_zero_rejected(self):
         with pytest.raises(DomainError):
-            MotiveExpr.zero().identify_upper_lower()
+            MotiveExpr().identify_upper_lower()
 
     def test_distinct_objects_at_extremes(self):
         e = MotiveExpr.of((TATE, 0), (SBProduct(C21, (1,)), 2))
@@ -262,17 +273,6 @@ class TestProductRank:
                 e = MotiveExpr.of((SBProduct(context, dims), 0))
                 expected = math.prod(math.comb(degree, d) for d in dims)
                 assert e.split_poincare().rank() == expected, (context, dims)
-
-
-class TestDimUpperMotive:
-    def test_examples(self):
-        assert dim_upper_motive(C22, 1) == 4
-        assert dim_upper_motive(DivisionContext(3, 2), 0) == 8
-        assert dim_upper_motive(DivisionContext(2, 3), 3) == 0
-
-    def test_out_of_range(self):
-        with pytest.raises(DomainError):
-            dim_upper_motive(C22, 3)
 
 
 class TestJson:
@@ -404,7 +404,7 @@ def mixed_exprs(draw):
 
 def reference_split_poincare(e):
     """Sum of mult * q^twist * prod [deg, d] over the terms, one term at a time."""
-    total = GradedRankPoly.zero()
+    total = GradedRankPoly()
     for term, mult in e.term_items():
         poly = GradedRankPoly.one()
         if isinstance(term.obj, SBProduct):
@@ -417,3 +417,21 @@ def reference_split_poincare(e):
 @given(mixed_exprs())
 def test_split_poincare_matches_termwise_sum(e):
     assert e.split_poincare() == reference_split_poincare(e)
+
+
+@given(st.data())
+def test_factor_order_and_point_factors_do_not_matter(data):
+    """Permuting an SBProduct's factors and inserting point factors gives the
+    same object: equal, with equal hash, polynomial and encoding."""
+    context = data.draw(st.sampled_from([C21, C22, DivisionContext(2, 3), C31, DivisionContext(3, 2)]))
+    dims = data.draw(st.lists(st.integers(0, context.degree), max_size=4))
+    points = data.draw(st.lists(st.sampled_from([0, context.degree]), max_size=3))
+    shuffled = data.draw(st.permutations(dims + points))
+    twist = data.draw(st.integers(0, 5))
+    assert SBProduct(context, dims) == SBProduct(context, shuffled)
+    assert hash(SBProduct(context, dims)) == hash(SBProduct(context, shuffled))
+    a = MotiveExpr.of((SBProduct(context, dims), twist))
+    b = MotiveExpr.of((SBProduct(context, shuffled), twist))
+    assert a == b and hash(a) == hash(b)
+    assert a.split_poincare() == b.split_poincare()
+    assert a.to_json_obj() == b.to_json_obj()

@@ -12,7 +12,6 @@ from sbmotives import (
     UnsupportedOperationError,
     classify_reduced_dimension,
     count_partitions_by_enumeration,
-    dim_upper_motive,
     function_field_decomposition,
     function_field_endpoints,
     gaussian_binomial,
@@ -27,6 +26,19 @@ class TestVarietyDimension:
         assert SBVariety(DivisionContext(2, 2), 1).dimension() == 4
         assert SBVariety(DivisionContext(2, 1), 0).dimension() == 1
         assert SBVariety(DivisionContext(3, 1), 1).dimension() == 0
+
+    def test_level_examples(self):
+        assert SBVariety(DivisionContext(2, 2), 1).dimension() == 4
+        assert SBVariety(DivisionContext(3, 2), 0).dimension() == 8
+        assert SBVariety(DivisionContext(2, 3), 3).dimension() == 0
+
+    def test_level_out_of_range(self):
+        with pytest.raises(DomainError):
+            SBVariety(DivisionContext(2, 2), 3)
+
+    def test_bool_level_rejected(self):
+        with pytest.raises(DomainError):
+            SBVariety(DivisionContext(2, 2), False)
 
     def test_level_validation(self):
         with pytest.raises(DomainError):
@@ -162,8 +174,9 @@ class TestEndpoints:
             for n in range(1, 6):
                 for k in range(n):
                     _, lower = function_field_endpoints(DivisionContext(p, n), k)
-                    drop = dim_upper_motive(DivisionContext(p, n), k) - dim_upper_motive(
-                        DivisionContext(p, n - 1), k
+                    drop = (
+                        SBVariety(DivisionContext(p, n), k).dimension()
+                        - SBVariety(DivisionContext(p, n - 1), k).dimension()
                     )
                     assert lower.twist == drop == p ** (n + k - 1) * (p - 1)
 
