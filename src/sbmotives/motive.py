@@ -437,7 +437,7 @@ class MotiveExpr:
                 obj = _object_from_json(entry["object"])
                 term = Term(obj, int(entry["twist"]))
                 mult = int(entry["multiplicity"])
-            except (KeyError, TypeError, ValueError) as exc:
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
                 raise DomainError(f"malformed motive encoding: {exc}") from exc
             counts[term] = counts.get(term, 0) + mult
         return cls(counts)
@@ -470,5 +470,8 @@ def _object_from_json(data: Mapping) -> MotiveObject:
         return UpperMotive(ctx, int(data["level"]))
     if kind == "product":
         ctx = DivisionContext(int(data["p"]), int(data["n"]))
-        return SBProduct(ctx, tuple(int(d) for d in data["dims"]))
+        dims = data["dims"]
+        if not isinstance(dims, list):
+            raise TypeError(f"dims must be a list, got {type(dims).__name__}")
+        return SBProduct(ctx, tuple(int(d) for d in dims))
     raise DomainError(f"unknown motive object kind: {kind!r}")

@@ -11,8 +11,9 @@ The module also counts integer partitions constrained to a box (at most
 ``parts`` rows, every entry at most ``max_part``).  Two independent
 implementations are shipped on purpose: a dynamic-programming recurrence
 (:func:`count_partitions_in_box`, the production path) and an exhaustive
-enumerator (:func:`count_partitions_by_enumeration`, kept as a cross-checking
-oracle).  The degree-``s`` coefficient of ``gaussian_binomial(m + c, c)``
+enumerator (:func:`enumerate_partitions_in_box`, kept as a cross-checking
+oracle; :func:`count_partitions_by_enumeration` is its count at one size).
+The degree-``s`` coefficient of ``gaussian_binomial(m + c, c)``
 equals the number of partitions of ``s`` inside an ``m x c`` box.
 :func:`gaussian_binomial` computes it by the q-product formula, stepping
 along row ``d`` from the nearest value still cached, and hands out one object
@@ -263,7 +264,7 @@ class GradedRankPoly:
     def from_json_dict(cls, data: Mapping[str, str]) -> "GradedRankPoly":
         try:
             coeffs = {int(d): int(c) for d, c in data.items()}
-        except (TypeError, ValueError) as exc:
+        except (AttributeError, TypeError, ValueError) as exc:
             raise DomainError(f"malformed rank polynomial encoding: {exc}") from exc
         return cls(coeffs)
 

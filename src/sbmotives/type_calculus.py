@@ -398,7 +398,7 @@ class ProofTrace:
                     conclusion=entry["conclusion"],
                 )
                 citation = entry["citation"]
-            except (KeyError, TypeError, ValueError) as exc:
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
                 raise DomainError(f"malformed trace encoding: {exc}") from exc
             if citation != step.citation:
                 raise DomainError(f"citation of {step.rule_id!r} differs from the rule catalog")

@@ -6,6 +6,7 @@ from click.testing import CliRunner
 
 from sbmotives import (
     DivisionContext,
+    qpoly,
     type_calculus,
     GradedRankPoly,
     MotiveExpr,
@@ -19,6 +20,7 @@ from sbmotives import (
     type_bound,
 )
 from sbmotives import cli as cli_module
+from sbmotives import verify as verify_module
 from sbmotives.cli import cli
 from sbmotives.verify import IdentityResult, SuiteReport
 
@@ -275,6 +277,37 @@ class TestVerifyCommand:
         engine = run_identity_suite(2)
         assert [entry["identity"] for entry in payload["results"]] == [
             r.identity for r in engine.results
+        ]
+
+    def test_box_count_oracle_enumerates_each_box_once(self, monkeypatch):
+        calls = []
+        tuples = []
+        original = qpoly.enumerate_partitions_in_box
+
+        def counting(parts, max_part):
+            calls.append((parts, max_part))
+            for lam in original(parts, max_part):
+                tuples.append(lam)
+                yield lam
+
+        monkeypatch.setattr(qpoly, "enumerate_partitions_in_box", counting)
+        monkeypatch.setattr(verify_module, "enumerate_partitions_in_box", counting)
+        assert verify_module._check_box_count_oracle(1) == []
+        assert len(calls) == 49 and len(set(calls)) == 49
+        assert len(tuples) == 3431
+
+    def test_box_count_oracle_reports_every_planted_mismatch(self, monkeypatch):
+        original = verify_module.count_partitions_in_box
+        planted = {(3, 4, 5), (2, 2, 5)}
+
+        def off_by_one(box):
+            wrong = (box.parts, box.max_part, box.size) in planted
+            return original(box) + wrong
+
+        monkeypatch.setattr(verify_module, "count_partitions_in_box", off_by_one)
+        assert verify_module._check_box_count_oracle(1) == [
+            "recurrence vs enumeration mismatch at (2,2,5)",
+            "recurrence vs enumeration mismatch at (3,4,5)",
         ]
 
     def test_failure_exits_three(self, runner, monkeypatch):

@@ -296,6 +296,16 @@ class TestJson:
         with pytest.raises(DomainError):
             MotiveExpr.from_json_obj([{"object": {"kind": "mystery"}, "twist": "0", "multiplicity": "1"}])
 
+    @pytest.mark.parametrize("dims", ["13", {"1": 0, "3": 0}])
+    def test_dims_that_are_not_a_list_rejected(self, dims):
+        obj = {"kind": "product", "p": "2", "n": "2", "dims": dims}
+        with pytest.raises(DomainError, match="malformed motive encoding"):
+            MotiveExpr.from_json_obj([{"object": obj, "twist": "0", "multiplicity": "1"}])
+
+    def test_object_that_is_not_a_mapping_rejected(self):
+        with pytest.raises(DomainError, match="malformed motive encoding"):
+            MotiveExpr.from_json_obj([{"object": [], "twist": "0", "multiplicity": "1"}])
+
 
 # -- property tests ---------------------------------------------------------
 

@@ -81,6 +81,10 @@ class TestGradedRankPoly:
         assert all(isinstance(k, str) and isinstance(v, str) for k, v in encoded.items())
         assert GradedRankPoly.from_json_dict(encoded) == poly
 
+    def test_json_that_is_not_a_mapping_rejected(self):
+        with pytest.raises(DomainError, match="malformed rank polynomial encoding"):
+            GradedRankPoly.from_json_dict([("1", "2")])
+
     def test_far_apart_degrees_rejected_before_allocating(self):
         with pytest.raises(DomainError, match="dense storage limit"):
             GradedRankPoly({0: 1, 10**10: 1})

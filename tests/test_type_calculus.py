@@ -178,6 +178,12 @@ class TestTraceSerialization:
                 [{"rule_id": "bogus", "citation": "x", "conditions": {}, "conclusion": "y"}]
             )
 
+    def test_conditions_that_are_not_a_mapping_rejected(self):
+        encoded = type_bound(variety(2, 4, 2)).trace.to_json_obj()
+        encoded[0]["conditions"] = []
+        with pytest.raises(DomainError, match="malformed trace encoding"):
+            ProofTrace.from_json_obj(encoded)
+
     def test_text_rendering_lists_every_step(self):
         trace = type_bound(variety(2, 3, 1)).trace
         text = trace.render_text()
