@@ -6,7 +6,6 @@ Run with:  python demos/poincare_polynomials.py
 from sbmotives import (
     GradedRankPoly,
     PartitionBoxSpec,
-    count_partitions_by_enumeration,
     count_partitions_in_box,
     enumerate_partitions_in_box,
     gaussian_binomial,
@@ -29,7 +28,8 @@ for lam in enumerate_partitions_in_box(2, 2):
 # production path) and the exhaustive enumerator (the oracle).
 box = PartitionBoxSpec(parts=2, max_part=2, size=2)
 print("\ncount by recurrence:  ", count_partitions_in_box(box))
-print("count by enumeration: ", count_partitions_by_enumeration(box))
+by_enumeration = sum(sum(lam) == box.size for lam in enumerate_partitions_in_box(2, 2))
+print("count by enumeration: ", by_enumeration)
 
 # Coefficients are exact arbitrary-precision integers.  The middle
 # coefficient of [64 choose 32]_q is far beyond 2**53 and still exact;

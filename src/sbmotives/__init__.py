@@ -11,55 +11,11 @@ conclusions as replayable proof traces.
 
 from . import motive, qpoly, severi_brauer, type_calculus, verify
 from .errors import DomainError, EngineError, UnsupportedOperationError
-from .motive import (
-    TATE,
-    DivisionContext,
-    ExtremeTerms,
-    MotiveExpr,
-    MotiveObject,
-    SBProduct,
-    TateUnit,
-    Term,
-    UpperMotive,
-    normalize_object,
-    object_sort_key,
-)
-from .qpoly import (
-    GradedRankPoly,
-    PartitionBoxSpec,
-    count_partitions_by_enumeration,
-    count_partitions_in_box,
-    enumerate_partitions_in_box,
-    gaussian_binomial,
-)
-from .severi_brauer import (
-    CaseClassification,
-    ChowOrderReport,
-    CoverageReason,
-    PrimaryCase,
-    SBVariety,
-    classify_reduced_dimension,
-    function_field_decomposition,
-    function_field_endpoints,
-    mu,
-    rational_chow_order,
-)
-from .type_calculus import (
-    RULE_CATALOG,
-    DimensionObstruction,
-    IndecomposabilityStatus,
-    Judgment,
-    ProofStep,
-    ProofTrace,
-    RigidityStatus,
-    Rule,
-    TypeBound,
-    dimension_obstruction,
-    indecomposability_judgment,
-    rigidity_judgment,
-    type_bound,
-)
-from .verify import IdentityResult, SuiteReport, run_identity_suite
+from .motive import *
+from .qpoly import *
+from .severi_brauer import *
+from .type_calculus import *
+from .verify import *
 
 __version__ = "0.1.0"
 

@@ -220,7 +220,7 @@ class Term:
 
 
 def _object_poincare(obj: TateUnit | SBProduct) -> GradedRankPoly:
-    poly = GradedRankPoly.one()
+    poly = GradedRankPoly({0: 1})
     if isinstance(obj, SBProduct):
         for d in obj.dims:
             poly = poly * gaussian_binomial(obj.context.degree, d)
@@ -310,10 +310,6 @@ class MotiveExpr:
     @classmethod
     def of(cls, *terms: _TermLike) -> "MotiveExpr":
         return cls(terms)
-
-    @classmethod
-    def tate(cls, twist: int = 0) -> "MotiveExpr":
-        return cls(((TATE, twist),))
 
     @property
     def is_zero(self) -> bool:
@@ -431,16 +427,15 @@ class MotiveExpr:
 
     @classmethod
     def from_json_obj(cls, data: Iterable[Mapping]) -> "MotiveExpr":
-        counts: dict[Term, int] = {}
+        terms = []
         for entry in data:
             try:
-                obj = _object_from_json(entry["object"])
-                term = Term(obj, int(entry["twist"]))
-                mult = int(entry["multiplicity"])
+                term = Term(_object_from_json(entry["object"]), int(entry["twist"]))
+                terms.append((term.obj, term.twist, int(entry["multiplicity"])))
             except (AttributeError, KeyError, TypeError, ValueError) as exc:
                 raise DomainError(f"malformed motive encoding: {exc}") from exc
-            counts[term] = counts.get(term, 0) + mult
-        return cls(counts)
+        # the constructor checks each entry's multiplicity before adding it up
+        return cls(terms)
 
 
 def _object_to_json(obj: MotiveObject) -> dict:

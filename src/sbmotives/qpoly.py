@@ -12,7 +12,7 @@ The module also counts integer partitions constrained to a box (at most
 implementations are shipped on purpose: a dynamic-programming recurrence
 (:func:`count_partitions_in_box`, the production path) and an exhaustive
 enumerator (:func:`enumerate_partitions_in_box`, kept as a cross-checking
-oracle; :func:`count_partitions_by_enumeration` is its count at one size).
+oracle).
 The degree-``s`` coefficient of ``gaussian_binomial(m + c, c)``
 equals the number of partitions of ``s`` inside an ``m x c`` box.
 :func:`gaussian_binomial` computes it by the q-product formula, stepping
@@ -21,15 +21,18 @@ for ``[d, k]`` and ``[d, d-k]``; it shares no code with the DP or the
 enumerator.  The test suite and the ``verify`` command check the product
 formula, the DP and the enumerator against each other.
 
-Products of more than 4096 coefficient pairs are packed into one big number
-and multiplied once (:func:`_packed_convolve`).  The carrier is ``int``
-(CPython's Karatsuba) below 100 000 packed bits and ``decimal`` (libmpdec's
-number-theoretic transform, exact at ``MAX_PREC``) from there up.  Measured
-with CPython 3.11 on a shared 2-vCPU x86-64 machine, the two stay within
-about 15% of each other between 55 000 and 100 000 packed bits for operands
-of equal length; below, ``int`` wins (100 x 100 coefficients of 64 bits:
-0.19 ms against 0.64 ms), above, ``decimal`` does (1400 x 1400 of 256 bits:
-62 ms against 20 ms).
+Every dense sum goes through one accumulator, :func:`_sum_of_shifts`: a sum,
+a scalar multiple, a product of at most 4096 coefficient pairs and the
+Poincare sums of ``motive``.  Products of more than 4096 coefficient pairs
+are packed into one big number and multiplied once
+(:func:`_packed_convolve`).  The carrier is ``int`` (CPython's Karatsuba)
+below 100 000 packed bits and ``decimal`` (libmpdec's number-theoretic
+transform, exact at ``MAX_PREC``) from there up.  Measured with CPython
+3.11 on a shared 2-vCPU x86-64 machine, the two stay within about 15% of
+each other between 55 000 and 100 000 packed bits for operands of equal
+length; below, ``int`` wins (100 x 100 coefficients of 64 bits: 0.19 ms
+against 0.64 ms), above, ``decimal`` does (1400 x 1400 of 256 bits: 62 ms
+against 20 ms).
 """
 
 from __future__ import annotations
@@ -48,7 +51,6 @@ __all__ = [
     "PartitionBoxSpec",
     "gaussian_binomial",
     "count_partitions_in_box",
-    "count_partitions_by_enumeration",
     "enumerate_partitions_in_box",
 ]
 
@@ -136,11 +138,6 @@ class GradedRankPoly:
         poly._coeffs = tuple(coeffs[lo:hi])
         return poly
 
-    @classmethod
-    def one(cls) -> "GradedRankPoly":
-        """The rank polynomial of a single untwisted Tate summand."""
-        return cls({0: 1})
-
     @property
     def is_zero(self) -> bool:
         return not self._coeffs
@@ -185,44 +182,39 @@ class GradedRankPoly:
             return self
         if not self._coeffs:
             return other
-        low, high = (self, other) if self._bottom <= other._bottom else (other, self)
-        start = high._bottom - low._bottom
-        end = start + len(high._coeffs)
-        _check_span(max(end, len(low._coeffs)))
-        out = list(low._coeffs)
-        out.extend([0] * (end - len(out)))
-        out[start:end] = [x + y for x, y in zip(out[start:end], high._coeffs)]
-        return GradedRankPoly._trusted(low._bottom, out)
+        bottom = min(self._bottom, other._bottom)
+        top = max(self._bottom + len(self._coeffs), other._bottom + len(other._coeffs)) - 1
+        return _sum_of_shifts(bottom, top, [(self, [(0, 1)]), (other, [(0, 1)])])
 
     def __mul__(self, other: "GradedRankPoly | int") -> "GradedRankPoly":
         """Product with a rank polynomial or with a nonnegative integer scalar.
 
-        Up to ``_SCHOOLBOOK_PAIRS`` coefficient pairs the product is the
-        schoolbook convolution; above it, :func:`_packed_convolve` packs each
-        operand into one big number and makes a single exact multiplication,
-        carried by ``int`` below ``_DECIMAL_CARRIER_BITS`` packed bits and by
-        ``decimal`` from there up (the module docstring gives the measured
-        crossover).  A result wider than ``_MAX_DENSE_SPAN`` degrees raises
+        A scalar multiple, and a product of up to ``_SCHOOLBOOK_PAIRS``
+        coefficient pairs, add shifted copies by :func:`_sum_of_shifts`;
+        above it, :func:`_packed_convolve` packs each operand into one big
+        number and makes a single exact multiplication, carried by ``int``
+        below ``_DECIMAL_CARRIER_BITS`` packed bits and by ``decimal`` from
+        there up (the module docstring gives the measured crossover).  A
+        result wider than ``_MAX_DENSE_SPAN`` degrees raises
         :class:`DomainError` before anything is allocated.
         """
         if isinstance(other, int):
             _checked_count(other, "scalar")
-            _check_span(len(self._coeffs))
-            return GradedRankPoly._trusted(self._bottom, [c * other for c in self._coeffs])
+            top = self._bottom + len(self._coeffs) - 1
+            return _sum_of_shifts(self._bottom, top, [(self, [(0, other)])])
         if not isinstance(other, GradedRankPoly):
             return NotImplemented
         a, b = self._coeffs, other._coeffs
         if not a or not b:
             return GradedRankPoly()
-        _check_span(len(a) + len(b) - 1)
-        if len(a) * len(b) > _SCHOOLBOOK_PAIRS:
-            out = _packed_convolve(a, b)
-        else:
-            out = [0] * (len(a) + len(b) - 1)
-            for i, x in enumerate(a):
-                if x:
-                    out[i : i + len(b)] = [y * x + z for y, z in zip(b, out[i : i + len(b)])]
-        return GradedRankPoly._trusted(self._bottom + other._bottom, out)
+        bottom = self._bottom + other._bottom
+        top = bottom + len(a) + len(b) - 2
+        if len(a) * len(b) <= _SCHOOLBOOK_PAIRS:
+            return _sum_of_shifts(
+                bottom, top, [(other, [(self._bottom + i, x) for i, x in enumerate(a) if x])]
+            )
+        _check_span(top - bottom + 1)
+        return GradedRankPoly._trusted(bottom, _packed_convolve(a, b))
 
     __rmul__ = __mul__
 
@@ -266,6 +258,8 @@ class GradedRankPoly:
             coeffs = {int(d): int(c) for d, c in data.items()}
         except (AttributeError, TypeError, ValueError) as exc:
             raise DomainError(f"malformed rank polynomial encoding: {exc}") from exc
+        if len(coeffs) != len(data):
+            raise DomainError("malformed rank polynomial encoding: two keys name one degree")
         return cls(coeffs)
 
 
@@ -348,13 +342,16 @@ def _sum_of_shifts(
 ) -> GradedRankPoly:
     """``sum(mult * q**twist * poly)`` over every placement of every part.
 
-    Each part is a polynomial with the ``(twist, mult)`` placements it is
-    added at.  The copies are added in place into one dense buffer spanning
-    degrees ``[bottom, top]``, which must contain every placed copy.  Parts
-    are consumed one at a time and each polynomial is released before the
-    next is drawn, so a lazy ``parts`` keeps only one of them alive.  A span
-    wider than ``_MAX_DENSE_SPAN`` raises :class:`DomainError` before the
-    buffer is allocated or a part is drawn.
+    The one dense accumulator of the package: sums, scalar multiples and
+    schoolbook products of rank polynomials and the Poincare sums of
+    ``motive`` all add their shifted copies here.  Each part is a polynomial
+    with the ``(twist, mult)`` placements it is added at.  The copies are
+    added in place into one dense buffer spanning degrees ``[bottom, top]``,
+    which must contain every placed copy.  Parts are consumed one at a time
+    and each polynomial is released before the next is drawn, so a lazy
+    ``parts`` keeps only one of them alive.  A span wider than
+    ``_MAX_DENSE_SPAN`` raises :class:`DomainError` before the buffer is
+    allocated or a part is drawn.
     """
     _check_span(top - bottom + 1)
     out = [0] * (top - bottom + 1)
@@ -469,11 +466,3 @@ def enumerate_partitions_in_box(parts: int, max_part: int) -> Iterator[tuple[int
         if i < 0:
             return
         lam[i:] = [lam[i] - 1] * (parts - i)
-
-def count_partitions_by_enumeration(box: PartitionBoxSpec) -> int:
-    """Brute-force counterpart of :func:`count_partitions_in_box`."""
-    return sum(
-        1
-        for lam in enumerate_partitions_in_box(box.parts, box.max_part)
-        if sum(lam) == box.size
-    )

@@ -349,8 +349,9 @@ class ProofTrace:
 
     def replay(self) -> bool:
         """True when every step re-checks from its own recorded values and
-        speaks about the variety of the opening step."""
-        return not self.failing_steps()
+        speaks about the variety of the opening step; an empty trace, which
+        does not open with a level bound, fails."""
+        return bool(self.steps) and not self.failing_steps()
 
     def failing_steps(self) -> tuple[int, ...]:
         subjects = _expected_subjects(self.steps)

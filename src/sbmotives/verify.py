@@ -154,7 +154,7 @@ def _sample_expressions() -> list[MotiveExpr]:
     c22 = DivisionContext(2, 2)
     return [
         MotiveExpr(),
-        MotiveExpr.tate(0),
+        MotiveExpr.of((TATE, 0)),
         MotiveExpr.of((TATE, 0), (TATE, 4)),
         MotiveExpr.of((SBProduct(c21, (1, 1)), 1)),
         MotiveExpr.of((SBProduct(c22, (2,)), 0), (TATE, 2), (TATE, 2)),
@@ -173,7 +173,7 @@ def _check_poincare_homomorphism(max_n: int) -> list[str]:
                 failures.append(f"poincare(twist {t}) mismatch for {a!r}")
     c21 = DivisionContext(2, 1)
     factors = [
-        MotiveExpr.tate(1),
+        MotiveExpr.of((TATE, 1)),
         MotiveExpr.of((SBProduct(c21, (1,)), 0)),
         MotiveExpr.of((SBProduct(c21, (1,)), 2), (TATE, 0)),
     ]

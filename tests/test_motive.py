@@ -64,7 +64,7 @@ class TestDivisionContext:
     [
         lambda: MotiveExpr.of((TATE, True)),
         lambda: MotiveExpr.of((TATE, 0, True)),
-        lambda: MotiveExpr.tate(0).twist(True),
+        lambda: MotiveExpr.of((TATE, 0)).twist(True),
         lambda: UpperMotive(C22, True),
         lambda: SBProduct(C22, (True,)),
     ],
@@ -104,7 +104,7 @@ class TestNormalization:
 
 class TestExprAlgebra:
     def test_sum_is_multiset_union(self):
-        a = MotiveExpr.tate(0)
+        a = MotiveExpr.of((TATE, 0))
         assert (a + a).term_items() == ((Term(TATE, 0), 2),)
 
     def test_twist_distributes(self):
@@ -192,7 +192,7 @@ class TestSplitPoincare:
         assert MotiveExpr().split_poincare() == GradedRankPoly()
 
     def test_far_twist_is_one_coefficient(self):
-        assert MotiveExpr.tate(10**9).split_poincare() == GradedRankPoly({10**9: 1})
+        assert MotiveExpr.of((TATE, 10**9)).split_poincare() == GradedRankPoly({10**9: 1})
 
     def test_wide_span_rejected_before_allocating(self, monkeypatch):
         monkeypatch.setattr(qpoly, "_MAX_DENSE_SPAN", 1000)
@@ -306,6 +306,13 @@ class TestJson:
         with pytest.raises(DomainError, match="malformed motive encoding"):
             MotiveExpr.from_json_obj([{"object": [], "twist": "0", "multiplicity": "1"}])
 
+    def test_negative_multiplicity_rejected_before_summing(self):
+        entry = {"object": {"kind": "tate"}, "twist": "0"}
+        for mults in (["-2"], ["2", "-2"], ["-2", "2"]):
+            encoded = [{**entry, "multiplicity": m} for m in mults]
+            with pytest.raises(DomainError, match="multiplicity must be a nonnegative"):
+                MotiveExpr.from_json_obj(encoded)
+
 
 # -- property tests ---------------------------------------------------------
 
@@ -416,7 +423,7 @@ def reference_split_poincare(e):
     """Sum of mult * q^twist * prod [deg, d] over the terms, one term at a time."""
     total = GradedRankPoly()
     for term, mult in e.term_items():
-        poly = GradedRankPoly.one()
+        poly = GradedRankPoly({0: 1})
         if isinstance(term.obj, SBProduct):
             for d in term.obj.dims:
                 poly = poly * gaussian_binomial(term.obj.context.degree, d)

@@ -117,6 +117,11 @@ class TestTraceReplay:
         step = ProofStep("level-bound", (), "no data")
         assert not ProofTrace((step,)).replay()
 
+    def test_empty_trace_fails_replay(self):
+        # a trace that does not open with a level bound fails
+        assert not ProofTrace().replay()
+        assert not ProofTrace.from_json_obj([]).replay()
+
     def test_citations_come_from_the_catalog(self):
         for v in (variety(2, 4, 2), variety(5, 2, 1)):
             for step in rigidity_judgment(v).trace:
