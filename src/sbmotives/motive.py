@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
+from operator import mul
 from typing import Iterable, Mapping, Union
 
 from .errors import DomainError, UnsupportedOperationError
@@ -220,11 +222,11 @@ class Term:
 
 
 def _object_poincare(obj: TateUnit | SBProduct) -> GradedRankPoly:
-    poly = GradedRankPoly({0: 1})
-    if isinstance(obj, SBProduct):
-        for d in obj.dims:
-            poly = poly * gaussian_binomial(obj.context.degree, d)
-    return poly
+    """1 for the Tate unit; for a canonical product, which has at least one
+    factor, the product of its factors' binomials from the first one on."""
+    if isinstance(obj, TateUnit):
+        return GradedRankPoly({0: 1})
+    return reduce(mul, [gaussian_binomial(obj.context.degree, d) for d in obj.dims])
 
 
 def _object_top_degree(obj: MotiveObject) -> int:

@@ -22,17 +22,16 @@ enumerator.  The test suite and the ``verify`` command check the product
 formula, the DP and the enumerator against each other.
 
 Every dense sum goes through one accumulator, :func:`_sum_of_shifts`: a sum,
-a scalar multiple, a product of at most 4096 coefficient pairs and the
-Poincare sums of ``motive``.  Products of more than 4096 coefficient pairs
-are packed into one big number and multiplied once
-(:func:`_packed_convolve`).  The carrier is ``int`` (CPython's Karatsuba)
-below 100 000 packed bits and ``decimal`` (libmpdec's number-theoretic
-transform, exact at ``MAX_PREC``) from there up.  Measured with CPython
-3.11 on a shared 2-vCPU x86-64 machine, the two stay within about 15% of
-each other between 55 000 and 100 000 packed bits for operands of equal
-length; below, ``int`` wins (100 x 100 coefficients of 64 bits: 0.19 ms
-against 0.64 ms), above, ``decimal`` does (1400 x 1400 of 256 bits: 62 ms
-against 20 ms).
+a scalar multiple and the Poincare sums of ``motive``.  Every product of two
+nonzero rank polynomials, whatever its size, is packed into one big number
+and multiplied once (:func:`_packed_convolve`).  The carrier is ``int``
+(CPython's Karatsuba) below 100 000 packed bits and ``decimal`` (libmpdec's
+number-theoretic transform, exact at ``MAX_PREC``) from there up.  Measured
+with CPython 3.11 on a shared 2-vCPU x86-64 machine, the two stay within
+about 15% of each other between 55 000 and 100 000 packed bits for operands
+of equal length; below, ``int`` wins (100 x 100 coefficients of 64 bits:
+0.19 ms against 0.64 ms), above, ``decimal`` does (1400 x 1400 of 256 bits:
+62 ms against 20 ms).
 """
 
 from __future__ import annotations
@@ -57,9 +56,6 @@ __all__ = [
 # Most dense slots (top - bottom + 1) that the public constructor, a sum, a
 # product or a Gaussian binomial allocates.
 _MAX_DENSE_SPAN = 2**24
-
-# Products of more coefficient pairs than this are packed (see __mul__).
-_SCHOOLBOOK_PAIRS = 1 << 12
 
 # Packed size (shorter operand length times slot bits) from which a packed
 # product is carried by decimal, not int: see _packed_convolve.
@@ -189,14 +185,14 @@ class GradedRankPoly:
     def __mul__(self, other: "GradedRankPoly | int") -> "GradedRankPoly":
         """Product with a rank polynomial or with a nonnegative integer scalar.
 
-        A scalar multiple, and a product of up to ``_SCHOOLBOOK_PAIRS``
-        coefficient pairs, add shifted copies by :func:`_sum_of_shifts`;
-        above it, :func:`_packed_convolve` packs each operand into one big
-        number and makes a single exact multiplication, carried by ``int``
-        below ``_DECIMAL_CARRIER_BITS`` packed bits and by ``decimal`` from
-        there up (the module docstring gives the measured crossover).  A
-        result wider than ``_MAX_DENSE_SPAN`` degrees raises
-        :class:`DomainError` before anything is allocated.
+        A scalar multiple adds a scaled copy by :func:`_sum_of_shifts`.
+        Every product of two nonzero polynomials is packed:
+        :func:`_packed_convolve` packs each operand into one big number and
+        makes a single exact multiplication, carried by ``int`` below
+        ``_DECIMAL_CARRIER_BITS`` packed bits and by ``decimal`` from there up
+        (the module docstring gives the measured crossover).  A result wider
+        than ``_MAX_DENSE_SPAN`` degrees raises :class:`DomainError` before
+        anything is allocated.
         """
         if isinstance(other, int):
             _checked_count(other, "scalar")
@@ -207,14 +203,8 @@ class GradedRankPoly:
         a, b = self._coeffs, other._coeffs
         if not a or not b:
             return GradedRankPoly()
-        bottom = self._bottom + other._bottom
-        top = bottom + len(a) + len(b) - 2
-        if len(a) * len(b) <= _SCHOOLBOOK_PAIRS:
-            return _sum_of_shifts(
-                bottom, top, [(other, [(self._bottom + i, x) for i, x in enumerate(a) if x])]
-            )
-        _check_span(top - bottom + 1)
-        return GradedRankPoly._trusted(bottom, _packed_convolve(a, b))
+        _check_span(len(a) + len(b) - 1)
+        return GradedRankPoly._trusted(self._bottom + other._bottom, _packed_convolve(a, b))
 
     __rmul__ = __mul__
 
@@ -342,9 +332,10 @@ def _sum_of_shifts(
 ) -> GradedRankPoly:
     """``sum(mult * q**twist * poly)`` over every placement of every part.
 
-    The one dense accumulator of the package: sums, scalar multiples and
-    schoolbook products of rank polynomials and the Poincare sums of
-    ``motive`` all add their shifted copies here.  Each part is a polynomial
+    The one dense accumulator of the package: sums and scalar multiples of
+    rank polynomials and the Poincare sums of ``motive`` all add their
+    shifted copies here; products never do, they are packed
+    (:func:`_packed_convolve`).  Each part is a polynomial
     with the ``(twist, mult)`` placements it is added at.  The copies are
     added in place into one dense buffer spanning degrees ``[bottom, top]``,
     which must contain every placed copy.  Parts are consumed one at a time

@@ -21,8 +21,9 @@ values alone, with no access to engine state (:meth:`ProofTrace.replay`).  A
 step stores only its rule id; its citation is read from the fixed rule
 catalog, so a trace cannot carry a citation the catalog does not state.  The
 induction is replayed in full for the requested exponent rather than
-memoized away, so traces are self-contained.  Replay also checks that every
-step speaks about the variety of the opening level bound.  Every rule check
+memoized away, so traces are self-contained.  Replay also checks that each
+position holds the rule the derivation calls for there, and that every step
+speaks about the variety of the opening level bound.  Every rule check
 is closed form, so replaying the trace of level ``k`` and exponent ``n``
 takes time linear in ``n - k``.  A check builds a power only after the bit
 length of a recorded value allows it, so a decoded trace costs time in the
@@ -309,27 +310,40 @@ def _step(rule_id: str, conclusion: str, **side: int) -> ProofStep:
     return ProofStep(rule_id, tuple(side.items()), conclusion)
 
 
-def _expected_subjects(steps: tuple[ProofStep, ...]) -> list[dict[str, int]] | None:
-    """The ``p, n, k, level, bound`` each step must record, read off the
-    opening level bound: a rule check alone accepts a step sound for *any*
-    variety.  The point base and the halving ladder (four steps per exponent)
-    climb from exponent ``k`` to ``n``.  ``None`` when the trace does not open
-    with a level bound or stops inside the ladder.
-    """
+_RUNG = ("function-field-split", "halved-endpoints", "valuation-case-split", "dimension-obstruction")
+
+
+def _expected_steps(steps: tuple[ProofStep, ...]) -> Iterator[tuple[str, dict[str, int]]]:
+    """The rule id and the ``p, n, k, level, bound`` of each position, read
+    off the opening level bound: a rule check alone accepts a step sound for
+    *any* variety, in any order.  At ``p = 2`` and ``k >= 1`` the point base
+    and one ``_RUNG`` per exponent ``k+1..n`` follow, then the closing the
+    step after them names: none, ``rank-one-upper`` or the rigidity transfer.
+    Lazy, so a trace costs its own length, not that of its exponents."""
+    yield "level-bound", {}
     opening = steps[0].conditions() if steps else {}
-    if not steps or steps[0].rule_id != "level-bound" or not {"p", "n", "k"} <= opening.keys():
-        return None
+    if not {"p", "n", "k"} <= opening.keys() or steps[0].rule_id != "level-bound":
+        return
     p, n, k = opening["p"], opening["n"], opening["k"]
     halving = p == 2 and 1 <= k <= n
-    if halving and len(steps) < 2 + 4 * (n - k):
-        return None
-    ladder = [k] + [m for m in range(k + 1, n + 1) for _ in range(4)] if halving else []
-    exponents = [n] + ladder + [n] * (len(steps) - 1 - len(ladder))
     bound = max(k - 2 if halving else k - 1, -1)
-    return [
-        dict(p=p, n=e, k=k, level=k - 1, bound=bound if i else k - 1)
-        for i, e in enumerate(exponents)
-    ]
+
+    def subject(exponent: int) -> dict[str, int]:
+        return dict(p=p, n=exponent, k=k, level=k - 1, bound=bound)
+
+    if halving:
+        yield "point-base", subject(k)
+        for m in range(k + 1, n + 1):
+            for rule in _RUNG:
+                yield rule, subject(m)
+    after = 2 + 4 * (n - k) if halving else 1
+    classical = "classical-summand-exclusion" if k >= 1 else "classical-base"
+    closings = {
+        "rank-one-upper": ["rank-one-upper"],
+        "rational-cycle-persistence": ["rational-cycle-persistence", classical, "type-zero-transfer"],
+    }
+    for rule in closings.get(steps[after].rule_id if after < len(steps) else "", []):
+        yield rule, subject(n)
 
 
 @dataclass(frozen=True)
@@ -348,20 +362,26 @@ class ProofTrace:
         return ProofTrace(self.steps + steps)
 
     def replay(self) -> bool:
-        """True when every step re-checks from its own recorded values and
-        speaks about the variety of the opening step; an empty trace, which
-        does not open with a level bound, fails."""
-        return bool(self.steps) and not self.failing_steps()
+        """True when no position fails (:meth:`failing_steps`)."""
+        return not self.failing_steps()
 
     def failing_steps(self) -> tuple[int, ...]:
-        subjects = _expected_subjects(self.steps)
-        return tuple(
-            i
-            for i, step in enumerate(self.steps)
-            if subjects is None
-            or any(subjects[i].get(name, value) != value for name, value in step.side_conditions)
-            or not step.replay()
-        )
+        """Positions where replay fails: a step whose rule is not the one its
+        position calls for, that records another variety than the opening
+        level bound, or whose side conditions do not re-check; and
+        ``len(self)`` when the derivation stops short, so 0 for an empty
+        trace."""
+        expected = _expected_steps(self.steps)
+        failing = []
+        for i, step in enumerate(self.steps):
+            rule, subject = next(expected, ("", {}))
+            if (
+                step.rule_id != rule
+                or any(subject.get(name, value) != value for name, value in step.side_conditions)
+                or not step.replay()
+            ):
+                failing.append(i)
+        return tuple(failing) + ((len(self.steps),) if next(expected, None) else ())
 
     def render_text(self) -> str:
         lines = []
@@ -627,54 +647,39 @@ def rigidity_judgment(variety: SBVariety) -> Judgment:
     it holds over every extension at once.
     """
     derived = type_bound(variety)
-    p = variety.context.p
-    n = variety.context.n
-    k = variety.level
     if derived.rigidity is RigidityStatus.UNKNOWN:
         return Judgment(variety, RigidityStatus.UNKNOWN, derived.bound, derived.trace)
+    subject = dict(p=variety.context.p, n=variety.context.n, k=variety.level)
+    if variety.level >= 1:
+        classical = _step(
+            "classical-summand-exclusion",
+            "no twist of the classical variety's motive enters the upper "
+            "motive under a division-preserving extension",
+            **subject,
+        )
+    else:
+        classical = _step(
+            "classical-base",
+            "the variety is the classical Severi-Brauer variety itself; "
+            "its motive stays indecomposable",
+            **subject,
+        )
     closing = [
         _step(
             "rational-cycle-persistence",
             "rational cycle counts on the product with the classical variety "
             "are unchanged by division-preserving extensions",
-            p=p,
-            n=n,
-            k=k,
-        )
-    ]
-    if k >= 1:
-        closing.append(
-            _step(
-                "classical-summand-exclusion",
-                "no twist of the classical variety's motive enters the upper "
-                "motive under a division-preserving extension",
-                p=p,
-                n=n,
-                k=k,
-            )
-        )
-    else:
-        closing.append(
-            _step(
-                "classical-base",
-                "the variety is the classical Severi-Brauer variety itself; "
-                "its motive stays indecomposable",
-                p=p,
-                n=n,
-                k=k,
-            )
-        )
-    closing.append(
+            **subject,
+        ),
+        classical,
         _step(
             "type-zero-transfer",
             f"the derived bound {derived.bound} <= 0 holds over every "
             "division-preserving extension; motivic decompositions lift",
-            p=p,
-            n=n,
-            k=k,
+            **subject,
             bound=derived.bound,
-        )
-    )
+        ),
+    ]
     return Judgment(
         variety,
         RigidityStatus.CONJECTURE_HOLDS,

@@ -231,6 +231,17 @@ class TestSplitPoincare:
         assert expr.split_poincare() == gaussian_binomial(64, 32)
         assert len(built) == len(keys)
 
+    def test_each_product_starts_from_its_first_binomial(self, monkeypatch):
+        expr = function_field_decomposition(SBVariety(DivisionContext(2, 6), 5))
+        keys = {term.obj for term, _ in expr.term_items()}
+        expected = sum(len(obj.dims) - 1 for obj in keys if isinstance(obj, SBProduct))
+        assert len(keys) == 17 and expected == 16
+        products = []
+        original = GradedRankPoly.__mul__
+        monkeypatch.setattr(GradedRankPoly, "__mul__", lambda a, b: products.append(b) or original(a, b))
+        assert expr.split_poincare() == gaussian_binomial(64, 32)
+        assert len(products) == expected
+
 
 class TestIdentifyUpperLower:
     def test_single_term_is_both(self):

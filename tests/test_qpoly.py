@@ -108,7 +108,7 @@ class TestGradedRankPoly:
         assert (GradedRankPoly({0: 1, 499: 1}) * GradedRankPoly({0: 1, 500: 1})).dim() == 999
         for wide in (
             lambda: one + one.shift(2 * 10**6),
-            lambda: near * one.shift(5),  # schoolbook
+            lambda: near * one.shift(5),  # packed, one operand a single term
             lambda: near * far,  # packed
             lambda: near * 2,  # scalar
         ):
@@ -381,10 +381,12 @@ class TestFastPath:
     def test_product_matches_reference(self, a, b):
         assert a * b == GradedRankPoly(_schoolbook(dict(a.items()), dict(b.items())))
 
-    # 64 * 64 = 4096 coefficient pairs is the last schoolbook product
     @pytest.mark.parametrize(
         "la,lb",
-        [(64, 64), (64, 65), (1, 4096), (1, 4097), (2048, 2), (2049, 2), (4097, 2), (90, 91)],
+        [
+            (1, 1), (1, 2), (2, 3), (3, 3), (1, 200), (64, 64), (64, 65),
+            (1, 4096), (1, 4097), (2048, 2), (2049, 2), (4097, 2), (90, 91),
+        ],
     )
     def test_kronecker_and_schoolbook_agree(self, la, lb):
         rng = random.Random(la * 10007 + lb)

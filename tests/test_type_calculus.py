@@ -24,6 +24,16 @@ def variety(p, n, k):
     return SBVariety(DivisionContext(p, n), k)
 
 
+def _honest_traces(primes, max_n):
+    for p in primes:
+        for n in range(max_n + 1):
+            for k in range(n + 1):
+                v = variety(p, n, k)
+                yield type_bound(v).trace
+                yield indecomposability_judgment(v).trace
+                yield rigidity_judgment(v).trace
+
+
 class TestDimensionObstruction:
     @pytest.mark.parametrize(
         "n,k,expected",
@@ -86,13 +96,8 @@ class TestTypeBound:
 
 class TestTraceReplay:
     def test_all_emitted_traces_replay(self):
-        for p in (2, 3, 5):
-            for n in range(0, 7):
-                for k in range(n + 1):
-                    v = variety(p, n, k)
-                    assert type_bound(v).trace.replay()
-                    assert indecomposability_judgment(v).trace.replay()
-                    assert rigidity_judgment(v).trace.replay()
+        for trace in _honest_traces((2, 3, 5), 8):
+            assert trace.replay()
 
     def test_tampered_side_condition_fails_replay(self):
         trace = type_bound(variety(2, 3, 1)).trace
@@ -121,6 +126,8 @@ class TestTraceReplay:
         # a trace that does not open with a level bound fails
         assert not ProofTrace().replay()
         assert not ProofTrace.from_json_obj([]).replay()
+        # the opening level bound is missing at position 0
+        assert ProofTrace().failing_steps() == (0,)
 
     def test_citations_come_from_the_catalog(self):
         for v in (variety(2, 4, 2), variety(5, 2, 1)):
@@ -237,6 +244,71 @@ class TestReplayProperties:
         other = rigidity_judgment(variety(2, 5, 2)).trace
         trace = rigidity_judgment(variety(2, 6, 2)).trace
         assert not trace.extended(other.steps[-1]).replay()
+
+
+def _one_step_edits(steps):
+    """Copies of ``steps`` with one step deleted, duplicated, or swapped with
+    its right neighbour."""
+    for i in range(len(steps)):
+        yield "deleted", steps[:i] + steps[i + 1 :]
+        yield "duplicated", steps[: i + 1] + steps[i:]
+        if i + 1 < len(steps):
+            yield "swapped", steps[:i] + (steps[i + 1], steps[i]) + steps[i + 2 :]
+
+
+class TestRuleOrder:
+    """Replay checks which rule sits at each position, not only what each
+    step records: every forged trace below passes each step's own rule check
+    and records the opening variety at every step."""
+
+    def test_rung_made_of_one_step_fails_replay(self):
+        steps = type_bound(variety(2, 5, 2)).trace.steps
+        assert [step.rule_id for step in steps[2:6]] == [
+            "function-field-split",
+            "halved-endpoints",
+            "valuation-case-split",
+            "dimension-obstruction",
+        ]
+        forged = ProofTrace(steps[:2] + (steps[5],) * 4 + steps[6:])
+        assert all(step.replay() for step in forged)
+        assert forged.failing_steps() == (2, 3, 4)
+        assert not forged.replay()
+
+    def test_reversed_rung_fails_replay(self):
+        steps = type_bound(variety(2, 5, 2)).trace.steps
+        forged = ProofTrace(steps[:2] + steps[2:6][::-1] + steps[6:])
+        assert forged.failing_steps() == (2, 3, 4, 5)
+        assert not forged.replay()
+
+    def test_transfer_without_its_premises_fails_replay(self):
+        steps = rigidity_judgment(variety(2, 4, 2)).trace.steps
+        assert [step.rule_id for step in steps[-3:]] == [
+            "rational-cycle-persistence",
+            "classical-summand-exclusion",
+            "type-zero-transfer",
+        ]
+        forged = ProofTrace(steps[:-3] + steps[-1:])
+        assert forged.failing_steps() == (len(forged) - 1,)
+        assert not forged.replay()
+
+    def test_repeated_closing_fails_replay(self):
+        steps = rigidity_judgment(variety(2, 4, 2)).trace.steps
+        forged = ProofTrace(steps + steps[-3:])
+        assert forged.failing_steps() == tuple(range(len(steps), len(forged)))
+        assert not forged.replay()
+
+    def test_truncated_closing_reports_the_missing_position(self):
+        steps = rigidity_judgment(variety(3, 2, 1)).trace.steps
+        assert ProofTrace(steps[:-1]).failing_steps() == (len(steps) - 1,)
+
+    def test_replay_agrees_with_failing_steps(self):
+        for trace in _honest_traces((2, 3, 5), 5):
+            assert trace.replay() and trace.failing_steps() == ()
+            for edit, steps in _one_step_edits(trace.steps):
+                edited = ProofTrace(steps)
+                assert edited.replay() == (edited.failing_steps() == ())
+                if edit != "deleted":
+                    assert not edited.replay(), (edit, [step.rule_id for step in steps])
 
 
 def _encoded_step(rule_id, **conditions):
