@@ -18,12 +18,16 @@ count.
 Every derivation is returned as a :class:`ProofTrace`: an ordered list of
 steps whose numeric side conditions can be re-checked from the recorded
 values alone, with no access to engine state (:meth:`ProofTrace.replay`).  A
-step stores only its rule id; its citation is read from the fixed rule
-catalog, so a trace cannot carry a citation the catalog does not state.  The
-induction is replayed in full for the requested exponent rather than
-memoized away, so traces are self-contained.  Replay also checks that each
-position holds the rule the derivation calls for there, and that every step
-speaks about the variety of the opening level bound.  Every rule check
+step records its rule and its side conditions; its conclusion and citation
+come from the fixed rule catalog, rendered only when a trace is printed or
+encoded, so building and replaying format no text.  A decoded citation that
+differs from the catalog's is rejected, and a decoded conclusion that
+differs fails replay.  The induction is replayed in full for the requested
+exponent rather than memoized away, so traces are self-contained.  One
+generator fixes the rule and subject of each position of a derivation; the
+builders fill in side conditions along it, and replay checks that each
+position holds the rule it calls for there, and that every step speaks
+about the variety of the opening level bound.  Every rule check
 is closed form, so replaying the trace of level ``k`` and exponent ``n``
 takes time linear in ``n - k``.  A check builds a power only after the bit
 length of a recorded value allows it, so a decoded trace costs time in the
@@ -32,8 +36,10 @@ size of its encoding, however large the exponents it names.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
+from itertools import islice
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import DomainError
@@ -64,15 +70,18 @@ class Rule:
     """A named inference rule with a self-contained statement.
 
     ``check`` re-evaluates the rule's numeric side conditions from a recorded
-    mapping alone; it is what :meth:`ProofTrace.replay` runs.
+    mapping alone; it is what :meth:`ProofTrace.replay` runs.  ``template``
+    states the conclusion a step draws from its side conditions; it formats
+    recorded values and small arithmetic on them, never a power.
     """
 
     rule_id: str
     statement: str
     source: str
     check: Callable[[Conditions], bool]
+    template: Callable[[Conditions], str]
 
-    @property
+    @cached_property
     def citation(self) -> str:
         return f"{self.statement} [{self.source}]"
 
@@ -181,6 +190,10 @@ RULE_CATALOG: dict[str, Rule] = {
             "k - 1.",
             "theory of upper motives",
             _check_level_bound,
+            lambda c: (
+                f"the level-{c['k']} variety of the degree-{c['p']}^{c['n']} algebra "
+                f"is of type {c['bound']}"
+            ),
         ),
         Rule(
             "point-base",
@@ -189,6 +202,10 @@ RULE_CATALOG: dict[str, Rule] = {
             "positive level can occur, so the induction starts for free.",
             "geometry of ideal varieties",
             _check_point_base,
+            lambda c: (
+                f"at degree {c['p']}^{c['n']} the level-{c['k']} variety is a rational point; "
+                f"no twist of the level-{c['k'] - 1} upper motive occurs"
+            ),
         ),
         Rule(
             "function-field-split",
@@ -199,6 +216,11 @@ RULE_CATALOG: dict[str, Rule] = {
             "of degree 2^(n-1).",
             "function-field splitting of twisted flag varieties",
             _check_function_field_split,
+            lambda c: (
+                f"the motive of the level-{c['k']} variety of the degree-{c['p']}^{c['n']} "
+                f"algebra splits over the half-degree function field into "
+                f"{c['term_count']} twisted products"
+            ),
         ),
         Rule(
             "halved-endpoints",
@@ -208,6 +230,11 @@ RULE_CATALOG: dict[str, Rule] = {
             "and twisted by p^(n+l-1)(p-1).",
             "endpoint summands of the split decomposition",
             _check_halved_endpoints,
+            lambda c: (
+                f"a surviving twist of the level-{c['level']} upper motive would contain the "
+                f"half-degree level-{c['level']} upper motive untwisted and twisted by "
+                f"2^{c['n'] + c['level'] - 1}"
+            ),
         ),
         Rule(
             "valuation-case-split",
@@ -217,6 +244,13 @@ RULE_CATALOG: dict[str, Rule] = {
             "factor whose pair (i, j) has 2-adic valuation at least k - 1.",
             "theory of upper motives; Krull-Schmidt uniqueness",
             _check_valuation_case_split,
+            lambda c: (
+                f"only the factors indexed by (2^{c['k']}, 0), (0, 2^{c['k']}) and "
+                f"(2^{c['k'] - 1}, 2^{c['k'] - 1}) can carry a "
+                f"level-{c['required_level']} summand; "
+                f"the first two are the level-{c['k']} motive of the half-degree "
+                f"algebra, excluded by the induction hypothesis above"
+            ),
         ),
         Rule(
             "dimension-obstruction",
@@ -227,6 +261,11 @@ RULE_CATALOG: dict[str, Rule] = {
             "exist, so the variety is of type k - 2.",
             "dimension count",
             _check_dimension_obstruction,
+            lambda c: (
+                f"the remaining factor has dimension {c['product_dim']} < "
+                f"{c['endpoint_dim']}; no twist of the level-{c['k'] - 1} upper motive "
+                f"occurs at degree {c['p']}^{c['n']}, so the variety is of type {c['k'] - 2}"
+            ),
         ),
         Rule(
             "rank-one-upper",
@@ -235,6 +274,10 @@ RULE_CATALOG: dict[str, Rule] = {
             "is exactly one summand and the motive is indecomposable.",
             "theory of upper motives",
             _check_rank_one_upper,
+            lambda c: (
+                "type -1 leaves only the upper motive, and the rank-one degree-zero "
+                "Chow group allows a single summand: the motive is indecomposable"
+            ),
         ),
         Rule(
             "rational-cycle-persistence",
@@ -244,6 +287,10 @@ RULE_CATALOG: dict[str, Rule] = {
             "count of rational classes depends only on (p, n, k).",
             "rationality of cycles on products with the classical variety",
             _check_rational_cycle_persistence,
+            lambda c: (
+                "rational cycle counts on the product with the classical variety "
+                "are unchanged by division-preserving extensions"
+            ),
         ),
         Rule(
             "classical-summand-exclusion",
@@ -253,6 +300,10 @@ RULE_CATALOG: dict[str, Rule] = {
             "extension.",
             "rigidity of classical summands",
             _check_classical_summand_exclusion,
+            lambda c: (
+                "no twist of the classical variety's motive enters the upper "
+                "motive under a division-preserving extension"
+            ),
         ),
         Rule(
             "classical-base",
@@ -261,6 +312,10 @@ RULE_CATALOG: dict[str, Rule] = {
             "division-preserving extension.",
             "classical Severi-Brauer rigidity",
             _check_classical_base,
+            lambda c: (
+                "the variety is the classical Severi-Brauer variety itself; "
+                "its motive stays indecomposable"
+            ),
         ),
         Rule(
             "type-zero-transfer",
@@ -271,6 +326,10 @@ RULE_CATALOG: dict[str, Rule] = {
             "only on (p, n, k), which such extensions preserve.",
             "type-zero transfer principle",
             _check_type_zero_transfer,
+            lambda c: (
+                f"the derived bound {c['bound']} <= 0 holds over every "
+                "division-preserving extension; motivic decompositions lift"
+            ),
         ),
     )
 }
@@ -278,14 +337,18 @@ RULE_CATALOG: dict[str, Rule] = {
 
 @dataclass(frozen=True)
 class ProofStep:
-    """One applied rule: recorded side conditions plus a drawn conclusion.
+    """One applied rule and its recorded side conditions.
 
-    The rule id must name a catalog rule; the citation is the catalog's.
+    The rule id must name a catalog rule; the citation and the conclusion are
+    the catalog's, rendered from the side conditions when asked for.
+    ``mismatched_conclusion`` holds the text a decoded step stated where the
+    catalog renders another, or none; it is ``None`` for every built step and
+    every honest decode, and replay fails a step that carries it.
     """
 
     rule_id: str
     side_conditions: tuple[tuple[str, int], ...]
-    conclusion: str
+    mismatched_conclusion: str | None = field(default=None, kw_only=True)
 
     def __post_init__(self) -> None:
         if self.rule_id not in RULE_CATALOG:
@@ -295,55 +358,56 @@ class ProofStep:
     def citation(self) -> str:
         return RULE_CATALOG[self.rule_id].citation
 
+    @property
+    def conclusion(self) -> str:
+        if self.mismatched_conclusion is not None:
+            return self.mismatched_conclusion
+        return RULE_CATALOG[self.rule_id].template(self.conditions())
+
     def conditions(self) -> dict[str, int]:
         return dict(self.side_conditions)
 
     def replay(self) -> bool:
-        """Re-check this step's side conditions from the recorded values."""
+        """Re-check this step's side conditions from the recorded values; a
+        step carrying a mismatched conclusion fails."""
+        if self.mismatched_conclusion is not None:
+            return False
         try:
             return bool(RULE_CATALOG[self.rule_id].check(self.conditions()))
         except KeyError:
             return False
 
 
-def _step(rule_id: str, conclusion: str, **side: int) -> ProofStep:
-    return ProofStep(rule_id, tuple(side.items()), conclusion)
-
-
 _RUNG = ("function-field-split", "halved-endpoints", "valuation-case-split", "dimension-obstruction")
 
 
-def _expected_steps(steps: tuple[ProofStep, ...]) -> Iterator[tuple[str, dict[str, int]]]:
-    """The rule id and the ``p, n, k, level, bound`` of each position, read
-    off the opening level bound: a rule check alone accepts a step sound for
-    *any* variety, in any order.  At ``p = 2`` and ``k >= 1`` the point base
-    and one ``_RUNG`` per exponent ``k+1..n`` follow, then the closing the
-    step after them names: none, ``rank-one-upper`` or the rigidity transfer.
-    Lazy, so a trace costs its own length, not that of its exponents."""
-    yield "level-bound", {}
-    opening = steps[0].conditions() if steps else {}
-    if not {"p", "n", "k"} <= opening.keys() or steps[0].rule_id != "level-bound":
-        return
-    p, n, k = opening["p"], opening["n"], opening["k"]
-    halving = p == 2 and 1 <= k <= n
-    bound = max(k - 2 if halving else k - 1, -1)
+def _derivation(p: int, n: int, k: int, closing: str | None = None) -> Iterator[tuple[str, int, int]]:
+    """The rule id, exponent and type bound of each position of the
+    derivation about the level-``k`` variety of the degree-``p^n`` algebra.
 
-    def subject(exponent: int) -> dict[str, int]:
-        return dict(p=p, n=exponent, k=k, level=k - 1, bound=bound)
-
-    if halving:
-        yield "point-base", subject(k)
+    The level bound opens it at bound ``k - 1``.  At ``p = 2`` and ``k >= 1``
+    the point base and one ``_RUNG`` per exponent ``k+1..n`` follow, and the
+    bound is ``k - 2`` from there on.  Then comes the closing named by its
+    first rule: none, ``rank-one-upper``, or ``rational-cycle-persistence``
+    with the classical premise and the type-zero transfer.  Only rule ids and
+    subjects are fixed here, never side-condition values, so the rule checks
+    stay independent of the builders.  Lazy, so a consumer pays for the
+    positions it reads, not for the exponents.
+    """
+    bound = k - 1
+    yield "level-bound", n, bound
+    if p == 2 and 1 <= k <= n:
+        bound = k - 2
+        yield "point-base", k, bound
         for m in range(k + 1, n + 1):
             for rule in _RUNG:
-                yield rule, subject(m)
-    after = 2 + 4 * (n - k) if halving else 1
-    classical = "classical-summand-exclusion" if k >= 1 else "classical-base"
-    closings = {
-        "rank-one-upper": ["rank-one-upper"],
-        "rational-cycle-persistence": ["rational-cycle-persistence", classical, "type-zero-transfer"],
-    }
-    for rule in closings.get(steps[after].rule_id if after < len(steps) else "", []):
-        yield rule, subject(n)
+                yield rule, m, bound
+    if closing == "rank-one-upper":
+        yield closing, n, bound
+    elif closing == "rational-cycle-persistence":
+        yield closing, n, bound
+        yield ("classical-summand-exclusion" if k >= 1 else "classical-base"), n, bound
+        yield "type-zero-transfer", n, bound
 
 
 @dataclass(frozen=True)
@@ -368,20 +432,31 @@ class ProofTrace:
     def failing_steps(self) -> tuple[int, ...]:
         """Positions where replay fails: a step whose rule is not the one its
         position calls for, that records another variety than the opening
-        level bound, or whose side conditions do not re-check; and
-        ``len(self)`` when the derivation stops short, so 0 for an empty
-        trace."""
-        expected = _expected_steps(self.steps)
+        level bound, whose side conditions do not re-check, or that carries a
+        mismatched conclusion; and ``len(self)`` when the derivation stops
+        short, so 0 for an empty trace.  A rule check alone accepts a step
+        sound for *any* variety, in any order: the derivation about the
+        variety of the opening level bound fixes what each position holds."""
+        steps = self.steps
+        opening = steps[0].conditions() if steps else {}
+        if not {"p", "n", "k"} <= opening.keys() or steps[0].rule_id != "level-bound":
+            return tuple(range(len(steps))) or (0,)
+        p, n, k = opening["p"], opening["n"], opening["k"]
+        # the step after type_bound's positions names the closing; reading at
+        # most len(steps) positions keeps replay linear in the trace's length
+        after = sum(1 for _ in islice(_derivation(p, n, k), len(steps)))
+        expected = _derivation(p, n, k, steps[after].rule_id if after < len(steps) else None)
         failing = []
-        for i, step in enumerate(self.steps):
-            rule, subject = next(expected, ("", {}))
+        for i, step in enumerate(steps):
+            rule, m, bound = next(expected, ("", None, None))
+            subject = {"p": p, "n": m, "k": k, "level": k - 1, "bound": bound}
             if (
                 step.rule_id != rule
                 or any(subject.get(name, value) != value for name, value in step.side_conditions)
                 or not step.replay()
             ):
                 failing.append(i)
-        return tuple(failing) + ((len(self.steps),) if next(expected, None) else ())
+        return tuple(failing) + ((len(steps),) if next(expected, None) else ())
 
     def render_text(self) -> str:
         lines = []
@@ -407,22 +482,27 @@ class ProofTrace:
     @classmethod
     def from_json_obj(cls, data: Iterable[Mapping]) -> "ProofTrace":
         """Decode a trace; an unknown rule id or a citation that differs from
-        the catalog's raises :class:`DomainError`."""
+        the catalog's raises :class:`DomainError`.  A conclusion that differs
+        from the catalog's rendering decodes, and fails replay."""
         steps = []
         for entry in data:
             try:
-                step = ProofStep(
-                    rule_id=entry["rule_id"],
-                    side_conditions=tuple(
-                        (name, int(value)) for name, value in entry["conditions"].items()
-                    ),
-                    conclusion=entry["conclusion"],
-                )
-                citation = entry["citation"]
+                conditions = {name: int(value) for name, value in entry["conditions"].items()}
+                step = ProofStep(entry["rule_id"], tuple(conditions.items()))
+                citation, conclusion = entry["citation"], entry["conclusion"]
+                if not isinstance(conclusion, str):
+                    raise TypeError("conclusion is not text")
             except (AttributeError, KeyError, TypeError, ValueError) as exc:
                 raise DomainError(f"malformed trace encoding: {exc}") from exc
-            if citation != step.citation:
+            rule = RULE_CATALOG[step.rule_id]
+            if citation != rule.citation:
                 raise DomainError(f"citation of {step.rule_id!r} differs from the rule catalog")
+            try:
+                matches = conclusion == rule.template(conditions)
+            except (KeyError, ValueError):  # a side condition missing, or too long to print
+                matches = False
+            if not matches:
+                step = ProofStep(step.rule_id, step.side_conditions, mismatched_conclusion=conclusion)
             steps.append(step)
         return cls(tuple(steps))
 
@@ -490,117 +570,53 @@ class TypeBound:
         return RigidityStatus.UNKNOWN
 
 
-def _halving_induction_steps(n: int, k: int) -> list[ProofStep]:
-    """Replay of the level-(k-1) exclusion for ``p = 2``, bottom up.
+# The side conditions each rule records at exponent ``n``, in encoding order.
+# Replay re-checks them against RULE_CATALOG alone, never against this table.
+_RECORDED: dict[str, Callable[[int, int, int, int], dict[str, int]]] = {
+    "level-bound": lambda p, n, k, bound: {"p": p, "n": n, "k": k, "bound": bound},
+    "point-base": lambda p, n, k, bound: {"p": p, "n": n, "k": k, "variety_dim": 0},
+    "function-field-split": lambda p, n, k, bound: {
+        "p": p, "n": n, "k": k, "degree": 2**n, "split_degree": 2 ** (n - 1),
+        "term_count": 2**k + 1, "upper_twist": 0, "lower_twist": 2 ** (n + k - 1),
+    },
+    "halved-endpoints": lambda p, n, k, bound: {
+        "p": p, "n": n, "level": k - 1, "upper_twist": 0, "lower_twist": 2 ** (n + k - 2),
+    },
+    "valuation-case-split": lambda p, n, k, bound: {
+        "p": p, "n": n, "k": k, "required_level": k - 1,
+        "candidate_0_i": 2**k, "candidate_0_j": 0, "candidate_1_i": 0, "candidate_1_j": 2**k,
+        "candidate_2_i": 2 ** (k - 1), "candidate_2_j": 2 ** (k - 1),
+    },
+    "dimension-obstruction": lambda p, n, k, bound: {
+        "p": p, "n": n, "k": k,
+        **dict(zip(("product_dim", "endpoint_dim"), dimension_obstruction(n, k))),
+    },
+    "rank-one-upper": lambda p, n, k, bound: {"p": p, "n": n, "k": k, "bound": bound, "ch0_rank": 1},
+    "rational-cycle-persistence": lambda p, n, k, bound: {"p": p, "n": n, "k": k},
+    "classical-summand-exclusion": lambda p, n, k, bound: {"p": p, "n": n, "k": k},
+    "classical-base": lambda p, n, k, bound: {"p": p, "n": n, "k": k},
+    "type-zero-transfer": lambda p, n, k, bound: {"p": p, "n": n, "k": k, "bound": bound},
+}
 
-    The induction bottoms out where the variety is a point (exponent equal to
-    the level) and climbs one exponent at a time up to ``n``.
-    """
-    steps = [
-        _step(
-            "point-base",
-            f"at degree 2^{k} the level-{k} variety is a rational point; "
-            f"no twist of the level-{k - 1} upper motive occurs",
-            p=2,
-            n=k,
-            k=k,
-            variety_dim=0,
-        )
-    ]
-    for m in range(k + 1, n + 1):
-        half = 2 ** (m - 1)
-        steps.append(
-            _step(
-                "function-field-split",
-                f"the motive of the level-{k} variety of the degree-2^{m} "
-                f"algebra splits over the half-degree function field into "
-                f"{2**k + 1} twisted products",
-                p=2,
-                n=m,
-                k=k,
-                degree=2**m,
-                split_degree=half,
-                term_count=2**k + 1,
-                upper_twist=0,
-                lower_twist=2 ** (m + k - 1),
-            )
-        )
-        steps.append(
-            _step(
-                "halved-endpoints",
-                f"a surviving twist of the level-{k - 1} upper motive would "
-                f"contain the half-degree level-{k - 1} upper motive untwisted "
-                f"and twisted by 2^{m + k - 2}",
-                p=2,
-                n=m,
-                level=k - 1,
-                upper_twist=0,
-                lower_twist=2 ** (m + k - 2),
-            )
-        )
-        steps.append(
-            _step(
-                "valuation-case-split",
-                f"only the factors indexed by (2^{k}, 0), (0, 2^{k}) and "
-                f"(2^{k - 1}, 2^{k - 1}) can carry a level-{k - 1} summand; "
-                f"the first two are the level-{k} motive of the half-degree "
-                f"algebra, excluded by the induction hypothesis above",
-                p=2,
-                n=m,
-                k=k,
-                required_level=k - 1,
-                candidate_0_i=2**k,
-                candidate_0_j=0,
-                candidate_1_i=0,
-                candidate_1_j=2**k,
-                candidate_2_i=2 ** (k - 1),
-                candidate_2_j=2 ** (k - 1),
-            )
-        )
-        obstruction = dimension_obstruction(m, k)
-        steps.append(
-            _step(
-                "dimension-obstruction",
-                f"the remaining factor has dimension {obstruction.product_dim} "
-                f"< {obstruction.endpoint_dim}; no twist of the level-{k - 1} "
-                f"upper motive occurs at degree 2^{m}, so the variety is of "
-                f"type {k - 2}",
-                p=2,
-                n=m,
-                k=k,
-                product_dim=obstruction.product_dim,
-                endpoint_dim=obstruction.endpoint_dim,
-            )
-        )
-    return steps
+
+def _recorded(p: int, k: int, positions: Iterable[tuple[str, int, int]]) -> tuple[ProofStep, ...]:
+    """The steps at ``positions`` of a derivation at prime ``p`` and level ``k``."""
+    return tuple(
+        ProofStep(rule, tuple(_RECORDED[rule](p, m, k, bound).items()))
+        for rule, m, bound in positions
+    )
 
 
 def type_bound(variety: SBVariety) -> TypeBound:
     """Best upper bound on the type of the variety the rules can derive.
 
     The level bound gives ``level - 1`` for every prime.  For ``p = 2`` and
-    ``level >= 1`` the halving induction improves it to
-    ``max(level - 2, -1)``; the full induction is recorded in the trace.
+    ``level >= 1`` the halving induction improves it to ``level - 2``, which
+    is at least -1; the full induction is recorded in the trace.
     """
-    p = variety.context.p
-    n = variety.context.n
-    k = variety.level
-    steps = [
-        _step(
-            "level-bound",
-            f"the level-{k} variety of the degree-{p}^{n} algebra is of type {k - 1}",
-            p=p,
-            n=n,
-            k=k,
-            bound=k - 1,
-        )
-    ]
-    bound = k - 1
-    if p == 2 and k >= 1:
-        steps.extend(_halving_induction_steps(n, k))
-        bound = k - 2
-    bound = max(bound, -1)
-    return TypeBound(variety=variety, bound=bound, trace=ProofTrace(tuple(steps)))
+    p, n, k = variety.context.p, variety.context.n, variety.level
+    positions = list(_derivation(p, n, k))
+    return TypeBound(variety, positions[-1][2], ProofTrace(_recorded(p, k, positions)))
 
 
 @dataclass(frozen=True)
@@ -613,27 +629,22 @@ class Judgment:
     trace: ProofTrace
 
 
+def _closed(derived: TypeBound, closing: str | None) -> ProofTrace:
+    """The trace of ``derived``, followed by the positions of ``closing``."""
+    if closing is None:
+        return derived.trace
+    p, n, k = derived.variety.context.p, derived.variety.context.n, derived.variety.level
+    positions = islice(_derivation(p, n, k, closing), len(derived.trace), None)
+    return derived.trace.extended(*_recorded(p, k, positions))
+
+
 def indecomposability_judgment(variety: SBVariety) -> Judgment:
     """Indecomposable when the derived type bound reaches -1; never the
     opposite claim, since the calculus only proves upper bounds."""
     derived = type_bound(variety)
     status = derived.indecomposability
-    trace = derived.trace
-    if status is IndecomposabilityStatus.INDECOMPOSABLE:
-        trace = trace.extended(
-            _step(
-                "rank-one-upper",
-                "type -1 leaves only the upper motive, and the rank-one "
-                "degree-zero Chow group allows a single summand: the motive "
-                "is indecomposable",
-                p=variety.context.p,
-                n=variety.context.n,
-                k=variety.level,
-                bound=derived.bound,
-                ch0_rank=1,
-            )
-        )
-    return Judgment(variety, status, derived.bound, trace)
+    closing = "rank-one-upper" if status is IndecomposabilityStatus.INDECOMPOSABLE else None
+    return Judgment(variety, status, derived.bound, _closed(derived, closing))
 
 
 def rigidity_judgment(variety: SBVariety) -> Judgment:
@@ -647,42 +658,6 @@ def rigidity_judgment(variety: SBVariety) -> Judgment:
     it holds over every extension at once.
     """
     derived = type_bound(variety)
-    if derived.rigidity is RigidityStatus.UNKNOWN:
-        return Judgment(variety, RigidityStatus.UNKNOWN, derived.bound, derived.trace)
-    subject = dict(p=variety.context.p, n=variety.context.n, k=variety.level)
-    if variety.level >= 1:
-        classical = _step(
-            "classical-summand-exclusion",
-            "no twist of the classical variety's motive enters the upper "
-            "motive under a division-preserving extension",
-            **subject,
-        )
-    else:
-        classical = _step(
-            "classical-base",
-            "the variety is the classical Severi-Brauer variety itself; "
-            "its motive stays indecomposable",
-            **subject,
-        )
-    closing = [
-        _step(
-            "rational-cycle-persistence",
-            "rational cycle counts on the product with the classical variety "
-            "are unchanged by division-preserving extensions",
-            **subject,
-        ),
-        classical,
-        _step(
-            "type-zero-transfer",
-            f"the derived bound {derived.bound} <= 0 holds over every "
-            "division-preserving extension; motivic decompositions lift",
-            **subject,
-            bound=derived.bound,
-        ),
-    ]
-    return Judgment(
-        variety,
-        RigidityStatus.CONJECTURE_HOLDS,
-        derived.bound,
-        derived.trace.extended(*closing),
-    )
+    status = derived.rigidity
+    closing = "rational-cycle-persistence" if status is RigidityStatus.CONJECTURE_HOLDS else None
+    return Judgment(variety, status, derived.bound, _closed(derived, closing))

@@ -1,4 +1,5 @@
 import json
+import sys
 import time
 
 import pytest
@@ -196,6 +197,20 @@ class TestTypeBoundCommand:
         result = invoke(runner, "type-bound", "--p", "2", "--n", "3", "--k", "1", "--trace")
         assert "step 1: level-bound" in result.output
         assert "dimension-obstruction" in result.output
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit"
+    )
+    def test_large_exponent_prints_no_power_without_trace(self, runner):
+        # the trace records integers of about 900 digits; only --trace prints them
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            result = invoke(runner, "type-bound", "--p", "2", "--n", "3000", "--k", "1")
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert result.exit_code == 0, result.output
+        assert "degree-2^3000 division algebra: -1" in result.output
 
     def test_one_derivation_per_invocation(self, runner, monkeypatch):
         # counts every build, whether the command or a judgment asks for it

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import time
 
@@ -108,7 +109,6 @@ class TestTraceReplay:
                 (name, value + 1 if name == "product_dim" else value)
                 for name, value in last.side_conditions
             ),
-            conclusion=last.conclusion,
         )
         tampered = ProofTrace(trace.steps[:-1] + (forged,))
         assert not tampered.replay()
@@ -116,10 +116,10 @@ class TestTraceReplay:
 
     def test_unknown_rule_fails_replay(self):
         with pytest.raises(DomainError):
-            ProofStep("no-such-rule", (("x", 1),), "nothing")
+            ProofStep("no-such-rule", (("x", 1),))
 
     def test_missing_condition_fails_replay(self):
-        step = ProofStep("level-bound", (), "no data")
+        step = ProofStep("level-bound", ())
         assert not ProofTrace((step,)).replay()
 
     def test_empty_trace_fails_replay(self):
@@ -133,6 +133,81 @@ class TestTraceReplay:
         for v in (variety(2, 4, 2), variety(5, 2, 1)):
             for step in rigidity_judgment(v).trace:
                 assert step.citation == RULE_CATALOG[step.rule_id].citation
+
+
+class TestConclusions:
+    """A step's conclusion is the catalog's rendering of its side conditions;
+    a decoded conclusion that differs decodes, and fails replay."""
+
+    def test_forged_conclusion_fails_replay(self):
+        encoded = indecomposability_judgment(variety(2, 3, 1)).trace.to_json_obj()
+        encoded[-1]["conclusion"] = "the motive decomposes into two summands"
+        trace = ProofTrace.from_json_obj(encoded)
+        assert not trace.replay()
+        assert trace.failing_steps() == (len(encoded) - 1,)
+        assert trace.to_json_obj() == encoded
+
+    def test_every_off_by_one_with_stale_text_fails_replay(self):
+        # One-step traces (odd p, or level 0) read their variety off the step
+        # itself, so only the stale text catches a changed p or n there.
+        for trace in _honest_traces((2, 3, 5), 5):
+            encoded = trace.to_json_obj()
+            assert ProofTrace.from_json_obj(encoded) == trace
+            for entry in encoded:
+                conditions = entry["conditions"]
+                for name, value in list(conditions.items()):
+                    for delta in (-1, 1):
+                        conditions[name] = str(int(value) + delta)
+                        tampered = ProofTrace.from_json_obj(encoded)
+                        assert not tampered.replay(), (entry["rule_id"], name, delta)
+                    conditions[name] = value
+
+    def test_building_and_replaying_render_no_text(self, monkeypatch):
+        def refuse(conditions):
+            raise AssertionError("a conclusion was rendered")
+
+        for rule_id, rule in list(RULE_CATALOG.items()):
+            monkeypatch.setitem(RULE_CATALOG, rule_id, dataclasses.replace(rule, template=refuse))
+        for trace in _honest_traces((2, 3), 4):
+            assert trace.replay()
+
+    def test_closing_conclusions(self):
+        rank_one = (
+            "type -1 leaves only the upper motive, and the rank-one degree-zero Chow "
+            "group allows a single summand: the motive is indecomposable"
+        )
+        persistence = (
+            "rational cycle counts on the product with the classical variety are "
+            "unchanged by division-preserving extensions"
+        )
+        exclusion = (
+            "no twist of the classical variety's motive enters the upper motive under "
+            "a division-preserving extension"
+        )
+        base = (
+            "the variety is the classical Severi-Brauer variety itself; its motive "
+            "stays indecomposable"
+        )
+        transfer_minus_one = (
+            "the derived bound -1 <= 0 holds over every division-preserving "
+            "extension; motivic decompositions lift"
+        )
+        transfer_zero = (
+            "the derived bound 0 <= 0 holds over every division-preserving "
+            "extension; motivic decompositions lift"
+        )
+        expected = {
+            (2, 3, 1): ([rank_one], [persistence, exclusion, transfer_minus_one]),
+            (2, 4, 2): ([], [persistence, exclusion, transfer_zero]),
+            (3, 2, 0): ([rank_one], [persistence, base, transfer_minus_one]),
+        }
+        for (p, n, k), (indecomposable, rigid) in expected.items():
+            v = variety(p, n, k)
+            start = len(type_bound(v).trace)
+            closing = indecomposability_judgment(v).trace.steps[start:]
+            assert [step.conclusion for step in closing] == indecomposable
+            closing = rigidity_judgment(v).trace.steps[start:]
+            assert [step.conclusion for step in closing] == rigid
 
 
 class TestJudgments:
@@ -193,6 +268,12 @@ class TestTraceSerialization:
     def test_conditions_that_are_not_a_mapping_rejected(self):
         encoded = type_bound(variety(2, 4, 2)).trace.to_json_obj()
         encoded[0]["conditions"] = []
+        with pytest.raises(DomainError, match="malformed trace encoding"):
+            ProofTrace.from_json_obj(encoded)
+
+    def test_conclusion_that_is_not_text_rejected(self):
+        encoded = type_bound(variety(2, 4, 2)).trace.to_json_obj()
+        encoded[1]["conclusion"] = None
         with pytest.raises(DomainError, match="malformed trace encoding"):
             ProofTrace.from_json_obj(encoded)
 
@@ -316,7 +397,7 @@ def _encoded_step(rule_id, **conditions):
         "rule_id": rule_id,
         "citation": RULE_CATALOG[rule_id].citation,
         "conditions": {name: str(value) for name, value in conditions.items()},
-        "conclusion": "hand-encoded",
+        "conclusion": RULE_CATALOG[rule_id].template(conditions),
     }
 
 
