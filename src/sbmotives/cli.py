@@ -30,7 +30,7 @@ from typing import Callable, Iterable, NamedTuple
 import click
 
 from .errors import DomainError, EngineError
-from .motive import DivisionContext
+from .motive import TATE, DivisionContext
 from .qpoly import gaussian_binomial
 from .severi_brauer import (
     CoverageReason,
@@ -217,15 +217,13 @@ def decompose(p: int, n: int, k: int) -> Result:
 
     def csv():
         yield ("kind", "p", "n", "payload", "twist", "multiplicity")
-        for entry in expr.to_json_obj():
-            obj = entry["object"]
-            payload = "" if obj["kind"] == "tate" else (
-                obj.get("level") or ";".join(obj.get("dims", []))
-            )
-            yield (
-                obj["kind"], obj.get("p", ""), obj.get("n", ""),
-                payload, entry["twist"], entry["multiplicity"],
-            )
+        for term, mult in expr.term_items():
+            obj = term.obj  # the Tate unit or a product: the split has no upper motive
+            if obj is TATE:
+                yield ("tate", "", "", "", term.twist, mult)
+            else:
+                dims = ";".join(map(str, obj.dims))
+                yield ("product", obj.context.p, obj.context.n, dims, term.twist, mult)
         yield ("conservation", "", "", status, "", "")
 
     def text():

@@ -26,7 +26,7 @@ from operator import mul
 from typing import Iterable, Mapping, Union
 
 from .errors import DomainError, UnsupportedOperationError
-from .qpoly import GradedRankPoly, _is_int, _sum_of_shifts, gaussian_binomial
+from .qpoly import GradedRankPoly, _int_from_json, _is_int, _sum_of_shifts, gaussian_binomial
 
 __all__ = [
     "DivisionContext",
@@ -39,7 +39,6 @@ __all__ = [
     "MotiveExpr",
     "ExtremeTerms",
     "normalize_object",
-    "object_sort_key",
 ]
 
 
@@ -124,8 +123,7 @@ class UpperMotive:
     def __post_init__(self) -> None:
         if not _is_int(self.level) or not 0 <= self.level <= self.context.n:
             raise DomainError(
-                f"upper-motive level must satisfy 0 <= level <= {self.context.n}, "
-                f"got {self.level!r}"
+                f"level must satisfy 0 <= level <= {self.context.n}, got {self.level!r}"
             )
 
     def __repr__(self) -> str:
@@ -184,17 +182,6 @@ def normalize_object(obj: MotiveObject) -> MotiveObject:
     raise DomainError(f"not a motive object: {obj!r}")
 
 
-def object_sort_key(obj: MotiveObject) -> tuple:
-    """Total order on objects: kind rank, then lexicographic payload."""
-    if isinstance(obj, TateUnit):
-        return (0, ())
-    if isinstance(obj, UpperMotive):
-        return (1, (obj.context.p, obj.context.n, obj.level))
-    if isinstance(obj, SBProduct):
-        return (2, (obj.context.p, obj.context.n) + obj.dims)
-    raise DomainError(f"not a motive object: {obj!r}")
-
-
 @dataclass(frozen=True)
 class Term:
     """One summand: an object together with a nonnegative Tate twist.
@@ -214,8 +201,13 @@ class Term:
         object.__setattr__(self, "obj", normalize_object(self.obj))
 
     def sort_key(self) -> tuple:
-        kind, payload = object_sort_key(self.obj)
-        return (kind, payload, self.twist)
+        """Total order on terms: object kind, lexicographic payload, twist."""
+        obj = self.obj
+        if isinstance(obj, TateUnit):
+            return (0, (), self.twist)
+        if isinstance(obj, UpperMotive):
+            return (1, (obj.context.p, obj.context.n, obj.level), self.twist)
+        return (2, (obj.context.p, obj.context.n) + obj.dims, self.twist)
 
     def __repr__(self) -> str:
         return f"({self.obj!r}, twist={self.twist})"
@@ -413,7 +405,8 @@ class MotiveExpr:
 
     # -- JSON encoding ------------------------------------------------------
     # Canonical ordering (object kind, payload, twist) makes the encoding
-    # byte-stable; integers travel as decimal strings.
+    # byte-stable; integers travel as decimal strings, and the decoder reads
+    # them from nothing else.
 
     def to_json_obj(self) -> list[dict]:
         encoded = []
@@ -432,8 +425,8 @@ class MotiveExpr:
         terms = []
         for entry in data:
             try:
-                term = Term(_object_from_json(entry["object"]), int(entry["twist"]))
-                terms.append((term.obj, term.twist, int(entry["multiplicity"])))
+                term = Term(_object_from_json(entry["object"]), _int_from_json(entry["twist"]))
+                terms.append((term.obj, term.twist, _int_from_json(entry["multiplicity"])))
             except (AttributeError, KeyError, TypeError, ValueError) as exc:
                 raise DomainError(f"malformed motive encoding: {exc}") from exc
         # the constructor checks each entry's multiplicity before adding it up
@@ -462,13 +455,12 @@ def _object_from_json(data: Mapping) -> MotiveObject:
     kind = data.get("kind")
     if kind == "tate":
         return TATE
+    if kind not in ("upper", "product"):
+        raise DomainError(f"unknown motive object kind: {kind!r}")
+    ctx = DivisionContext(_int_from_json(data["p"]), _int_from_json(data["n"]))
     if kind == "upper":
-        ctx = DivisionContext(int(data["p"]), int(data["n"]))
-        return UpperMotive(ctx, int(data["level"]))
-    if kind == "product":
-        ctx = DivisionContext(int(data["p"]), int(data["n"]))
-        dims = data["dims"]
-        if not isinstance(dims, list):
-            raise TypeError(f"dims must be a list, got {type(dims).__name__}")
-        return SBProduct(ctx, tuple(int(d) for d in dims))
-    raise DomainError(f"unknown motive object kind: {kind!r}")
+        return UpperMotive(ctx, _int_from_json(data["level"]))
+    dims = data["dims"]
+    if not isinstance(dims, list):
+        raise TypeError(f"dims must be a list, got {type(dims).__name__}")
+    return SBProduct(ctx, tuple(_int_from_json(d) for d in dims))

@@ -80,6 +80,14 @@ def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _int_from_json(value: object) -> int:
+    """The engine's one JSON integer reader: every encoder writes integers as
+    decimal strings, so a JSON number or bool raises instead of truncating."""
+    if not isinstance(value, str):
+        raise DomainError(f"integers are encoded as decimal strings, got {value!r}")
+    return int(value)
+
+
 def _checked_count(value: object, what: str) -> int:
     if not _is_int(value):
         raise DomainError(f"{what} must be an integer, got {value!r}")
@@ -244,8 +252,10 @@ class GradedRankPoly:
 
     @classmethod
     def from_json_dict(cls, data: Mapping[str, str]) -> "GradedRankPoly":
+        """Inverse of :meth:`to_json_dict`; degrees and coefficients are read
+        only from decimal strings."""
         try:
-            coeffs = {int(d): int(c) for d, c in data.items()}
+            coeffs = {_int_from_json(d): _int_from_json(c) for d, c in data.items()}
         except (AttributeError, TypeError, ValueError) as exc:
             raise DomainError(f"malformed rank polynomial encoding: {exc}") from exc
         if len(coeffs) != len(data):

@@ -45,10 +45,7 @@ class SBVariety:
     level: int
 
     def __post_init__(self) -> None:
-        if not _is_int(self.level) or not 0 <= self.level <= self.context.n:
-            raise DomainError(
-                f"level must satisfy 0 <= level <= {self.context.n}, got {self.level!r}"
-            )
+        UpperMotive(self.context, self.level)  # the one level check
 
     @property
     def reduced_dimension(self) -> int:
@@ -133,6 +130,14 @@ def rational_chow_order(variety: SBVariety, i: int) -> ChowOrderReport:
     )
 
 
+def _half_degree(context: DivisionContext) -> DivisionContext:
+    """The division part of the algebra over the function field of its
+    half-degree ideal variety: exponent ``n - 1``."""
+    if context.n == 0:
+        raise DomainError("a split algebra has no function-field reduction")
+    return DivisionContext(context.p, context.n - 1)
+
+
 def function_field_decomposition(variety: SBVariety) -> MotiveExpr:
     """Split the motive of ``SB_{2^level}(D)`` over the function field of the
     half-degree ideal variety of ``D``.
@@ -155,9 +160,7 @@ def function_field_decomposition(variety: SBVariety) -> MotiveExpr:
             "explicit interior twists are only available for p = 2; "
             "use function_field_endpoints for other primes"
         )
-    if context.n == 0:
-        raise DomainError("a split algebra has no function-field reduction")
-    half = DivisionContext(2, context.n - 1)
+    half = _half_degree(context)
     half_degree = half.degree
     m = variety.reduced_dimension
     terms = []
@@ -176,19 +179,10 @@ def function_field_endpoints(context: DivisionContext, level: int) -> tuple[Term
     ``p**(n + level - 1) * (p - 1)``, which is exactly the dimension the
     motive loses in the reduction.
     """
-    if context.n < 1:
-        raise DomainError("a split algebra has no function-field reduction")
-    if not _is_int(level) or not 0 <= level <= context.n - 1:
-        raise DomainError(
-            f"level must satisfy 0 <= level <= {context.n - 1}, got {level!r}"
-        )
+    upper = UpperMotive(_half_degree(context), level)  # checks the level before the power below
     p = context.p
-    reduced = DivisionContext(p, context.n - 1)
     lower_twist = p ** (context.n + level - 1) * (p - 1)
-    return (
-        Term(UpperMotive(reduced, level), 0),
-        Term(UpperMotive(reduced, level), lower_twist),
-    )
+    return Term(upper, 0), Term(upper, lower_twist)
 
 
 class CoverageReason(Enum):

@@ -27,7 +27,10 @@ exponent rather than memoized away, so traces are self-contained.  One
 generator fixes the rule and subject of each position of a derivation; the
 builders fill in side conditions along it, and replay checks that each
 position holds the rule it calls for there, and that every step speaks
-about the variety of the opening level bound.  Every rule check
+about the variety of the opening level bound.  That opening must name a
+variety the engine accepts (``p`` prime, ``0 <= k <= n``): its check builds
+the :class:`SBVariety`.  Decoding reads integers only from decimal strings,
+as :meth:`ProofTrace.to_json_obj` writes them.  Every rule check
 is closed form, so replaying the trace of level ``k`` and exponent ``n``
 takes time linear in ``n - k``.  A check builds a power only after the bit
 length of a recorded value allows it, so a decoded trace costs time in the
@@ -43,7 +46,8 @@ from itertools import islice
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import DomainError
-from .qpoly import _is_int
+from .motive import DivisionContext
+from .qpoly import _int_from_json, _is_int
 from .severi_brauer import SBVariety
 
 __all__ = [
@@ -95,8 +99,18 @@ def _power_fits(value: int, base: int, exponent: int) -> bool:
     return exponent * (base.bit_length() - 1) < value.bit_length()
 
 
+def _names_variety(c: Conditions) -> bool:
+    """Whether ``(p, n, k)`` name a variety the engine builds: ``p`` prime
+    and ``0 <= k <= n``."""
+    try:
+        SBVariety(DivisionContext(c["p"], c["n"]), c["k"])
+    except DomainError:
+        return False
+    return True
+
+
 def _check_level_bound(c: Conditions) -> bool:
-    return c["p"] >= 2 and 0 <= c["k"] <= c["n"] and c["bound"] == c["k"] - 1
+    return _names_variety(c) and c["bound"] == c["k"] - 1
 
 
 def _check_point_base(c: Conditions) -> bool:
@@ -109,11 +123,11 @@ def _check_function_field_split(c: Conditions) -> bool:
     if p != 2 or not 1 <= k < n or not _power_fits(c["lower_twist"], 2, n + k - 1):
         return False
     return (
-        c["degree"] == 2**n
-        and c["split_degree"] == 2 ** (n - 1)
-        and c["term_count"] == 2**k + 1
+        c["degree"] == 1 << n
+        and c["split_degree"] == 1 << (n - 1)
+        and c["term_count"] == (1 << k) + 1
         and c["upper_twist"] == 0
-        and c["lower_twist"] == 2 ** (n + k - 1)
+        and c["lower_twist"] == 1 << (n + k - 1)
     )
 
 
@@ -140,7 +154,7 @@ def _check_valuation_case_split(c: Conditions) -> bool:
     # For i + j = 2^k, 2^(k-1) divides gcd(i, j) exactly when it divides i,
     # and gcd(0, m) = m; k < n keeps every i in [0, 2^k] within the half
     # degree 2^(n-1), so the candidates are i = 0, 2^(k-1) and 2^k.
-    m, step = 2**k, 2 ** (k - 1)
+    m, step = 1 << k, 1 << (k - 1)
     return recorded == {(0, m), (step, step), (m, 0)}
 
 
@@ -148,8 +162,8 @@ def _check_dimension_obstruction(c: Conditions) -> bool:
     n, k = c["n"], c["k"]
     if not 1 <= k <= n or not _power_fits(c["endpoint_dim"], 2, n + k - 2):
         return False
-    product_dim = 2 ** (n + k - 1) - 2 ** (2 * k - 1)
-    endpoint_dim = 2 ** (n + k - 1) - 2 ** (2 * k - 2)
+    product_dim = (1 << (n + k - 1)) - (1 << (2 * k - 1))
+    endpoint_dim = (1 << (n + k - 1)) - (1 << (2 * k - 2))
     return (
         c["product_dim"] == product_dim
         and c["endpoint_dim"] == endpoint_dim
@@ -159,10 +173,6 @@ def _check_dimension_obstruction(c: Conditions) -> bool:
 
 def _check_rank_one_upper(c: Conditions) -> bool:
     return c["bound"] <= -1 and c["ch0_rank"] == 1
-
-
-def _check_rational_cycle_persistence(c: Conditions) -> bool:
-    return c["p"] >= 2 and 0 <= c["k"] <= c["n"]
 
 
 def _check_classical_summand_exclusion(c: Conditions) -> bool:
@@ -286,7 +296,7 @@ RULE_CATALOG: dict[str, Rule] = {
             "with the level-k variety is already rational over the base; the "
             "count of rational classes depends only on (p, n, k).",
             "rationality of cycles on products with the classical variety",
-            _check_rational_cycle_persistence,
+            _names_variety,
             lambda c: (
                 "rational cycle counts on the product with the classical variety "
                 "are unchanged by division-preserving extensions"
@@ -481,13 +491,14 @@ class ProofTrace:
 
     @classmethod
     def from_json_obj(cls, data: Iterable[Mapping]) -> "ProofTrace":
-        """Decode a trace; an unknown rule id or a citation that differs from
-        the catalog's raises :class:`DomainError`.  A conclusion that differs
+        """Decode a trace; an unknown rule id, a citation that differs from
+        the catalog's, or a side condition that is not a decimal string
+        raises :class:`DomainError`.  A conclusion that differs
         from the catalog's rendering decodes, and fails replay."""
         steps = []
         for entry in data:
             try:
-                conditions = {name: int(value) for name, value in entry["conditions"].items()}
+                conditions = {name: _int_from_json(value) for name, value in entry["conditions"].items()}
                 step = ProofStep(entry["rule_id"], tuple(conditions.items()))
                 citation, conclusion = entry["citation"], entry["conclusion"]
                 if not isinstance(conclusion, str):
@@ -526,8 +537,8 @@ def dimension_obstruction(n: int, k: int) -> DimensionObstruction:
     """
     if not _is_int(n) or not _is_int(k) or not 1 <= k <= n:
         raise DomainError(f"dimension obstruction requires 1 <= k <= n, got k={k!r}, n={n!r}")
-    product_dim = 2 ** (n + k - 1) - 2 ** (2 * k - 1)
-    endpoint_dim = 2 ** (n + k - 1) - 2 ** (2 * k - 2)
+    product_dim = (1 << (n + k - 1)) - (1 << (2 * k - 1))
+    endpoint_dim = (1 << (n + k - 1)) - (1 << (2 * k - 2))
     return DimensionObstruction(product_dim, endpoint_dim, product_dim < endpoint_dim)
 
 
@@ -576,16 +587,16 @@ _RECORDED: dict[str, Callable[[int, int, int, int], dict[str, int]]] = {
     "level-bound": lambda p, n, k, bound: {"p": p, "n": n, "k": k, "bound": bound},
     "point-base": lambda p, n, k, bound: {"p": p, "n": n, "k": k, "variety_dim": 0},
     "function-field-split": lambda p, n, k, bound: {
-        "p": p, "n": n, "k": k, "degree": 2**n, "split_degree": 2 ** (n - 1),
-        "term_count": 2**k + 1, "upper_twist": 0, "lower_twist": 2 ** (n + k - 1),
+        "p": p, "n": n, "k": k, "degree": 1 << n, "split_degree": 1 << (n - 1),
+        "term_count": (1 << k) + 1, "upper_twist": 0, "lower_twist": 1 << (n + k - 1),
     },
     "halved-endpoints": lambda p, n, k, bound: {
-        "p": p, "n": n, "level": k - 1, "upper_twist": 0, "lower_twist": 2 ** (n + k - 2),
+        "p": p, "n": n, "level": k - 1, "upper_twist": 0, "lower_twist": 1 << (n + k - 2),
     },
     "valuation-case-split": lambda p, n, k, bound: {
         "p": p, "n": n, "k": k, "required_level": k - 1,
-        "candidate_0_i": 2**k, "candidate_0_j": 0, "candidate_1_i": 0, "candidate_1_j": 2**k,
-        "candidate_2_i": 2 ** (k - 1), "candidate_2_j": 2 ** (k - 1),
+        "candidate_0_i": 1 << k, "candidate_0_j": 0, "candidate_1_i": 0, "candidate_1_j": 1 << k,
+        "candidate_2_i": 1 << (k - 1), "candidate_2_j": 1 << (k - 1),
     },
     "dimension-obstruction": lambda p, n, k, bound: {
         "p": p, "n": n, "k": k,

@@ -317,6 +317,21 @@ class TestJson:
         with pytest.raises(DomainError, match="malformed motive encoding"):
             MotiveExpr.from_json_obj([{"object": [], "twist": "0", "multiplicity": "1"}])
 
+    @pytest.mark.parametrize(
+        "obj,twist,multiplicity",
+        [
+            ({"kind": "product", "p": "2", "n": 2.5, "dims": ["1", 2.9]}, 0.5, "1"),
+            ({"kind": "product", "p": "2", "n": "2", "dims": ["1", 2.9]}, "0", "1"),
+            ({"kind": "product", "p": "2", "n": "2", "dims": ["1"]}, 0.5, "1"),
+            ({"kind": "tate"}, "0", True),
+            ({"kind": "upper", "p": "2", "n": "2", "level": 1}, "0", "1"),
+        ],
+    )
+    def test_integer_that_is_not_a_string_rejected(self, obj, twist, multiplicity):
+        entry = {"object": obj, "twist": twist, "multiplicity": multiplicity}
+        with pytest.raises(DomainError, match="decimal strings"):
+            MotiveExpr.from_json_obj([entry])
+
     def test_negative_multiplicity_rejected_before_summing(self):
         entry = {"object": {"kind": "tate"}, "twist": "0"}
         for mults in (["-2"], ["2", "-2"], ["-2", "2"]):

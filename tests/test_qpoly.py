@@ -84,6 +84,11 @@ class TestGradedRankPoly:
         with pytest.raises(DomainError, match="malformed rank polynomial encoding"):
             GradedRankPoly.from_json_dict([("1", "2")])
 
+    @pytest.mark.parametrize("data", [{"0": 1.9}, {"0": True}, {"0": 1}, {0: "1"}])
+    def test_json_integer_that_is_not_a_string_rejected(self, data):
+        with pytest.raises(DomainError, match="decimal strings"):
+            GradedRankPoly.from_json_dict(data)
+
     def test_json_keys_naming_one_degree_rejected(self):
         with pytest.raises(DomainError, match="two keys name one degree"):
             GradedRankPoly.from_json_dict({"1": "1", "01": "5"})

@@ -135,6 +135,39 @@ class TestTraceReplay:
                 assert step.citation == RULE_CATALOG[step.rule_id].citation
 
 
+def _rewritten_to_p(trace, p):
+    """``trace`` with every step's ``p`` set to ``p`` and its conclusion
+    re-rendered from the catalog, so only the side conditions can fail."""
+    encoded = trace.to_json_obj()
+    for entry in encoded:
+        entry["conditions"]["p"] = str(p)
+        conditions = {name: int(value) for name, value in entry["conditions"].items()}
+        entry["conclusion"] = RULE_CATALOG[entry["rule_id"]].template(conditions)
+    rewritten = ProofTrace.from_json_obj(encoded)
+    assert all(step.mismatched_conclusion is None for step in rewritten)
+    return rewritten
+
+
+class TestNamedVariety:
+    """Replay accepts only a variety the engine itself would build: p prime
+    and 0 <= k <= n."""
+
+    def test_rigidity_trace_at_a_composite_degree_fails_replay(self):
+        trace = rigidity_judgment(variety(3, 2, 0)).trace
+        assert trace.replay()
+        assert not _rewritten_to_p(trace, 6).replay()
+
+    @pytest.mark.parametrize("p", [4, 9])
+    def test_one_step_level_bound_at_a_prime_power_fails_replay(self, p):
+        trace = type_bound(variety(3, 2, 1)).trace
+        assert len(trace) == 1 and trace.replay()
+        assert not _rewritten_to_p(trace, p).replay()
+
+    def test_lone_level_bound_at_a_composite_fails_replay(self):
+        assert not ProofStep("level-bound", (("p", 6), ("n", 2), ("k", 0), ("bound", -1))).replay()
+        assert ProofStep("level-bound", (("p", 5), ("n", 2), ("k", 0), ("bound", -1))).replay()
+
+
 class TestConclusions:
     """A step's conclusion is the catalog's rendering of its side conditions;
     a decoded conclusion that differs decodes, and fails replay."""
@@ -275,6 +308,14 @@ class TestTraceSerialization:
         encoded = type_bound(variety(2, 4, 2)).trace.to_json_obj()
         encoded[1]["conclusion"] = None
         with pytest.raises(DomainError, match="malformed trace encoding"):
+            ProofTrace.from_json_obj(encoded)
+
+    @pytest.mark.parametrize("value", [6.9, 6, True])
+    def test_integer_that_is_not_a_string_rejected(self, value):
+        encoded = type_bound(variety(2, 3, 1)).trace.to_json_obj()
+        assert encoded[-1]["conditions"]["product_dim"] == "6"
+        encoded[-1]["conditions"]["product_dim"] = value
+        with pytest.raises(DomainError, match="decimal strings"):
             ProofTrace.from_json_obj(encoded)
 
     def test_text_rendering_lists_every_step(self):
