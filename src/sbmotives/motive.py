@@ -405,8 +405,8 @@ class MotiveExpr:
 
     # -- JSON encoding ------------------------------------------------------
     # Canonical ordering (object kind, payload, twist) makes the encoding
-    # byte-stable; integers travel as decimal strings, and the decoder reads
-    # them from nothing else.
+    # byte-stable; integers travel as canonical decimal strings, and the
+    # decoder reads them from nothing else.
 
     def to_json_obj(self) -> list[dict]:
         encoded = []

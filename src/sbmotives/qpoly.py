@@ -82,10 +82,12 @@ def _is_int(value: object) -> bool:
 
 def _int_from_json(value: object) -> int:
     """The engine's one JSON integer reader: every encoder writes integers as
-    decimal strings, so a JSON number or bool raises instead of truncating."""
-    if not isinstance(value, str):
-        raise DomainError(f"integers are encoded as decimal strings, got {value!r}")
-    return int(value)
+    canonical decimal strings (``str(n)``), so a JSON number or bool raises
+    instead of truncating, and so does another spelling (``"02"``, ``" 2"``,
+    ``"+2"``, ``"0_2"``, non-ASCII digits), which would not re-encode as read."""
+    if isinstance(value, str) and str(number := int(value)) == value:
+        return number
+    raise DomainError(f"integers are encoded as canonical decimal strings, got {value!r}")
 
 
 def _checked_count(value: object, what: str) -> int:
@@ -253,13 +255,11 @@ class GradedRankPoly:
     @classmethod
     def from_json_dict(cls, data: Mapping[str, str]) -> "GradedRankPoly":
         """Inverse of :meth:`to_json_dict`; degrees and coefficients are read
-        only from decimal strings."""
+        only from canonical decimal strings, so no two keys name one degree."""
         try:
             coeffs = {_int_from_json(d): _int_from_json(c) for d, c in data.items()}
         except (AttributeError, TypeError, ValueError) as exc:
             raise DomainError(f"malformed rank polynomial encoding: {exc}") from exc
-        if len(coeffs) != len(data):
-            raise DomainError("malformed rank polynomial encoding: two keys name one degree")
         return cls(coeffs)
 
 
@@ -418,24 +418,17 @@ def _box_size_counts(parts: int, max_part: int) -> tuple[int, ...]:
     Dynamic programming on the recurrence
     ``N(m, c, s) = N(m-1, c, s) + N(m, c-1, s-m)``: a partition either uses
     fewer than ``m`` rows, or all rows are positive and a full column can be
-    stripped.  Shares no code with the product formula of
-    :func:`gaussian_binomial` or with the enumerator.
+    stripped.  One table, updated in place: row ``c`` holds ``N(m, c, .)``
+    once pass ``m`` has reached it.  Shares no code with the product formula
+    of :func:`gaussian_binomial` or with the enumerator.
     """
-    cap = parts * max_part
-    width = cap + 1
-    # rows indexed by allowed number of parts; columns by allowed max part
-    prev = [[1] + [0] * cap for _ in range(max_part + 1)]
+    table = [[1] + [0] * (parts * max_part) for _ in range(max_part + 1)]
     for m in range(1, parts + 1):
-        cur = [[1] + [0] * cap]
         for c in range(1, max_part + 1):
-            left = cur[c - 1]
-            up = prev[c]
-            merged = [
-                up[s] + (left[s - m] if s >= m else 0) for s in range(width)
-            ]
-            cur.append(merged)
-        prev = cur
-    return tuple(prev[max_part])
+            # row c - 1 already holds N(m, c - 1, .), so row c becomes N(m, c, .)
+            row = table[c]
+            row[m:] = [x + y for x, y in zip(row[m:], table[c - 1])]
+    return tuple(table[max_part])
 
 
 def count_partitions_in_box(box: PartitionBoxSpec) -> int:

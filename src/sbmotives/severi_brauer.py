@@ -72,9 +72,8 @@ def mu(context: DivisionContext, level: int, i: int) -> int:
     if not _is_int(i):
         raise DomainError(f"homological degree must be an integer, got {i!r}")
     reduced = variety.reduced_dimension
-    capacity = variety.dimension()
-    target = context.degree + capacity - i
-    if target < 0 or target > capacity:
+    target = context.degree + variety.dimension() - i
+    if target < 0:
         return 0
     return count_partitions_in_box(PartitionBoxSpec(context.degree - reduced, reduced, target))
 

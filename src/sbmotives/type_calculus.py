@@ -27,14 +27,17 @@ exponent rather than memoized away, so traces are self-contained.  One
 generator fixes the rule and subject of each position of a derivation; the
 builders fill in side conditions along it, and replay checks that each
 position holds the rule it calls for there, and that every step speaks
-about the variety of the opening level bound.  That opening must name a
-variety the engine accepts (``p`` prime, ``0 <= k <= n``): its check builds
-the :class:`SBVariety`.  Decoding reads integers only from decimal strings,
-as :meth:`ProofTrace.to_json_obj` writes them.  Every rule check
-is closed form, so replaying the trace of level ``k`` and exponent ``n``
-takes time linear in ``n - k``.  A check builds a power only after the bit
-length of a recorded value allows it, so a decoded trace costs time in the
-size of its encoding, however large the exponents it names.
+about the variety of the opening level bound.  The four rung rules of the
+halving induction are ``p = 2`` rules, and their checks require ``p = 2``;
+every other rule checks its variety through the engine, by building the
+:class:`SBVariety` (``p`` prime, ``0 <= k <= n``), so even a lone step about
+an algebra that does not exist fails replay.  Decoding reads integers only
+from canonical decimal strings, as :meth:`ProofTrace.to_json_obj` writes
+them.  Every rule check is closed form, so replaying the trace of level
+``k`` and exponent ``n`` takes time linear in ``n - k``.  A check builds a
+power only after the bit length of a recorded value allows it, so a decoded
+trace costs time in the size of its encoding, however large the exponents
+it names.
 """
 
 from __future__ import annotations
@@ -90,13 +93,11 @@ class Rule:
         return f"{self.statement} [{self.source}]"
 
 
-def _power_fits(value: int, base: int, exponent: int) -> bool:
-    """Whether ``base**exponent`` can be at most ``|value|``, read from bit
-    lengths before the power is built: a base of bit length ``b`` has
-    ``base**exponent >= 2**(exponent * (b - 1))``.  Guarding each power with
-    a recorded value keeps replay cost bounded by the size of the encoding.
-    """
-    return exponent * (base.bit_length() - 1) < value.bit_length()
+def _power_fits(value: int, exponent: int) -> bool:
+    """Whether ``2**exponent`` can be at most ``|value|``, read from the bit
+    length before the power is built.  Guarding each power with a recorded
+    value keeps replay cost bounded by the size of the encoding."""
+    return exponent < value.bit_length()
 
 
 def _names_variety(c: Conditions) -> bool:
@@ -115,12 +116,12 @@ def _check_level_bound(c: Conditions) -> bool:
 
 def _check_point_base(c: Conditions) -> bool:
     # p^k * (p^n - p^k) vanishes exactly when k = n
-    return c["k"] == c["n"] and c["variety_dim"] == 0
+    return _names_variety(c) and c["k"] == c["n"] and c["variety_dim"] == 0
 
 
 def _check_function_field_split(c: Conditions) -> bool:
     p, n, k = c["p"], c["n"], c["k"]
-    if p != 2 or not 1 <= k < n or not _power_fits(c["lower_twist"], 2, n + k - 1):
+    if p != 2 or not 1 <= k < n or not _power_fits(c["lower_twist"], n + k - 1):
         return False
     return (
         c["degree"] == 1 << n
@@ -133,9 +134,9 @@ def _check_function_field_split(c: Conditions) -> bool:
 
 def _check_halved_endpoints(c: Conditions) -> bool:
     p, n, level = c["p"], c["n"], c["level"]
-    if p < 2 or not 0 <= level < n or not _power_fits(c["lower_twist"], p, n + level - 1):
+    if p != 2 or not 0 <= level < n or not _power_fits(c["lower_twist"], n + level - 1):
         return False
-    return c["upper_twist"] == 0 and c["lower_twist"] == p ** (n + level - 1) * (p - 1)
+    return c["upper_twist"] == 0 and c["lower_twist"] == 1 << (n + level - 1)
 
 
 def _check_valuation_case_split(c: Conditions) -> bool:
@@ -149,7 +150,7 @@ def _check_valuation_case_split(c: Conditions) -> bool:
         (c["candidate_1_i"], c["candidate_1_j"]),
         (c["candidate_2_i"], c["candidate_2_j"]),
     }
-    if not _power_fits(max(max(pair) for pair in recorded), 2, k):
+    if not _power_fits(max(max(pair) for pair in recorded), k):
         return False
     # For i + j = 2^k, 2^(k-1) divides gcd(i, j) exactly when it divides i,
     # and gcd(0, m) = m; k < n keeps every i in [0, 2^k] within the half
@@ -159,8 +160,8 @@ def _check_valuation_case_split(c: Conditions) -> bool:
 
 
 def _check_dimension_obstruction(c: Conditions) -> bool:
-    n, k = c["n"], c["k"]
-    if not 1 <= k <= n or not _power_fits(c["endpoint_dim"], 2, n + k - 2):
+    p, n, k = c["p"], c["n"], c["k"]
+    if p != 2 or not 1 <= k <= n or not _power_fits(c["endpoint_dim"], n + k - 2):
         return False
     product_dim = (1 << (n + k - 1)) - (1 << (2 * k - 1))
     endpoint_dim = (1 << (n + k - 1)) - (1 << (2 * k - 2))
@@ -172,19 +173,19 @@ def _check_dimension_obstruction(c: Conditions) -> bool:
 
 
 def _check_rank_one_upper(c: Conditions) -> bool:
-    return c["bound"] <= -1 and c["ch0_rank"] == 1
+    return _names_variety(c) and c["bound"] <= -1 and c["ch0_rank"] == 1
 
 
 def _check_classical_summand_exclusion(c: Conditions) -> bool:
-    return 1 <= c["k"] <= c["n"]
+    return _names_variety(c) and c["k"] >= 1
 
 
 def _check_classical_base(c: Conditions) -> bool:
-    return c["k"] == 0
+    return _names_variety(c) and c["k"] == 0
 
 
 def _check_type_zero_transfer(c: Conditions) -> bool:
-    return c["bound"] <= 0
+    return _names_variety(c) and c["bound"] <= 0
 
 
 RULE_CATALOG: dict[str, Rule] = {
@@ -492,8 +493,8 @@ class ProofTrace:
     @classmethod
     def from_json_obj(cls, data: Iterable[Mapping]) -> "ProofTrace":
         """Decode a trace; an unknown rule id, a citation that differs from
-        the catalog's, or a side condition that is not a decimal string
-        raises :class:`DomainError`.  A conclusion that differs
+        the catalog's, or a side condition that is not a canonical decimal
+        string raises :class:`DomainError`.  A conclusion that differs
         from the catalog's rendering decodes, and fails replay."""
         steps = []
         for entry in data:

@@ -325,6 +325,11 @@ class TestJson:
             ({"kind": "product", "p": "2", "n": "2", "dims": ["1"]}, 0.5, "1"),
             ({"kind": "tate"}, "0", True),
             ({"kind": "upper", "p": "2", "n": "2", "level": 1}, "0", "1"),
+            ({"kind": "upper", "p": " +0_2 ", "n": "2", "level": "1"}, "0", "1"),
+            ({"kind": "upper", "p": "02", "n": "2", "level": "1"}, "0", "1"),
+            ({"kind": "upper", "p": "\u0662", "n": "2", "level": "1"}, "0", "1"),
+            ({"kind": "upper", "p": "2 ", "n": "2", "level": "1"}, "0", "1"),
+            ({"kind": "tate"}, "01", "1"),
         ],
     )
     def test_integer_that_is_not_a_string_rejected(self, obj, twist, multiplicity):

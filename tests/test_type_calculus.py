@@ -19,6 +19,7 @@ from sbmotives import (
     rigidity_judgment,
     type_bound,
 )
+from sbmotives.type_calculus import _RUNG
 
 
 def variety(p, n, k):
@@ -148,9 +149,40 @@ def _rewritten_to_p(trace, p):
     return rewritten
 
 
+def _lone_steps():
+    """The first step of each catalog rule in built traces at p = 2, n = 3."""
+    steps = {}
+    for judgment in (indecomposability_judgment, rigidity_judgment):
+        for k in (0, 1):
+            for step in judgment(variety(2, 3, k)).trace:
+                steps.setdefault(step.rule_id, step)
+    assert steps.keys() == RULE_CATALOG.keys()
+    return steps
+
+
+def _step_at_p(step, p):
+    """``step`` with ``p`` rewritten, and a halved-endpoints twist rewritten
+    to its p-adic value ``p^(n+level-1)(p-1)``."""
+    conditions = step.conditions()
+    conditions["p"] = p
+    if step.rule_id == "halved-endpoints":
+        conditions["lower_twist"] = p ** (conditions["n"] + conditions["level"] - 1) * (p - 1)
+    return ProofStep(step.rule_id, tuple(conditions.items()))
+
+
 class TestNamedVariety:
     """Replay accepts only a variety the engine itself would build: p prime
-    and 0 <= k <= n."""
+    and 0 <= k <= n; the rung rules of the halving induction only at p = 2."""
+
+    @pytest.mark.parametrize("rule_id", list(RULE_CATALOG))
+    def test_lone_step_at_a_composite_fails_replay(self, rule_id):
+        step = _lone_steps()[rule_id]
+        assert step.replay()
+        assert not _step_at_p(step, 6).replay()
+
+    @pytest.mark.parametrize("rule_id", _RUNG)
+    def test_lone_rung_step_at_an_odd_prime_fails_replay(self, rule_id):
+        assert not _step_at_p(_lone_steps()[rule_id], 3).replay()
 
     def test_rigidity_trace_at_a_composite_degree_fails_replay(self):
         trace = rigidity_judgment(variety(3, 2, 0)).trace
@@ -310,7 +342,7 @@ class TestTraceSerialization:
         with pytest.raises(DomainError, match="malformed trace encoding"):
             ProofTrace.from_json_obj(encoded)
 
-    @pytest.mark.parametrize("value", [6.9, 6, True])
+    @pytest.mark.parametrize("value", [6.9, 6, True, " +0_6 ", "06", "\u0666", "6 "])
     def test_integer_that_is_not_a_string_rejected(self, value):
         encoded = type_bound(variety(2, 3, 1)).trace.to_json_obj()
         assert encoded[-1]["conditions"]["product_dim"] == "6"
