@@ -11,7 +11,9 @@ so only the format that was asked for is built.  The shared
 :func:`_renders_result` decorator does everything else: it adds ``--format``
 (``text``, ``json`` or ``csv``, or the ``SBMOTIVES_FORMAT`` environment
 variable) and ``--out``, reports an :class:`EngineError` as ``error: ...`` on
-stderr with exit 1, renders the selected format and writes it.  The renderer
+stderr with exit 1, renders the selected format and writes it.  An integer
+past the interpreter's int-to-str digit limit fails rendering; it is
+reported the same way, before anything is written.  The renderer
 emits every JSON integer as a decimal string, so values above 2**53 survive
 any consumer; ``bool`` and ``None`` stay JSON literals.  CSV fields are
 joined with commas and never quoted.
@@ -30,7 +32,7 @@ from typing import Callable, Iterable, NamedTuple
 import click
 
 from .errors import DomainError, EngineError
-from .motive import TATE, DivisionContext
+from .motive import TATE, DivisionContext, _is_prime
 from .qpoly import gaussian_binomial
 from .severi_brauer import (
     CoverageReason,
@@ -74,16 +76,19 @@ def _json_strings(obj: object) -> object:
 
 
 def _render(result: Result, fmt: str) -> str:
-    if fmt == "json":
-        # compact separators; keys are emitted in canonical insertion order
-        return json.dumps(_json_strings(result.json()), separators=(",", ":"))
-    if fmt == "csv":
-        rows = list(result.csv())
-        # every row has the header's width; one %-template formats a row
-        # about twice as fast as joining str() of each field
-        line = ",".join(["%s"] * len(rows[0]))
-        return "\n".join([line % tuple(row) for row in rows])
-    return "\n".join(result.text())
+    try:
+        if fmt == "json":
+            # compact separators; keys are emitted in canonical insertion order
+            return json.dumps(_json_strings(result.json()), separators=(",", ":"))
+        if fmt == "csv":
+            rows = list(result.csv())
+            # every row has the header's width; one %-template formats a row
+            # about twice as fast as joining str() of each field
+            line = ",".join(["%s"] * len(rows[0]))
+            return "\n".join([line % tuple(row) for row in rows])
+        return "\n".join(result.text())
+    except ValueError as exc:  # rendering only formats: an integer past the int-to-str digit limit
+        raise DomainError(str(exc)) from None
 
 
 def _renders_result(body: Callable[..., Result]):
@@ -104,10 +109,10 @@ def _renders_result(body: Callable[..., Result]):
     def command(fmt: str, out: str | None, **params) -> None:
         try:
             result = body(**params)
+            text = _render(result, fmt)
         except EngineError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(1)
-        text = _render(result, fmt)
         if not text.endswith("\n"):
             text += "\n"
         if out is None:
@@ -123,9 +128,11 @@ def _renders_result(body: Callable[..., Result]):
 
 def _check_prime(ctx: click.Context, param: click.Parameter, p: int) -> int:
     try:
-        DivisionContext(p, 0)
-    except DomainError:
-        raise click.BadParameter(f"{p} is not prime") from None
+        prime = _is_prime(p)
+    except DomainError as exc:  # at or above the bound below which primality is decided
+        raise click.BadParameter(str(exc)) from None
+    if not prime:
+        raise click.BadParameter(f"{p} is not prime")
     return p
 
 

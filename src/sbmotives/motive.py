@@ -421,7 +421,9 @@ class MotiveExpr:
         return encoded
 
     @classmethod
-    def from_json_obj(cls, data: Iterable[Mapping]) -> "MotiveExpr":
+    def from_json_obj(cls, data: list[Mapping]) -> "MotiveExpr":
+        if not isinstance(data, list):
+            raise DomainError(f"malformed motive encoding: expected a list, got {type(data).__name__}")
         terms = []
         for entry in data:
             try:

@@ -25,13 +25,14 @@ differs from the catalog's is rejected, and a decoded conclusion that
 differs fails replay.  The induction is replayed in full for the requested
 exponent rather than memoized away, so traces are self-contained.  One
 generator fixes the rule and subject of each position of a derivation; the
-builders fill in side conditions along it, and replay checks that each
-position holds the rule it calls for there, and that every step speaks
-about the variety of the opening level bound.  The four rung rules of the
-halving induction are ``p = 2`` rules, and their checks require ``p = 2``;
-every other rule checks its variety through the engine, by building the
-:class:`SBVariety` (``p`` prime, ``0 <= k <= n``), so even a lone step about
-an algebra that does not exist fails replay.  Decoding reads integers only
+builders fill in side conditions along it from each rule's catalog row
+(:attr:`Rule.record`), and replay checks that each position holds the rule
+it calls for there, and that every step speaks about the variety of the
+opening level bound.  The four rung rules of the halving induction are
+``p = 2`` rules, and their checks require ``p = 2``; every other rule
+checks its variety through the engine, by building the :class:`SBVariety`
+(``p`` prime, ``0 <= k <= n``), so even a lone step about an algebra that
+does not exist fails replay.  Decoding reads integers only
 from canonical decimal strings, as :meth:`ProofTrace.to_json_obj` writes
 them.  Every rule check is closed form, so replaying the trace of level
 ``k`` and exponent ``n`` takes time linear in ``n - k``.  A check builds a
@@ -44,7 +45,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 from itertools import islice
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
@@ -74,23 +74,21 @@ Conditions = Mapping[str, int]
 
 @dataclass(frozen=True)
 class Rule:
-    """A named inference rule with a self-contained statement.
+    """A named inference rule, one row of :data:`RULE_CATALOG`.
 
-    ``check`` re-evaluates the rule's numeric side conditions from a recorded
-    mapping alone; it is what :meth:`ProofTrace.replay` runs.  ``template``
-    states the conclusion a step draws from its side conditions; it formats
-    recorded values and small arithmetic on them, never a power.
+    ``citation`` is the rule's statement followed by its source in brackets.
+    ``record(p, n, k, bound)`` is what the builders record at exponent ``n``,
+    in encoding order.  ``check`` re-evaluates recorded side conditions
+    alone; it is what :meth:`ProofTrace.replay` runs, and replay never calls
+    ``record``.  ``template`` states the conclusion a step draws from its
+    side conditions, never formatting a power.
     """
 
     rule_id: str
-    statement: str
-    source: str
+    citation: str
+    record: Callable[[int, int, int, int], dict[str, int]]
     check: Callable[[Conditions], bool]
     template: Callable[[Conditions], str]
-
-    @cached_property
-    def citation(self) -> str:
-        return f"{self.statement} [{self.source}]"
 
 
 def _power_fits(value: int, exponent: int) -> bool:
@@ -198,8 +196,8 @@ RULE_CATALOG: dict[str, Rule] = {
             "an upper motive of level at most k; the level-k upper motive has "
             "maximal dimension and the degree-zero Chow group has rank one, "
             "so it occurs exactly once and untwisted.  The variety is of type "
-            "k - 1.",
-            "theory of upper motives",
+            "k - 1. [theory of upper motives]",
+            lambda p, n, k, bound: {"p": p, "n": n, "k": k, "bound": bound},
             _check_level_bound,
             lambda c: (
                 f"the level-{c['k']} variety of the degree-{c['p']}^{c['n']} algebra "
@@ -210,8 +208,9 @@ RULE_CATALOG: dict[str, Rule] = {
             "point-base",
             "The variety of ideals of full reduced dimension is a single "
             "rational point whose motive is the Tate unit; no summand of "
-            "positive level can occur, so the induction starts for free.",
-            "geometry of ideal varieties",
+            "positive level can occur, so the induction starts for free. "
+            "[geometry of ideal varieties]",
+            lambda p, n, k, bound: {"p": p, "n": n, "k": k, "variety_dim": 0},
             _check_point_base,
             lambda c: (
                 f"at degree {c['p']}^{c['n']} the level-{c['k']} variety is a rational point; "
@@ -224,8 +223,11 @@ RULE_CATALOG: dict[str, Rule] = {
             "motive of the level-k variety splits into the products "
             "M(SB_i(C)) x M(SB_j(C)) twisted by i(2^(n-1) - j), over all "
             "i + j = 2^k, where C is the Brauer-equivalent division algebra "
-            "of degree 2^(n-1).",
-            "function-field splitting of twisted flag varieties",
+            "of degree 2^(n-1). [function-field splitting of twisted flag varieties]",
+            lambda p, n, k, bound: {
+                "p": p, "n": n, "k": k, "degree": 1 << n, "split_degree": 1 << (n - 1),
+                "term_count": (1 << k) + 1, "upper_twist": 0, "lower_twist": 1 << (n + k - 1),
+            },
             _check_function_field_split,
             lambda c: (
                 f"the motive of the level-{c['k']} variety of the degree-{c['p']}^{c['n']} "
@@ -238,8 +240,10 @@ RULE_CATALOG: dict[str, Rule] = {
             "If a Tate twist of the level-l upper motive survives the "
             "function-field restriction, the restricted motive contains the "
             "level-l upper motive of the half-degree algebra twice: untwisted "
-            "and twisted by p^(n+l-1)(p-1).",
-            "endpoint summands of the split decomposition",
+            "and twisted by p^(n+l-1)(p-1). [endpoint summands of the split decomposition]",
+            lambda p, n, k, bound: {
+                "p": p, "n": n, "level": k - 1, "upper_twist": 0, "lower_twist": 1 << (n + k - 2),
+            },
             _check_halved_endpoints,
             lambda c: (
                 f"a surviving twist of the level-{c['level']} upper motive would contain the "
@@ -252,8 +256,13 @@ RULE_CATALOG: dict[str, Rule] = {
             "Every indecomposable summand of M(SB_i(C) x SB_j(C)) is a Tate "
             "twist of an upper motive of level at most v_2(gcd(i, j)); by "
             "Krull-Schmidt uniqueness a level-(k-1) summand must sit inside a "
-            "factor whose pair (i, j) has 2-adic valuation at least k - 1.",
-            "theory of upper motives; Krull-Schmidt uniqueness",
+            "factor whose pair (i, j) has 2-adic valuation at least k - 1. "
+            "[theory of upper motives; Krull-Schmidt uniqueness]",
+            lambda p, n, k, bound: {
+                "p": p, "n": n, "k": k, "required_level": k - 1,
+                "candidate_0_i": 1 << k, "candidate_0_j": 0, "candidate_1_i": 0, "candidate_1_j": 1 << k,
+                "candidate_2_i": 1 << (k - 1), "candidate_2_j": 1 << (k - 1),
+            },
             _check_valuation_case_split,
             lambda c: (
                 f"only the factors indexed by (2^{c['k']}, 0), (0, 2^{c['k']}) and "
@@ -269,8 +278,11 @@ RULE_CATALOG: dict[str, Rule] = {
             "dimension 2^(n+k-1) - 2^(2k-2), strictly more than the dimension "
             "2^(n+k-1) - 2^(2k-1) of the only remaining candidate factor "
             "SB_{2^(k-1)}(C) x SB_{2^(k-1)}(C); the surviving twist cannot "
-            "exist, so the variety is of type k - 2.",
-            "dimension count",
+            "exist, so the variety is of type k - 2. [dimension count]",
+            lambda p, n, k, bound: {
+                "p": p, "n": n, "k": k,
+                **dict(zip(("product_dim", "endpoint_dim"), dimension_obstruction(n, k))),
+            },
             _check_dimension_obstruction,
             lambda c: (
                 f"the remaining factor has dimension {c['product_dim']} < "
@@ -282,8 +294,8 @@ RULE_CATALOG: dict[str, Rule] = {
             "rank-one-upper",
             "For a variety of type -1 every indecomposable summand is the "
             "upper motive; the degree-zero Chow group has rank one, so there "
-            "is exactly one summand and the motive is indecomposable.",
-            "theory of upper motives",
+            "is exactly one summand and the motive is indecomposable. [theory of upper motives]",
+            lambda p, n, k, bound: {"p": p, "n": n, "k": k, "bound": bound, "ch0_rank": 1},
             _check_rank_one_upper,
             lambda c: (
                 "type -1 leaves only the upper motive, and the rank-one degree-zero "
@@ -295,8 +307,9 @@ RULE_CATALOG: dict[str, Rule] = {
             "While the algebra stays division under a field extension, every "
             "extension-rational cycle on the product of the classical variety "
             "with the level-k variety is already rational over the base; the "
-            "count of rational classes depends only on (p, n, k).",
-            "rationality of cycles on products with the classical variety",
+            "count of rational classes depends only on (p, n, k). "
+            "[rationality of cycles on products with the classical variety]",
+            lambda p, n, k, bound: {"p": p, "n": n, "k": k},
             _names_variety,
             lambda c: (
                 "rational cycle counts on the product with the classical variety "
@@ -308,8 +321,8 @@ RULE_CATALOG: dict[str, Rule] = {
             "For 0 < k <= n the level-k upper motive acquires no direct "
             "summand isomorphic to a Tate twist of the motive of the "
             "classical Severi-Brauer variety under a division-preserving "
-            "extension.",
-            "rigidity of classical summands",
+            "extension. [rigidity of classical summands]",
+            lambda p, n, k, bound: {"p": p, "n": n, "k": k},
             _check_classical_summand_exclusion,
             lambda c: (
                 "no twist of the classical variety's motive enters the upper "
@@ -320,8 +333,8 @@ RULE_CATALOG: dict[str, Rule] = {
             "classical-base",
             "The motive of the classical Severi-Brauer variety of a division "
             "algebra is indecomposable and stays indecomposable under every "
-            "division-preserving extension.",
-            "classical Severi-Brauer rigidity",
+            "division-preserving extension. [classical Severi-Brauer rigidity]",
+            lambda p, n, k, bound: {"p": p, "n": n, "k": k},
             _check_classical_base,
             lambda c: (
                 "the variety is the classical Severi-Brauer variety itself; "
@@ -334,8 +347,8 @@ RULE_CATALOG: dict[str, Rule] = {
             "preserving extension of the base field, its motivic "
             "decomposition lifts: the indecomposable summands over the "
             "extension are defined over the base.  The derived bound depends "
-            "only on (p, n, k), which such extensions preserve.",
-            "type-zero transfer principle",
+            "only on (p, n, k), which such extensions preserve. [type-zero transfer principle]",
+            lambda p, n, k, bound: {"p": p, "n": n, "k": k, "bound": bound},
             _check_type_zero_transfer,
             lambda c: (
                 f"the derived bound {c['bound']} <= 0 holds over every "
@@ -491,11 +504,14 @@ class ProofTrace:
         ]
 
     @classmethod
-    def from_json_obj(cls, data: Iterable[Mapping]) -> "ProofTrace":
+    def from_json_obj(cls, data: list[Mapping]) -> "ProofTrace":
         """Decode a trace; an unknown rule id, a citation that differs from
         the catalog's, or a side condition that is not a canonical decimal
-        string raises :class:`DomainError`.  A conclusion that differs
-        from the catalog's rendering decodes, and fails replay."""
+        string raises :class:`DomainError`, and so does a top level that is
+        not a list.  A conclusion that differs from the catalog's rendering
+        decodes, and fails replay."""
+        if not isinstance(data, list):
+            raise DomainError(f"malformed trace encoding: expected a list, got {type(data).__name__}")
         steps = []
         for entry in data:
             try:
@@ -582,39 +598,10 @@ class TypeBound:
         return RigidityStatus.UNKNOWN
 
 
-# The side conditions each rule records at exponent ``n``, in encoding order.
-# Replay re-checks them against RULE_CATALOG alone, never against this table.
-_RECORDED: dict[str, Callable[[int, int, int, int], dict[str, int]]] = {
-    "level-bound": lambda p, n, k, bound: {"p": p, "n": n, "k": k, "bound": bound},
-    "point-base": lambda p, n, k, bound: {"p": p, "n": n, "k": k, "variety_dim": 0},
-    "function-field-split": lambda p, n, k, bound: {
-        "p": p, "n": n, "k": k, "degree": 1 << n, "split_degree": 1 << (n - 1),
-        "term_count": (1 << k) + 1, "upper_twist": 0, "lower_twist": 1 << (n + k - 1),
-    },
-    "halved-endpoints": lambda p, n, k, bound: {
-        "p": p, "n": n, "level": k - 1, "upper_twist": 0, "lower_twist": 1 << (n + k - 2),
-    },
-    "valuation-case-split": lambda p, n, k, bound: {
-        "p": p, "n": n, "k": k, "required_level": k - 1,
-        "candidate_0_i": 1 << k, "candidate_0_j": 0, "candidate_1_i": 0, "candidate_1_j": 1 << k,
-        "candidate_2_i": 1 << (k - 1), "candidate_2_j": 1 << (k - 1),
-    },
-    "dimension-obstruction": lambda p, n, k, bound: {
-        "p": p, "n": n, "k": k,
-        **dict(zip(("product_dim", "endpoint_dim"), dimension_obstruction(n, k))),
-    },
-    "rank-one-upper": lambda p, n, k, bound: {"p": p, "n": n, "k": k, "bound": bound, "ch0_rank": 1},
-    "rational-cycle-persistence": lambda p, n, k, bound: {"p": p, "n": n, "k": k},
-    "classical-summand-exclusion": lambda p, n, k, bound: {"p": p, "n": n, "k": k},
-    "classical-base": lambda p, n, k, bound: {"p": p, "n": n, "k": k},
-    "type-zero-transfer": lambda p, n, k, bound: {"p": p, "n": n, "k": k, "bound": bound},
-}
-
-
 def _recorded(p: int, k: int, positions: Iterable[tuple[str, int, int]]) -> tuple[ProofStep, ...]:
     """The steps at ``positions`` of a derivation at prime ``p`` and level ``k``."""
     return tuple(
-        ProofStep(rule, tuple(_RECORDED[rule](p, m, k, bound).items()))
+        ProofStep(rule, tuple(RULE_CATALOG[rule].record(p, m, k, bound).items()))
         for rule, m, bound in positions
     )
 

@@ -131,12 +131,45 @@ class TestPrimeOption:
         assert f"Invalid value for '--p': {p} is not prime" in result.stderr
 
     def test_beyond_primality_bound_is_usage_error(self, runner):
+        # 2^89 - 1 is prime, but above the bound below which primality is decided
         result = invoke(runner, "type-bound", "--p", str(2**89 - 1), "--n", "1", "--k", "0")
         assert result.exit_code == 2
-        assert "Invalid value for '--p'" in result.stderr
+        assert (
+            "Invalid value for '--p': primality is only decided below "
+            f"3317044064679887385961981, got p={2**89 - 1}"
+        ) in result.stderr
+
+
+needs_digit_limit = pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit"
+)
+
+
+def invoke_with_digit_limit(runner, digits, *args):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    try:
+        return invoke(runner, *args)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def assert_render_error(result):
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ") and "limit" in result.stderr
+    assert len(result.stderr.splitlines()) == 1
+    assert isinstance(result.exception, SystemExit)
 
 
 class TestChowOrderCommand:
+    @needs_digit_limit
+    def test_order_past_digit_limit_is_error(self, runner):
+        # 7^mu at the top degree has more digits than the default limit allows
+        default = sys.int_info.default_max_str_digits
+        result = invoke_with_digit_limit(runner, default, "chow-order", "--p", "7", "--n", "2", "--k", "1")
+        assert_render_error(result)
+
     def test_round_trip(self, runner):
         result = invoke(runner, "chow-order", "--p", "2", "--n", "1", "--k", "0", "--format", "json")
         payload = json.loads(result.output)
@@ -211,6 +244,16 @@ class TestTypeBoundCommand:
             sys.set_int_max_str_digits(limit)
         assert result.exit_code == 0, result.output
         assert "degree-2^3000 division algebra: -1" in result.output
+
+    @needs_digit_limit
+    def test_trace_past_digit_limit_is_error_except_in_csv(self, runner):
+        # text and JSON print the trace's ~900-digit integers; CSV lists rule ids
+        args = ("type-bound", "--p", "2", "--n", "3000", "--k", "1", "--trace", "--format")
+        for fmt in ("text", "json"):
+            assert_render_error(invoke_with_digit_limit(runner, 640, *args, fmt))
+        result = invoke_with_digit_limit(runner, 640, *args, "csv")
+        assert result.exit_code == 0, result.output
+        assert "step 1,level-bound" in result.stdout
 
     def test_one_derivation_per_invocation(self, runner, monkeypatch):
         # counts every build, whether the command or a judgment asks for it

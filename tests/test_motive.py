@@ -317,6 +317,11 @@ class TestJson:
         with pytest.raises(DomainError, match="malformed motive encoding"):
             MotiveExpr.from_json_obj([{"object": [], "twist": "0", "multiplicity": "1"}])
 
+    @pytest.mark.parametrize("data", [None, 5, {}, ""])
+    def test_top_level_that_is_not_a_list_rejected(self, data):
+        with pytest.raises(DomainError, match="malformed motive encoding"):
+            MotiveExpr.from_json_obj(data)
+
     @pytest.mark.parametrize(
         "obj,twist,multiplicity",
         [

@@ -236,6 +236,22 @@ class TestConclusions:
         for trace in _honest_traces((2, 3), 4):
             assert trace.replay()
 
+    def test_replay_never_records(self, monkeypatch):
+        encoded = [trace.to_json_obj() for trace in _honest_traces((2, 3, 5), 4)]
+
+        def refuse(p, n, k, bound):
+            raise AssertionError("side conditions were recorded")
+
+        for rule_id, rule in list(RULE_CATALOG.items()):
+            monkeypatch.setitem(RULE_CATALOG, rule_id, dataclasses.replace(rule, record=refuse))
+        for entries in encoded:
+            assert ProofTrace.from_json_obj(entries).replay()
+        # the split's conclusion does not print lower_twist, so only its check can fail
+        tampered = next(e for e in encoded if any(s["rule_id"] == "function-field-split" for s in e))
+        split = next(s for s in tampered if s["rule_id"] == "function-field-split")
+        split["conditions"]["lower_twist"] = str(int(split["conditions"]["lower_twist"]) + 1)
+        assert not ProofTrace.from_json_obj(tampered).replay()
+
     def test_closing_conclusions(self):
         rank_one = (
             "type -1 leaves only the upper motive, and the rank-one degree-zero Chow "
@@ -335,6 +351,11 @@ class TestTraceSerialization:
         encoded[0]["conditions"] = []
         with pytest.raises(DomainError, match="malformed trace encoding"):
             ProofTrace.from_json_obj(encoded)
+
+    @pytest.mark.parametrize("data", [None, 5, {}, ""])
+    def test_top_level_that_is_not_a_list_rejected(self, data):
+        with pytest.raises(DomainError, match="malformed trace encoding"):
+            ProofTrace.from_json_obj(data)
 
     def test_conclusion_that_is_not_text_rejected(self):
         encoded = type_bound(variety(2, 4, 2)).trace.to_json_obj()
