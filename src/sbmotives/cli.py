@@ -7,19 +7,21 @@ canonical orderings everywhere.
 Each command body computes its answer once and returns a :class:`Result`
 holding that answer in all three formats: the JSON payload, the CSV rows
 (header first) and the text lines.  Every field is a zero-argument callable,
-so only the format that was asked for is built.  The shared
+so only the format that was asked for is built.  The ``decompose`` and
+``chow-order`` CSV rows are read from the library's encoders.  The shared
 :func:`_renders_result` decorator does everything else: it adds ``--format``
 (``text``, ``json`` or ``csv``, or the ``SBMOTIVES_FORMAT`` environment
 variable) and ``--out``, reports an :class:`EngineError` as ``error: ...`` on
-stderr with exit 1, renders the selected format and writes it.  An integer
-past the interpreter's int-to-str digit limit fails rendering; it is
-reported the same way, before anything is written.  The renderer
-emits every JSON integer as a decimal string, so values above 2**53 survive
-any consumer; ``bool`` and ``None`` stay JSON literals.  CSV fields are
-joined with commas and never quoted.
+stderr with exit 1, renders the selected format and writes it to ``--out``,
+the one output path: stdout for ``-`` (the default), else a file opened only
+then, so a failed command creates none.  An integer past the interpreter's
+int-to-str digit limit fails rendering; it is reported the same way, before
+anything is written.  The renderer emits every JSON integer as a decimal
+string, so values above 2**53 survive any consumer; ``bool`` and ``None`` stay
+JSON literals.  CSV fields are joined with commas and never quoted.
 
-Exit codes: 0 success, 1 engine domain error, 2 usage error, 3 failed
-``verify`` identities.
+Exit codes: 0 success, 1 engine domain error or an ``--out`` that cannot be
+opened, 2 usage error, 3 failed ``verify`` identities.
 """
 
 from __future__ import annotations
@@ -27,12 +29,12 @@ from __future__ import annotations
 import functools
 import json
 import sys
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple, TextIO
 
 import click
 
 from .errors import DomainError, EngineError
-from .motive import TATE, DivisionContext, _is_prime
+from .motive import DivisionContext, _is_prime
 from .qpoly import gaussian_binomial
 from .severi_brauer import (
     CoverageReason,
@@ -94,7 +96,7 @@ def _render(result: Result, fmt: str) -> str:
 def _renders_result(body: Callable[..., Result]):
     """Turn a body returning a :class:`Result` into a command callback."""
 
-    @click.option("--out", "out", type=click.Path(dir_okay=False, writable=True), default=None, help="Write output to a file instead of stdout.")
+    @click.option("--out", "out", type=click.File("w", encoding="utf-8", lazy=True), default="-", metavar="FILE", help="Write output to a file instead of stdout.")
     @click.option(
         "--format",
         "-f",
@@ -106,20 +108,15 @@ def _renders_result(body: Callable[..., Result]):
         help="Output format (env: SBMOTIVES_FORMAT).",
     )
     @functools.wraps(body)
-    def command(fmt: str, out: str | None, **params) -> None:
+    def command(fmt: str, out: TextIO, **params) -> None:
         try:
             result = body(**params)
             text = _render(result, fmt)
         except EngineError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(1)
-        if not text.endswith("\n"):
-            text += "\n"
-        if out is None:
-            sys.stdout.write(text)
-        else:
-            with open(out, "w", encoding="utf-8", newline="") as handle:
-                handle.write(text)
+        out.write(text if text.endswith("\n") else text + "\n")
+        out.flush()  # click re-wraps a stdout not encoded in UTF-8, and only collecting that wrapper flushes it
         if result.exit_code:
             sys.exit(result.exit_code)
 
@@ -193,12 +190,14 @@ def chow_order(p: int, n: int, k: int) -> Result:
     variety = SBVariety(DivisionContext(p, n), k)
     max_i = (variety.context.degree - 1) + variety.dimension()
     reports = [rational_chow_order(variety, deg) for deg in range(max_i + 1)]
+
+    def csv():
+        rows = [r.to_json_obj() for r in reports]  # the header is the encoder's keys
+        return [rows[0].keys(), *(row.values() for row in rows)]
+
     return Result(
         json=lambda: {"p": p, "n": n, "k": k, "rows": [r.to_json_obj() for r in reports]},
-        csv=lambda: [
-            ("i", "mu", "order_exponent", "literal_order"),
-            *((r.i, r.summand_count, r.summand_count, r.literal_order) for r in reports),
-        ],
+        csv=csv,
         text=lambda: [
             f"rational Chow-group orders for p={p}, n={n}, k={k}",
             *(
@@ -224,17 +223,14 @@ def decompose(p: int, n: int, k: int) -> Result:
 
     def csv():
         yield ("kind", "p", "n", "payload", "twist", "multiplicity")
-        for term, mult in expr.term_items():
-            obj = term.obj  # the Tate unit or a product: the split has no upper motive
-            if obj is TATE:
-                yield ("tate", "", "", "", term.twist, mult)
-            else:
-                dims = ";".join(map(str, obj.dims))
-                yield ("product", obj.context.p, obj.context.n, dims, term.twist, mult)
+        for entry in expr.to_json_obj():
+            obj = entry["object"]  # the Tate unit or a product: the split has no upper motive
+            dims = ";".join(obj.get("dims", ()))
+            yield (obj["kind"], obj.get("p", ""), obj.get("n", ""), dims, entry["twist"], entry["multiplicity"])
         yield ("conservation", "", "", status, "", "")
 
     def text():
-        yield f"function-field decomposition of SB_{2**k} (p={p}, n={n}, k={k}):"
+        yield f"function-field decomposition of SB_{variety.reduced_dimension} (p={p}, n={n}, k={k}):"
         if expr.is_zero:
             yield "  (zero motive)"
         for term, mult in expr.term_items():
@@ -271,7 +267,7 @@ def type_bound_command(p: int, n: int, k: int, show_trace: bool) -> Result:
         return payload
 
     def text():
-        yield f"type bound for SB_{p**k} of a degree-{p}^{n} division algebra: {bound.bound}"
+        yield f"type bound for SB_{variety.reduced_dimension} of a degree-{p}^{n} division algebra: {bound.bound}"
         yield f"indecomposability: {summary['indecomposability']}"
         yield f"rigidity: {summary['rigidity']}"
         if show_trace:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import DomainError, UnsupportedOperationError
-from .motive import DivisionContext, MotiveExpr, SBProduct, Term, UpperMotive, _is_prime
+from .motive import _PRIMALITY_BOUND, DivisionContext, MotiveExpr, SBProduct, Term, UpperMotive, _is_prime
 from .qpoly import PartitionBoxSpec, _is_int, count_partitions_in_box
 
 __all__ = [
@@ -225,7 +225,10 @@ def _factorize(k: int) -> list[tuple[int, int]]:
     factors = []
     rest = k
     p = 2
-    composite = rest > 1 and not _is_prime(rest)
+    try:
+        composite = rest > 1 and not _is_prime(rest)
+    except DomainError:  # only k itself can reach the bound: every cofactor is smaller
+        raise DomainError(f"cannot factor {k}: primality is only decided below {_PRIMALITY_BOUND}") from None
     while composite:
         if p > _TRIAL_DIVISION_LIMIT:
             raise DomainError(f"cannot factor {k}: no prime factor up to {_TRIAL_DIVISION_LIMIT}")

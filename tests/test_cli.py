@@ -88,6 +88,34 @@ class TestGaussianCommand:
         assert result.output.strip().startswith("{")
 
 
+class TestOutOption:
+    def assert_open_error(self, result, target):
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.stdout == ""
+        assert result.stderr.startswith(f"Error: Could not open file '{target}': ")
+        assert len(result.stderr.splitlines()) == 1
+
+    @pytest.mark.parametrize("target", ["", "missing/x"])
+    def test_unopenable_target_exits_one_and_creates_nothing(self, runner, tmp_path, monkeypatch, target):
+        monkeypatch.chdir(tmp_path)
+        result = invoke(runner, "gaussian", "4", "2", "--out", target)
+        self.assert_open_error(result, target)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_directory_target_exits_one(self, runner, tmp_path):
+        result = invoke(runner, "gaussian", "4", "2", "--out", str(tmp_path))
+        self.assert_open_error(result, str(tmp_path))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_dash_writes_stdout(self, runner, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        result = invoke(runner, "gaussian", "4", "2", "--format", "json", "--out", "-")
+        assert result.exit_code == 0
+        assert result.stdout == '{"0":"1","1":"1","2":"2","3":"1","4":"1"}\n'
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestMuCommand:
     def test_single_value(self, runner):
         result = invoke(runner, "mu", "--p", "2", "--n", "1", "--k", "0", "--i", "2", "--format", "json")
@@ -310,6 +338,14 @@ class TestConjectureBounds:
         assert result.exit_code == 1
         assert result.stderr.startswith("error: cannot factor")
         assert time.perf_counter() - start < 1.0
+
+    def test_k_beyond_primality_bound_names_k(self, runner):
+        k = 2 * 3317044064679887385961981
+        result = invoke(runner, "conjecture", "--k", str(k))
+        assert result.exit_code == 1
+        assert result.stderr.startswith("error: ")
+        assert str(k) in result.stderr and "primality is only decided below" in result.stderr
+        assert "p=" not in result.stderr
 
 
 class TestVerifyCommand:
