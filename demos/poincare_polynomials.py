@@ -24,8 +24,9 @@ print("\npartitions in the 2x2 box:")
 for lam in enumerate_partitions_in_box(2, 2):
     print("  ", lam, "size", sum(lam))
 
-# Two independent counters agree: a dynamic-programming recurrence (the
-# production path) and the exhaustive enumerator (the oracle).
+# Two more counters, independent of the binomial and of each other, serve as
+# its oracles: a dynamic-programming recurrence and the exhaustive enumerator.
+# Both agree with the degree-2 coefficient above.
 box = PartitionBoxSpec(parts=2, max_part=2, size=2)
 print("\ncount by recurrence:  ", count_partitions_in_box(box))
 by_enumeration = sum(sum(lam) == box.size for lam in enumerate_partitions_in_box(2, 2))

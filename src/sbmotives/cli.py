@@ -42,7 +42,8 @@ from .severi_brauer import (
     classify_reduced_dimension,
     function_field_decomposition,
     mu,
-    rational_chow_order,
+    mu_table,
+    rational_chow_orders,
 )
 from .type_calculus import type_bound
 from .verify import run_identity_suite
@@ -172,9 +173,7 @@ def mu_command(p: int, n: int, k: int, i: int | None, all_: bool) -> Result:
     if (i is None) == (not all_):
         raise click.UsageError("exactly one of --i or --all is required")
     context = DivisionContext(p, n)
-    variety = SBVariety(context, k)  # validates the level range
-    degrees = range(0, context.degree + variety.dimension() + 1) if all_ else [i]
-    table = [(deg, mu(context, k, deg)) for deg in degrees]
+    table = mu_table(SBVariety(context, k)) if all_ else [(i, mu(context, k, i))]
     return Result(
         json=lambda: {"p": p, "n": n, "k": k, "values": [{"i": d, "mu": c} for d, c in table]},
         csv=lambda: [("i", "mu"), *table],
@@ -187,9 +186,7 @@ def mu_command(p: int, n: int, k: int, i: int | None, all_: bool) -> Result:
 @_renders_result
 def chow_order(p: int, n: int, k: int) -> Result:
     """Orders of the rational Chow groups of SB_1 x SB_{p^k}, all degrees."""
-    variety = SBVariety(DivisionContext(p, n), k)
-    max_i = (variety.context.degree - 1) + variety.dimension()
-    reports = [rational_chow_order(variety, deg) for deg in range(max_i + 1)]
+    reports = rational_chow_orders(SBVariety(DivisionContext(p, n), k))
 
     def csv():
         rows = [r.to_json_obj() for r in reports]  # the header is the encoder's keys

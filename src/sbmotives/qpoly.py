@@ -7,19 +7,16 @@ coefficients, so fixed-width arithmetic would silently overflow and is never
 used.  Polynomials are supported on nonnegative degrees only; every twist that
 occurs in the decomposition formulas handled by this package is nonnegative.
 
-The module also counts integer partitions constrained to a box (at most
-``parts`` rows, every entry at most ``max_part``).  Two independent
-implementations are shipped on purpose: a dynamic-programming recurrence
-(:func:`count_partitions_in_box`, the production path) and an exhaustive
-enumerator (:func:`enumerate_partitions_in_box`, kept as a cross-checking
-oracle).
-The degree-``s`` coefficient of ``gaussian_binomial(m + c, c)``
-equals the number of partitions of ``s`` inside an ``m x c`` box.
+The degree-``s`` coefficient of ``gaussian_binomial(m + c, c)`` equals the
+number of partitions of ``s`` inside an ``m x c`` box (at most ``m`` rows,
+every entry at most ``c``), and the package reads box counts only there.
 :func:`gaussian_binomial` computes it by the q-product formula, stepping
 along row ``d`` from the nearest value still cached, and hands out one object
-for ``[d, k]`` and ``[d, d-k]``; it shares no code with the DP or the
-enumerator.  The test suite and the ``verify`` command check the product
-formula, the DP and the enumerator against each other.
+for ``[d, k]`` and ``[d, d-k]``.  Two counters sharing no code with it are
+kept as its oracles: a dynamic-programming recurrence
+(:func:`count_partitions_in_box`) and an exhaustive enumerator
+(:func:`enumerate_partitions_in_box`) that checks the DP on small boxes.
+The test suite and the ``verify`` command check all three against each other.
 
 Every dense sum goes through one accumulator, :func:`_sum_of_shifts`: a sum,
 a scalar multiple and the Poincare sums of ``motive``.  Every product of two
@@ -434,7 +431,8 @@ def _box_size_counts(parts: int, max_part: int) -> tuple[int, ...]:
 def count_partitions_in_box(box: PartitionBoxSpec) -> int:
     """Number of weakly decreasing sequences of length ``parts`` with entries
     in ``[0, max_part]`` summing to ``size``.  Sizes beyond the box capacity
-    count zero."""
+    count zero.  An oracle: the package reads these counts as coefficients of
+    :func:`gaussian_binomial`, and ``verify`` checks one against the other."""
     if box.size > box.capacity:
         return 0
     return _box_size_counts(box.parts, box.max_part)[box.size]

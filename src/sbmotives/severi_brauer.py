@@ -21,13 +21,15 @@ from enum import Enum
 
 from .errors import DomainError, UnsupportedOperationError
 from .motive import _PRIMALITY_BOUND, DivisionContext, MotiveExpr, SBProduct, Term, UpperMotive, _is_prime
-from .qpoly import PartitionBoxSpec, _is_int, count_partitions_in_box
+from .qpoly import _is_int, gaussian_binomial
 
 __all__ = [
     "SBVariety",
     "ChowOrderReport",
     "mu",
+    "mu_table",
     "rational_chow_order",
+    "rational_chow_orders",
     "function_field_decomposition",
     "function_field_endpoints",
     "CoverageReason",
@@ -60,22 +62,33 @@ class SBVariety:
         return f"SB(p={self.context.p}, n={self.context.n}, level={self.level})"
 
 
-def mu(context: DivisionContext, level: int, i: int) -> int:
-    """Number of partitions with ``p**n - p**level`` parts, each at most
-    ``p**level``, of total size ``p**n + p**level*(p**n - p**level) - i``.
+def _top_degree(variety: SBVariety) -> int:
+    """``deg + dim``: ``mu`` vanishes above it; Chow orders stop one below."""
+    return variety.context.degree + variety.dimension()
 
-    Zero whenever the target size falls outside the box.  These counts index
-    the rational cycle classes in homological degree ``i - 1`` on the product
-    of the classical variety with the level-``level`` one.
+
+def mu(context: DivisionContext, level: int, i: int) -> int:
+    """The coefficient of ``q**(deg + dim - i)`` in ``[p**n, p**level]_q``
+    (``deg = p**n``, ``dim`` that of ``SB_{p^level}``): the number of
+    partitions of that size in a ``(p**n - p**level) x p**level`` box.
+
+    Zero, before the binomial is built, when the size falls outside
+    ``[0, dim]``.  These counts index the rational cycle classes in
+    homological degree ``i - 1`` on the product of the classical variety with
+    the level-``level`` one.
     """
     variety = SBVariety(context, level)  # validates the level range
     if not _is_int(i):
         raise DomainError(f"homological degree must be an integer, got {i!r}")
-    reduced = variety.reduced_dimension
-    target = context.degree + variety.dimension() - i
-    if target < 0:
+    target = _top_degree(variety) - i
+    if not 0 <= target <= variety.dimension():
         return 0
-    return count_partitions_in_box(PartitionBoxSpec(context.degree - reduced, reduced, target))
+    return gaussian_binomial(context.degree, variety.reduced_dimension).coefficient(target)
+
+
+def mu_table(variety: SBVariety) -> tuple[tuple[int, int], ...]:
+    """``(i, mu)`` for every ``0 <= i <= deg + dim``."""
+    return tuple((i, mu(variety.context, variety.level, i)) for i in range(_top_degree(variety) + 1))
 
 
 @dataclass(frozen=True)
@@ -116,17 +129,15 @@ def rational_chow_order(variety: SBVariety, i: int) -> ChowOrderReport:
 
     Valid for ``0 <= i <= dim(SB_1(D) x SB_{p^level}(D))``.
     """
-    context = variety.context
-    max_i = (context.degree - 1) + variety.dimension()
+    max_i = _top_degree(variety) - 1
     if not _is_int(i) or not 0 <= i <= max_i:
-        raise DomainError(
-            f"homological degree must satisfy 0 <= i <= {max_i}, got {i!r}"
-        )
-    return ChowOrderReport(
-        prime=context.p,
-        i=i,
-        summand_count=mu(context, variety.level, i + 1),
-    )
+        raise DomainError(f"homological degree must satisfy 0 <= i <= {max_i}, got {i!r}")
+    return ChowOrderReport(prime=variety.context.p, i=i, summand_count=mu(variety.context, variety.level, i + 1))
+
+
+def rational_chow_orders(variety: SBVariety) -> tuple[ChowOrderReport, ...]:
+    """The report of every homological degree, ascending."""
+    return tuple(rational_chow_order(variety, i) for i in range(_top_degree(variety)))
 
 
 def _half_degree(context: DivisionContext) -> DivisionContext:

@@ -241,10 +241,9 @@ def _check_mu_duality(max_n: int) -> list[str]:
             for k in range(n + 1):
                 reduced = p**k
                 capacity = reduced * (degree - reduced)
-                poly = gaussian_binomial(degree, reduced)
                 for i in range(0, degree + capacity + 2):
                     target = degree + capacity - i
-                    expected = poly.coefficient(target) if target >= 0 else 0
+                    expected = count_partitions_in_box(PartitionBoxSpec(degree - reduced, reduced, target)) if target >= 0 else 0
                     if mu(context, k, i) != expected:
                         failures.append(f"mu duality fails at (p={p}, n={n}, k={k}, i={i})")
     return failures

@@ -190,6 +190,26 @@ def assert_render_error(result):
     assert isinstance(result.exception, SystemExit)
 
 
+class TestBoxCountsReadTheBinomial:
+    """``mu`` and ``chow-order`` read box counts from the Gaussian binomial;
+    the box DP is only the oracle ``verify`` compares them with."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("chow-order", "--p", "3", "--n", "2", "--k", "1"),
+            ("mu", "--p", "3", "--n", "2", "--k", "1", "--all"),
+            ("mu", "--p", "2", "--n", "3", "--k", "2", "--i", "20"),
+        ],
+        ids=["chow-order", "mu-all", "mu-i"],
+    )
+    def test_command_runs_no_box_dp(self, runner, args):
+        qpoly._box_size_counts.cache_clear()
+        result = invoke(runner, *args)
+        assert result.exit_code == 0
+        assert qpoly._box_size_counts.cache_info().misses == 0
+
+
 class TestChowOrderCommand:
     @needs_digit_limit
     def test_order_past_digit_limit_is_error(self, runner):
@@ -402,6 +422,39 @@ class TestVerifyCommand:
         assert verify_module._check_box_count_oracle(1) == [
             "recurrence vs enumeration mismatch at (2,2,5)",
             "recurrence vs enumeration mismatch at (3,4,5)",
+        ]
+
+    def test_box_count_duality_reports_every_planted_mismatch(self, monkeypatch):
+        original = verify_module.count_partitions_in_box
+        planted = {(3, 4, 5), (2, 2, 5)}
+
+        def off_by_one(box):
+            wrong = (box.parts, box.max_part, box.size) in planted
+            return original(box) + wrong
+
+        monkeypatch.setattr(verify_module, "count_partitions_in_box", off_by_one)
+        assert verify_module._check_box_count_duality(1) == [
+            "box count (2,2,5) != coefficient",
+            "box count (3,4,5) != coefficient",
+        ]
+
+    def test_mu_duality_reports_every_planted_mismatch(self, monkeypatch):
+        # mu reads the Gaussian binomial, so a fault planted in the box DP
+        # that verify compares it with shows up as a mu-duality failure.
+        # Box (2, 2, s) is queried only at (p=2, n=2, k=1), at i = 8 - s;
+        # box (2, 1, s) only at (p=3, n=1, k=0), at i = 5 - s.
+        original = verify_module.count_partitions_in_box
+        planted = {(2, 2, 5), (2, 2, 3), (2, 1, 0)}
+
+        def off_by_one(box):
+            wrong = (box.parts, box.max_part, box.size) in planted
+            return original(box) + wrong
+
+        monkeypatch.setattr(verify_module, "count_partitions_in_box", off_by_one)
+        assert verify_module._check_mu_duality(3) == [
+            "mu duality fails at (p=2, n=2, k=1, i=3)",
+            "mu duality fails at (p=2, n=2, k=1, i=5)",
+            "mu duality fails at (p=3, n=1, k=0, i=5)",
         ]
 
     def test_failure_exits_three(self, runner, monkeypatch):

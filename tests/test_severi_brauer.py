@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from sbmotives import (
@@ -16,7 +18,9 @@ from sbmotives import (
     function_field_endpoints,
     gaussian_binomial,
     mu,
+    mu_table,
     rational_chow_order,
+    rational_chow_orders,
 )
 
 
@@ -80,6 +84,20 @@ class TestMu:
     def test_negative_target_counts_zero(self):
         assert mu(DivisionContext(2, 1), 0, 100) == 0
 
+    def test_out_of_box_target_builds_no_binomial(self):
+        gaussian_binomial.cache_clear()
+        assert mu(DivisionContext(101, 2), 1, 5) == 0
+        assert mu(DivisionContext(101, 2), 1, 10201 + 101 * 10100 + 1) == 0
+        assert gaussian_binomial.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("p, n, k", [(2, 0, 0), (2, 1, 0), (2, 3, 2), (3, 2, 1)])
+    def test_table_covers_every_degree_up_to_deg_plus_dim(self, p, n, k):
+        v = SBVariety(DivisionContext(p, n), k)
+        top = p**n + v.dimension()
+        assert mu_table(v) == tuple((i, mu(v.context, k, i)) for i in range(top + 1))
+        # every partition in the box is counted once, at i = top - size
+        assert sum(count for _, count in mu_table(v)) == math.comb(p**n, p**k)
+
 
 class TestChowOrder:
     def test_degenerate_cases(self):
@@ -102,6 +120,12 @@ class TestChowOrder:
             rational_chow_order(v, 3)
         with pytest.raises(DomainError):
             rational_chow_order(v, -1)
+
+    @pytest.mark.parametrize("p, n, k", [(2, 0, 0), (2, 1, 0), (2, 3, 2), (3, 2, 1)])
+    def test_reports_cover_every_degree_of_the_product(self, p, n, k):
+        v = SBVariety(DivisionContext(p, n), k)
+        product_dim = (p**n - 1) + v.dimension()  # dim SB_1 + dim SB_{p^k}
+        assert rational_chow_orders(v) == tuple(rational_chow_order(v, i) for i in range(product_dim + 1))
 
     def test_exponent_zero_exactly_off_the_box(self):
         # inside [0, capacity] some partition always exists, so the group is

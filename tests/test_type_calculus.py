@@ -200,6 +200,35 @@ class TestNamedVariety:
         assert ProofStep("level-bound", (("p", 5), ("n", 2), ("k", 0), ("bound", -1))).replay()
 
 
+class TestLoneStepConjuncts:
+    """Each tamper breaks one conjunct of its rule's check and keeps every
+    other one true, so only that conjunct can reject it."""
+
+    @pytest.mark.parametrize(
+        "rule_id, name, tampered",
+        [
+            pytest.param(rule_id, name, tampered, id=f"{rule_id}-{name}")
+            for rule_id, name, tampered in (
+                ("valuation-case-split", "required_level", lambda c: c["required_level"] + 1),
+                ("function-field-split", "term_count", lambda c: c["term_count"] + 1),
+                ("rank-one-upper", "bound", lambda c: 0),
+                ("type-zero-transfer", "bound", lambda c: 1),
+                ("classical-summand-exclusion", "k", lambda c: 0),
+                ("level-bound", "bound", lambda c: c["k"]),
+            )
+        ],
+    )
+    def test_tamper_fails_replay(self, rule_id, name, tampered):
+        step = _lone_steps()[rule_id]
+        assert step.replay()
+        conditions = step.conditions()
+        assert conditions["n"] >= 1  # so k = 0 still names a variety
+        value = tampered(conditions)
+        assert value != conditions[name]
+        conditions[name] = value
+        assert not ProofStep(rule_id, tuple(conditions.items())).replay()
+
+
 class TestConclusions:
     """A step's conclusion is the catalog's rendering of its side conditions;
     a decoded conclusion that differs decodes, and fails replay."""
