@@ -18,21 +18,22 @@ count.
 Every derivation is returned as a :class:`ProofTrace`: an ordered list of
 steps whose numeric side conditions can be re-checked from the recorded
 values alone, with no access to engine state (:meth:`ProofTrace.replay`).  A
-step records its rule and its side conditions; its conclusion and citation
-come from the fixed rule catalog, rendered only when a trace is printed or
-encoded, so building and replaying format no text.  A decoded citation that
-differs from the catalog's is rejected, and a decoded conclusion that
-differs fails replay.  The induction is replayed in full for the requested
-exponent rather than memoized away, so traces are self-contained.  One
-generator fixes the rule and subject of each position of a derivation; the
-builders fill in side conditions along it from each rule's catalog row
-(:attr:`Rule.record`), and replay checks that each position holds the rule
-it calls for there, and that every step speaks about the variety of the
-opening level bound.  The four rung rules of the halving induction are
-``p = 2`` rules, and their checks require ``p = 2``; every other rule
-checks its variety through the engine, by building the :class:`SBVariety`
-(``p`` prime, ``0 <= k <= n``), so even a lone step about an algebra that
-does not exist fails replay.  Decoding reads integers only
+trace is recorded when it is first read, so a caller that wants only the
+bound or the verdict records nothing.  A step records its rule and its side
+conditions; its conclusion and citation come from the fixed rule catalog,
+rendered only when a trace is printed or encoded, so building and replaying
+format no text.  A decoded citation that differs from the catalog's is
+rejected, and a decoded conclusion that differs fails replay.  The induction
+is replayed in full for the requested exponent rather than memoized away, so
+traces are self-contained.  One generator fixes the rule and subject of each
+position of a derivation; recording fills in side conditions along it from
+each rule's catalog row (:attr:`Rule.record`), and replay checks that each
+position holds the rule it calls for there, and that every step speaks about
+the variety of the opening level bound.  The four rung rules of the halving
+induction are ``p = 2`` rules, and their checks require ``p = 2``; every
+other rule checks its variety through the engine, by building the
+:class:`SBVariety` (``p`` prime, ``0 <= k <= n``), so even a lone step about
+an algebra that does not exist fails replay.  Decoding reads integers only
 from canonical decimal strings, as :meth:`ProofTrace.to_json_obj` writes
 them.  Every rule check is closed form, so replaying the trace of level
 ``k`` and exponent ``n`` takes time linear in ``n - k``.  A check builds a
@@ -45,8 +46,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from itertools import islice
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
+from typing import Callable, Iterator, Mapping, NamedTuple
 
 from .errors import DomainError
 from .motive import DivisionContext
@@ -77,7 +79,7 @@ class Rule:
     """A named inference rule, one row of :data:`RULE_CATALOG`.
 
     ``citation`` is the rule's statement followed by its source in brackets.
-    ``record(p, n, k, bound)`` is what the builders record at exponent ``n``,
+    ``record(p, n, k, bound)`` is what a trace records at exponent ``n``,
     in encoding order.  ``check`` re-evaluates recorded side conditions
     alone; it is what :meth:`ProofTrace.replay` runs, and replay never calls
     ``record``.  ``template`` states the conclusion a step draws from its
@@ -161,12 +163,10 @@ def _check_dimension_obstruction(c: Conditions) -> bool:
     p, n, k = c["p"], c["n"], c["k"]
     if p != 2 or not 1 <= k <= n or not _power_fits(c["endpoint_dim"], n + k - 2):
         return False
-    product_dim = (1 << (n + k - 1)) - (1 << (2 * k - 1))
-    endpoint_dim = (1 << (n + k - 1)) - (1 << (2 * k - 2))
+    # product_dim < endpoint_dim follows from these, as 2^(2k-1) > 2^(2k-2)
     return (
-        c["product_dim"] == product_dim
-        and c["endpoint_dim"] == endpoint_dim
-        and product_dim < endpoint_dim
+        c["product_dim"] == (1 << (n + k - 1)) - (1 << (2 * k - 1))
+        and c["endpoint_dim"] == (1 << (n + k - 1)) - (1 << (2 * k - 2))
     )
 
 
@@ -446,9 +446,6 @@ class ProofTrace:
     def __len__(self) -> int:
         return len(self.steps)
 
-    def extended(self, *steps: ProofStep) -> "ProofTrace":
-        return ProofTrace(self.steps + steps)
-
     def replay(self) -> bool:
         """True when no position fails (:meth:`failing_steps`)."""
         return not self.failing_steps()
@@ -576,12 +573,15 @@ class TypeBound:
     ``bound`` is at most ``level - 1`` (the level bound always applies) and
     at least -1 (there are no upper motives of negative level to exclude).
     Both verdicts are read off the bound; the judgments add the closing
-    steps of their derivations.
+    steps of their derivations.  The trace is recorded when first read.
     """
 
     variety: SBVariety
     bound: int
-    trace: ProofTrace
+
+    @cached_property
+    def trace(self) -> ProofTrace:
+        return _trace(self.variety, None)
 
     @property
     def indecomposability(self) -> IndecomposabilityStatus:
@@ -598,12 +598,14 @@ class TypeBound:
         return RigidityStatus.UNKNOWN
 
 
-def _recorded(p: int, k: int, positions: Iterable[tuple[str, int, int]]) -> tuple[ProofStep, ...]:
-    """The steps at ``positions`` of a derivation at prime ``p`` and level ``k``."""
-    return tuple(
+def _trace(variety: SBVariety, closing: str | None) -> ProofTrace:
+    """The derivation about ``variety`` followed by ``closing``, each position
+    recorded from its catalog row; the only caller of :attr:`Rule.record`."""
+    p, n, k = variety.context.p, variety.context.n, variety.level
+    return ProofTrace(tuple(
         ProofStep(rule, tuple(RULE_CATALOG[rule].record(p, m, k, bound).items()))
-        for rule, m, bound in positions
-    )
+        for rule, m, bound in _derivation(p, n, k, closing)
+    ))
 
 
 def type_bound(variety: SBVariety) -> TypeBound:
@@ -611,39 +613,39 @@ def type_bound(variety: SBVariety) -> TypeBound:
 
     The level bound gives ``level - 1`` for every prime.  For ``p = 2`` and
     ``level >= 1`` the halving induction improves it to ``level - 2``, which
-    is at least -1; the full induction is recorded in the trace.
+    is at least -1.  It is read off the derivation, which is not recorded.
     """
-    p, n, k = variety.context.p, variety.context.n, variety.level
-    positions = list(_derivation(p, n, k))
-    return TypeBound(variety, positions[-1][2], ProofTrace(_recorded(p, k, positions)))
+    for _, _, bound in _derivation(variety.context.p, variety.context.n, variety.level):
+        pass
+    return TypeBound(variety, bound)
+
+
+_CLOSING = {
+    IndecomposabilityStatus.INDECOMPOSABLE: "rank-one-upper",
+    RigidityStatus.CONJECTURE_HOLDS: "rational-cycle-persistence",
+}
 
 
 @dataclass(frozen=True)
 class Judgment:
-    """A verdict on a variety, the type bound it rests on, and its derivation."""
+    """A verdict on a variety, the type bound it rests on, and its derivation:
+    the type bound's, then the closing whose first rule ``_CLOSING`` names for
+    the status, if any.  The trace is recorded when first read."""
 
     variety: SBVariety
     status: IndecomposabilityStatus | RigidityStatus
     bound: int
-    trace: ProofTrace
 
-
-def _closed(derived: TypeBound, closing: str | None) -> ProofTrace:
-    """The trace of ``derived``, followed by the positions of ``closing``."""
-    if closing is None:
-        return derived.trace
-    p, n, k = derived.variety.context.p, derived.variety.context.n, derived.variety.level
-    positions = islice(_derivation(p, n, k, closing), len(derived.trace), None)
-    return derived.trace.extended(*_recorded(p, k, positions))
+    @cached_property
+    def trace(self) -> ProofTrace:
+        return _trace(self.variety, _CLOSING.get(self.status))
 
 
 def indecomposability_judgment(variety: SBVariety) -> Judgment:
     """Indecomposable when the derived type bound reaches -1; never the
     opposite claim, since the calculus only proves upper bounds."""
     derived = type_bound(variety)
-    status = derived.indecomposability
-    closing = "rank-one-upper" if status is IndecomposabilityStatus.INDECOMPOSABLE else None
-    return Judgment(variety, status, derived.bound, _closed(derived, closing))
+    return Judgment(variety, derived.indecomposability, derived.bound)
 
 
 def rigidity_judgment(variety: SBVariety) -> Judgment:
@@ -657,6 +659,4 @@ def rigidity_judgment(variety: SBVariety) -> Judgment:
     it holds over every extension at once.
     """
     derived = type_bound(variety)
-    status = derived.rigidity
-    closing = "rational-cycle-persistence" if status is RigidityStatus.CONJECTURE_HOLDS else None
-    return Judgment(variety, status, derived.bound, _closed(derived, closing))
+    return Judgment(variety, derived.rigidity, derived.bound)

@@ -315,7 +315,7 @@ def _check_type_bound_table(max_n: int) -> list[str]:
                 expected = max(k - 2, -1) if (p == 2 and k >= 1) else k - 1
                 if derived.bound != expected:
                     failures.append(f"type bound (p={p}, n={n}, k={k}) = {derived.bound}")
-                if not -1 <= derived.bound <= k - 1 and k >= 0:
+                if not -1 <= derived.bound <= k - 1:
                     failures.append(f"bound outside [-1, k-1] at (p={p}, n={n}, k={k})")
     return failures
 

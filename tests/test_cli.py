@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import sys
 import time
@@ -455,6 +456,75 @@ class TestVerifyCommand:
             "mu duality fails at (p=2, n=2, k=1, i=3)",
             "mu duality fails at (p=2, n=2, k=1, i=5)",
             "mu duality fails at (p=3, n=1, k=0, i=5)",
+        ]
+
+    def test_dimension_obstruction_reports_every_planted_mismatch(self, monkeypatch):
+        original = verify_module.dimension_obstruction
+
+        def planted(n, k):
+            result = original(n, k)
+            return result._replace(endpoint_dim=result.endpoint_dim + ((n, k) == (6, 3)))
+
+        monkeypatch.setattr(verify_module, "dimension_obstruction", planted)
+        assert verify_module._check_dimension_obstruction(1) == ["obstruction fails at (n=6, k=3)"]
+
+    def test_type_bound_table_reports_every_planted_mismatch(self, monkeypatch):
+        # -2 at (2, 3, 1) is also below the range; 0 at (3, 2, 2) is inside it
+        original = verify_module.type_bound
+        planted = {(2, 3, 1): -2, (3, 2, 2): 0}
+
+        def wrong_bound(variety):
+            derived = original(variety)
+            key = (variety.context.p, variety.context.n, variety.level)
+            return dataclasses.replace(derived, bound=planted.get(key, derived.bound))
+
+        monkeypatch.setattr(verify_module, "type_bound", wrong_bound)
+        assert verify_module._check_type_bound_table(3) == [
+            "type bound (p=2, n=3, k=1) = -2",
+            "bound outside [-1, k-1] at (p=2, n=3, k=1)",
+            "type bound (p=3, n=2, k=2) = 0",
+        ]
+
+    def test_indecomposability_level_one_reports_every_planted_mismatch(self, monkeypatch):
+        original = verify_module.indecomposability_judgment
+
+        def unknown_at_two(variety):
+            judgment = original(variety)
+            if variety.context.n != 2:
+                return judgment
+            return dataclasses.replace(judgment, status=type_calculus.IndecomposabilityStatus.UNKNOWN)
+
+        monkeypatch.setattr(verify_module, "indecomposability_judgment", unknown_at_two)
+        assert verify_module._check_indecomposability_level_one(3) == [
+            "level-1 variety not judged indecomposable at n=2"
+        ]
+
+    def test_trace_replay_reports_every_planted_mismatch(self, monkeypatch):
+        # claiming rigidity at bound 1 closes with a type-zero transfer of
+        # bound 1, which fails replay
+        original = verify_module.rigidity_judgment
+
+        def overclaiming(variety):
+            judgment = original(variety)
+            if (variety.context.p, variety.context.n, variety.level) != (3, 2, 2):
+                return judgment
+            return dataclasses.replace(judgment, status=type_calculus.RigidityStatus.CONJECTURE_HOLDS)
+
+        monkeypatch.setattr(verify_module, "rigidity_judgment", overclaiming)
+        assert verify_module._check_trace_replay(2) == ["trace replay fails at (p=3, n=2, k=2)"]
+
+    def test_rigidity_classifier_agreement_reports_every_planted_mismatch(self, monkeypatch):
+        original = verify_module.rigidity_judgment
+
+        def unknown_at(variety):
+            judgment = original(variety)
+            if (variety.context.p, variety.context.n, variety.level) != (5, 2, 1):
+                return judgment
+            return dataclasses.replace(judgment, status=type_calculus.RigidityStatus.UNKNOWN)
+
+        monkeypatch.setattr(verify_module, "rigidity_judgment", unknown_at)
+        assert verify_module._check_rigidity_classifier_agreement(1) == [
+            "rigidity unknown at (p=5, n=2, level=1)"
         ]
 
     def test_failure_exits_three(self, runner, monkeypatch):

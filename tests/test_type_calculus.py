@@ -3,6 +3,7 @@ import json
 import time
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from sbmotives import (
@@ -19,6 +20,7 @@ from sbmotives import (
     rigidity_judgment,
     type_bound,
 )
+from sbmotives.cli import cli
 from sbmotives.type_calculus import _RUNG
 
 
@@ -281,6 +283,31 @@ class TestConclusions:
         split["conditions"]["lower_twist"] = str(int(split["conditions"]["lower_twist"]) + 1)
         assert not ProofTrace.from_json_obj(tampered).replay()
 
+    def test_bounds_and_verdicts_never_record(self, monkeypatch):
+        def refuse(p, n, k, bound):
+            raise AssertionError("side conditions were recorded")
+
+        for rule_id, rule in list(RULE_CATALOG.items()):
+            monkeypatch.setitem(RULE_CATALOG, rule_id, dataclasses.replace(rule, record=refuse))
+        monkeypatch.delenv("SBMOTIVES_FORMAT", raising=False)
+        v = variety(2, 40, 3)
+        derived = type_bound(v)
+        assert (derived.bound, derived.indecomposability, derived.rigidity) == (
+            1, IndecomposabilityStatus.UNKNOWN, RigidityStatus.UNKNOWN,
+        )
+        for judgment in (indecomposability_judgment(v), rigidity_judgment(v)):
+            assert (judgment.bound, judgment.status.value) == (1, "unknown")
+        for fmt in ("text", "json", "csv"):
+            result = CliRunner().invoke(cli, ["type-bound", "--p", "2", "--n", "40", "--k", "3", "--format", fmt])
+            assert result.exit_code == 0, (fmt, result.output)
+        with pytest.raises(AssertionError, match="recorded"):
+            derived.trace
+
+    def test_trace_is_recorded_once(self):
+        v = variety(2, 5, 2)
+        for built in (type_bound(v), indecomposability_judgment(v), rigidity_judgment(v)):
+            assert built.trace is built.trace
+
     def test_closing_conclusions(self):
         rank_one = (
             "type -1 leaves only the upper motive, and the rank-one degree-zero Chow "
@@ -447,7 +474,7 @@ class TestReplayProperties:
     def test_step_about_another_variety_fails_replay(self):
         other = rigidity_judgment(variety(2, 5, 2)).trace
         trace = rigidity_judgment(variety(2, 6, 2)).trace
-        assert not trace.extended(other.steps[-1]).replay()
+        assert not ProofTrace(trace.steps + other.steps[-1:]).replay()
 
 
 def _one_step_edits(steps):
