@@ -20,11 +20,11 @@ level ``n`` to the Tate unit (the variety is a rational point).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import reduce
 from operator import mul
 from typing import Iterable, Mapping, Union
 
+from ._record import Record, set_field
 from .errors import DomainError, UnsupportedOperationError
 from .qpoly import GradedRankPoly, _int_from_json, _is_int, _sum_of_shifts, gaussian_binomial
 
@@ -79,8 +79,7 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class DivisionContext:
+class DivisionContext(Record):
     """A p-primary division algebra reduced to its prime and exponent.
 
     The algebra has degree ``p**n``; ``n == 0`` is the split case.  The prime
@@ -91,20 +90,37 @@ class DivisionContext:
     p: int
     n: int
 
-    def __post_init__(self) -> None:
-        if not _is_int(self.p) or not _is_prime(self.p):
-            raise DomainError(f"p must be a prime number, got {self.p!r}")
-        if not _is_int(self.n) or self.n < 0:
-            raise DomainError(f"exponent n must be a nonnegative integer, got {self.n!r}")
+    def __init__(self, p: int, n: int) -> None:
+        if not _is_int(p) or not _is_prime(p):
+            raise DomainError(f"p must be a prime number, got {p!r}")
+        if not _is_int(n) or n < 0:
+            raise DomainError(f"exponent n must be a nonnegative integer, got {n!r}")
+        set_field(self, "p", p)
+        set_field(self, "n", n)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.p, self.n) == (other.p, other.n)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.n))
 
     @property
     def degree(self) -> int:
         return self.p**self.n
 
 
-@dataclass(frozen=True)
-class TateUnit:
+class TateUnit(Record):
     """The unit object; every twist of it is a Tate motive."""
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return True
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(())
 
     def __repr__(self) -> str:
         return "Tate"
@@ -113,25 +129,31 @@ class TateUnit:
 TATE = TateUnit()
 
 
-@dataclass(frozen=True)
-class UpperMotive:
+class UpperMotive(Record):
     """Upper motive of the variety of reduced-dimension ``p**level`` ideals."""
 
     context: DivisionContext
     level: int
 
-    def __post_init__(self) -> None:
-        if not _is_int(self.level) or not 0 <= self.level <= self.context.n:
-            raise DomainError(
-                f"level must satisfy 0 <= level <= {self.context.n}, got {self.level!r}"
-            )
+    def __init__(self, context: DivisionContext, level: int) -> None:
+        if not _is_int(level) or not 0 <= level <= context.n:
+            raise DomainError(f"level must satisfy 0 <= level <= {context.n}, got {level!r}")
+        set_field(self, "context", context)
+        set_field(self, "level", level)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.context, self.level) == (other.context, other.level)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.context, self.level))
 
     def __repr__(self) -> str:
         return f"Upper(p={self.context.p}, n={self.context.n}, level={self.level})"
 
 
-@dataclass(frozen=True)
-class SBProduct:
+class SBProduct(Record):
     """Motive of a product of Severi-Brauer varieties of one division algebra.
 
     ``dims`` lists the reduced dimensions of the factors, each in
@@ -144,15 +166,24 @@ class SBProduct:
     context: DivisionContext
     dims: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        dims = tuple(self.dims)
-        degree = self.context.degree
+    def __init__(self, context: DivisionContext, dims: tuple[int, ...]) -> None:
+        dims = tuple(dims)
+        degree = context.degree
         for d in dims:
             if not _is_int(d) or not 0 <= d <= degree:
                 raise DomainError(
                     f"reduced dimension must lie in [0, {degree}], got {d!r}"
                 )
-        object.__setattr__(self, "dims", tuple(sorted(d for d in dims if 0 < d < degree)))
+        set_field(self, "context", context)
+        set_field(self, "dims", tuple(sorted(d for d in dims if 0 < d < degree)))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.context, self.dims) == (other.context, other.dims)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.context, self.dims))
 
     def __repr__(self) -> str:
         return f"SBProduct(p={self.context.p}, n={self.context.n}, dims={self.dims})"
@@ -182,8 +213,7 @@ def normalize_object(obj: MotiveObject) -> MotiveObject:
     raise DomainError(f"not a motive object: {obj!r}")
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(Record):
     """One summand: an object together with a nonnegative Tate twist.
 
     The object is normalized on construction to the Tate unit, a canonical
@@ -195,10 +225,19 @@ class Term:
     obj: MotiveObject
     twist: int
 
-    def __post_init__(self) -> None:
-        if not _is_int(self.twist) or self.twist < 0:
-            raise DomainError(f"twist must be a nonnegative integer, got {self.twist!r}")
-        object.__setattr__(self, "obj", normalize_object(self.obj))
+    def __init__(self, obj: MotiveObject, twist: int) -> None:
+        if not _is_int(twist) or twist < 0:
+            raise DomainError(f"twist must be a nonnegative integer, got {twist!r}")
+        set_field(self, "obj", normalize_object(obj))
+        set_field(self, "twist", twist)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.obj, self.twist) == (other.obj, other.twist)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.obj, self.twist))
 
     def sort_key(self) -> tuple:
         """Total order on terms: object kind, lexicographic payload, twist."""
@@ -256,8 +295,7 @@ def _object_product(a: MotiveObject, b: MotiveObject) -> MotiveObject:
     return SBProduct(a.context, a.dims + b.dims)
 
 
-@dataclass(frozen=True)
-class ExtremeTerms:
+class ExtremeTerms(Record):
     """Result of locating the twist-extremal summands of an expression.
 
     When several summands (counted with multiplicity) realize the extreme
@@ -269,6 +307,14 @@ class ExtremeTerms:
     upper_multiplicity: int
     lower: Term | None
     lower_multiplicity: int
+
+    def __init__(
+        self, upper: Term | None, upper_multiplicity: int, lower: Term | None, lower_multiplicity: int
+    ) -> None:
+        set_field(self, "upper", upper)
+        set_field(self, "upper_multiplicity", upper_multiplicity)
+        set_field(self, "lower", lower)
+        set_field(self, "lower_multiplicity", lower_multiplicity)
 
 
 _TermLike = Union[Term, tuple]

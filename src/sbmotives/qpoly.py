@@ -35,11 +35,11 @@ from __future__ import annotations
 
 import sys
 import weakref
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 from typing import Iterable, Iterator, Mapping, Sequence
 
+from ._record import Record, set_field
 from .errors import DomainError
 
 __all__ = [
@@ -260,8 +260,7 @@ class GradedRankPoly:
         return cls(coeffs)
 
 
-@dataclass(frozen=True)
-class PartitionBoxSpec:
+class PartitionBoxSpec(Record):
     """A box-bounded partition counting query.
 
     ``parts`` is the fixed number of entries (zero padding allowed),
@@ -272,10 +271,10 @@ class PartitionBoxSpec:
     max_part: int
     size: int
 
-    def __post_init__(self) -> None:
-        _checked_count(self.parts, "parts")
-        _checked_count(self.max_part, "max_part")
-        _checked_count(self.size, "size")
+    def __init__(self, parts: int, max_part: int, size: int) -> None:
+        set_field(self, "parts", _checked_count(parts, "parts"))
+        set_field(self, "max_part", _checked_count(max_part, "max_part"))
+        set_field(self, "size", _checked_count(size, "size"))
 
     @property
     def capacity(self) -> int:

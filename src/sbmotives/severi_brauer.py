@@ -16,9 +16,9 @@ statements the rest of the engine consumes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
+from ._record import Record, set_field
 from .errors import DomainError, UnsupportedOperationError
 from .motive import _PRIMALITY_BOUND, DivisionContext, MotiveExpr, SBProduct, Term, UpperMotive, _is_prime
 from .qpoly import _is_int, gaussian_binomial
@@ -39,15 +39,24 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SBVariety:
+class SBVariety(Record):
     """The Severi-Brauer variety of reduced-dimension ``p**level`` ideals."""
 
     context: DivisionContext
     level: int
 
-    def __post_init__(self) -> None:
-        UpperMotive(self.context, self.level)  # the one level check
+    def __init__(self, context: DivisionContext, level: int) -> None:
+        UpperMotive(context, level)  # the one level check
+        set_field(self, "context", context)
+        set_field(self, "level", level)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.context, self.level) == (other.context, other.level)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.context, self.level))
 
     @property
     def reduced_dimension(self) -> int:
@@ -91,8 +100,7 @@ def mu_table(variety: SBVariety) -> tuple[tuple[int, int], ...]:
     return tuple((i, mu(variety.context, variety.level, i)) for i in range(_top_degree(variety) + 1))
 
 
-@dataclass(frozen=True)
-class ChowOrderReport:
+class ChowOrderReport(Record):
     """Order of a rational Chow group of ``SB_1(D) x SB_{p^level}(D)``.
 
     The group is a direct sum of ``summand_count`` cyclic groups of order
@@ -107,6 +115,11 @@ class ChowOrderReport:
     prime: int
     i: int
     summand_count: int
+
+    def __init__(self, prime: int, i: int, summand_count: int) -> None:
+        set_field(self, "prime", prime)
+        set_field(self, "i", i)
+        set_field(self, "summand_count", summand_count)
 
     @property
     def literal_order(self) -> int:
@@ -200,16 +213,18 @@ class CoverageReason(Enum):
     FOUR_TIMES_ODD_SQUAREFREE = "four-times-odd-squarefree"
 
 
-@dataclass(frozen=True)
-class PrimaryCase:
+class PrimaryCase(Record):
     """One prime-primary sub-case a reduced dimension reduces to."""
 
     prime: int
     reduced_dimension: int
 
+    def __init__(self, prime: int, reduced_dimension: int) -> None:
+        set_field(self, "prime", prime)
+        set_field(self, "reduced_dimension", reduced_dimension)
 
-@dataclass(frozen=True)
-class CaseClassification:
+
+class CaseClassification(Record):
     """Whether the decomposition-lifting property is settled for ``SB_k``.
 
     Covered exactly when ``k`` is squarefree or four times an odd squarefree
@@ -224,6 +239,22 @@ class CaseClassification:
     odd_squarefree_part: int | None
     blocking_factor: int | None
     reductions: tuple[PrimaryCase, ...]
+
+    def __init__(
+        self,
+        k: int,
+        covered: bool,
+        reason: CoverageReason | None,
+        odd_squarefree_part: int | None,
+        blocking_factor: int | None,
+        reductions: tuple[PrimaryCase, ...],
+    ) -> None:
+        set_field(self, "k", k)
+        set_field(self, "covered", covered)
+        set_field(self, "reason", reason)
+        set_field(self, "odd_squarefree_part", odd_squarefree_part)
+        set_field(self, "blocking_factor", blocking_factor)
+        set_field(self, "reductions", reductions)
 
 
 # Every k below _TRIAL_DIVISION_LIMIT**2 factors completely.

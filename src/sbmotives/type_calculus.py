@@ -44,12 +44,12 @@ it names.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from itertools import islice
 from typing import Callable, Iterator, Mapping, NamedTuple
 
+from ._record import Record, set_field
 from .errors import DomainError
 from .motive import DivisionContext
 from .qpoly import _int_from_json, _is_int
@@ -74,8 +74,7 @@ __all__ = [
 Conditions = Mapping[str, int]
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(Record):
     """A named inference rule, one row of :data:`RULE_CATALOG`.
 
     ``citation`` is the rule's statement followed by its source in brackets.
@@ -91,6 +90,20 @@ class Rule:
     record: Callable[[int, int, int, int], dict[str, int]]
     check: Callable[[Conditions], bool]
     template: Callable[[Conditions], str]
+
+    def __init__(
+        self,
+        rule_id: str,
+        citation: str,
+        record: Callable[[int, int, int, int], dict[str, int]],
+        check: Callable[[Conditions], bool],
+        template: Callable[[Conditions], str],
+    ) -> None:
+        set_field(self, "rule_id", rule_id)
+        set_field(self, "citation", citation)
+        set_field(self, "record", record)
+        set_field(self, "check", check)
+        set_field(self, "template", template)
 
 
 def _power_fits(value: int, exponent: int) -> bool:
@@ -359,8 +372,7 @@ RULE_CATALOG: dict[str, Rule] = {
 }
 
 
-@dataclass(frozen=True)
-class ProofStep:
+class ProofStep(Record):
     """One applied rule and its recorded side conditions.
 
     The rule id must name a catalog rule; the citation and the conclusion are
@@ -372,11 +384,30 @@ class ProofStep:
 
     rule_id: str
     side_conditions: tuple[tuple[str, int], ...]
-    mismatched_conclusion: str | None = field(default=None, kw_only=True)
+    mismatched_conclusion: str | None
 
-    def __post_init__(self) -> None:
-        if self.rule_id not in RULE_CATALOG:
-            raise DomainError(f"unknown rule id: {self.rule_id!r}")
+    def __init__(
+        self,
+        rule_id: str,
+        side_conditions: tuple[tuple[str, int], ...],
+        *,
+        mismatched_conclusion: str | None = None,
+    ) -> None:
+        if rule_id not in RULE_CATALOG:
+            raise DomainError(f"unknown rule id: {rule_id!r}")
+        set_field(self, "rule_id", rule_id)
+        set_field(self, "side_conditions", side_conditions)
+        set_field(self, "mismatched_conclusion", mismatched_conclusion)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.rule_id, self.side_conditions, self.mismatched_conclusion) == (
+                other.rule_id, other.side_conditions, other.mismatched_conclusion
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.rule_id, self.side_conditions, self.mismatched_conclusion))
 
     @property
     def citation(self) -> str:
@@ -434,11 +465,13 @@ def _derivation(p: int, n: int, k: int, closing: str | None = None) -> Iterator[
         yield "type-zero-transfer", n, bound
 
 
-@dataclass(frozen=True)
-class ProofTrace:
+class ProofTrace(Record):
     """Ordered, self-contained derivation."""
 
-    steps: tuple[ProofStep, ...] = ()
+    steps: tuple[ProofStep, ...]
+
+    def __init__(self, steps: tuple[ProofStep, ...] = ()) -> None:
+        set_field(self, "steps", steps)
 
     def __iter__(self) -> Iterator[ProofStep]:
         return iter(self.steps)
@@ -566,8 +599,7 @@ class RigidityStatus(Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class TypeBound:
+class TypeBound(Record):
     """A derived upper bound on the type of a variety, with its derivation.
 
     ``bound`` is at most ``level - 1`` (the level bound always applies) and
@@ -578,6 +610,10 @@ class TypeBound:
 
     variety: SBVariety
     bound: int
+
+    def __init__(self, variety: SBVariety, bound: int) -> None:
+        set_field(self, "variety", variety)
+        set_field(self, "bound", bound)
 
     @cached_property
     def trace(self) -> ProofTrace:
@@ -615,7 +651,9 @@ def type_bound(variety: SBVariety) -> TypeBound:
     ``level >= 1`` the halving induction improves it to ``level - 2``, which
     is at least -1.  It is read off the derivation, which is not recorded.
     """
-    for _, _, bound in _derivation(variety.context.p, variety.context.n, variety.level):
+    # Each rung keeps the bound of the point base before it, so the first
+    # two positions (the level bound, then the point base if any) fix it.
+    for _, _, bound in islice(_derivation(variety.context.p, variety.context.n, variety.level), 2):
         pass
     return TypeBound(variety, bound)
 
@@ -626,8 +664,7 @@ _CLOSING = {
 }
 
 
-@dataclass(frozen=True)
-class Judgment:
+class Judgment(Record):
     """A verdict on a variety, the type bound it rests on, and its derivation:
     the type bound's, then the closing whose first rule ``_CLOSING`` names for
     the status, if any.  The trace is recorded when first read."""
@@ -635,6 +672,11 @@ class Judgment:
     variety: SBVariety
     status: IndecomposabilityStatus | RigidityStatus
     bound: int
+
+    def __init__(self, variety: SBVariety, status: IndecomposabilityStatus | RigidityStatus, bound: int) -> None:
+        set_field(self, "variety", variety)
+        set_field(self, "status", status)
+        set_field(self, "bound", bound)
 
     @cached_property
     def trace(self) -> ProofTrace:

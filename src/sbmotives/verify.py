@@ -8,9 +8,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from typing import Callable, Iterator
 
+from ._record import Record, set_field
 from .errors import DomainError
 from .motive import TATE, DivisionContext, MotiveExpr, SBProduct, Term
 from .qpoly import (
@@ -41,17 +41,24 @@ from .type_calculus import (
 __all__ = ["IdentityResult", "SuiteReport", "run_identity_suite"]
 
 
-@dataclass(frozen=True)
-class IdentityResult:
+class IdentityResult(Record):
     identity: str
     passed: bool
     failures: tuple[str, ...]
 
+    def __init__(self, identity: str, passed: bool, failures: tuple[str, ...]) -> None:
+        set_field(self, "identity", identity)
+        set_field(self, "passed", passed)
+        set_field(self, "failures", failures)
 
-@dataclass(frozen=True)
-class SuiteReport:
+
+class SuiteReport(Record):
     max_n: int
     results: tuple[IdentityResult, ...]
+
+    def __init__(self, max_n: int, results: tuple[IdentityResult, ...]) -> None:
+        set_field(self, "max_n", max_n)
+        set_field(self, "results", results)
 
     @property
     def passed(self) -> bool:

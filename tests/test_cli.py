@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import sys
 import time
@@ -7,6 +6,9 @@ import pytest
 from click.testing import CliRunner
 
 from sbmotives import (
+    TATE,
+    CaseClassification,
+    ChowOrderReport,
     DivisionContext,
     qpoly,
     type_calculus,
@@ -14,6 +16,7 @@ from sbmotives import (
     MotiveExpr,
     ProofTrace,
     SBVariety,
+    Term,
     classify_reduced_dimension,
     function_field_decomposition,
     gaussian_binomial,
@@ -458,6 +461,85 @@ class TestVerifyCommand:
             "mu duality fails at (p=3, n=1, k=0, i=5)",
         ]
 
+    def test_vandermonde_conservation_reports_every_planted_mismatch(self, monkeypatch):
+        original = verify_module.function_field_decomposition
+
+        def extra_summand(variety):
+            split = original(variety)
+            if (variety.context.n, variety.level) in {(3, 2), (2, 1)}:
+                return split + MotiveExpr.of((TATE, 1))
+            return split
+
+        monkeypatch.setattr(verify_module, "function_field_decomposition", extra_summand)
+        assert verify_module._check_vandermonde_conservation(3) == [
+            "conservation fails at (n=2, k=1)",
+            "conservation fails at (n=3, k=2)",
+        ]
+
+    def test_upper_lower_endpoints_reports_every_planted_mismatch(self, monkeypatch):
+        # a second untwisted summand ties the upper end; a summand twisted
+        # past the top degree takes the lower end
+        original_split = verify_module.function_field_decomposition
+        original_endpoints = verify_module.function_field_endpoints
+        extra = {(3, 2): (TATE, 0), (4, 1): (TATE, 10**3)}
+
+        def planted_split(variety):
+            split = original_split(variety)
+            key = (variety.context.n, variety.level)
+            return split + MotiveExpr.of(extra[key]) if key in extra else split
+
+        def planted_endpoints(context, level):
+            upper, lower = original_endpoints(context, level)
+            if (context.n, level) == (3, 1):
+                return upper, Term(lower.obj, lower.twist + 1)
+            return upper, lower
+
+        monkeypatch.setattr(verify_module, "function_field_decomposition", planted_split)
+        monkeypatch.setattr(verify_module, "function_field_endpoints", planted_endpoints)
+        assert verify_module._check_upper_lower_endpoints(4) == [
+            "endpoint twist mismatch at (n=3, k=1)",
+            "upper term mismatch at (n=3, k=2)",
+            "lower term mismatch at (n=4, k=1)",
+        ]
+
+    def test_chow_order_degenerate_reports_every_planted_mismatch(self, monkeypatch):
+        # one class too many at i = 0; the wrong prime at i = 2
+        original = verify_module.rational_chow_order
+
+        def planted(variety, i):
+            report = original(variety, i)
+            if i == 0:
+                return ChowOrderReport(report.prime, i, report.summand_count + 1)
+            if i == 2:
+                return ChowOrderReport(3, i, report.summand_count)
+            return report
+
+        monkeypatch.setattr(verify_module, "rational_chow_order", planted)
+        assert verify_module._check_chow_degenerate(1) == [
+            "chow order at i=0: exponent 1",
+            "chow order at i=2: exponent 1",
+            "literal order not preserved at i=2",
+            "exponent-zero locus disagrees with the out-of-box sizes",
+        ]
+
+    def test_classifier_known_cases_reports_every_planted_mismatch(self, monkeypatch):
+        # 8 = 2^3 is open but claimed covered; 9 = 3^2 is open without its blocking factor
+        original = verify_module.classify_reduced_dimension
+
+        def planted(k):
+            got = original(k)
+            if k == 8:
+                return CaseClassification(8, True, None, None, None, got.reductions)
+            if k == 9:
+                return CaseClassification(9, False, None, None, None, got.reductions)
+            return got
+
+        monkeypatch.setattr(verify_module, "classify_reduced_dimension", planted)
+        assert verify_module._check_classifier_known_cases(1) == [
+            "classifier disagrees with factorization at k=8",
+            "open case without blocking factor at k=9",
+        ]
+
     def test_dimension_obstruction_reports_every_planted_mismatch(self, monkeypatch):
         original = verify_module.dimension_obstruction
 
@@ -476,7 +558,7 @@ class TestVerifyCommand:
         def wrong_bound(variety):
             derived = original(variety)
             key = (variety.context.p, variety.context.n, variety.level)
-            return dataclasses.replace(derived, bound=planted.get(key, derived.bound))
+            return type_calculus.TypeBound(derived.variety, planted.get(key, derived.bound))
 
         monkeypatch.setattr(verify_module, "type_bound", wrong_bound)
         assert verify_module._check_type_bound_table(3) == [
@@ -492,7 +574,7 @@ class TestVerifyCommand:
             judgment = original(variety)
             if variety.context.n != 2:
                 return judgment
-            return dataclasses.replace(judgment, status=type_calculus.IndecomposabilityStatus.UNKNOWN)
+            return type_calculus.Judgment(judgment.variety, type_calculus.IndecomposabilityStatus.UNKNOWN, judgment.bound)
 
         monkeypatch.setattr(verify_module, "indecomposability_judgment", unknown_at_two)
         assert verify_module._check_indecomposability_level_one(3) == [
@@ -508,7 +590,7 @@ class TestVerifyCommand:
             judgment = original(variety)
             if (variety.context.p, variety.context.n, variety.level) != (3, 2, 2):
                 return judgment
-            return dataclasses.replace(judgment, status=type_calculus.RigidityStatus.CONJECTURE_HOLDS)
+            return type_calculus.Judgment(judgment.variety, type_calculus.RigidityStatus.CONJECTURE_HOLDS, judgment.bound)
 
         monkeypatch.setattr(verify_module, "rigidity_judgment", overclaiming)
         assert verify_module._check_trace_replay(2) == ["trace replay fails at (p=3, n=2, k=2)"]
@@ -520,7 +602,7 @@ class TestVerifyCommand:
             judgment = original(variety)
             if (variety.context.p, variety.context.n, variety.level) != (5, 2, 1):
                 return judgment
-            return dataclasses.replace(judgment, status=type_calculus.RigidityStatus.UNKNOWN)
+            return type_calculus.Judgment(judgment.variety, type_calculus.RigidityStatus.UNKNOWN, judgment.bound)
 
         monkeypatch.setattr(verify_module, "rigidity_judgment", unknown_at)
         assert verify_module._check_rigidity_classifier_agreement(1) == [

@@ -1,5 +1,10 @@
 """The package namespace: exactly the exports of its modules."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import sbmotives
 from sbmotives import motive, qpoly, severi_brauer, type_calculus, verify
 
@@ -19,3 +24,12 @@ def test_star_import_binds_every_name():
     exec("from sbmotives import *", namespace)
     for name in sbmotives.__all__:
         assert namespace[name] is getattr(sbmotives, name), name
+
+
+def test_cli_start_up_loads_neither_decimal_nor_dataclasses():
+    # in a fresh interpreter, since pytest itself has loaded both
+    src = str(Path(sbmotives.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    probe = "import sys, sbmotives.cli; print(sorted({'dataclasses', 'decimal'} & sys.modules.keys()))"
+    run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert run.stdout == "[]\n"

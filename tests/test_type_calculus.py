@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import time
 
@@ -13,6 +12,7 @@ from sbmotives import (
     ProofStep,
     ProofTrace,
     RigidityStatus,
+    Rule,
     RULE_CATALOG,
     SBVariety,
     dimension_obstruction,
@@ -20,6 +20,7 @@ from sbmotives import (
     rigidity_judgment,
     type_bound,
 )
+from sbmotives import type_calculus
 from sbmotives.cli import cli
 from sbmotives.type_calculus import _RUNG
 
@@ -81,6 +82,19 @@ class TestTypeBound:
                 for k in range(n + 1):
                     derived = type_bound(variety(p, n, k))
                     assert -1 <= derived.bound <= max(k - 1, -1)
+
+    def test_bound_reads_at_most_two_positions(self, monkeypatch):
+        drawn = []
+        original = type_calculus._derivation
+
+        def counting(*args):
+            for position in original(*args):
+                drawn.append(position)
+                yield position
+
+        monkeypatch.setattr(type_calculus, "_derivation", counting)
+        assert type_bound(variety(2, 10**6, 1)).bound == -1
+        assert len(drawn) <= 2
 
     def test_trace_ends_with_the_obstruction_ladder(self):
         trace = type_bound(variety(2, 3, 1)).trace
@@ -263,7 +277,7 @@ class TestConclusions:
             raise AssertionError("a conclusion was rendered")
 
         for rule_id, rule in list(RULE_CATALOG.items()):
-            monkeypatch.setitem(RULE_CATALOG, rule_id, dataclasses.replace(rule, template=refuse))
+            monkeypatch.setitem(RULE_CATALOG, rule_id, Rule(rule.rule_id, rule.citation, rule.record, rule.check, refuse))
         for trace in _honest_traces((2, 3), 4):
             assert trace.replay()
 
@@ -274,7 +288,7 @@ class TestConclusions:
             raise AssertionError("side conditions were recorded")
 
         for rule_id, rule in list(RULE_CATALOG.items()):
-            monkeypatch.setitem(RULE_CATALOG, rule_id, dataclasses.replace(rule, record=refuse))
+            monkeypatch.setitem(RULE_CATALOG, rule_id, Rule(rule.rule_id, rule.citation, refuse, rule.check, rule.template))
         for entries in encoded:
             assert ProofTrace.from_json_obj(entries).replay()
         # the split's conclusion does not print lower_twist, so only its check can fail
@@ -288,7 +302,7 @@ class TestConclusions:
             raise AssertionError("side conditions were recorded")
 
         for rule_id, rule in list(RULE_CATALOG.items()):
-            monkeypatch.setitem(RULE_CATALOG, rule_id, dataclasses.replace(rule, record=refuse))
+            monkeypatch.setitem(RULE_CATALOG, rule_id, Rule(rule.rule_id, rule.citation, refuse, rule.check, rule.template))
         monkeypatch.delenv("SBMOTIVES_FORMAT", raising=False)
         v = variety(2, 40, 3)
         derived = type_bound(v)
