@@ -96,8 +96,14 @@ def mu(context: DivisionContext, level: int, i: int) -> int:
 
 
 def mu_table(variety: SBVariety) -> tuple[tuple[int, int], ...]:
-    """``(i, mu)`` for every ``0 <= i <= deg + dim``."""
-    return tuple((i, mu(variety.context, variety.level, i)) for i in range(_top_degree(variety) + 1))
+    """``(i, mu)`` for every ``0 <= i <= deg + dim``, read from one binomial.
+
+    The binomial is built before the first row, so a table whose binomial is
+    too wide to store raises at once, not after the zeros above the box.
+    """
+    top = _top_degree(variety)
+    row = gaussian_binomial(variety.context.degree, variety.reduced_dimension)
+    return tuple((i, row.coefficient(top - i)) for i in range(top + 1))
 
 
 class ChowOrderReport(Record):
@@ -149,8 +155,10 @@ def rational_chow_order(variety: SBVariety, i: int) -> ChowOrderReport:
 
 
 def rational_chow_orders(variety: SBVariety) -> tuple[ChowOrderReport, ...]:
-    """The report of every homological degree, ascending."""
-    return tuple(rational_chow_order(variety, i) for i in range(_top_degree(variety)))
+    """The report of every homological degree, ascending: ``mu_table``'s rows
+    from ``i = 1``, each one degree lower."""
+    p = variety.context.p
+    return tuple(ChowOrderReport(prime=p, i=i - 1, summand_count=count) for i, count in mu_table(variety)[1:])
 
 
 def _half_degree(context: DivisionContext) -> DivisionContext:

@@ -1,7 +1,7 @@
 """Self-check suite: every module invariant, runnable over a requested range.
 
-Each identity returns a list of failure descriptions (empty means it holds).
-The registry order is fixed so reports are deterministic.
+Each identity is a generator that yields its failure lines (none means it
+holds).  The registry order is fixed so reports are deterministic.
 """
 
 from __future__ import annotations
@@ -85,61 +85,50 @@ def _small_gaussians() -> Iterator[tuple[int, int, GradedRankPoly]]:
             yield d, k, gaussian_binomial(d, k)
 
 
-def _check_gaussian_brute_force(max_n: int) -> list[str]:
-    return [
-        f"gaussian_binomial({d},{k}) != brute-force histogram"
-        for d, k, poly in _small_gaussians()
-        if poly != GradedRankPoly(_brute_force_histogram(k, d - k))
-    ]
+def _check_gaussian_brute_force(max_n: int) -> Iterator[str]:
+    for d, k, poly in _small_gaussians():
+        if poly != GradedRankPoly(_brute_force_histogram(k, d - k)):
+            yield f"gaussian_binomial({d},{k}) != brute-force histogram"
 
 
-def _check_gaussian_symmetry(max_n: int) -> list[str]:
-    failures = []
+def _check_gaussian_symmetry(max_n: int) -> Iterator[str]:
     for d, k, poly in _small_gaussians():
         top = k * (d - k)
         if any(poly.coefficient(j) != poly.coefficient(top - j) for j in range(top + 1)):
-            failures.append(f"gaussian_binomial({d},{k}) is not symmetric")
-    return failures
+            yield f"gaussian_binomial({d},{k}) is not symmetric"
 
 
-def _check_gaussian_total_rank(max_n: int) -> list[str]:
-    return [
-        f"rank of gaussian_binomial({d},{k}) != C({d},{k})"
-        for d, k, poly in _small_gaussians()
-        if poly.rank() != math.comb(d, k)
-    ]
+def _check_gaussian_total_rank(max_n: int) -> Iterator[str]:
+    for d, k, poly in _small_gaussians():
+        if poly.rank() != math.comb(d, k):
+            yield f"rank of gaussian_binomial({d},{k}) != C({d},{k})"
 
 
-def _check_box_count_duality(max_n: int) -> list[str]:
-    failures = []
+def _check_box_count_duality(max_n: int) -> Iterator[str]:
     for m in range(9):
         for c in range(9):
             poly = gaussian_binomial(m + c, c)
             for s in range(m * c + 2):
                 counted = count_partitions_in_box(PartitionBoxSpec(m, c, s))
                 if counted != poly.coefficient(s):
-                    failures.append(f"box count ({m},{c},{s}) != coefficient")
-    return failures
+                    yield f"box count ({m},{c},{s}) != coefficient"
 
 
-def _check_box_count_oracle(max_n: int) -> list[str]:
+def _check_box_count_oracle(max_n: int) -> Iterator[str]:
     """The DP against the enumerator for every box with ``m, c <= 6``.
 
     Each box is enumerated once, into a histogram by size, and the DP is
     compared with it at every size from 0 through the box capacity plus one.
     """
-    failures = []
     for m in range(7):
         for c in range(7):
             histogram = _brute_force_histogram(m, c)
             for s in range(m * c + 2):
                 if count_partitions_in_box(PartitionBoxSpec(m, c, s)) != histogram.get(s, 0):
-                    failures.append(f"recurrence vs enumeration mismatch at ({m},{c},{s})")
-    return failures
+                    yield f"recurrence vs enumeration mismatch at ({m},{c},{s})"
 
 
-def _check_rank_homomorphism(max_n: int) -> list[str]:
-    failures = []
+def _check_rank_homomorphism(max_n: int) -> Iterator[str]:
     samples = [
         gaussian_binomial(4, 2),
         gaussian_binomial(6, 3),
@@ -149,11 +138,10 @@ def _check_rank_homomorphism(max_n: int) -> list[str]:
     for a in samples:
         for b in samples:
             if (a * b).rank() != a.rank() * b.rank():
-                failures.append(f"rank not multiplicative for {a} * {b}")
+                yield f"rank not multiplicative for {a} * {b}"
         for t in (0, 1, 7):
             if a.shift(t).rank() != a.rank():
-                failures.append(f"rank not shift-invariant for {a} shifted by {t}")
-    return failures
+                yield f"rank not shift-invariant for {a} shifted by {t}"
 
 
 def _sample_expressions() -> list[MotiveExpr]:
@@ -168,16 +156,15 @@ def _sample_expressions() -> list[MotiveExpr]:
     ]
 
 
-def _check_poincare_homomorphism(max_n: int) -> list[str]:
-    failures = []
+def _check_poincare_homomorphism(max_n: int) -> Iterator[str]:
     exprs = _sample_expressions()
     for a in exprs:
         for b in exprs:
             if (a + b).split_poincare() != a.split_poincare() + b.split_poincare():
-                failures.append(f"poincare(sum) mismatch for {a!r} + {b!r}")
+                yield f"poincare(sum) mismatch for {a!r} + {b!r}"
         for t in (0, 2, 5):
             if a.twist(t).split_poincare() != a.split_poincare().shift(t):
-                failures.append(f"poincare(twist {t}) mismatch for {a!r}")
+                yield f"poincare(twist {t}) mismatch for {a!r}"
     c21 = DivisionContext(2, 1)
     factors = [
         MotiveExpr.of((TATE, 1)),
@@ -187,12 +174,10 @@ def _check_poincare_homomorphism(max_n: int) -> list[str]:
     for a in factors:
         for b in factors:
             if (a * b).split_poincare() != a.split_poincare() * b.split_poincare():
-                failures.append(f"poincare(product) mismatch for {a!r} * {b!r}")
-    return failures
+                yield f"poincare(product) mismatch for {a!r} * {b!r}"
 
 
-def _check_ks_equality(max_n: int) -> list[str]:
-    failures = []
+def _check_ks_equality(max_n: int) -> Iterator[str]:
     c21 = DivisionContext(2, 1)
     c22 = DivisionContext(2, 2)
     pairs = [
@@ -203,25 +188,21 @@ def _check_ks_equality(max_n: int) -> list[str]:
     ]
     for a, b, expected in pairs:
         if (a == b) is not expected:
-            failures.append(f"({a!r} == {b!r}) != {expected}")
+            yield f"({a!r} == {b!r}) != {expected}"
         if expected and not a.is_zero and a.split_poincare() != b.split_poincare():
-            failures.append(f"equal expressions with different polynomials: {a!r}")
-    return failures
+            yield f"equal expressions with different polynomials: {a!r}"
 
 
-def _check_vandermonde_conservation(max_n: int) -> list[str]:
-    failures = []
+def _check_vandermonde_conservation(max_n: int) -> Iterator[str]:
     for n in range(1, max_n + 1):
         for k in range(1, n + 1):
             variety = SBVariety(DivisionContext(2, n), k)
             split = function_field_decomposition(variety).split_poincare()
             if split != gaussian_binomial(2**n, 2**k):
-                failures.append(f"conservation fails at (n={n}, k={k})")
-    return failures
+                yield f"conservation fails at (n={n}, k={k})"
 
 
-def _check_upper_lower_endpoints(max_n: int) -> list[str]:
-    failures = []
+def _check_upper_lower_endpoints(max_n: int) -> Iterator[str]:
     for n in range(2, max_n + 1):
         for k in range(1, n):
             context = DivisionContext(2, n)
@@ -231,16 +212,14 @@ def _check_upper_lower_endpoints(max_n: int) -> list[str]:
             half = DivisionContext(2, n - 1)
             expected_obj = Term(SBProduct(half, (2**k,)), 0).obj
             if located.upper != Term(expected_obj, 0):
-                failures.append(f"upper term mismatch at (n={n}, k={k})")
+                yield f"upper term mismatch at (n={n}, k={k})"
             if located.lower != Term(expected_obj, 2 ** (n + k - 1)):
-                failures.append(f"lower term mismatch at (n={n}, k={k})")
+                yield f"lower term mismatch at (n={n}, k={k})"
             if lower.twist != 2 ** (n + k - 1) or upper.twist != 0:
-                failures.append(f"endpoint twist mismatch at (n={n}, k={k})")
-    return failures
+                yield f"endpoint twist mismatch at (n={n}, k={k})"
 
 
-def _check_mu_duality(max_n: int) -> list[str]:
-    failures = []
+def _check_mu_duality(max_n: int) -> Iterator[str]:
     for p in (2, 3):
         for n in range(0, min(3, max_n) + 1):
             context = DivisionContext(p, n)
@@ -252,28 +231,19 @@ def _check_mu_duality(max_n: int) -> list[str]:
                     target = degree + capacity - i
                     expected = count_partitions_in_box(PartitionBoxSpec(degree - reduced, reduced, target)) if target >= 0 else 0
                     if mu(context, k, i) != expected:
-                        failures.append(f"mu duality fails at (p={p}, n={n}, k={k}, i={i})")
-    return failures
+                        yield f"mu duality fails at (p={p}, n={n}, k={k}, i={i})"
 
 
-def _check_chow_degenerate(max_n: int) -> list[str]:
-    failures = []
+def _check_chow_degenerate(max_n: int) -> Iterator[str]:
     variety = SBVariety(DivisionContext(2, 1), 0)
-    expected = {0: 0, 1: 1, 2: 1}
-    for i, exponent in expected.items():
-        report = rational_chow_order(variety, i)
+    reports = [rational_chow_order(variety, i) for i in range(3)]
+    for i, (report, exponent) in enumerate(zip(reports, (0, 1, 1))):
         if report.summand_count != exponent or report.group_order() != 2**exponent:
-            failures.append(f"chow order at i={i}: exponent {report.summand_count}")
+            yield f"chow order at i={i}: exponent {report.summand_count}"
         if report.literal_order != report.summand_count * 2:
-            failures.append(f"literal order not preserved at i={i}")
-    zero_exponents = [
-        i
-        for i in range(0, 3)
-        if rational_chow_order(variety, i).summand_count == 0
-    ]
-    if zero_exponents != [0]:
-        failures.append("exponent-zero locus disagrees with the out-of-box sizes")
-    return failures
+            yield f"literal order not preserved at i={i}"
+    if [i for i, report in enumerate(reports) if report.summand_count == 0] != [0]:
+        yield "exponent-zero locus disagrees with the out-of-box sizes"
 
 
 def _squarefree(k: int) -> bool:
@@ -285,23 +255,20 @@ def _squarefree(k: int) -> bool:
     return True
 
 
-def _check_classifier_known_cases(max_n: int) -> list[str]:
-    failures = []
+def _check_classifier_known_cases(max_n: int) -> Iterator[str]:
     for k in range(1, 31):
         expected = _squarefree(k) or (k % 4 == 0 and k % 8 != 0 and _squarefree(k // 4) and (k // 4) % 2 == 1)
         got = classify_reduced_dimension(k)
         if got.covered is not expected:
-            failures.append(f"classifier disagrees with factorization at k={k}")
+            yield f"classifier disagrees with factorization at k={k}"
         if not got.covered and got.blocking_factor is None:
-            failures.append(f"open case without blocking factor at k={k}")
-    return failures
+            yield f"open case without blocking factor at k={k}"
 
 
-def _check_dimension_obstruction(max_n: int) -> list[str]:
+def _check_dimension_obstruction(max_n: int) -> Iterator[str]:
     """Both dimensions read from the half-degree algebra C: the candidate
     factor is SB_{2^(k-1)}(C) squared, and the endpoint copies span that
     variety's dimension plus their twist apart."""
-    failures = []
     limit = max(10, max_n)
     for n in range(1, limit + 1):
         for k in range(1, n + 1):
@@ -309,61 +276,58 @@ def _check_dimension_obstruction(max_n: int) -> list[str]:
             factor_dim = SBVariety(DivisionContext(2, n - 1), k - 1).dimension()
             _, lower = function_field_endpoints(DivisionContext(2, n), k - 1)
             if result != (2 * factor_dim, factor_dim + lower.twist, True):
-                failures.append(f"obstruction fails at (n={n}, k={k})")
-    return failures
+                yield f"obstruction fails at (n={n}, k={k})"
 
 
-def _check_type_bound_table(max_n: int) -> list[str]:
-    failures = []
+def _small_varieties(max_n: int) -> Iterator[tuple[int, int, int, SBVariety]]:
+    """``(p, n, k, SB_{p^k})`` for ``p`` in 2, 3, 5 and every ``0 <= k <= n <= max_n``.
+
+    The grid the type-bound table and trace-replay identities share.
+    """
     for p in (2, 3, 5):
-        for n in range(0, max_n + 1):
+        for n in range(max_n + 1):
             for k in range(n + 1):
-                derived = type_bound(SBVariety(DivisionContext(p, n), k))
-                expected = max(k - 2, -1) if (p == 2 and k >= 1) else k - 1
-                if derived.bound != expected:
-                    failures.append(f"type bound (p={p}, n={n}, k={k}) = {derived.bound}")
-                if not -1 <= derived.bound <= k - 1:
-                    failures.append(f"bound outside [-1, k-1] at (p={p}, n={n}, k={k})")
-    return failures
+                yield p, n, k, SBVariety(DivisionContext(p, n), k)
 
 
-def _check_indecomposability_level_one(max_n: int) -> list[str]:
-    failures = []
+def _check_type_bound_table(max_n: int) -> Iterator[str]:
+    for p, n, k, variety in _small_varieties(max_n):
+        derived = type_bound(variety)
+        expected = max(k - 2, -1) if (p == 2 and k >= 1) else k - 1
+        if derived.bound != expected:
+            yield f"type bound (p={p}, n={n}, k={k}) = {derived.bound}"
+        if not -1 <= derived.bound <= k - 1:
+            yield f"bound outside [-1, k-1] at (p={p}, n={n}, k={k})"
+
+
+def _check_indecomposability_level_one(max_n: int) -> Iterator[str]:
     for n in range(1, max_n + 1):
         judgment = indecomposability_judgment(SBVariety(DivisionContext(2, n), 1))
         if judgment.status is not IndecomposabilityStatus.INDECOMPOSABLE:
-            failures.append(f"level-1 variety not judged indecomposable at n={n}")
-    return failures
+            yield f"level-1 variety not judged indecomposable at n={n}"
 
 
-def _check_trace_replay(max_n: int) -> list[str]:
-    failures = []
-    for p in (2, 3, 5):
-        for n in range(0, max_n + 1):
-            for k in range(n + 1):
-                variety = SBVariety(DivisionContext(p, n), k)
-                for trace in (
-                    type_bound(variety).trace,
-                    indecomposability_judgment(variety).trace,
-                    rigidity_judgment(variety).trace,
-                ):
-                    if not trace.replay():
-                        failures.append(f"trace replay fails at (p={p}, n={n}, k={k})")
-    return failures
+def _check_trace_replay(max_n: int) -> Iterator[str]:
+    for p, n, k, variety in _small_varieties(max_n):
+        for trace in (
+            type_bound(variety).trace,
+            indecomposability_judgment(variety).trace,
+            rigidity_judgment(variety).trace,
+        ):
+            if not trace.replay():
+                yield f"trace replay fails at (p={p}, n={n}, k={k})"
 
 
-def _check_rigidity_classifier_agreement(max_n: int) -> list[str]:
-    failures = []
+def _check_rigidity_classifier_agreement(max_n: int) -> Iterator[str]:
     cases = [(p, level) for p in (2, 3, 5) for level in (0, 1)] + [(2, 2)]
     for p, level in cases:
         for n in range(max(level, 1), max(level, 1) + 2):
             judgment = rigidity_judgment(SBVariety(DivisionContext(p, n), level))
             if judgment.status is not RigidityStatus.CONJECTURE_HOLDS:
-                failures.append(f"rigidity unknown at (p={p}, n={n}, level={level})")
-    return failures
+                yield f"rigidity unknown at (p={p}, n={n}, level={level})"
 
 
-_REGISTRY: tuple[tuple[str, Callable[[int], list[str]]], ...] = (
+_REGISTRY: tuple[tuple[str, Callable[[int], Iterator[str]]], ...] = (
     ("qpoly/gaussian-brute-force", _check_gaussian_brute_force),
     ("qpoly/gaussian-symmetry", _check_gaussian_symmetry),
     ("qpoly/gaussian-total-rank", _check_gaussian_total_rank),

@@ -15,6 +15,7 @@ from sbmotives import (
     GradedRankPoly,
     MotiveExpr,
     ProofTrace,
+    SBProduct,
     SBVariety,
     Term,
     classify_reduced_dimension,
@@ -213,6 +214,23 @@ class TestBoxCountsReadTheBinomial:
         assert result.exit_code == 0
         assert qpoly._box_size_counts.cache_info().misses == 0
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("mu", "--p", "2", "--n", "40", "--k", "20", "--all"),
+            ("chow-order", "--p", "2", "--n", "30", "--k", "1"),
+        ],
+        ids=["mu-all", "chow-order"],
+    )
+    def test_table_past_the_span_limit_exits_one_within_a_second(self, runner, args):
+        # the binomial is built before the first row, so its span check is
+        # not left behind the ~2^40 (~2^30) zero rows above the box
+        start = time.perf_counter()
+        result = invoke(runner, *args)
+        assert time.perf_counter() - start < 1.0
+        assert result.exit_code == 1
+        assert result.stderr.startswith("error: degree span ")
+
 
 class TestChowOrderCommand:
     @needs_digit_limit
@@ -397,6 +415,27 @@ class TestVerifyCommand:
             r.identity for r in engine.results
         ]
 
+    @pytest.mark.parametrize(
+        "check, line",
+        [
+            (verify_module._check_gaussian_brute_force, "gaussian_binomial(6,3) != brute-force histogram"),
+            (verify_module._check_gaussian_symmetry, "gaussian_binomial(6,3) is not symmetric"),
+            (verify_module._check_gaussian_total_rank, "rank of gaussian_binomial(6,3) != C(6,3)"),
+        ],
+        ids=["brute-force", "symmetry", "total-rank"],
+    )
+    def test_gaussian_identities_report_every_planted_mismatch(self, monkeypatch, check, line):
+        # one extra class at degree 0 of [6, 3]: the coefficient, the mirror
+        # coefficient at degree 9 and the rank 20 each disagree with it
+        original = verify_module.gaussian_binomial
+
+        def planted(d, k):
+            poly = original(d, k)
+            return poly + GradedRankPoly({0: 1}) if (d, k) == (6, 3) else poly
+
+        monkeypatch.setattr(verify_module, "gaussian_binomial", planted)
+        assert list(check(1)) == [line]
+
     def test_box_count_oracle_enumerates_each_box_once(self, monkeypatch):
         calls = []
         tuples = []
@@ -410,7 +449,7 @@ class TestVerifyCommand:
 
         monkeypatch.setattr(qpoly, "enumerate_partitions_in_box", counting)
         monkeypatch.setattr(verify_module, "enumerate_partitions_in_box", counting)
-        assert verify_module._check_box_count_oracle(1) == []
+        assert list(verify_module._check_box_count_oracle(1)) == []
         assert len(calls) == 49 and len(set(calls)) == 49
         assert len(tuples) == 3431
 
@@ -423,7 +462,7 @@ class TestVerifyCommand:
             return original(box) + wrong
 
         monkeypatch.setattr(verify_module, "count_partitions_in_box", off_by_one)
-        assert verify_module._check_box_count_oracle(1) == [
+        assert list(verify_module._check_box_count_oracle(1)) == [
             "recurrence vs enumeration mismatch at (2,2,5)",
             "recurrence vs enumeration mismatch at (3,4,5)",
         ]
@@ -437,9 +476,73 @@ class TestVerifyCommand:
             return original(box) + wrong
 
         monkeypatch.setattr(verify_module, "count_partitions_in_box", off_by_one)
-        assert verify_module._check_box_count_duality(1) == [
+        assert list(verify_module._check_box_count_duality(1)) == [
             "box count (2,2,5) != coefficient",
             "box count (3,4,5) != coefficient",
+        ]
+
+    def test_rank_homomorphism_reports_every_planted_mismatch(self, monkeypatch):
+        # one extra class in 1 + 2q^3 shifted by 7, and in (5q)^2
+        original_mul = GradedRankPoly.__mul__
+        original_shift = GradedRankPoly.shift
+
+        def planted_mul(self, other):
+            product = original_mul(self, other)
+            return product + GradedRankPoly({0: 1}) if self == other == GradedRankPoly({1: 5}) else product
+
+        def planted_shift(self, twist):
+            shifted = original_shift(self, twist)
+            return shifted + GradedRankPoly({0: 1}) if (self, twist) == (GradedRankPoly({0: 1, 3: 2}), 7) else shifted
+
+        monkeypatch.setattr(GradedRankPoly, "__mul__", planted_mul)
+        monkeypatch.setattr(GradedRankPoly, "shift", planted_shift)
+        assert list(verify_module._check_rank_homomorphism(1)) == [
+            "rank not shift-invariant for 1 + 2*q^3 shifted by 7",
+            "rank not multiplicative for 5*q * 5*q",
+        ]
+
+    def test_poincare_homomorphism_reports_every_planted_mismatch(self, monkeypatch):
+        # a stray untwisted Tate summand in one sum, one twist and one product
+        tate = MotiveExpr.of((TATE, 0))
+        c21 = DivisionContext(2, 1)
+        faulty = {
+            "__add__": (tate, tate),
+            "twist": (MotiveExpr.of((SBProduct(c21, (1, 1)), 1)), 5),
+            "__mul__": (MotiveExpr.of((TATE, 1)), MotiveExpr.of((SBProduct(c21, (1,)), 0))),
+        }
+        add = MotiveExpr.__add__
+
+        def planting(name):
+            original = getattr(MotiveExpr, name)
+
+            def planted(self, other):
+                result = original(self, other)
+                return add(result, tate) if (self, other) == faulty[name] else result
+
+            return planted
+
+        for name in faulty:
+            monkeypatch.setattr(MotiveExpr, name, planting(name))
+        assert list(verify_module._check_poincare_homomorphism(1)) == [
+            "poincare(sum) mismatch for MotiveExpr([(Tate, twist=0)]) + MotiveExpr([(Tate, twist=0)])",
+            "poincare(twist 5) mismatch for MotiveExpr([(SBProduct(p=2, n=1, dims=(1, 1)), twist=1)])",
+            "poincare(product) mismatch for MotiveExpr([(Tate, twist=1)])"
+            " * MotiveExpr([(SBProduct(p=2, n=1, dims=(1,)), twist=0)])",
+        ]
+
+    def test_ks_equality_reports_every_planted_mismatch(self, monkeypatch):
+        # MotiveExpr.of misreads a twist in one pair and drops a repeated
+        # summand in another
+        original = MotiveExpr.of
+        misread = {
+            ((TATE, 4), (TATE, 0)): ((TATE, 4), (TATE, 1)),
+            ((TATE, 0), (TATE, 0)): ((TATE, 0),),
+        }
+        monkeypatch.setattr(MotiveExpr, "of", staticmethod(lambda *terms: original(*misread.get(terms, terms))))
+        assert list(verify_module._check_ks_equality(1)) == [
+            "(MotiveExpr([(Tate, twist=0), (Tate, twist=4)]) == MotiveExpr([(Tate, twist=1), (Tate, twist=4)])) != True",
+            "equal expressions with different polynomials: MotiveExpr([(Tate, twist=0), (Tate, twist=4)])",
+            "(MotiveExpr([(Tate, twist=0)]) == MotiveExpr([(Tate, twist=0)])) != False",
         ]
 
     def test_mu_duality_reports_every_planted_mismatch(self, monkeypatch):
@@ -455,7 +558,7 @@ class TestVerifyCommand:
             return original(box) + wrong
 
         monkeypatch.setattr(verify_module, "count_partitions_in_box", off_by_one)
-        assert verify_module._check_mu_duality(3) == [
+        assert list(verify_module._check_mu_duality(3)) == [
             "mu duality fails at (p=2, n=2, k=1, i=3)",
             "mu duality fails at (p=2, n=2, k=1, i=5)",
             "mu duality fails at (p=3, n=1, k=0, i=5)",
@@ -471,7 +574,7 @@ class TestVerifyCommand:
             return split
 
         monkeypatch.setattr(verify_module, "function_field_decomposition", extra_summand)
-        assert verify_module._check_vandermonde_conservation(3) == [
+        assert list(verify_module._check_vandermonde_conservation(3)) == [
             "conservation fails at (n=2, k=1)",
             "conservation fails at (n=3, k=2)",
         ]
@@ -496,7 +599,7 @@ class TestVerifyCommand:
 
         monkeypatch.setattr(verify_module, "function_field_decomposition", planted_split)
         monkeypatch.setattr(verify_module, "function_field_endpoints", planted_endpoints)
-        assert verify_module._check_upper_lower_endpoints(4) == [
+        assert list(verify_module._check_upper_lower_endpoints(4)) == [
             "endpoint twist mismatch at (n=3, k=1)",
             "upper term mismatch at (n=3, k=2)",
             "lower term mismatch at (n=4, k=1)",
@@ -515,7 +618,7 @@ class TestVerifyCommand:
             return report
 
         monkeypatch.setattr(verify_module, "rational_chow_order", planted)
-        assert verify_module._check_chow_degenerate(1) == [
+        assert list(verify_module._check_chow_degenerate(1)) == [
             "chow order at i=0: exponent 1",
             "chow order at i=2: exponent 1",
             "literal order not preserved at i=2",
@@ -535,7 +638,7 @@ class TestVerifyCommand:
             return got
 
         monkeypatch.setattr(verify_module, "classify_reduced_dimension", planted)
-        assert verify_module._check_classifier_known_cases(1) == [
+        assert list(verify_module._check_classifier_known_cases(1)) == [
             "classifier disagrees with factorization at k=8",
             "open case without blocking factor at k=9",
         ]
@@ -548,7 +651,7 @@ class TestVerifyCommand:
             return result._replace(endpoint_dim=result.endpoint_dim + ((n, k) == (6, 3)))
 
         monkeypatch.setattr(verify_module, "dimension_obstruction", planted)
-        assert verify_module._check_dimension_obstruction(1) == ["obstruction fails at (n=6, k=3)"]
+        assert list(verify_module._check_dimension_obstruction(1)) == ["obstruction fails at (n=6, k=3)"]
 
     def test_type_bound_table_reports_every_planted_mismatch(self, monkeypatch):
         # -2 at (2, 3, 1) is also below the range; 0 at (3, 2, 2) is inside it
@@ -561,7 +664,7 @@ class TestVerifyCommand:
             return type_calculus.TypeBound(derived.variety, planted.get(key, derived.bound))
 
         monkeypatch.setattr(verify_module, "type_bound", wrong_bound)
-        assert verify_module._check_type_bound_table(3) == [
+        assert list(verify_module._check_type_bound_table(3)) == [
             "type bound (p=2, n=3, k=1) = -2",
             "bound outside [-1, k-1] at (p=2, n=3, k=1)",
             "type bound (p=3, n=2, k=2) = 0",
@@ -577,7 +680,7 @@ class TestVerifyCommand:
             return type_calculus.Judgment(judgment.variety, type_calculus.IndecomposabilityStatus.UNKNOWN, judgment.bound)
 
         monkeypatch.setattr(verify_module, "indecomposability_judgment", unknown_at_two)
-        assert verify_module._check_indecomposability_level_one(3) == [
+        assert list(verify_module._check_indecomposability_level_one(3)) == [
             "level-1 variety not judged indecomposable at n=2"
         ]
 
@@ -593,7 +696,7 @@ class TestVerifyCommand:
             return type_calculus.Judgment(judgment.variety, type_calculus.RigidityStatus.CONJECTURE_HOLDS, judgment.bound)
 
         monkeypatch.setattr(verify_module, "rigidity_judgment", overclaiming)
-        assert verify_module._check_trace_replay(2) == ["trace replay fails at (p=3, n=2, k=2)"]
+        assert list(verify_module._check_trace_replay(2)) == ["trace replay fails at (p=3, n=2, k=2)"]
 
     def test_rigidity_classifier_agreement_reports_every_planted_mismatch(self, monkeypatch):
         original = verify_module.rigidity_judgment
@@ -605,7 +708,7 @@ class TestVerifyCommand:
             return type_calculus.Judgment(judgment.variety, type_calculus.RigidityStatus.UNKNOWN, judgment.bound)
 
         monkeypatch.setattr(verify_module, "rigidity_judgment", unknown_at)
-        assert verify_module._check_rigidity_classifier_agreement(1) == [
+        assert list(verify_module._check_rigidity_classifier_agreement(1)) == [
             "rigidity unknown at (p=5, n=2, level=1)"
         ]
 

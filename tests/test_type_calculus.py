@@ -244,6 +244,48 @@ class TestLoneStepConjuncts:
         conditions[name] = value
         assert not ProofStep(rule_id, tuple(conditions.items())).replay()
 
+    @pytest.mark.parametrize(
+        "rule_id, conditions",
+        [
+            pytest.param(rule_id, conditions, id=case)
+            for case, rule_id, conditions in (
+                ("point-base-k-below-n", "point-base", dict(p=2, n=3, k=1, variety_dim=0)),
+                ("classical-base-k-positive", "classical-base", dict(p=2, n=3, k=1)),
+                (
+                    "function-field-split-k-zero", "function-field-split",
+                    dict(p=2, n=3, k=0, degree=8, split_degree=4, term_count=2, upper_twist=0, lower_twist=4),
+                ),
+                ("halved-endpoints-odd-p", "halved-endpoints", dict(p=3, n=3, level=1, upper_twist=0, lower_twist=8)),
+                ("halved-endpoints-level-n", "halved-endpoints", dict(p=2, n=3, level=3, upper_twist=0, lower_twist=32)),
+                (
+                    "valuation-case-split-k-n", "valuation-case-split",
+                    dict(
+                        p=2, n=3, k=3, required_level=2, candidate_0_i=8, candidate_0_j=0,
+                        candidate_1_i=0, candidate_1_j=8, candidate_2_i=4, candidate_2_j=4,
+                    ),
+                ),
+                (
+                    "dimension-obstruction-k-above-n", "dimension-obstruction",
+                    dict(p=2, n=3, k=5, product_dim=-384, endpoint_dim=-128),
+                ),
+                (
+                    "dimension-obstruction-endpoint_dim", "dimension-obstruction",
+                    dict(p=2, n=3, k=2, product_dim=8, endpoint_dim=13),
+                ),
+                # n = 2^64 makes 2^n unbuildable: only the bit-length guard
+                # keeps the check from raising instead of answering
+                (
+                    "function-field-split-power", "function-field-split",
+                    dict(p=2, n=2**64, k=1, degree=4, split_degree=2, term_count=3, upper_twist=0, lower_twist=8),
+                ),
+                ("halved-endpoints-power", "halved-endpoints", dict(p=2, n=2**64, level=1, upper_twist=0, lower_twist=4)),
+            )
+        ],
+    )
+    def test_guard_alone_rejects(self, rule_id, conditions):
+        # every other conjunct of the check holds on these values
+        assert not ProofStep(rule_id, tuple(conditions.items())).replay()
+
 
 class TestConclusions:
     """A step's conclusion is the catalog's rendering of its side conditions;
