@@ -33,10 +33,11 @@ for p in (2, 3):
         print(f"  p={p}, n={n}: bounds by level {row}")
 
 # Every derivation carries a replayable trace.  Each step records the rule and
-# the numeric side conditions; its conclusion and citation come from the fixed
-# catalog, and a decoded conclusion that differs fails replay.  replay()
-# re-checks each step from the recorded numbers alone, in closed form, so it
-# takes time linear in the length of the ladder.
+# the numeric side conditions, and its JSON holds just those: the rule id and
+# the conditions.  Its conclusion and citation come from the fixed catalog,
+# rendered in the text below; the CLI's JSON lists each citation once, under
+# "rules".  replay() re-checks each step from the recorded numbers alone, in
+# closed form, so it takes time linear in the length of the ladder.
 bound = type_bound(SBVariety(DivisionContext(2, 3), 1))
 print(f"\nbound for SB_2, deg D = 8: {bound.bound}  (trace replays: {bound.trace.replay()})")
 print(bound.trace.render_text())

@@ -261,6 +261,8 @@ def type_bound_command(p: int, n: int, k: int, show_trace: bool) -> Result:
         payload = {"p": p, "n": n, "k": k, **summary}
         if show_trace:
             payload["trace"] = bound.trace.to_json_obj()
+            # each citation once, keyed by rule id in order of first use
+            payload["rules"] = {step.rule_id: step.citation for step in steps}
         return payload
 
     def text():

@@ -20,16 +20,19 @@ steps whose numeric side conditions can be re-checked from the recorded
 values alone, with no access to engine state (:meth:`ProofTrace.replay`).  A
 trace is recorded when it is first read, so a caller that wants only the
 bound or the verdict records nothing.  A step records its rule and its side
-conditions; its conclusion and citation come from the fixed rule catalog,
-rendered only when a trace is printed or encoded, so building and replaying
-format no text.  A decoded citation that differs from the catalog's is
-rejected, and a decoded conclusion that differs fails replay.  The induction
+conditions, and that is all its JSON encoding holds: ``{"rule_id",
+"conditions"}``.  Its conclusion and citation come from the fixed rule
+catalog, rendered only when a trace is printed as text; the CLI's JSON lists
+each citation once, in a top-level map of the rules the trace uses.  So
+building, encoding, decoding and replaying format no text, and a decoded
+step that carries a citation or a conclusion is rejected.  The induction
 is replayed in full for the requested exponent rather than memoized away, so
 traces are self-contained.  One generator fixes the rule and subject of each
 position of a derivation; recording fills in side conditions along it from
 each rule's catalog row (:attr:`Rule.record`), and replay checks that each
 position holds the rule it calls for there, and that every step speaks about
-the variety of the opening level bound.  The four rung rules of the halving
+the variety of the opening level bound, or about the variety replay is given
+(:meth:`ProofTrace.failing_steps`).  The four rung rules of the halving
 induction are ``p = 2`` rules, and their checks require ``p = 2``; every
 other rule checks its variety through the engine, by building the
 :class:`SBVariety` (``p`` prime, ``0 <= k <= n``), so even a lone step about
@@ -253,7 +256,7 @@ RULE_CATALOG: dict[str, Rule] = {
             "If a Tate twist of the level-l upper motive survives the "
             "function-field restriction, the restricted motive contains the "
             "level-l upper motive of the half-degree algebra twice: untwisted "
-            "and twisted by p^(n+l-1)(p-1). [endpoint summands of the split decomposition]",
+            "and twisted by 2^(n+l-1). [endpoint summands of the split decomposition]",
             lambda p, n, k, bound: {
                 "p": p, "n": n, "level": k - 1, "upper_twist": 0, "lower_twist": 1 << (n + k - 2),
             },
@@ -375,39 +378,27 @@ RULE_CATALOG: dict[str, Rule] = {
 class ProofStep(Record):
     """One applied rule and its recorded side conditions.
 
-    The rule id must name a catalog rule; the citation and the conclusion are
-    the catalog's, rendered from the side conditions when asked for.
-    ``mismatched_conclusion`` holds the text a decoded step stated where the
-    catalog renders another, or none; it is ``None`` for every built step and
-    every honest decode, and replay fails a step that carries it.
+    The rule id must name a catalog rule.  A step holds nothing else: its
+    citation and its conclusion are the catalog's, rendered from the side
+    conditions when asked for, and neither is encoded.
     """
 
     rule_id: str
     side_conditions: tuple[tuple[str, int], ...]
-    mismatched_conclusion: str | None
 
-    def __init__(
-        self,
-        rule_id: str,
-        side_conditions: tuple[tuple[str, int], ...],
-        *,
-        mismatched_conclusion: str | None = None,
-    ) -> None:
+    def __init__(self, rule_id: str, side_conditions: tuple[tuple[str, int], ...]) -> None:
         if rule_id not in RULE_CATALOG:
             raise DomainError(f"unknown rule id: {rule_id!r}")
         set_field(self, "rule_id", rule_id)
         set_field(self, "side_conditions", side_conditions)
-        set_field(self, "mismatched_conclusion", mismatched_conclusion)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
-            return (self.rule_id, self.side_conditions, self.mismatched_conclusion) == (
-                other.rule_id, other.side_conditions, other.mismatched_conclusion
-            )
+            return (self.rule_id, self.side_conditions) == (other.rule_id, other.side_conditions)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.rule_id, self.side_conditions, self.mismatched_conclusion))
+        return hash((self.rule_id, self.side_conditions))
 
     @property
     def citation(self) -> str:
@@ -415,24 +406,20 @@ class ProofStep(Record):
 
     @property
     def conclusion(self) -> str:
-        if self.mismatched_conclusion is not None:
-            return self.mismatched_conclusion
         return RULE_CATALOG[self.rule_id].template(self.conditions())
 
     def conditions(self) -> dict[str, int]:
         return dict(self.side_conditions)
 
     def replay(self) -> bool:
-        """Re-check this step's side conditions from the recorded values; a
-        step carrying a mismatched conclusion fails."""
-        if self.mismatched_conclusion is not None:
-            return False
+        """Re-check this step's side conditions from the recorded values."""
         try:
             return bool(RULE_CATALOG[self.rule_id].check(self.conditions()))
         except KeyError:
             return False
 
 
+_STEP_KEYS = frozenset(("rule_id", "conditions"))
 _RUNG = ("function-field-split", "halved-endpoints", "valuation-case-split", "dimension-obstruction")
 
 
@@ -479,23 +466,30 @@ class ProofTrace(Record):
     def __len__(self) -> int:
         return len(self.steps)
 
-    def replay(self) -> bool:
+    def replay(self, variety: SBVariety | None = None) -> bool:
         """True when no position fails (:meth:`failing_steps`)."""
-        return not self.failing_steps()
+        return not self.failing_steps(variety)
 
-    def failing_steps(self) -> tuple[int, ...]:
+    def failing_steps(self, variety: SBVariety | None = None) -> tuple[int, ...]:
         """Positions where replay fails: a step whose rule is not the one its
-        position calls for, that records another variety than the opening
-        level bound, whose side conditions do not re-check, or that carries a
-        mismatched conclusion; and ``len(self)`` when the derivation stops
-        short, so 0 for an empty trace.  A rule check alone accepts a step
-        sound for *any* variety, in any order: the derivation about the
-        variety of the opening level bound fixes what each position holds."""
+        position calls for, that records another variety than the one the
+        trace is about, or whose side conditions do not re-check; and
+        ``len(self)`` when the derivation stops short, so 0 for an empty
+        trace.  A rule check alone accepts a step sound for *any* variety, in
+        any order: the derivation about that variety fixes what each position
+        holds.  The trace is about ``variety`` when one is given, so an
+        opening level bound that names another ``(p, n, k)`` fails; otherwise
+        it is about the variety its opening level bound names, and a one-step
+        trace whose ``p`` or ``n`` was edited is a sound trace about another
+        variety."""
         steps = self.steps
-        opening = steps[0].conditions() if steps else {}
-        if not {"p", "n", "k"} <= opening.keys() or steps[0].rule_id != "level-bound":
-            return tuple(range(len(steps))) or (0,)
-        p, n, k = opening["p"], opening["n"], opening["k"]
+        if variety is not None:
+            p, n, k = variety.context.p, variety.context.n, variety.level
+        else:
+            opening = steps[0].conditions() if steps else {}
+            if not {"p", "n", "k"} <= opening.keys() or steps[0].rule_id != "level-bound":
+                return tuple(range(len(steps))) or (0,)
+            p, n, k = opening["p"], opening["n"], opening["k"]
         # the step after type_bound's positions names the closing; reading at
         # most len(steps) positions keeps replay linear in the trace's length
         after = sum(1 for _ in islice(_derivation(p, n, k), len(steps)))
@@ -524,44 +518,28 @@ class ProofTrace(Record):
 
     def to_json_obj(self) -> list[dict]:
         return [
-            {
-                "rule_id": step.rule_id,
-                "citation": step.citation,
-                "conditions": {name: str(value) for name, value in step.side_conditions},
-                "conclusion": step.conclusion,
-            }
+            {"rule_id": step.rule_id, "conditions": {name: str(value) for name, value in step.side_conditions}}
             for step in self.steps
         ]
 
     @classmethod
     def from_json_obj(cls, data: list[Mapping]) -> "ProofTrace":
-        """Decode a trace; an unknown rule id, a citation that differs from
-        the catalog's, or a side condition that is not a canonical decimal
-        string raises :class:`DomainError`, and so does a top level that is
-        not a list.  A conclusion that differs from the catalog's rendering
-        decodes, and fails replay."""
+        """Decode a trace written by :meth:`to_json_obj`: a list of steps,
+        each with exactly the keys ``rule_id`` and ``conditions``.  Another
+        top level, a step with other keys (such as a ``citation`` or a
+        ``conclusion``), an unknown rule id, or a side condition that is not
+        a canonical decimal string raises :class:`DomainError`."""
         if not isinstance(data, list):
             raise DomainError(f"malformed trace encoding: expected a list, got {type(data).__name__}")
         steps = []
         for entry in data:
             try:
-                conditions = {name: _int_from_json(value) for name, value in entry["conditions"].items()}
-                step = ProofStep(entry["rule_id"], tuple(conditions.items()))
-                citation, conclusion = entry["citation"], entry["conclusion"]
-                if not isinstance(conclusion, str):
-                    raise TypeError("conclusion is not text")
-            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                if entry.keys() != _STEP_KEYS:
+                    raise ValueError(f"step keys {list(entry)} are not ['rule_id', 'conditions']")
+                conditions = tuple((name, _int_from_json(value)) for name, value in entry["conditions"].items())
+                steps.append(ProofStep(entry["rule_id"], conditions))
+            except (AttributeError, TypeError, ValueError) as exc:
                 raise DomainError(f"malformed trace encoding: {exc}") from exc
-            rule = RULE_CATALOG[step.rule_id]
-            if citation != rule.citation:
-                raise DomainError(f"citation of {step.rule_id!r} differs from the rule catalog")
-            try:
-                matches = conclusion == rule.template(conditions)
-            except (KeyError, ValueError):  # a side condition missing, or too long to print
-                matches = False
-            if not matches:
-                step = ProofStep(step.rule_id, step.side_conditions, mismatched_conclusion=conclusion)
-            steps.append(step)
         return cls(tuple(steps))
 
 

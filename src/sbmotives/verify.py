@@ -314,7 +314,7 @@ def _check_trace_replay(max_n: int) -> Iterator[str]:
             indecomposability_judgment(variety).trace,
             rigidity_judgment(variety).trace,
         ):
-            if not trace.replay():
+            if not trace.replay(variety):
                 yield f"trace replay fails at (p={p}, n={n}, k={k})"
 
 

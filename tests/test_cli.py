@@ -294,7 +294,8 @@ class TestTypeBoundCommand:
         engine = type_bound(SBVariety(DivisionContext(2, 4), 2))
         assert trace == engine.trace
         assert int(payload["bound"]) == engine.bound
-        assert trace.replay()
+        assert trace.replay() and trace.replay(engine.variety)
+        assert list(payload["rules"]) == list(dict.fromkeys(step.rule_id for step in trace))
 
     def test_text_trace_rendering(self, runner):
         result = invoke(runner, "type-bound", "--p", "2", "--n", "3", "--k", "1", "--trace")
@@ -697,6 +698,19 @@ class TestVerifyCommand:
 
         monkeypatch.setattr(verify_module, "rigidity_judgment", overclaiming)
         assert list(verify_module._check_trace_replay(2)) == ["trace replay fails at (p=3, n=2, k=2)"]
+
+    def test_trace_replay_reports_a_trace_about_another_variety(self, monkeypatch):
+        # the type bound of (3, 2, 1) handed out for (5, 2, 1): a sound trace,
+        # but not about the variety it is checked for
+        original = verify_module.type_bound
+
+        def swapped(variety):
+            if (variety.context.p, variety.context.n, variety.level) != (5, 2, 1):
+                return original(variety)
+            return original(SBVariety(DivisionContext(3, 2), 1))
+
+        monkeypatch.setattr(verify_module, "type_bound", swapped)
+        assert list(verify_module._check_trace_replay(2)) == ["trace replay fails at (p=5, n=2, k=1)"]
 
     def test_rigidity_classifier_agreement_reports_every_planted_mismatch(self, monkeypatch):
         original = verify_module.rigidity_judgment

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from sbmotives import RULE_CATALOG, DivisionContext, ProofTrace, SBVariety
 from sbmotives.cli import cli
 from sbmotives.verify import IdentityResult, SuiteReport
 
@@ -46,3 +47,23 @@ def test_cli_bytes(case, tmp_path, monkeypatch):
     if "out" in case:
         written = out.read_bytes().decode("utf-8") if out.exists() else None
         assert written == case["out"]
+
+
+TRACE_JSON = [
+    c for c in CASES
+    if c["args"][:1] == ["type-bound"] and "--trace" in c["args"] and c["args"][-2:] == ["--format", "json"]
+]
+
+
+@pytest.mark.parametrize("case", TRACE_JSON, ids=[" ".join(c["args"]) for c in TRACE_JSON])
+def test_golden_trace_replays_against_its_variety(case):
+    payload = json.loads(case["stdout"])
+    p, n, k = (int(payload[name]) for name in ("p", "n", "k"))
+    trace = ProofTrace.from_json_obj(payload["trace"])
+    assert trace.replay(SBVariety(DivisionContext(p, n), k))
+    # each citation once, for exactly the rules the trace uses, in order of first use
+    assert payload["rules"] == {step.rule_id: RULE_CATALOG[step.rule_id].citation for step in trace}
+
+
+def test_every_trace_json_entry_is_checked():
+    assert len(TRACE_JSON) == 4

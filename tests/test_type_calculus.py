@@ -29,14 +29,19 @@ def variety(p, n, k):
     return SBVariety(DivisionContext(p, n), k)
 
 
-def _honest_traces(primes, max_n):
+def _judged_traces(primes, max_n):
+    """``(variety, trace)`` for the three derivations about each variety."""
     for p in primes:
         for n in range(max_n + 1):
             for k in range(n + 1):
                 v = variety(p, n, k)
-                yield type_bound(v).trace
-                yield indecomposability_judgment(v).trace
-                yield rigidity_judgment(v).trace
+                for derive in (type_bound, indecomposability_judgment, rigidity_judgment):
+                    yield v, derive(v).trace
+
+
+def _honest_traces(primes, max_n):
+    for _, trace in _judged_traces(primes, max_n):
+        yield trace
 
 
 class TestDimensionObstruction:
@@ -153,15 +158,13 @@ class TestTraceReplay:
 
 
 def _rewritten_to_p(trace, p):
-    """``trace`` with every step's ``p`` set to ``p`` and its conclusion
-    re-rendered from the catalog, so only the side conditions can fail."""
+    """``trace`` with every step's ``p`` set to ``p`` in its encoding, which
+    holds no text, so only the side conditions can fail."""
     encoded = trace.to_json_obj()
     for entry in encoded:
         entry["conditions"]["p"] = str(p)
-        conditions = {name: int(value) for name, value in entry["conditions"].items()}
-        entry["conclusion"] = RULE_CATALOG[entry["rule_id"]].template(conditions)
     rewritten = ProofTrace.from_json_obj(encoded)
-    assert all(step.mismatched_conclusion is None for step in rewritten)
+    assert rewritten.to_json_obj() == encoded
     return rewritten
 
 
@@ -214,6 +217,30 @@ class TestNamedVariety:
     def test_lone_level_bound_at_a_composite_fails_replay(self):
         assert not ProofStep("level-bound", (("p", 6), ("n", 2), ("k", 0), ("bound", -1))).replay()
         assert ProofStep("level-bound", (("p", 5), ("n", 2), ("k", 0), ("bound", -1))).replay()
+
+    def test_variety_swap_fails_replay_against_the_named_variety(self):
+        # the one-step trace of (3, 2, 1) rewritten to a sound trace about
+        # (5, 3, 1): it replays on its own, but not as a trace about (3, 2, 1)
+        encoded = type_bound(variety(3, 2, 1)).trace.to_json_obj()
+        assert encoded == [{"rule_id": "level-bound", "conditions": {"p": "3", "n": "2", "k": "1", "bound": "0"}}]
+        encoded[0]["conditions"].update(p="5", n="3", k="1", bound="0")
+        swapped = ProofTrace.from_json_obj(encoded)
+        assert swapped.replay()
+        assert not swapped.replay(SBVariety(DivisionContext(3, 2), 1))
+        assert swapped.failing_steps(variety(3, 2, 1)) == (0,)
+        assert swapped.replay(variety(5, 3, 1))
+
+    def test_named_variety_fixes_every_position(self):
+        # Against a given variety, each position is checked from that
+        # variety's derivation, not from the opening step's.  The ladder of
+        # exponents 3 and 4 also starts the one for exponent 5, so only the
+        # opening (n = 4) and the closing, where the rung of exponent 5
+        # belongs, fail; the rung is then missing at position 13.
+        steps = rigidity_judgment(variety(2, 4, 2)).trace.steps
+        assert len(steps) == 13
+        assert ProofTrace(steps).failing_steps(variety(2, 4, 2)) == ()
+        assert ProofTrace(steps).failing_steps(variety(2, 5, 2)) == (0, 10, 11, 12, 13)
+        assert ProofTrace().failing_steps(variety(3, 2, 1)) == (0,)
 
 
 class TestLoneStepConjuncts:
@@ -287,32 +314,55 @@ class TestLoneStepConjuncts:
         assert not ProofStep(rule_id, tuple(conditions.items())).replay()
 
 
+def _off_by_one_survivors(bound_to_variety):
+    """Every ±1 edit of every encoded side condition of the 189 traces for
+    p in 2, 3, 5 and n <= 5 that still replays, as ``(p, n, k, length,
+    rule_id, name, delta)``; replay is against the trace's variety when
+    ``bound_to_variety``, and against its opening level bound otherwise."""
+    survivors = []
+    for v, trace in _judged_traces((2, 3, 5), 5):
+        encoded = trace.to_json_obj()
+        assert ProofTrace.from_json_obj(encoded) == trace
+        for entry in encoded:
+            conditions = entry["conditions"]
+            for name, value in list(conditions.items()):
+                for delta in (-1, 1):
+                    conditions[name] = str(int(value) + delta)
+                    if ProofTrace.from_json_obj(encoded).replay(v if bound_to_variety else None):
+                        key = (v.context.p, v.context.n, v.level, len(trace), entry["rule_id"], name, delta)
+                        survivors.append(key)
+                conditions[name] = value
+    return survivors
+
+
 class TestConclusions:
-    """A step's conclusion is the catalog's rendering of its side conditions;
-    a decoded conclusion that differs decodes, and fails replay."""
+    """A step's conclusion is the catalog's rendering of its side conditions,
+    and its encoding holds no text: a decoded step that carries a conclusion
+    is rejected."""
 
-    def test_forged_conclusion_fails_replay(self):
-        encoded = indecomposability_judgment(variety(2, 3, 1)).trace.to_json_obj()
-        encoded[-1]["conclusion"] = "the motive decomposes into two summands"
-        trace = ProofTrace.from_json_obj(encoded)
-        assert not trace.replay()
-        assert trace.failing_steps() == (len(encoded) - 1,)
-        assert trace.to_json_obj() == encoded
+    def test_step_carrying_a_conclusion_fails_to_decode(self):
+        trace = indecomposability_judgment(variety(2, 3, 1)).trace
+        for i, step in enumerate(trace):
+            for conclusion in (step.conclusion, "the motive decomposes into two summands"):
+                encoded = trace.to_json_obj()
+                encoded[i]["conclusion"] = conclusion
+                with pytest.raises(DomainError, match="malformed trace encoding: .*conclusion"):
+                    ProofTrace.from_json_obj(encoded)
 
-    def test_every_off_by_one_with_stale_text_fails_replay(self):
-        # One-step traces (odd p, or level 0) read their variety off the step
-        # itself, so only the stale text catches a changed p or n there.
-        for trace in _honest_traces((2, 3, 5), 5):
-            encoded = trace.to_json_obj()
-            assert ProofTrace.from_json_obj(encoded) == trace
-            for entry in encoded:
-                conditions = entry["conditions"]
-                for name, value in list(conditions.items()):
-                    for delta in (-1, 1):
-                        conditions[name] = str(int(value) + delta)
-                        tampered = ProofTrace.from_json_obj(encoded)
-                        assert not tampered.replay(), (entry["rule_id"], name, delta)
-                    conditions[name] = value
+    def test_every_off_by_one_fails_replay_against_its_variety(self):
+        assert _off_by_one_survivors(bound_to_variety=True) == []
+
+    def test_off_by_one_survivors_without_a_variety(self):
+        # A one-step trace (odd p, or level 0, with no closing) names its
+        # variety in its only step, so an edited p or n that still names a
+        # variety is a sound trace about that other variety; every other
+        # edit fails even without a variety.
+        survivors = _off_by_one_survivors(bound_to_variety=False)
+        assert len(survivors) == 177
+        assert {(length, rule_id, name) for _, _, _, length, rule_id, name, _ in survivors} == {
+            (1, "level-bound", "p"),
+            (1, "level-bound", "n"),
+        }
 
     def test_building_and_replaying_render_no_text(self, monkeypatch):
         def refuse(conditions):
@@ -333,7 +383,7 @@ class TestConclusions:
             monkeypatch.setitem(RULE_CATALOG, rule_id, Rule(rule.rule_id, rule.citation, refuse, rule.check, rule.template))
         for entries in encoded:
             assert ProofTrace.from_json_obj(entries).replay()
-        # the split's conclusion does not print lower_twist, so only its check can fail
+        # only the split's check reads lower_twist
         tampered = next(e for e in encoded if any(s["rule_id"] == "function-field-split" for s in e))
         split = next(s for s in tampered if s["rule_id"] == "function-field-split")
         split["conditions"]["lower_twist"] = str(int(split["conditions"]["lower_twist"]) + 1)
@@ -454,9 +504,7 @@ class TestTraceSerialization:
 
     def test_rejects_unknown_rule(self):
         with pytest.raises(DomainError):
-            ProofTrace.from_json_obj(
-                [{"rule_id": "bogus", "citation": "x", "conditions": {}, "conclusion": "y"}]
-            )
+            ProofTrace.from_json_obj([{"rule_id": "bogus", "conditions": {}}])
 
     def test_conditions_that_are_not_a_mapping_rejected(self):
         encoded = type_bound(variety(2, 4, 2)).trace.to_json_obj()
@@ -513,11 +561,12 @@ class TestReplayProperties:
 
     @settings(max_examples=25, deadline=None)
     @given(two_primary, st.data())
-    def test_edited_citation_fails_to_decode(self, nk, data):
+    def test_step_carrying_a_citation_fails_to_decode(self, nk, data):
+        # the catalog's own citation is rejected as firmly as an edited one
         encoded = rigidity_judgment(variety(2, *nk)).trace.to_json_obj()
         entry = data.draw(st.sampled_from(encoded))
-        entry["citation"] += data.draw(st.text(min_size=1, max_size=3))
-        with pytest.raises(DomainError, match="citation"):
+        entry["citation"] = RULE_CATALOG[entry["rule_id"]].citation + data.draw(st.text(max_size=3))
+        with pytest.raises(DomainError, match="malformed trace encoding: .*citation"):
             ProofTrace.from_json_obj(encoded)
 
     def test_level_25_exponent_50_replays(self):
@@ -599,12 +648,7 @@ class TestRuleOrder:
 
 
 def _encoded_step(rule_id, **conditions):
-    return {
-        "rule_id": rule_id,
-        "citation": RULE_CATALOG[rule_id].citation,
-        "conditions": {name: str(value) for name, value in conditions.items()},
-        "conclusion": RULE_CATALOG[rule_id].template(conditions),
-    }
+    return {"rule_id": rule_id, "conditions": {name: str(value) for name, value in conditions.items()}}
 
 
 class TestHandEncodedTraces:

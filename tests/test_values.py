@@ -36,10 +36,7 @@ C22 = DivisionContext(2, 2)
 C23 = DivisionContext(2, 3)
 LEVEL_BOUND = RULE_CATALOG["level-bound"]
 OPENING = ProofStep("level-bound", (("p", 3), ("n", 1), ("k", 1), ("bound", 0)))
-OPENING_TEXT = (
-    "ProofStep(rule_id='level-bound', side_conditions=(('p', 3), ('n', 1), ('k', 1), ('bound', 0)), "
-    "mismatched_conclusion=None)"
-)
+OPENING_TEXT = "ProofStep(rule_id='level-bound', side_conditions=(('p', 3), ('n', 1), ('k', 1), ('bound', 0)))"
 PASSING = IdentityResult("demo/pass", True, ())
 
 # (build, fields, repr): ``build`` makes a fresh record from ``fields``
@@ -85,11 +82,11 @@ CASES = [
         f"Rule(rule_id='level-bound', citation={LEVEL_BOUND.citation!r}, record={LEVEL_BOUND.record!r}, "
         f"check={LEVEL_BOUND.check!r}, template={LEVEL_BOUND.template!r})",
     ),
-    (lambda: ProofStep(OPENING.rule_id, OPENING.side_conditions), (OPENING.rule_id, OPENING.side_conditions, None), OPENING_TEXT),
+    (lambda: ProofStep(OPENING.rule_id, OPENING.side_conditions), (OPENING.rule_id, OPENING.side_conditions), OPENING_TEXT),
     (
-        lambda: ProofStep("point-base", (("k", 1),), mismatched_conclusion="said"),
-        ("point-base", (("k", 1),), "said"),
-        "ProofStep(rule_id='point-base', side_conditions=(('k', 1),), mismatched_conclusion='said')",
+        lambda: ProofStep("point-base", (("k", 1),)),
+        ("point-base", (("k", 1),)),
+        "ProofStep(rule_id='point-base', side_conditions=(('k', 1),))",
     ),
     (lambda: type_bound(SBVariety(DivisionContext(3, 1), 1)).trace, ((OPENING,),), f"ProofTrace(steps=({OPENING_TEXT},))"),
     (lambda: ProofTrace(), ((),), "ProofTrace(steps=())"),
