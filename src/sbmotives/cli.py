@@ -1,24 +1,21 @@
 """Command-line front end.
 
-One subcommand per engine operation, batch-style (no interactive mode).
-Output is deterministic and byte-stable for fixed arguments: no timestamps,
-canonical orderings everywhere.
+One subcommand per engine operation, batch-style.  Output is deterministic and
+byte-stable for fixed arguments: no timestamps, canonical orderings everywhere.
 
 Each command body computes its answer once and returns a :class:`Result`
-holding that answer in all three formats: the JSON payload, the CSV rows
-(header first) and the text lines.  Every field is a zero-argument callable,
-so only the format that was asked for is built.  The ``decompose`` and
-``chow-order`` CSV rows are read from the library's encoders.  The shared
-:func:`_renders_result` decorator does everything else: it adds ``--format``
-(``text``, ``json`` or ``csv``, or the ``SBMOTIVES_FORMAT`` environment
-variable) and ``--out``, reports an :class:`EngineError` as ``error: ...`` on
-stderr with exit 1, renders the selected format and writes it to ``--out``,
-the one output path: stdout for ``-`` (the default), else a file opened only
-then, so a failed command creates none.  An integer past the interpreter's
-int-to-str digit limit fails rendering; it is reported the same way, before
-anything is written.  The renderer emits every JSON integer as a decimal
-string, so values above 2**53 survive any consumer; ``bool`` and ``None`` stay
-JSON literals.  CSV fields are joined with commas and never quoted.
+holding it in all three formats, each built only when asked for; the
+``decompose`` and ``chow-order`` CSV rows are read from the library's encoders.
+:func:`main` parses its list, or ``sys.argv``, with argparse, adding
+``-f``/``--format`` (``text``, ``json`` or ``csv``, default from
+``SBMOTIVES_FORMAT``) and ``--out`` to every command.  It reports an
+:class:`EngineError` as ``error: ...`` on stderr with exit 1, and writes the
+rendered format to ``--out``: stdout for ``-`` (the default), else a file
+opened only then, so a failed command creates none.  An integer past the
+int-to-str digit limit fails rendering and is reported the same way, before
+anything is written.  JSON integers other than ``bool`` are decimal strings, so
+values above 2**53 survive any consumer.  CSV fields are joined with commas,
+never quoted.  Usage text reads the same on every supported Python.
 
 Exit codes: 0 success, 1 engine domain error or an ``--out`` that cannot be
 opened, 2 usage error, 3 failed ``verify`` identities.
@@ -26,12 +23,11 @@ opened, 2 usage error, 3 failed ``verify`` identities.
 
 from __future__ import annotations
 
-import functools
+import argparse
 import json
+import os
 import sys
-from typing import Callable, Iterable, NamedTuple, TextIO
-
-import click
+from typing import Callable, Iterable, NamedTuple
 
 from .errors import DomainError, EngineError
 from .motive import DivisionContext, _is_prime
@@ -94,62 +90,40 @@ def _render(result: Result, fmt: str) -> str:
         raise DomainError(str(exc)) from None
 
 
-def _renders_result(body: Callable[..., Result]):
-    """Turn a body returning a :class:`Result` into a command callback."""
+class _Formatter(argparse.RawDescriptionHelpFormatter):
+    """Docstrings as written; an option's spellings share one metavar (``-f, --format FORMAT``) on every Python."""
 
-    @click.option("--out", "out", type=click.File("w", encoding="utf-8", lazy=True), default="-", metavar="FILE", help="Write output to a file instead of stdout.")
-    @click.option(
-        "--format",
-        "-f",
-        "fmt",
-        type=click.Choice(FORMATS),
-        default="text",
-        show_default=True,
-        envvar="SBMOTIVES_FORMAT",
-        help="Output format (env: SBMOTIVES_FORMAT).",
-    )
-    @functools.wraps(body)
-    def command(fmt: str, out: TextIO, **params) -> None:
-        try:
-            result = body(**params)
-            text = _render(result, fmt)
-        except EngineError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(1)
-        out.write(text if text.endswith("\n") else text + "\n")
-        out.flush()  # click re-wraps a stdout not encoded in UTF-8, and only collecting that wrapper flushes it
-        if result.exit_code:
-            sys.exit(result.exit_code)
-
-    return command
+    def _format_action_invocation(self, action: argparse.Action) -> str:
+        if not action.option_strings or action.nargs == 0:
+            return super()._format_action_invocation(action)
+        return ", ".join(action.option_strings) + " " + self._format_args(action, action.dest.upper())
 
 
-def _check_prime(ctx: click.Context, param: click.Parameter, p: int) -> int:
+def _prime(text: str) -> int:
     try:
-        prime = _is_prime(p)
+        p = int(text)
+        if _is_prime(p):
+            return p
     except DomainError as exc:  # at or above the bound below which primality is decided
-        raise click.BadParameter(str(exc)) from None
-    if not prime:
-        raise click.BadParameter(f"{p} is not prime")
-    return p
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    except ValueError:  # not an integer, or past the int-to-str digit limit
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    raise argparse.ArgumentTypeError(f"{p} is not prime")
 
 
-def _variety_options(fn):
-    """``--p/--n/--k``: the variety SB_{p^k} of a degree-p^n division algebra."""
-    fn = click.option("--k", "k", type=int, required=True, help="Level; the variety is SB_{p^k}.")(fn)
-    fn = click.option("--n", "n", type=int, required=True, help="Exponent; the algebra has degree p^n.")(fn)
-    return click.option("--p", "p", type=int, required=True, callback=_check_prime, help="Prime of the algebra.")(fn)
+def _format(text: str) -> str:  # also checks the SBMOTIVES_FORMAT default, which argparse passes through it
+    if text not in FORMATS:
+        raise argparse.ArgumentTypeError(f"invalid choice: {text!r} (choose from {', '.join(FORMATS)})")
+    return text
 
 
-@click.group()
-def cli() -> None:
-    """Exact combinatorics of motivic decompositions of Severi-Brauer varieties."""
+_VARIETY = {  # the variety SB_{p^k} of a degree-p^n division algebra
+    "--p": dict(type=_prime, required=True, help="Prime of the algebra."),
+    "--n": dict(type=int, required=True, help="Exponent; the algebra has degree p^n."),
+    "--k": dict(type=int, required=True, help="Level; the variety is SB_{p^k}."),
+}
 
 
-@cli.command()
-@click.argument("d", type=int)
-@click.argument("k", type=int)
-@_renders_result
 def gaussian(d: int, k: int) -> Result:
     """Gaussian binomial [D choose K]_q with exact integer coefficients."""
     poly = gaussian_binomial(d, k)
@@ -163,15 +137,10 @@ def gaussian(d: int, k: int) -> Result:
     )
 
 
-@cli.command(name="mu")
-@_variety_options
-@click.option("--i", "i", type=int, default=None, help="Single degree to report.")
-@click.option("--all", "all_", is_flag=True, help="Tabulate every degree with a possibly nonzero count.")
-@_renders_result
 def mu_command(p: int, n: int, k: int, i: int | None, all_: bool) -> Result:
     """Box-partition counts behind the rational Chow-group orders."""
     if (i is None) == (not all_):
-        raise click.UsageError("exactly one of --i or --all is required")
+        raise argparse.ArgumentError(None, "exactly one of --i or --all is required")
     context = DivisionContext(p, n)
     table = mu_table(SBVariety(context, k)) if all_ else [(i, mu(context, k, i))]
     return Result(
@@ -181,9 +150,6 @@ def mu_command(p: int, n: int, k: int, i: int | None, all_: bool) -> Result:
     )
 
 
-@cli.command(name="chow-order")
-@_variety_options
-@_renders_result
 def chow_order(p: int, n: int, k: int) -> Result:
     """Orders of the rational Chow groups of SB_1 x SB_{p^k}, all degrees."""
     reports = rational_chow_orders(SBVariety(DivisionContext(p, n), k))
@@ -206,9 +172,6 @@ def chow_order(p: int, n: int, k: int) -> Result:
     )
 
 
-@cli.command()
-@_variety_options
-@_renders_result
 def decompose(p: int, n: int, k: int) -> Result:
     """Function-field decomposition of SB_{2^k} with its conservation check."""
     variety = SBVariety(DivisionContext(p, n), k)
@@ -242,10 +205,6 @@ def decompose(p: int, n: int, k: int) -> Result:
     )
 
 
-@cli.command(name="type-bound")
-@_variety_options
-@click.option("--trace", "show_trace", is_flag=True, help="Include the full proof trace.")
-@_renders_result
 def type_bound_command(p: int, n: int, k: int, show_trace: bool) -> Result:
     """Derived type bound with indecomposability and rigidity judgments."""
     variety = SBVariety(DivisionContext(p, n), k)
@@ -283,9 +242,6 @@ def type_bound_command(p: int, n: int, k: int, show_trace: bool) -> Result:
     )
 
 
-@cli.command()
-@click.option("--k", "k", type=int, required=True, help="Reduced dimension of the ideals.")
-@_renders_result
 def conjecture(k: int) -> Result:
     """Is the decomposition-lifting question settled for SB_k?"""
     case = classify_reduced_dimension(k)
@@ -330,11 +286,10 @@ def conjecture(k: int) -> Result:
     )
 
 
-@cli.command()
-@click.option("--max-n", "max_n", type=click.IntRange(min=1), default=5, show_default=True, help="Largest exponent for range-parameterized identities.")
-@_renders_result
 def verify(max_n: int) -> Result:
     """Run the full identity suite; exit 3 when any identity fails."""
+    if max_n < 1:
+        raise argparse.ArgumentError(None, f"--max-n must be at least 1, got {max_n}")
     report = run_identity_suite(max_n)
 
     def text():
@@ -366,8 +321,69 @@ def verify(max_n: int) -> Result:
     )
 
 
-def main() -> None:
-    cli()
+_COMMANDS = {  # name -> (body, its arguments besides --out and --format)
+    "gaussian": (gaussian, {"d": dict(metavar="D", type=int), "k": dict(metavar="K", type=int)}),
+    "mu": (mu_command, {
+        **_VARIETY,
+        "--i": dict(type=int, help="Single degree to report."),
+        "--all": dict(dest="all_", action="store_true", help="Tabulate every degree with a possibly nonzero count."),
+    }),
+    "chow-order": (chow_order, _VARIETY),
+    "decompose": (decompose, _VARIETY),
+    "type-bound": (type_bound_command, {**_VARIETY, "--trace": dict(dest="show_trace", action="store_true", help="Include the full proof trace.")}),
+    "conjecture": (conjecture, {"--k": dict(type=int, required=True, help="Reduced dimension of the ideals.")}),
+    "verify": (verify, {"--max-n": dict(type=int, default=5, help="Largest exponent for range-parameterized identities (default: 5).")}),
+}
+
+
+def main(argv: list[str] | None = None) -> None:
+    """Run ``sbmotives ARGV`` (``sys.argv[1:]`` by default); a failure exits nonzero."""
+    name, *args = (sys.argv[1:] if argv is None else argv) or [""]
+    if name not in _COMMANDS:
+        top = argparse.ArgumentParser(
+            prog="sbmotives",
+            usage="%(prog)s [-h] COMMAND [ARGS]...",
+            description="Exact combinatorics of motivic decompositions of Severi-Brauer varieties.",
+            epilog="commands:\n" + "\n".join(f"  {c:<12}{body.__doc__}" for c, (body, _) in sorted(_COMMANDS.items())),
+            formatter_class=_Formatter, allow_abbrev=False,
+        )
+        if name in ("-h", "--help"):
+            top.parse_args([name])  # prints the help and exits 0
+        top.error(f"no such command {name!r}" if name else "missing command")
+    body, arguments = _COMMANDS[name]
+    parser = argparse.ArgumentParser(
+        prog=f"sbmotives {name}", description=body.__doc__, formatter_class=_Formatter, allow_abbrev=False
+    )
+    for flag, options in arguments.items():
+        parser.add_argument(flag, **options)
+    parser.add_argument("--out", default="-", metavar="FILE", help="Write output to a file instead of stdout.")
+    parser.add_argument(
+        "-f", "--format", type=_format, default=os.environ.get("SBMOTIVES_FORMAT") or "text",
+        help="Output format: text, json or csv (default: text, or env SBMOTIVES_FORMAT).",
+    )
+    params = vars(parser.parse_args(args))
+    fmt, out = params.pop("format"), params.pop("out")
+    try:
+        result = body(**params)
+        text = _render(result, fmt)
+    except argparse.ArgumentError as exc:  # a usage check the body makes: mu's --i or --all, verify's --max-n
+        parser.error(str(exc))
+    except EngineError as exc:
+        parser.exit(1, f"error: {exc}\n")
+    try:
+        stream = sys.stdout if out == "-" else open(out, "w", encoding="utf-8")
+    except OSError as exc:
+        parser.exit(1, f"Error: Could not open file {out!r}: {exc.strerror}\n")
+    try:
+        stream.write(text if text.endswith("\n") else text + "\n")
+        stream.flush()
+    except BrokenPipeError:  # the reader stopped early, as `head` does: exit 1 without a traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    if stream is not sys.stdout:
+        stream.close()
+    if result.exit_code:
+        sys.exit(result.exit_code)
 
 
 if __name__ == "__main__":

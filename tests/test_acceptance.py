@@ -12,8 +12,6 @@ import time
 from collections import Counter
 from contextlib import contextmanager
 
-from click.testing import CliRunner
-
 from sbmotives import (
     DivisionContext,
     GradedRankPoly,
@@ -36,7 +34,6 @@ from sbmotives import (
     rigidity_judgment,
     type_bound,
 )
-from sbmotives.cli import cli
 
 
 @contextmanager
@@ -220,10 +217,8 @@ def test_criterion_9_chow_order_degenerate_sanity():
         assert orders[0].group_order() == 1 != orders[0].literal_order
 
 
-def test_criterion_10_cli_determinism(monkeypatch):
+def test_criterion_10_cli_determinism(run_cli):
     with criterion(10, "byte-identical CLI output"):
-        monkeypatch.delenv("SBMOTIVES_FORMAT", raising=False)
-        runner = CliRunner()
         invocations = [
             ["gaussian", "4", "2"],
             ["gaussian", "4", "2", "--format", "json"],
@@ -247,9 +242,9 @@ def test_criterion_10_cli_determinism(monkeypatch):
             ["verify", "--max-n", "2", "--format", "json"],
         ]
         for args in invocations:
-            first = runner.invoke(cli, args)
-            second = runner.invoke(cli, args)
-            assert first.exit_code == 0, (args, first.output)
+            first = run_cli(*args)
+            second = run_cli(*args)
+            assert first.exit_code == 0, (args, first.stdout, first.stderr)
             assert first.exit_code == second.exit_code, args
-            assert first.output == second.output, args
-            assert first.output  # something was printed
+            assert (first.stdout, first.stderr) == (second.stdout, second.stderr), args
+            assert first.stdout  # something was printed

@@ -12,10 +12,8 @@ import json
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 from sbmotives import RULE_CATALOG, DivisionContext, ProofTrace, SBVariety
-from sbmotives.cli import cli
 from sbmotives.verify import IdentityResult, SuiteReport
 
 CASES = json.loads((Path(__file__).parent / "cli_golden.json").read_text(encoding="utf-8"))
@@ -31,14 +29,13 @@ FAILING_SUITE = SuiteReport(
 
 
 @pytest.mark.parametrize("case", CASES, ids=[" ".join(c["args"]) or "<none>" for c in CASES])
-def test_cli_bytes(case, tmp_path, monkeypatch):
+def test_cli_bytes(case, tmp_path, monkeypatch, run_cli):
     if case.get("suite") == "failing":
         monkeypatch.setattr("sbmotives.cli.run_identity_suite", lambda max_n: FAILING_SUITE)
     out = tmp_path / "out.txt"
     args = [str(out) if a == "{out}" else a for a in case["args"]]
     env = {"COLUMNS": "80", "SBMOTIVES_FORMAT": None, **case.get("env", {})}
-    result = CliRunner().invoke(cli, args, env=env)
-    assert result.exception is None or isinstance(result.exception, SystemExit)
+    result = run_cli(*args, env=env)
     assert (result.exit_code, result.stdout, result.stderr) == (
         case["exit_code"],
         case["stdout"],

@@ -26,10 +26,10 @@ def test_star_import_binds_every_name():
         assert namespace[name] is getattr(sbmotives, name), name
 
 
-def test_cli_start_up_loads_neither_decimal_nor_dataclasses():
-    # in a fresh interpreter, since pytest itself has loaded both
+def test_cli_start_up_loads_no_click_decimal_or_dataclasses():
+    # in a fresh interpreter, since pytest itself has loaded decimal and dataclasses
     src = str(Path(sbmotives.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    probe = "import sys, sbmotives.cli; print(sorted({'dataclasses', 'decimal'} & sys.modules.keys()))"
+    probe = "import sys, sbmotives.cli; print(sorted({'click', 'dataclasses', 'decimal'} & sys.modules.keys()))"
     run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert run.stdout == "[]\n"

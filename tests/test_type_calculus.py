@@ -2,7 +2,6 @@ import json
 import time
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from sbmotives import (
@@ -21,7 +20,6 @@ from sbmotives import (
     type_bound,
 )
 from sbmotives import type_calculus
-from sbmotives.cli import cli
 from sbmotives.type_calculus import _RUNG
 
 
@@ -389,7 +387,7 @@ class TestConclusions:
         split["conditions"]["lower_twist"] = str(int(split["conditions"]["lower_twist"]) + 1)
         assert not ProofTrace.from_json_obj(tampered).replay()
 
-    def test_bounds_and_verdicts_never_record(self, monkeypatch):
+    def test_bounds_and_verdicts_never_record(self, monkeypatch, run_cli):
         def refuse(p, n, k, bound):
             raise AssertionError("side conditions were recorded")
 
@@ -404,8 +402,8 @@ class TestConclusions:
         for judgment in (indecomposability_judgment(v), rigidity_judgment(v)):
             assert (judgment.bound, judgment.status.value) == (1, "unknown")
         for fmt in ("text", "json", "csv"):
-            result = CliRunner().invoke(cli, ["type-bound", "--p", "2", "--n", "40", "--k", "3", "--format", fmt])
-            assert result.exit_code == 0, (fmt, result.output)
+            result = run_cli("type-bound", "--p", "2", "--n", "40", "--k", "3", "--format", fmt)
+            assert result.exit_code == 0, (fmt, result.stdout, result.stderr)
         with pytest.raises(AssertionError, match="recorded"):
             derived.trace
 
