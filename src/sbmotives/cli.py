@@ -17,8 +17,8 @@ anything is written.  JSON integers other than ``bool`` are decimal strings, so
 values above 2**53 survive any consumer.  CSV fields are joined with commas,
 never quoted.  Usage text reads the same on every supported Python.
 
-Exit codes: 0 success, 1 engine domain error or an ``--out`` that cannot be
-opened, 2 usage error, 3 failed ``verify`` identities.
+Exit codes: 0 success, 1 engine domain error or an output that cannot be
+opened or written, 2 usage error, 3 failed ``verify`` identities.
 """
 
 from __future__ import annotations
@@ -375,13 +375,17 @@ def main(argv: list[str] | None = None) -> None:
     except OSError as exc:
         parser.exit(1, f"Error: Could not open file {out!r}: {exc.strerror}\n")
     try:
-        stream.write(text if text.endswith("\n") else text + "\n")
-        stream.flush()
-    except BrokenPipeError:  # the reader stopped early, as `head` does: exit 1 without a traceback
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        sys.exit(1)
-    if stream is not sys.stdout:
-        stream.close()
+        try:
+            stream.write(text if text.endswith("\n") else text + "\n")
+            stream.flush()
+        finally:
+            if stream is not sys.stdout:
+                stream.close()
+    except OSError as exc:
+        if stream is sys.stdout:  # what is left in its buffer goes nowhere, so the flush at exit cannot fail
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        quiet = isinstance(exc, BrokenPipeError)  # the reader stopped early, as `head` does
+        parser.exit(1, "" if quiet else f"error: cannot write {'stdout' if out == '-' else repr(out)}: {exc.strerror}\n")
     if result.exit_code:
         sys.exit(result.exit_code)
 

@@ -98,14 +98,6 @@ class DivisionContext(Record):
         set_field(self, "p", p)
         set_field(self, "n", n)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.p, self.n) == (other.p, other.n)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.n))
-
     @property
     def degree(self) -> int:
         return self.p**self.n
@@ -113,14 +105,6 @@ class DivisionContext(Record):
 
 class TateUnit(Record):
     """The unit object; every twist of it is a Tate motive."""
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return True
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(())
 
     def __repr__(self) -> str:
         return "Tate"
@@ -140,14 +124,6 @@ class UpperMotive(Record):
             raise DomainError(f"level must satisfy 0 <= level <= {context.n}, got {level!r}")
         set_field(self, "context", context)
         set_field(self, "level", level)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.context, self.level) == (other.context, other.level)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.context, self.level))
 
     def __repr__(self) -> str:
         return f"Upper(p={self.context.p}, n={self.context.n}, level={self.level})"
@@ -176,14 +152,6 @@ class SBProduct(Record):
                 )
         set_field(self, "context", context)
         set_field(self, "dims", tuple(sorted(d for d in dims if 0 < d < degree)))
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.context, self.dims) == (other.context, other.dims)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.context, self.dims))
 
     def __repr__(self) -> str:
         return f"SBProduct(p={self.context.p}, n={self.context.n}, dims={self.dims})"
@@ -230,14 +198,6 @@ class Term(Record):
             raise DomainError(f"twist must be a nonnegative integer, got {twist!r}")
         set_field(self, "obj", normalize_object(obj))
         set_field(self, "twist", twist)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.obj, self.twist) == (other.obj, other.twist)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.obj, self.twist))
 
     def sort_key(self) -> tuple:
         """Total order on terms: object kind, lexicographic payload, twist."""
@@ -307,14 +267,6 @@ class ExtremeTerms(Record):
     upper_multiplicity: int
     lower: Term | None
     lower_multiplicity: int
-
-    def __init__(
-        self, upper: Term | None, upper_multiplicity: int, lower: Term | None, lower_multiplicity: int
-    ) -> None:
-        set_field(self, "upper", upper)
-        set_field(self, "upper_multiplicity", upper_multiplicity)
-        set_field(self, "lower", lower)
-        set_field(self, "lower_multiplicity", lower_multiplicity)
 
 
 _TermLike = Union[Term, tuple]

@@ -17,6 +17,8 @@ statements the rest of the engine consumes:
 from __future__ import annotations
 
 from enum import Enum
+from itertools import count, islice, repeat
+from typing import Iterator
 
 from ._record import Record, set_field
 from .errors import DomainError, UnsupportedOperationError
@@ -49,14 +51,6 @@ class SBVariety(Record):
         UpperMotive(context, level)  # the one level check
         set_field(self, "context", context)
         set_field(self, "level", level)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.context, self.level) == (other.context, other.level)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.context, self.level))
 
     @property
     def reduced_dimension(self) -> int:
@@ -95,15 +89,16 @@ def mu(context: DivisionContext, level: int, i: int) -> int:
     return gaussian_binomial(context.degree, variety.reduced_dimension).coefficient(target)
 
 
-def mu_table(variety: SBVariety) -> tuple[tuple[int, int], ...]:
-    """``(i, mu)`` for every ``0 <= i <= deg + dim``, read from one binomial.
-
-    The binomial is built before the first row, so a table whose binomial is
-    too wide to store raises at once, not after the zeros above the box.
-    """
-    top = _top_degree(variety)
+def _mu_column(variety: SBVariety) -> Iterator[int]:
+    """``mu`` at ``i = 0, 1, ..., deg + dim``.  The binomial is built at once, so
+    one too wide to store raises before the zeros above the box are read."""
     row = gaussian_binomial(variety.context.degree, variety.reduced_dimension)
-    return tuple((i, row.coefficient(top - i)) for i in range(top + 1))
+    return map(row.coefficient, range(_top_degree(variety), -1, -1))
+
+
+def mu_table(variety: SBVariety) -> tuple[tuple[int, int], ...]:
+    """``(i, mu)`` for every ``0 <= i <= deg + dim``, from one binomial."""
+    return tuple(enumerate(_mu_column(variety)))
 
 
 class ChowOrderReport(Record):
@@ -121,11 +116,6 @@ class ChowOrderReport(Record):
     prime: int
     i: int
     summand_count: int
-
-    def __init__(self, prime: int, i: int, summand_count: int) -> None:
-        set_field(self, "prime", prime)
-        set_field(self, "i", i)
-        set_field(self, "summand_count", summand_count)
 
     @property
     def literal_order(self) -> int:
@@ -151,14 +141,13 @@ def rational_chow_order(variety: SBVariety, i: int) -> ChowOrderReport:
     max_i = _top_degree(variety) - 1
     if not _is_int(i) or not 0 <= i <= max_i:
         raise DomainError(f"homological degree must satisfy 0 <= i <= {max_i}, got {i!r}")
-    return ChowOrderReport(prime=variety.context.p, i=i, summand_count=mu(variety.context, variety.level, i + 1))
+    return ChowOrderReport(variety.context.p, i, mu(variety.context, variety.level, i + 1))
 
 
 def rational_chow_orders(variety: SBVariety) -> tuple[ChowOrderReport, ...]:
-    """The report of every homological degree, ascending: ``mu_table``'s rows
-    from ``i = 1``, each one degree lower."""
-    p = variety.context.p
-    return tuple(ChowOrderReport(prime=p, i=i - 1, summand_count=count) for i, count in mu_table(variety)[1:])
+    """The report of every homological degree, ascending: ``mu`` from
+    ``i = 1``, each one degree lower."""
+    return tuple(map(ChowOrderReport, repeat(variety.context.p), count(), islice(_mu_column(variety), 1, None)))
 
 
 def _half_degree(context: DivisionContext) -> DivisionContext:
@@ -227,10 +216,6 @@ class PrimaryCase(Record):
     prime: int
     reduced_dimension: int
 
-    def __init__(self, prime: int, reduced_dimension: int) -> None:
-        set_field(self, "prime", prime)
-        set_field(self, "reduced_dimension", reduced_dimension)
-
 
 class CaseClassification(Record):
     """Whether the decomposition-lifting property is settled for ``SB_k``.
@@ -247,22 +232,6 @@ class CaseClassification(Record):
     odd_squarefree_part: int | None
     blocking_factor: int | None
     reductions: tuple[PrimaryCase, ...]
-
-    def __init__(
-        self,
-        k: int,
-        covered: bool,
-        reason: CoverageReason | None,
-        odd_squarefree_part: int | None,
-        blocking_factor: int | None,
-        reductions: tuple[PrimaryCase, ...],
-    ) -> None:
-        set_field(self, "k", k)
-        set_field(self, "covered", covered)
-        set_field(self, "reason", reason)
-        set_field(self, "odd_squarefree_part", odd_squarefree_part)
-        set_field(self, "blocking_factor", blocking_factor)
-        set_field(self, "reductions", reductions)
 
 
 # Every k below _TRIAL_DIVISION_LIMIT**2 factors completely.

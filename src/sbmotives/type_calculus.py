@@ -94,20 +94,6 @@ class Rule(Record):
     check: Callable[[Conditions], bool]
     template: Callable[[Conditions], str]
 
-    def __init__(
-        self,
-        rule_id: str,
-        citation: str,
-        record: Callable[[int, int, int, int], dict[str, int]],
-        check: Callable[[Conditions], bool],
-        template: Callable[[Conditions], str],
-    ) -> None:
-        set_field(self, "rule_id", rule_id)
-        set_field(self, "citation", citation)
-        set_field(self, "record", record)
-        set_field(self, "check", check)
-        set_field(self, "template", template)
-
 
 def _power_fits(value: int, exponent: int) -> bool:
     """Whether ``2**exponent`` can be at most ``|value|``, read from the bit
@@ -392,14 +378,6 @@ class ProofStep(Record):
         set_field(self, "rule_id", rule_id)
         set_field(self, "side_conditions", side_conditions)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.rule_id, self.side_conditions) == (other.rule_id, other.side_conditions)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.rule_id, self.side_conditions))
-
     @property
     def citation(self) -> str:
         return RULE_CATALOG[self.rule_id].citation
@@ -589,10 +567,6 @@ class TypeBound(Record):
     variety: SBVariety
     bound: int
 
-    def __init__(self, variety: SBVariety, bound: int) -> None:
-        set_field(self, "variety", variety)
-        set_field(self, "bound", bound)
-
     @cached_property
     def trace(self) -> ProofTrace:
         return _trace(self.variety, None)
@@ -650,11 +624,6 @@ class Judgment(Record):
     variety: SBVariety
     status: IndecomposabilityStatus | RigidityStatus
     bound: int
-
-    def __init__(self, variety: SBVariety, status: IndecomposabilityStatus | RigidityStatus, bound: int) -> None:
-        set_field(self, "variety", variety)
-        set_field(self, "status", status)
-        set_field(self, "bound", bound)
 
     @cached_property
     def trace(self) -> ProofTrace:

@@ -10,7 +10,7 @@ import math
 from collections import Counter
 from typing import Callable, Iterator
 
-from ._record import Record, set_field
+from ._record import Record
 from .errors import DomainError
 from .motive import TATE, DivisionContext, MotiveExpr, SBProduct, Term
 from .qpoly import (
@@ -46,19 +46,10 @@ class IdentityResult(Record):
     passed: bool
     failures: tuple[str, ...]
 
-    def __init__(self, identity: str, passed: bool, failures: tuple[str, ...]) -> None:
-        set_field(self, "identity", identity)
-        set_field(self, "passed", passed)
-        set_field(self, "failures", failures)
-
 
 class SuiteReport(Record):
     max_n: int
     results: tuple[IdentityResult, ...]
-
-    def __init__(self, max_n: int, results: tuple[IdentityResult, ...]) -> None:
-        set_field(self, "max_n", max_n)
-        set_field(self, "results", results)
 
     @property
     def passed(self) -> bool:

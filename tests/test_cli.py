@@ -113,13 +113,32 @@ class TestOutOption:
 
     def test_reader_closing_stdout_exits_one_without_traceback(self):
         # as `sbmotives ... | head` does; the ~120 kB of output outgrow any pipe buffer
-        src = str(Path(cli_module.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-        args = [sys.executable, "-m", "sbmotives.cli", "chow-order", "--p", "2", "--n", "12", "--k", "0"]
-        proc = subprocess.Popen(args, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc = cli_process("chow-order", "--p", "2", "--n", "12", "--k", "0", stdout=subprocess.PIPE)
         proc.stdout.close()
         stderr = proc.stderr.read()
         assert (proc.wait(timeout=30), stderr) == (1, b"")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full to write to")
+    @pytest.mark.parametrize("via_out", [False, True], ids=["stdout", "out-option"])
+    def test_full_device_exits_one_with_one_error_line(self, via_out):
+        with open("/dev/full", "w") as full:
+            if via_out:
+                proc = cli_process("gaussian", "4", "2", "--out", "/dev/full", stdout=subprocess.DEVNULL)
+            else:
+                proc = cli_process("gaussian", "4", "2", stdout=full)
+            stderr = proc.stderr.read().decode()
+            assert proc.wait(timeout=30) == 1
+        assert len(stderr.splitlines()) == 1 and stderr.startswith("error: ")
+        assert "Traceback" not in stderr
+
+
+def cli_process(*args: str, stdout) -> subprocess.Popen:
+    """``sbmotives ARGS`` in a fresh interpreter, stderr piped, this checkout's package first."""
+    src = str(Path(cli_module.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    return subprocess.Popen(
+        [sys.executable, "-m", "sbmotives.cli", *args], env=env, stdout=stdout, stderr=subprocess.PIPE
+    )
 
 
 # the options each command requires (mu: --i, one of its two selectors); None stands for a positional

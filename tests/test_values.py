@@ -147,3 +147,36 @@ def test_derived_traces_are_cached_and_leave_the_value_alone():
     assert derived == TypeBound(v, derived.bound)
     assert judgment == Judgment(v, judgment.status, judgment.bound)
     assert hash(derived) == hash((v, derived.bound))
+
+
+# The base constructor, on a record that declares only its fields.
+
+
+def test_fields_by_keyword_equal_fields_by_position():
+    assert ChowOrderReport(prime=2, i=1, summand_count=5) == ChowOrderReport(2, 1, 5)
+    assert ChowOrderReport(2, summand_count=5, i=1) == ChowOrderReport(2, 1, 5)
+
+
+@pytest.mark.parametrize(("values", "named"), [((2, 1), {}), ((2, 1, 5, 7), {}), ((2,), {"i": 1})])
+def test_too_few_or_too_many_values_raise(values, named):
+    with pytest.raises(TypeError, match=r"takes the fields \('prime', 'i', 'summand_count'\)"):
+        ChowOrderReport(*values, **named)
+
+
+def test_unknown_keyword_raises():
+    with pytest.raises(TypeError, match="got an unknown field 'order'"):
+        ChowOrderReport(2, 1, order=5)
+
+
+@pytest.mark.parametrize("values", [(2,), (2, 1, 5)])
+def test_field_given_by_position_and_keyword_raises(values):
+    with pytest.raises(TypeError, match="second value for field 'prime'"):
+        ChowOrderReport(*values, prime=2)
+
+
+def test_tate_unit_takes_no_fields():
+    assert TateUnit() == TATE and vars(TateUnit()) == {}
+    with pytest.raises(TypeError):
+        TateUnit(0)
+    with pytest.raises(TypeError):
+        TateUnit(twist=0)
