@@ -19,34 +19,40 @@ Every derivation is returned as a :class:`ProofTrace`: an ordered list of
 steps whose numeric side conditions can be re-checked from the recorded
 values alone, with no access to engine state (:meth:`ProofTrace.replay`).  A
 trace is recorded when it is first read, so a caller that wants only the
-bound or the verdict records nothing.  A step records its rule and its side
-conditions, and that is all its JSON encoding holds: ``{"rule_id",
-"conditions"}``.  Its conclusion and citation come from the fixed rule
-catalog, rendered only when a trace is printed as text; the CLI's JSON lists
-each citation once, in a top-level map of the rules the trace uses.  So
-building, encoding, decoding and replaying format no text, and a decoded
-step that carries a citation or a conclusion is rejected.  The induction
-is replayed in full for the requested exponent rather than memoized away, so
-traces are self-contained.  One generator fixes the rule and subject of each
-position of a derivation; recording fills in side conditions along it from
-each rule's catalog row (:attr:`Rule.record`), and replay checks that each
-position holds the rule it calls for there, and that every step speaks about
-the variety of the opening level bound, or about the variety replay is given
-(:meth:`ProofTrace.failing_steps`).  The four rung rules of the halving
+bound or the verdict records nothing.  The traces about one variety share
+their recorded steps: the type bound's trace is recorded once, and each
+judgment's trace is its steps followed by the judgment's closing.  Each trace
+still holds all of its steps; the registry of type bound traces is weak, so
+it holds none once the traces about a variety are gone.  A step records its
+rule and its side conditions, and that is all its JSON encoding holds:
+``{"rule_id", "conditions"}``.  Its conclusion and citation come from the
+fixed rule catalog, rendered only when a trace is printed as text; the CLI's
+JSON lists each citation once, in a top-level map of the rules the trace
+uses.  So building, encoding, decoding and replaying format no text, and a
+decoded step that carries a citation or a conclusion is rejected.  The
+induction is replayed in full for the requested exponent rather than memoized
+away, so traces are self-contained.  One generator fixes the rule and subject
+of each position of a derivation; recording fills in side conditions along it
+from each rule's catalog row (:attr:`Rule.record`), and replay checks that
+each position holds the rule it calls for there, and that every step speaks
+about the variety of the opening level bound, or about the variety replay is
+given (:meth:`ProofTrace.failing_steps`).  The four rung rules of the halving
 induction are ``p = 2`` rules, and their checks require ``p = 2``; every
 other rule checks its variety through the engine, by building the
 :class:`SBVariety` (``p`` prime, ``0 <= k <= n``), so even a lone step about
-an algebra that does not exist fails replay.  Decoding reads integers only
-from canonical decimal strings, as :meth:`ProofTrace.to_json_obj` writes
-them.  Every rule check is closed form, so replaying the trace of level
-``k`` and exponent ``n`` takes time linear in ``n - k``.  A check builds a
-power only after the bit length of a recorded value allows it, so a decoded
-trace costs time in the size of its encoding, however large the exponents
-it names.
+an algebra that does not exist fails replay, and so does a step that names a
+side condition twice or records a value that is not an ``int``.  Decoding
+reads integers only from canonical decimal strings, as
+:meth:`ProofTrace.to_json_obj` writes them, parsing each one once.  Every
+rule check is closed form, so replaying the trace of level ``k`` and exponent
+``n`` takes time linear in ``n - k``.  A check builds a power only after the
+bit length of a recorded value allows it, so a decoded trace costs time in
+the size of its encoding, however large the exponents it names.
 """
 
 from __future__ import annotations
 
+import weakref
 from enum import Enum
 from functools import cached_property
 from itertools import islice
@@ -390,11 +396,26 @@ class ProofStep(Record):
         return dict(self.side_conditions)
 
     def replay(self) -> bool:
-        """Re-check this step's side conditions from the recorded values."""
-        try:
-            return bool(RULE_CATALOG[self.rule_id].check(self.conditions()))
-        except KeyError:
-            return False
+        """Re-check this step's side conditions from the recorded values
+        (:func:`_holds`)."""
+        return _holds(self, self.conditions())
+
+
+# The type of every recorded value: a str, a float or a bool fails replay.
+_INT_TYPE = frozenset((int,))
+
+
+def _holds(step: ProofStep, c: dict[str, int]) -> bool:
+    """Whether the rule of ``step`` accepts ``c``, its side conditions as one
+    dict.  A step that names a side condition twice, or records a value whose
+    type is not ``int``, fails before its rule is consulted, so a rule check
+    sees each name once and integers only; one that lacks a name fails."""
+    if len(c) != len(step.side_conditions) or not _INT_TYPE.issuperset(map(type, c.values())):
+        return False
+    try:
+        return bool(RULE_CATALOG[step.rule_id].check(c))
+    except KeyError:
+        return False
 
 
 _STEP_KEYS = frozenset(("rule_id", "conditions"))
@@ -422,6 +443,12 @@ def _derivation(p: int, n: int, k: int, closing: str | None = None) -> Iterator[
         for m in range(k + 1, n + 1):
             for rule in _RUNG:
                 yield rule, m, bound
+    yield from _closing(n, k, bound, closing)
+
+
+def _closing(n: int, k: int, bound: int, closing: str | None) -> Iterator[tuple[str, int, int]]:
+    """The positions of ``closing`` that end :func:`_derivation` after the
+    type bound's, at exponent ``n``, level ``k`` and the derived ``bound``."""
     if closing == "rank-one-upper":
         yield closing, n, bound
     elif closing == "rational-cycle-persistence":
@@ -459,27 +486,33 @@ class ProofTrace(Record):
         opening level bound that names another ``(p, n, k)`` fails; otherwise
         it is about the variety its opening level bound names, and a one-step
         trace whose ``p`` or ``n`` was edited is a sound trace about another
-        variety."""
+        variety.  A step that names a side condition twice, or records a value
+        whose type is not ``int``, fails; an opening whose ``p``, ``n`` or
+        ``k`` is not an ``int`` names no variety, so every position fails."""
         steps = self.steps
         if variety is not None:
             p, n, k = variety.context.p, variety.context.n, variety.level
         else:
             opening = steps[0].conditions() if steps else {}
-            if not {"p", "n", "k"} <= opening.keys() or steps[0].rule_id != "level-bound":
+            p, n, k = opening.get("p"), opening.get("n"), opening.get("k")
+            if not _INT_TYPE.issuperset(map(type, (p, n, k))) or steps[0].rule_id != "level-bound":
                 return tuple(range(len(steps))) or (0,)
-            p, n, k = opening["p"], opening["n"], opening["k"]
         # the step after type_bound's positions names the closing; reading at
         # most len(steps) positions keeps replay linear in the trace's length
         after = sum(1 for _ in islice(_derivation(p, n, k), len(steps)))
         expected = _derivation(p, n, k, steps[after].rule_id if after < len(steps) else None)
-        failing = []
+        failing, level = [], k - 1
         for i, step in enumerate(steps):
             rule, m, bound = next(expected, ("", None, None))
-            subject = {"p": p, "n": m, "k": k, "level": k - 1, "bound": bound}
+            c = dict(step.side_conditions)
             if (
                 step.rule_id != rule
-                or any(subject.get(name, value) != value for name, value in step.side_conditions)
-                or not step.replay()
+                or c.get("p", p) != p
+                or c.get("n", m) != m
+                or c.get("k", k) != k
+                or c.get("level", level) != level
+                or c.get("bound", bound) != bound
+                or not _holds(step, c)
             ):
                 failing.append(i)
         return tuple(failing) + ((len(steps),) if next(expected, None) else ())
@@ -506,15 +539,21 @@ class ProofTrace(Record):
         each with exactly the keys ``rule_id`` and ``conditions``.  Another
         top level, a step with other keys (such as a ``citation`` or a
         ``conclusion``), an unknown rule id, or a side condition that is not
-        a canonical decimal string raises :class:`DomainError`."""
+        a canonical decimal string raises :class:`DomainError`.  Each
+        distinct string is parsed once per call."""
         if not isinstance(data, list):
             raise DomainError(f"malformed trace encoding: expected a list, got {type(data).__name__}")
         steps = []
+        known: dict[str, int] = {}  # each canonical string this call has decoded
         for entry in data:
             try:
                 if entry.keys() != _STEP_KEYS:
                     raise ValueError(f"step keys {list(entry)} are not ['rule_id', 'conditions']")
-                conditions = tuple((name, _int_from_json(value)) for name, value in entry["conditions"].items())
+                conditions = tuple([
+                    (name, known[value] if value.__class__ is str and value in known
+                     else known.setdefault(value, _int_from_json(value)))
+                    for name, value in entry["conditions"].items()
+                ])
                 steps.append(ProofStep(entry["rule_id"], conditions))
             except (AttributeError, TypeError, ValueError) as exc:
                 raise DomainError(f"malformed trace encoding: {exc}") from exc
@@ -561,7 +600,8 @@ class TypeBound(Record):
     ``bound`` is at most ``level - 1`` (the level bound always applies) and
     at least -1 (there are no upper motives of negative level to exclude).
     Both verdicts are read off the bound; the judgments add the closing
-    steps of their derivations.  The trace is recorded when first read.
+    steps of their derivations.  The trace is recorded when first read,
+    or shared from a live trace about the same variety.
     """
 
     variety: SBVariety
@@ -569,7 +609,7 @@ class TypeBound(Record):
 
     @cached_property
     def trace(self) -> ProofTrace:
-        return _trace(self.variety, None)
+        return _prefix(self.variety)
 
     @property
     def indecomposability(self) -> IndecomposabilityStatus:
@@ -586,14 +626,27 @@ class TypeBound(Record):
         return RigidityStatus.UNKNOWN
 
 
-def _trace(variety: SBVariety, closing: str | None) -> ProofTrace:
-    """The derivation about ``variety`` followed by ``closing``, each position
-    recorded from its catalog row; the only caller of :attr:`Rule.record`."""
-    p, n, k = variety.context.p, variety.context.n, variety.level
-    return ProofTrace(tuple(
-        ProofStep(rule, tuple(RULE_CATALOG[rule].record(p, m, k, bound).items()))
-        for rule, m, bound in _derivation(p, n, k, closing)
-    ))
+def _record(p: int, k: int, positions: Iterator[tuple[str, int, int]]) -> tuple[ProofStep, ...]:
+    """Each position recorded from its catalog row; the only caller of
+    :attr:`Rule.record`."""
+    return tuple([
+        ProofStep(rule, tuple(RULE_CATALOG[rule].record(p, m, k, bound).items())) for rule, m, bound in positions
+    ])
+
+
+# The type bound's trace about each (p, n, k), while any trace about that
+# variety is alive: every trace about a variety begins with the same steps.
+_PREFIXES: "weakref.WeakValueDictionary[tuple[int, int, int], ProofTrace]" = weakref.WeakValueDictionary()
+
+
+def _prefix(variety: SBVariety) -> ProofTrace:
+    """The type bound's trace about ``variety``, recorded if no trace about
+    it is alive."""
+    p, n, k = key = variety.context.p, variety.context.n, variety.level
+    prefix = _PREFIXES.get(key)
+    if prefix is None:
+        prefix = _PREFIXES[key] = ProofTrace(_record(p, k, _derivation(p, n, k)))
+    return prefix
 
 
 def type_bound(variety: SBVariety) -> TypeBound:
@@ -619,7 +672,8 @@ _CLOSING = {
 class Judgment(Record):
     """A verdict on a variety, the type bound it rests on, and its derivation:
     the type bound's, then the closing whose first rule ``_CLOSING`` names for
-    the status, if any.  The trace is recorded when first read."""
+    the status, if any, recorded at ``bound``.  The trace is recorded when
+    first read, after the steps of the type bound's trace, which it shares."""
 
     variety: SBVariety
     status: IndecomposabilityStatus | RigidityStatus
@@ -627,7 +681,15 @@ class Judgment(Record):
 
     @cached_property
     def trace(self) -> ProofTrace:
-        return _trace(self.variety, _CLOSING.get(self.status))
+        prefix, closing = _prefix(self.variety), _CLOSING.get(self.status)
+        if closing is None:
+            return prefix
+        p, n, k = self.variety.context.p, self.variety.context.n, self.variety.level
+        trace = ProofTrace(prefix.steps + _record(p, k, _closing(n, k, self.bound, closing)))
+        # not a field, so equality and encoding ignore it: while this trace
+        # lives, the prefix stays registered for the other traces about it
+        set_field(trace, "_extends", prefix)
+        return trace
 
 
 def indecomposability_judgment(variety: SBVariety) -> Judgment:

@@ -1,5 +1,8 @@
+import gc
 import json
 import time
+import weakref
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -451,6 +454,106 @@ class TestConclusions:
             assert [step.conclusion for step in closing] == rigid
 
 
+_DERIVES = (type_bound, indecomposability_judgment, rigidity_judgment)
+
+
+class TestSharedPrefix:
+    """The traces about one variety share the type bound's recorded steps,
+    through a weak registry that holds nothing once those traces are gone."""
+
+    @pytest.mark.parametrize("pnk", [(2, 6, 2), (2, 3, 1), (2, 4, 4), (2, 5, 0), (3, 4, 1)], ids=str)
+    @pytest.mark.parametrize("order", list(permutations(range(3))), ids=lambda order: "-".join(map(str, order)))
+    def test_every_prefix_position_is_drawn_once(self, monkeypatch, order, pnk):
+        drawn = []
+        original = type_calculus._derivation
+
+        def counting(*args):
+            for position in original(*args):
+                drawn.append(position)
+                yield position
+
+        v = variety(*pnk)
+        built = {i: derive(v) for i, derive in enumerate(_DERIVES)}
+        monkeypatch.setattr(type_calculus, "_derivation", counting)
+        # only the traces are held: each object is dropped once read
+        traces = {i: built.pop(i).trace for i in order}
+        assert drawn == list(original(*pnk))
+        prefix = traces[0].steps
+        for trace in traces.values():
+            assert all(a is b for a, b in zip(trace.steps, prefix))
+        assert traces == {i: derive(v).trace for i, derive in enumerate(_DERIVES)}
+
+    def test_registry_holds_nothing_once_the_traces_are_dropped(self):
+        keys = [(2, 6, 2), (2, 3, 1), (3, 2, 0)]
+        traces = [derive(variety(*key)).trace for key in keys for derive in _DERIVES]
+        refs = [weakref.ref(trace) for trace in traces]
+        assert set(keys) <= set(type_calculus._PREFIXES.keys())
+        del traces
+        gc.collect()
+        assert [ref() for ref in refs] == [None] * len(refs)
+        assert len(type_calculus._PREFIXES) == 0
+
+    def test_traces_of_different_varieties_share_no_step(self):
+        held, owner = [], {}  # every trace is held, so no step's id is reused
+        for p in (2, 3):
+            for n in range(5):
+                for k in range(n + 1):
+                    for derive in _DERIVES:
+                        trace = derive(variety(p, n, k)).trace
+                        held.append(trace)
+                        for step in trace:
+                            assert owner.setdefault(id(step), (p, n, k)) == (p, n, k)
+
+
+def _with_step(trace, i, step):
+    return ProofTrace(trace.steps[:i] + (step,) + trace.steps[i + 1:])
+
+
+class TestSideConditionValues:
+    """Replay reads each step's side conditions as one dict of ints: a step
+    that repeats a name, or records a value that is not an int, fails its
+    position, and neither entry point raises."""
+
+    @pytest.mark.parametrize("rule_id, name, spelled", [
+        ("function-field-split", "lower_twist", str),
+        ("function-field-split", "lower_twist", float),
+        ("function-field-split", "p", float),
+        ("halved-endpoints", "level", str),
+        ("valuation-case-split", "candidate_2_i", float),
+        ("dimension-obstruction", "product_dim", str),
+        ("level-bound", "bound", float),
+        ("point-base", "variety_dim", float),
+        ("level-bound", "k", str),
+        ("level-bound", "n", float),
+        ("level-bound", "p", bool),
+    ])
+    def test_value_that_is_not_an_int_fails_its_position(self, rule_id, name, spelled):
+        v = variety(2, 3, 1)
+        trace = type_bound(v).trace
+        i, step = next((i, step) for i, step in enumerate(trace) if step.rule_id == rule_id)
+        forged = ProofStep(rule_id, tuple((n, spelled(x) if n == name else x) for n, x in step.side_conditions))
+        edited = _with_step(trace, i, forged)
+        assert forged.replay() is False
+        assert edited.failing_steps(v) == (i,)
+        # an opening whose p, n or k is not an int names no variety
+        opening = i == 0 and name in ("p", "n", "k")
+        assert edited.failing_steps() == (tuple(range(len(trace))) if opening else (i,))
+        assert not edited.replay() and not edited.replay(v)
+
+    @pytest.mark.parametrize("where", ["first", "last"])
+    def test_step_that_repeats_a_name_fails_replay(self, where):
+        v = variety(2, 3, 1)
+        trace = rigidity_judgment(v).trace
+        for i, step in enumerate(trace):
+            for name, value in step.side_conditions:
+                for repeat in (value, value + 1):
+                    extra = ((name, repeat),)
+                    conditions = extra + step.side_conditions if where == "first" else step.side_conditions + extra
+                    forged = ProofStep(step.rule_id, conditions)
+                    assert forged.replay() is False
+                    assert _with_step(trace, i, forged).failing_steps(v) == (i,)
+
+
 class TestJudgments:
     def test_level_one_two_primary_is_indecomposable(self):
         for n in range(1, 9):
@@ -528,6 +631,30 @@ class TestTraceSerialization:
         encoded[-1]["conditions"]["product_dim"] = value
         with pytest.raises(DomainError, match="decimal strings"):
             ProofTrace.from_json_obj(encoded)
+
+    def test_a_repeated_value_decodes_to_equal_ints(self):
+        trace = rigidity_judgment(variety(2, 5, 2)).trace
+        encoded = json.loads(json.dumps(trace.to_json_obj()))
+        decoded = ProofTrace.from_json_obj(encoded)
+        assert decoded == trace
+        by_text = {}
+        for entry, step in zip(encoded, decoded):
+            for (_, value), text in zip(step.side_conditions, entry["conditions"].values()):
+                assert type(value) is int
+                by_text.setdefault(text, set()).add(value)
+        assert by_text["2"] == {2} and by_text["0"] == {0}
+        assert all(values == {int(text)} for text, values in by_text.items())
+
+    @pytest.mark.parametrize("repeat, shown", [("02", "'02'"), (2, "2"), (True, "True")])
+    def test_a_later_spelling_of_a_decoded_value_is_rejected(self, repeat, shown):
+        encoded = type_bound(variety(2, 3, 1)).trace.to_json_obj()
+        assert encoded[0]["conditions"]["p"] == encoded[1]["conditions"]["p"] == "2"
+        encoded[1]["conditions"]["p"] = repeat
+        with pytest.raises(DomainError) as raised:
+            ProofTrace.from_json_obj(encoded)
+        assert str(raised.value) == (
+            f"malformed trace encoding: integers are encoded as canonical decimal strings, got {shown}"
+        )
 
     def test_text_rendering_lists_every_step(self):
         trace = type_bound(variety(2, 3, 1)).trace
