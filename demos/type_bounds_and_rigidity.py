@@ -36,10 +36,11 @@ for p in (2, 3):
 # the numeric side conditions, and its JSON holds just those: the rule id and
 # the conditions.  Its conclusion and citation come from the fixed catalog,
 # rendered in the text below; the CLI's JSON lists each citation once, under
-# "rules".  replay() re-checks each step from the recorded numbers alone, in
-# closed form, so it takes time linear in the length of the ladder.
+# "rules".  replay(variety) re-checks each step from the recorded numbers
+# alone, in closed form, as a step about that variety, so it takes time linear
+# in the length of the ladder.
 bound = type_bound(SBVariety(DivisionContext(2, 3), 1))
-print(f"\nbound for SB_2, deg D = 8: {bound.bound}  (trace replays: {bound.trace.replay()})")
+print(f"\nbound for SB_2, deg D = 8: {bound.bound}  (trace replays: {bound.trace.replay(bound.variety)})")
 print(bound.trace.render_text())
 
 # Type -1 plus the rank-one degree-zero Chow group yields indecomposability.

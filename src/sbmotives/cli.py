@@ -132,7 +132,7 @@ def gaussian(d: int, k: int) -> Result:
         csv=lambda: [("degree", "coefficient"), *poly.items()],
         text=lambda: [
             f"[{d} choose {k}]_q = {poly}",
-            f"rank {poly.rank()}, dimension {poly.dim() if poly else 0}",
+            f"rank {poly.rank()}, dimension {poly.dim()}",
         ],
     )
 
@@ -191,8 +191,6 @@ def decompose(p: int, n: int, k: int) -> Result:
 
     def text():
         yield f"function-field decomposition of SB_{variety.reduced_dimension} (p={p}, n={n}, k={k}):"
-        if expr.is_zero:
-            yield "  (zero motive)"
         for term, mult in expr.term_items():
             suffix = f"  x{mult}" if mult > 1 else ""
             yield f"  {term.obj!r} (twist {term.twist}){suffix}"
@@ -376,7 +374,7 @@ def main(argv: list[str] | None = None) -> None:
         parser.exit(1, f"Error: Could not open file {out!r}: {exc.strerror}\n")
     try:
         try:
-            stream.write(text if text.endswith("\n") else text + "\n")
+            stream.write(text + "\n")
             stream.flush()
         finally:
             if stream is not sys.stdout:

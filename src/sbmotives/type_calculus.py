@@ -31,23 +31,24 @@ JSON lists each citation once, in a top-level map of the rules the trace
 uses.  So building, encoding, decoding and replaying format no text, and a
 decoded step that carries a citation or a conclusion is rejected.  The
 induction is replayed in full for the requested exponent rather than memoized
-away, so traces are self-contained.  One generator fixes the rule and subject
-of each position of a derivation; recording fills in side conditions along it
-from each rule's catalog row (:attr:`Rule.record`), and replay checks that
-each position holds the rule it calls for there, and that every step speaks
-about the variety of the opening level bound, or about the variety replay is
-given (:meth:`ProofTrace.failing_steps`).  The four rung rules of the halving
-induction are ``p = 2`` rules, and their checks require ``p = 2``; every
-other rule checks its variety through the engine, by building the
-:class:`SBVariety` (``p`` prime, ``0 <= k <= n``), so even a lone step about
-an algebra that does not exist fails replay, and so does a step that names a
-side condition twice or records a value that is not an ``int``.  Decoding
-reads integers only from canonical decimal strings, as
-:meth:`ProofTrace.to_json_obj` writes them, parsing each one once.  Every
-rule check is closed form, so replaying the trace of level ``k`` and exponent
-``n`` takes time linear in ``n - k``.  A check builds a power only after the
-bit length of a recorded value allows it, so a decoded trace costs time in
-the size of its encoding, however large the exponents it names.
+away, so traces are self-contained.  Two generators, the type bound's and a
+closing's, fix the rule and subject of each position of a derivation;
+recording fills in side conditions along them from each rule's catalog row
+(:attr:`Rule.record`), and replay walks them once, checking that each position
+holds the rule it calls for there and speaks about the variety of the opening
+level bound, or of the variety given (:meth:`ProofTrace.failing_steps`).  The
+four rung rules of the halving induction are ``p = 2`` rules, and their checks
+require ``p = 2``; every other rule checks its variety through the engine, by
+building the :class:`SBVariety` (``p`` prime, ``0 <= k <= n``), so even a lone
+step about an algebra that does not exist fails replay, and so does a step
+that names a side condition twice or one its rule's check does not read, or
+records a value that is not an ``int``.  Decoding reads integers only from
+canonical decimal strings, as :meth:`ProofTrace.to_json_obj` writes them,
+parsing each one once.  Every rule check is closed form, so replaying the
+trace of level ``k`` and exponent ``n`` takes time linear in ``n - k``.  A
+check builds a power only after the bit length of a recorded value allows it,
+so a decoded trace costs time in the size of its encoding, however large the
+exponents it names.
 """
 
 from __future__ import annotations
@@ -403,14 +404,18 @@ class ProofStep(Record):
 
 # The type of every recorded value: a str, a float or a bool fails replay.
 _INT_TYPE = frozenset((int,))
+_READS = {"level-bound": 4, "point-base": 4, "function-field-split": 8, "halved-endpoints": 5, "rank-one-upper": 5,
+          "valuation-case-split": 10, "dimension-obstruction": 5, "rational-cycle-persistence": 3,
+          "classical-summand-exclusion": 3, "classical-base": 3, "type-zero-transfer": 4}
 
 
 def _holds(step: ProofStep, c: dict[str, int]) -> bool:
     """Whether the rule of ``step`` accepts ``c``, its side conditions as one
-    dict.  A step that names a side condition twice, or records a value whose
-    type is not ``int``, fails before its rule is consulted, so a rule check
-    sees each name once and integers only; one that lacks a name fails."""
-    if len(c) != len(step.side_conditions) or not _INT_TYPE.issuperset(map(type, c.values())):
+    dict.  A step that repeats a name, names another number than its rule's
+    check reads (``_READS``, counted from the checks, not the recorders), or
+    records a value that is not an ``int``, fails first; one lacking a name fails."""
+    named = len(c) == len(step.side_conditions) == _READS[step.rule_id]  # a check reads all of its names to accept
+    if not named or not _INT_TYPE.issuperset(map(type, c.values())):
         return False
     try:
         return bool(RULE_CATALOG[step.rule_id].check(c))
@@ -422,18 +427,16 @@ _STEP_KEYS = frozenset(("rule_id", "conditions"))
 _RUNG = ("function-field-split", "halved-endpoints", "valuation-case-split", "dimension-obstruction")
 
 
-def _derivation(p: int, n: int, k: int, closing: str | None = None) -> Iterator[tuple[str, int, int]]:
-    """The rule id, exponent and type bound of each position of the
-    derivation about the level-``k`` variety of the degree-``p^n`` algebra.
+def _derivation(p: int, n: int, k: int) -> Iterator[tuple[str, int, int]]:
+    """The rule id, exponent and type bound of each position of the type
+    bound's derivation about the level-``k`` variety of the degree-``p^n``
+    algebra; a judgment's :func:`_closing` follows it.
 
     The level bound opens it at bound ``k - 1``.  At ``p = 2`` and ``k >= 1``
     the point base and one ``_RUNG`` per exponent ``k+1..n`` follow, and the
-    bound is ``k - 2`` from there on.  Then comes the closing named by its
-    first rule: none, ``rank-one-upper``, or ``rational-cycle-persistence``
-    with the classical premise and the type-zero transfer.  Only rule ids and
-    subjects are fixed here, never side-condition values, so the rule checks
-    stay independent of the builders.  Lazy, so a consumer pays for the
-    positions it reads, not for the exponents.
+    bound is ``k - 2`` from there on.  Only rule ids and subjects are fixed
+    here, never side-condition values, so the rule checks stay independent of
+    the builders.  Lazy, so a consumer pays for the positions it reads.
     """
     bound = k - 1
     yield "level-bound", n, bound
@@ -443,16 +446,15 @@ def _derivation(p: int, n: int, k: int, closing: str | None = None) -> Iterator[
         for m in range(k + 1, n + 1):
             for rule in _RUNG:
                 yield rule, m, bound
-    yield from _closing(n, k, bound, closing)
 
 
-def _closing(n: int, k: int, bound: int, closing: str | None) -> Iterator[tuple[str, int, int]]:
-    """The positions of ``closing`` that end :func:`_derivation` after the
-    type bound's, at exponent ``n``, level ``k`` and the derived ``bound``."""
-    if closing == "rank-one-upper":
-        yield closing, n, bound
-    elif closing == "rational-cycle-persistence":
-        yield closing, n, bound
+def _closing(n: int, k: int, bound: int, first_rule: str) -> Iterator[tuple[str, int, int]]:
+    """The positions of the closing that ``first_rule`` names after :func:`_derivation`, at
+    exponent ``n``, level ``k`` and the derived ``bound``; none for a rule that opens no closing."""
+    if first_rule == "rank-one-upper":
+        yield first_rule, n, bound
+    elif first_rule == "rational-cycle-persistence":
+        yield first_rule, n, bound
         yield ("classical-summand-exclusion" if k >= 1 else "classical-base"), n, bound
         yield "type-zero-transfer", n, bound
 
@@ -486,9 +488,8 @@ class ProofTrace(Record):
         opening level bound that names another ``(p, n, k)`` fails; otherwise
         it is about the variety its opening level bound names, and a one-step
         trace whose ``p`` or ``n`` was edited is a sound trace about another
-        variety.  A step that names a side condition twice, or records a value
-        whose type is not ``int``, fails; an opening whose ``p``, ``n`` or
-        ``k`` is not an ``int`` names no variety, so every position fails."""
+        variety.  An opening whose ``p``, ``n`` or ``k`` is not an ``int``
+        names no variety, so every position fails."""
         steps = self.steps
         if variety is not None:
             p, n, k = variety.context.p, variety.context.n, variety.level
@@ -497,13 +498,13 @@ class ProofTrace(Record):
             p, n, k = opening.get("p"), opening.get("n"), opening.get("k")
             if not _INT_TYPE.issuperset(map(type, (p, n, k))) or steps[0].rule_id != "level-bound":
                 return tuple(range(len(steps))) or (0,)
-        # the step after type_bound's positions names the closing; reading at
-        # most len(steps) positions keeps replay linear in the trace's length
-        after = sum(1 for _ in islice(_derivation(p, n, k), len(steps)))
-        expected = _derivation(p, n, k, steps[after].rule_id if after < len(steps) else None)
-        failing, level = [], k - 1
+        positions, closing, failing, level = _derivation(p, n, k), None, [], k - 1
         for i, step in enumerate(steps):
-            rule, m, bound = next(expected, ("", None, None))
+            position = next(positions, None)
+            if position is None and closing is None:  # the type bound's positions are done
+                positions = closing = _closing(n, k, bound, step.rule_id)
+                position = next(positions, None)
+            rule, m, bound = position or ("", None, None)
             c = dict(step.side_conditions)
             if (
                 step.rule_id != rule
@@ -515,7 +516,7 @@ class ProofTrace(Record):
                 or not _holds(step, c)
             ):
                 failing.append(i)
-        return tuple(failing) + ((len(steps),) if next(expected, None) else ())
+        return tuple(failing) + ((len(steps),) if next(positions, None) else ())
 
     def render_text(self) -> str:
         lines = []

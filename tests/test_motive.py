@@ -136,6 +136,22 @@ class TestExprAlgebra:
         with pytest.raises(DomainError):
             a * b
 
+    # Each case fails if its guard is removed: the call would return, or
+    # raise an AttributeError or a NameError instead.
+    @pytest.mark.parametrize("call, outcome", [
+        pytest.param(lambda: normalize_object(42), DomainError, id="normalize-not-an-object"),
+        pytest.param(lambda: MotiveExpr([42]), DomainError, id="expr-not-a-term"),
+        pytest.param(lambda: MotiveExpr.of((TATE, 1)) + 1, TypeError, id="add-an-int"),
+        pytest.param(lambda: MotiveExpr.of((TATE, 1)) * 1, TypeError, id="multiply-by-an-int"),
+        pytest.param(lambda: MotiveExpr.of((TATE, 1)) == 1, False, id="equal-to-an-int"),
+    ])
+    def test_guards_refuse_what_is_not_a_motive(self, call, outcome):
+        if outcome is False:
+            assert call() is False
+        else:
+            with pytest.raises(outcome, match="not a|unsupported operand"):
+                call()
+
 
 class TestKrullSchmidtEquality:
     def test_order_insensitive(self):

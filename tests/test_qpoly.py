@@ -148,6 +148,25 @@ class TestGradedRankPoly:
         with pytest.raises(DomainError):
             scalar * poly
 
+    # Each case fails if its guard is removed: the call would return another
+    # value, or raise an AttributeError instead.
+    @pytest.mark.parametrize("call, outcome", [
+        pytest.param(lambda: GradedRankPoly().is_zero, True, id="zero-is-zero"),
+        pytest.param(lambda: GradedRankPoly({2: 1}).is_zero, False, id="nonzero-is-not-zero"),
+        pytest.param(lambda: GradedRankPoly().bottom_degree(), DomainError, id="zero-has-no-bottom"),
+        pytest.param(lambda: GradedRankPoly({0: 1}) + 1, TypeError, id="add-an-int"),
+        pytest.param(lambda: GradedRankPoly({0: 1}) * 1.5, TypeError, id="multiply-by-a-float"),
+        pytest.param(lambda: GradedRankPoly({0: 1}) == 1, False, id="equal-to-an-int"),
+        pytest.param(lambda: repr(GradedRankPoly({0: 1, 3: 2})), "GradedRankPoly({0: 1, 3: 2})", id="repr"),
+    ])
+    def test_guards_and_repr(self, call, outcome):
+        if isinstance(outcome, type):
+            with pytest.raises(outcome):
+                call()
+        else:
+            result = call()
+            assert type(result) is type(outcome) and result == outcome
+
 
 class TestGaussianBinomial:
     def test_two_by_two_box(self):

@@ -30,13 +30,33 @@ def variety(p, n, k):
     return SBVariety(DivisionContext(p, n), k)
 
 
+_DERIVATION = type_calculus._derivation  # unwrapped: the positions a walk should draw
+
+
+@pytest.fixture()
+def drawn(monkeypatch):
+    """The positions drawn from ``_derivation`` while the test runs, in order."""
+    positions = []
+
+    def counting(*args):
+        for position in _DERIVATION(*args):
+            positions.append(position)
+            yield position
+
+    monkeypatch.setattr(type_calculus, "_derivation", counting)
+    return positions
+
+
+_DERIVES = (type_bound, indecomposability_judgment, rigidity_judgment)
+
+
 def _judged_traces(primes, max_n):
     """``(variety, trace)`` for the three derivations about each variety."""
     for p in primes:
         for n in range(max_n + 1):
             for k in range(n + 1):
                 v = variety(p, n, k)
-                for derive in (type_bound, indecomposability_judgment, rigidity_judgment):
+                for derive in _DERIVES:
                     yield v, derive(v).trace
 
 
@@ -89,16 +109,7 @@ class TestTypeBound:
                     derived = type_bound(variety(p, n, k))
                     assert -1 <= derived.bound <= max(k - 1, -1)
 
-    def test_bound_reads_at_most_two_positions(self, monkeypatch):
-        drawn = []
-        original = type_calculus._derivation
-
-        def counting(*args):
-            for position in original(*args):
-                drawn.append(position)
-                yield position
-
-        monkeypatch.setattr(type_calculus, "_derivation", counting)
+    def test_bound_reads_at_most_two_positions(self, drawn):
         assert type_bound(variety(2, 10**6, 1)).bound == -1
         assert len(drawn) <= 2
 
@@ -151,6 +162,16 @@ class TestTraceReplay:
         assert not ProofTrace.from_json_obj([]).replay()
         # the opening level bound is missing at position 0
         assert ProofTrace().failing_steps() == (0,)
+
+    @pytest.mark.parametrize("pnk", [(2, 6, 2), (2, 3, 1), (2, 4, 4), (2, 5, 0), (3, 4, 1)], ids=str)
+    def test_replay_draws_each_position_once(self, drawn, pnk):
+        v = variety(*pnk)
+        for derive in _DERIVES:
+            trace = derive(v).trace
+            for about in (None, v):
+                drawn.clear()
+                assert trace.replay(about)
+                assert drawn == list(_DERIVATION(*pnk))
 
     def test_citations_come_from_the_catalog(self):
         for v in (variety(2, 4, 2), variety(5, 2, 1)):
@@ -454,30 +475,19 @@ class TestConclusions:
             assert [step.conclusion for step in closing] == rigid
 
 
-_DERIVES = (type_bound, indecomposability_judgment, rigidity_judgment)
-
-
 class TestSharedPrefix:
     """The traces about one variety share the type bound's recorded steps,
     through a weak registry that holds nothing once those traces are gone."""
 
     @pytest.mark.parametrize("pnk", [(2, 6, 2), (2, 3, 1), (2, 4, 4), (2, 5, 0), (3, 4, 1)], ids=str)
     @pytest.mark.parametrize("order", list(permutations(range(3))), ids=lambda order: "-".join(map(str, order)))
-    def test_every_prefix_position_is_drawn_once(self, monkeypatch, order, pnk):
-        drawn = []
-        original = type_calculus._derivation
-
-        def counting(*args):
-            for position in original(*args):
-                drawn.append(position)
-                yield position
-
+    def test_every_prefix_position_is_drawn_once(self, drawn, order, pnk):
         v = variety(*pnk)
         built = {i: derive(v) for i, derive in enumerate(_DERIVES)}
-        monkeypatch.setattr(type_calculus, "_derivation", counting)
+        drawn.clear()  # the bounds read their first positions
         # only the traces are held: each object is dropped once read
         traces = {i: built.pop(i).trace for i in order}
-        assert drawn == list(original(*pnk))
+        assert drawn == list(_DERIVATION(*pnk))
         prefix = traces[0].steps
         for trace in traces.values():
             assert all(a is b for a, b in zip(trace.steps, prefix))
@@ -552,6 +562,70 @@ class TestSideConditionValues:
                     forged = ProofStep(step.rule_id, conditions)
                     assert forged.replay() is False
                     assert _with_step(trace, i, forged).failing_steps(v) == (i,)
+
+
+def _position_of(rule_id):
+    """``(variety, trace, i)``: the first step of ``rule_id`` in the judgments'
+    traces at p = 2, n = 3."""
+    for k in (0, 1):
+        v = variety(2, 3, k)
+        for judgment in (indecomposability_judgment, rigidity_judgment):
+            trace = judgment(v).trace
+            for i, step in enumerate(trace):
+                if step.rule_id == rule_id:
+                    return v, trace, i
+    raise AssertionError(f"no step of {rule_id}")
+
+
+def _name_edits(step):
+    """``step``'s side conditions with a name its rule does not read added,
+    with one name dropped, and with one name swapped for an unread one."""
+    conditions = step.side_conditions
+    yield "extra", conditions + (("zzz", 5),)
+    for j, (name, value) in enumerate(conditions):
+        yield f"missing {name}", conditions[:j] + conditions[j + 1:]
+        yield f"renamed {name}", conditions[:j] + (("zzz", value),) + conditions[j + 1:]
+
+
+class TestSideConditionNames:
+    """A step names exactly the side conditions its rule's check reads: one
+    with an extra name, a missing name, or a name swapped for one the check
+    does not read fails its position, and neither entry point raises.  A
+    swapped name keeps the count, so only the missing-name guard rejects it."""
+
+    @pytest.mark.parametrize("rule_id", list(RULE_CATALOG))
+    def test_step_with_other_names_fails_its_position(self, rule_id):
+        v, trace, i = _position_of(rule_id)
+        assert trace.failing_steps(v) == ()
+        for edit, conditions in _name_edits(trace.steps[i]):
+            forged = ProofStep(rule_id, conditions)
+            edited = _with_step(trace, i, forged)
+            assert forged.replay() is False, edit
+            assert edited.failing_steps(v) == (i,), edit
+            assert i in edited.failing_steps(), edit
+
+    @pytest.mark.parametrize("rule_id", list(RULE_CATALOG))
+    def test_each_check_reads_every_name_it_accepts(self, rule_id):
+        read = set()
+
+        class Reading(dict):
+            def __getitem__(self, name):
+                read.add(name)
+                return super().__getitem__(name)
+
+        step = _lone_steps()[rule_id]
+        assert RULE_CATALOG[rule_id].check(Reading(step.side_conditions))
+        assert read == step.conditions().keys()
+        assert len(read) == type_calculus._READS[rule_id]
+
+    def test_unread_name_in_a_decoded_trace_fails_replay(self):
+        v = variety(2, 3, 1)
+        encoded = rigidity_judgment(v).trace.to_json_obj()
+        encoded[0]["conditions"]["zzz"] = "5"
+        decoded = ProofTrace.from_json_obj(encoded)
+        assert decoded.failing_steps(v) == decoded.failing_steps() == (0,)
+        assert not decoded.replay(v) and not decoded.replay()
+        assert not ProofStep("level-bound", (("p", 2), ("n", 3), ("k", 1), ("bound", 0), ("extra", 7))).replay()
 
 
 class TestJudgments:
