@@ -20,13 +20,11 @@ level ``n`` to the Tate unit (the variety is a rational point).
 from __future__ import annotations
 
 from collections import Counter
-from functools import reduce
-from operator import mul
 from typing import Iterable, Mapping, Union
 
 from ._record import Record, set_field
 from .errors import DomainError, UnsupportedOperationError
-from .qpoly import GradedRankPoly, _int_from_json, _is_int, _sum_of_shifts, gaussian_binomial
+from .qpoly import GradedRankPoly, _int_from_json, _is_int, _packed_sum, gaussian_binomial
 
 __all__ = [
     "DivisionContext",
@@ -212,12 +210,12 @@ class Term(Record):
         return f"({self.obj!r}, twist={self.twist})"
 
 
-def _object_poincare(obj: TateUnit | SBProduct) -> GradedRankPoly:
-    """1 for the Tate unit; for a canonical product, which has at least one
-    factor, the product of its factors' binomials from the first one on."""
+def _object_factors(obj: TateUnit | SBProduct) -> tuple[GradedRankPoly, ...]:
+    """The factors whose product is the split polynomial: 1 for the Tate
+    unit, the binomial of each factor of a canonical product."""
     if isinstance(obj, TateUnit):
-        return GradedRankPoly({0: 1})
-    return reduce(mul, [gaussian_binomial(obj.context.degree, d) for d in obj.dims])
+        return (GradedRankPoly({0: 1}),)
+    return tuple(gaussian_binomial(obj.context.degree, d) for d in obj.dims)
 
 
 def _object_top_degree(obj: MotiveObject) -> int:
@@ -349,10 +347,12 @@ class MotiveExpr:
         Sum over terms of the shifted polynomial of each object; a monoid
         homomorphism with respect to sum, twist and product.  Raises for
         opaque upper motives, whose polynomials are not determined.
-        The polynomial of each object is built once and added at each of its
-        twists; since products are canonical, the mirrored pairs ``(i, j)``
-        and ``(j, i)`` of a function-field split are one object.
-        Raises :class:`DomainError` before building anything when the terms
+        The whole sum is one call of ``qpoly._packed_sum``: each object is
+        one term, its factors' Gaussian binomials drawn once and multiplied
+        once, placed at each of its twists, and the slots are read back once.
+        Since products are canonical, the mirrored pairs ``(i, j)`` and
+        ``(j, i)`` of a function-field split are one object.  Raises
+        :class:`DomainError` before drawing any binomial when the terms
         spread over more than ``qpoly._MAX_DENSE_SPAN`` degrees.
         """
         if not self._terms:
@@ -364,9 +364,7 @@ class MotiveExpr:
         groups: dict[MotiveObject, list[tuple[int, int]]] = {}
         for term, mult in self._terms.items():
             groups.setdefault(term.obj, []).append((term.twist, mult))
-        return _sum_of_shifts(
-            bottom, top, ((_object_poincare(obj), at) for obj, at in groups.items())
-        )
+        return _packed_sum(bottom, top, ((_object_factors(obj), at) for obj, at in groups.items()))
 
     def identify_upper_lower(self) -> ExtremeTerms:
         """Locate the summands realizing the extreme split degrees.

@@ -18,25 +18,27 @@ kept as its oracles: a dynamic-programming recurrence
 (:func:`enumerate_partitions_in_box`) that checks the DP on small boxes.
 The test suite and the ``verify`` command check all three against each other.
 
-Every dense sum goes through one accumulator, :func:`_sum_of_shifts`: a sum,
-a scalar multiple and the Poincare sums of ``motive``.  Every product of two
-nonzero rank polynomials, whatever its size, is packed into one big number
-and multiplied once (:func:`_packed_convolve`).  The carrier is ``int``
-(CPython's Karatsuba) below 100 000 packed bits and ``decimal`` (libmpdec's
-number-theoretic transform, exact at ``MAX_PREC``) from there up.  Measured
-with CPython 3.11 on a shared 2-vCPU x86-64 machine, the two stay within
-about 15% of each other between 55 000 and 100 000 packed bits for operands
-of equal length; below, ``int`` wins (100 x 100 coefficients of 64 bits:
-0.19 ms against 0.64 ms), above, ``decimal`` does (1400 x 1400 of 256 bits:
-62 ms against 20 ms).
+Every dense sum, product and scalar multiple, the Poincare sums of ``motive``
+included, goes through one accumulator, :func:`_packed_sum`: the factors of
+each term are packed into big numbers, multiplied, shifted and added into one
+number, whose slots are read back once (Kronecker substitution; Harvey,
+J. Symb. Comput. 2009).  The carrier is ``int`` (CPython's Karatsuba) below
+100 000 packed bits and ``decimal`` (libmpdec's number-theoretic transform,
+exact at ``MAX_PREC``) from there up.  Measured with CPython 3.11 on a shared
+2-vCPU x86-64 machine, the two stay within about 15% of each other between
+55 000 and 100 000 packed bits for operands of equal length; below, ``int``
+wins (100 x 100 coefficients of 64 bits: 0.19 ms against 0.64 ms), above,
+``decimal`` does (1400 x 1400 of 256 bits: 62 ms against 20 ms).
 """
 
 from __future__ import annotations
 
 import sys
 import weakref
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import accumulate
+from math import prod
+from operator import mul
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from ._record import Record, set_field
@@ -54,9 +56,13 @@ __all__ = [
 # product or a Gaussian binomial allocates.
 _MAX_DENSE_SPAN = 2**24
 
-# Packed size (shorter operand length times slot bits) from which a packed
-# product is carried by decimal, not int: see _packed_convolve.
+# Packed size (shorter operand length times slot bits) of a product from
+# which a sum is carried by decimal, not int: see _packed_sum.
 _DECIMAL_CARRIER_BITS = 100_000
+
+# Digits of a decimal-carried sum read back per str(): one str() of a large
+# sum would hold its digits twice over beside the sum itself.
+_READ_DIGITS = 2**20
 
 # [d, c] values held by the binomial cache, keyed by (d, c) with c the narrow
 # side; weak, so gaussian_binomial.cache_clear() frees every coefficient tuple.
@@ -187,31 +193,22 @@ class GradedRankPoly:
             return other
         bottom = min(self._bottom, other._bottom)
         top = max(self._bottom + len(self._coeffs), other._bottom + len(other._coeffs)) - 1
-        return _sum_of_shifts(bottom, top, [(self, [(0, 1)]), (other, [(0, 1)])])
+        return _packed_sum(bottom, top, [((self,), [(0, 1)]), ((other,), [(0, 1)])])
 
     def __mul__(self, other: "GradedRankPoly | int") -> "GradedRankPoly":
-        """Product with a rank polynomial or with a nonnegative integer scalar.
-
-        A scalar multiple adds a scaled copy by :func:`_sum_of_shifts`.
-        Every product of two nonzero polynomials is packed:
-        :func:`_packed_convolve` packs each operand into one big number and
-        makes a single exact multiplication, carried by ``int`` below
-        ``_DECIMAL_CARRIER_BITS`` packed bits and by ``decimal`` from there up
-        (the module docstring gives the measured crossover).  A result wider
-        than ``_MAX_DENSE_SPAN`` degrees raises :class:`DomainError` before
+        """Product with a rank polynomial or with a nonnegative integer scalar:
+        one term of :func:`_packed_sum`.  A result wider than
+        ``_MAX_DENSE_SPAN`` degrees raises :class:`DomainError` before
         anything is allocated.
         """
+        top = self._bottom + len(self._coeffs) - 1
         if isinstance(other, int):
             _checked_count(other, "scalar")
-            top = self._bottom + len(self._coeffs) - 1
-            return _sum_of_shifts(self._bottom, top, [(self, [(0, other)])])
+            return _packed_sum(self._bottom, top, [((self,), [(0, other)])])
         if not isinstance(other, GradedRankPoly):
             return NotImplemented
-        a, b = self._coeffs, other._coeffs
-        if not a or not b:
-            return GradedRankPoly()
-        _check_span(len(a) + len(b) - 1)
-        return GradedRankPoly._trusted(self._bottom + other._bottom, _packed_convolve(a, b))
+        top += other._bottom + len(other._coeffs) - 1
+        return _packed_sum(self._bottom + other._bottom, top, [((self, other), [(0, 1)])])
 
     __rmul__ = __mul__
 
@@ -281,85 +278,96 @@ class PartitionBoxSpec(Record):
         return self.parts * self.max_part
 
 
-def _packed_convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Exact convolution of nonnegative coefficient lists by one multiplication.
+def _packed_sum(
+    bottom: int,
+    top: int,
+    terms: Iterable[tuple[Sequence[GradedRankPoly], Sequence[tuple[int, int]]]],
+) -> GradedRankPoly:
+    """``sum(mult * q**twist * prod(factors))`` over every placement of every term.
 
-    Each operand is packed into one number, a coefficient to a slot wide
-    enough that no convolution coefficient spills into its neighbor; one
-    exact product then carries out the whole convolution, and the slots are
-    read back.  Equal operands are packed once and squared.  Two carriers:
-
-    * ``int``: byte slots through ``to_bytes``/``from_bytes``, linear in the
-      packed length (Harvey, J. Symb. Comput. 2009); CPython multiplies by
-      Karatsuba.
-    * ``decimal``: zero-padded decimal slots and one ``Context.multiply`` at
-      ``MAX_PREC``, which is exact; libmpdec multiplies large operands by a
-      number-theoretic transform, in the line of Schoenhage-Strassen (1971).
-
-    The decimal carrier takes over at ``_DECIMAL_CARRIER_BITS`` of packed
-    size (shorter length times slot bits), the top of the band where the two
+    Each term is a tuple of one or more factors and the ``(twist, mult)``
+    placements of their product, inside ``[bottom, top]``; a span wider than
+    ``_MAX_DENSE_SPAN`` raises :class:`DomainError` before a lazy ``terms``
+    is drawn.  One slot width serves the whole sum, from a bound on its
+    largest coefficient: a coefficient of a product adds up at most
+    ``prod(lengths) // max(lengths)`` products of the factors' coefficients,
+    so ``a * b`` is bounded by ``shorter * max(a) * max(b)``.  A factor
+    repeated in a term is packed once, and a term's packed factors are
+    dropped once multiplied.  Slots are bytes of an ``int``, or zero-padded
+    digits of a ``decimal`` read back ``_READ_DIGITS`` at a time.
+    ``decimal`` takes over when some term's factors but its longest reach
+    ``_DECIMAL_CARRIER_BITS`` of packed size (their length times slot bits;
+    for ``a * b``, the shorter operand's), the top of the band where the two
     were measured to break even, unless a slot has more digits than ``str``
     may convert.
     """
-    shorter = min(len(a), len(b))
-    bits = (shorter * max(a) * max(b)).bit_length()
-    square = a is b or a == b
+    _check_span(top - bottom + 1)
+    kept, bound, shorter = [], 0, 0
+    for factors, placements in terms:
+        count = sum([m for _, m in placements])
+        if not count or not all(factors):
+            continue
+        kept.append((factors, placements))
+        lengths = [len(f._coeffs) for f in factors]
+        longest = max(lengths)
+        # no multiplication of the term has a shorter operand longer than all
+        # its factors but the longest together
+        shorter = max(shorter, sum(lengths) - longest)
+        bound += count * prod(lengths) // longest * prod([max(f._coeffs) for f in factors])
+    if not bound:
+        return GradedRankPoly()
+    bits = bound.bit_length()
     width = bits * 30103 // 100000 + 1  # decimal digits; 10**width > 2**bits
-    str_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if shorter * bits < _DECIMAL_CARRIER_BITS or 0 < str_limit < width:
+    if shorter * bits < _DECIMAL_CARRIER_BITS or 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < width:
         size = (bits + 7) // 8
 
         def pack(coeffs: Sequence[int]) -> int:
             return int.from_bytes(b"".join([c.to_bytes(size, "little") for c in coeffs]), "little")
 
-        packed_a = pack(a)
-        length = (len(a) + len(b) - 1) * size
-        product = packed_a * (packed_a if square else pack(b))
-        slots = memoryview(product.to_bytes(length, "little"))
-        return [int.from_bytes(slots[i : i + size], "little") for i in range(0, length, size)]
+        def place(total: int, product: int, mult: int, offset: int) -> int:
+            return total + (product * mult << 8 * size * offset)
 
-    import decimal  # here, so that a process packing nothing this large never loads it
+        multiply, total = mul, 0
+    else:
+        import decimal  # here, so that a process packing nothing this large never loads it
 
-    def pack_decimal(coeffs: Sequence[int]) -> "decimal.Decimal":
-        return decimal.Decimal("".join([str(c).zfill(width) for c in reversed(coeffs)]))
+        # exact but for quantize, which reads slots back below
+        context = decimal.Context(
+            prec=decimal.MAX_PREC, rounding=decimal.ROUND_DOWN, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN
+        )
 
-    packed_a = pack_decimal(a)
-    length = (len(a) + len(b) - 1) * width
-    context = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
-    product = context.multiply(packed_a, packed_a if square else pack_decimal(b))
-    digits = str(product).zfill(length)
-    return [int(digits[i - width : i]) for i in range(length, 0, -width)]
+        def pack(coeffs: Sequence[int]) -> "decimal.Decimal":
+            return decimal.Decimal("".join([str(c).zfill(width) for c in reversed(coeffs)]))
 
+        def place(total: "decimal.Decimal", product: "decimal.Decimal", mult: int, offset: int) -> "decimal.Decimal":
+            return context.fma(product, context.scaleb(mult, width * offset), total)
 
-def _sum_of_shifts(
-    bottom: int,
-    top: int,
-    parts: Iterable[tuple[GradedRankPoly, Sequence[tuple[int, int]]]],
-) -> GradedRankPoly:
-    """``sum(mult * q**twist * poly)`` over every placement of every part.
-
-    The one dense accumulator of the package: sums and scalar multiples of
-    rank polynomials and the Poincare sums of ``motive`` all add their
-    shifted copies here; products never do, they are packed
-    (:func:`_packed_convolve`).  Each part is a polynomial
-    with the ``(twist, mult)`` placements it is added at.  The copies are
-    added in place into one dense buffer spanning degrees ``[bottom, top]``,
-    which must contain every placed copy.  Parts are consumed one at a time
-    and each polynomial is released before the next is drawn, so a lazy
-    ``parts`` keeps only one of them alive.  A span wider than
-    ``_MAX_DENSE_SPAN`` raises :class:`DomainError` before the buffer is
-    allocated or a part is drawn.
-    """
-    _check_span(top - bottom + 1)
-    out = [0] * (top - bottom + 1)
-    for poly, placements in parts:
-        coeffs = poly._coeffs
+        multiply, total = context.multiply, decimal.Decimal(0)
+    for factors, placements in kept:
+        packed = {}
+        for f in factors:
+            if id(f) not in packed:
+                packed[id(f)] = pack(f._coeffs)
+        product = reduce(multiply, [packed[id(f)] for f in factors])
+        del packed
+        start = sum([f._bottom for f in factors]) - bottom
         for twist, mult in placements:
-            start = poly._bottom + twist - bottom
-            end = start + len(coeffs)
-            out[start:end] = [x + mult * y for x, y in zip(out[start:end], coeffs)]
-        del poly, coeffs
-    return GradedRankPoly._trusted(bottom, out)
+            total = place(total, product, mult, start + twist)
+    del product
+    # slots above the highest nonzero one are left out; _trusted trims to it anyway
+    if isinstance(total, int):
+        slots = memoryview(total.to_bytes(-(-total.bit_length() // 8), "little"))
+        del total
+        coeffs = [int.from_bytes(slots[i : i + size], "little") for i in range(0, len(slots), size)]
+    else:
+        step, read, coeffs = width * (min(_READ_DIGITS, total.adjusted() + 1) // width + 1), 0, []
+        while total:
+            read += step
+            high = context.quantize(total, decimal.Decimal(f"1e{read}"))
+            digits = str(context.scaleb(context.subtract(total, high), step - read)).zfill(step)
+            total = high
+            coeffs += [int(digits[i - width : i]) for i in range(step, 0, -width)]
+    return GradedRankPoly._trusted(bottom, coeffs)
 
 
 @lru_cache(maxsize=None, typed=True)

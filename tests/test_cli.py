@@ -435,6 +435,17 @@ class TestTypeBoundCommand:
         assert result.exit_code == 0, result.stdout
         assert "step 1,level-bound" in result.stdout
 
+    @needs_digit_limit
+    def test_header_power_past_digit_limit_is_refused_before_it_is_built(self, run_cli):
+        # under a 640-digit limit, 2^2126 has 640 digits and 2^2127 has 641
+        args = ("type-bound", "--p", "2", "--n")
+        result = run_with_digit_limit(run_cli, 640, *args, "2126", "--k", "2126")
+        assert result.exit_code == 0 and f"SB_{2**2126} of" in result.stdout
+        assert_render_error(run_with_digit_limit(run_cli, 640, *args, "2127", "--k", "2127"))
+        start = time.perf_counter()  # building 2^300000000 alone takes seconds
+        assert_render_error(run_cli(*args, "300000000", "--k", "300000000"))
+        assert time.perf_counter() - start < 1.0
+
     def test_one_derivation_per_invocation(self, run_cli, monkeypatch):
         # counts every build, whether the command or a judgment asks for it
         builds = []

@@ -241,22 +241,36 @@ class TestSplitPoincare:
         expr = function_field_decomposition(SBVariety(DivisionContext(2, 6), 5))
         keys = {term.obj for term, _ in expr.term_items()}
         assert len(expr.term_items()) == 33 and len(keys) == 17
-        built = []
-        original = motive._object_poincare
-        monkeypatch.setattr(motive, "_object_poincare", lambda obj: built.append(obj) or original(obj))
+        drawn = []
+        original = motive.gaussian_binomial
+        monkeypatch.setattr(motive, "gaussian_binomial", lambda d, k: drawn.append((d, k)) or original(d, k))
         assert expr.split_poincare() == gaussian_binomial(64, 32)
-        assert len(built) == len(keys)
+        factors = [(obj.context.degree, d) for obj in keys if isinstance(obj, SBProduct) for d in obj.dims]
+        assert len(factors) == 32 and sorted(drawn) == sorted(factors)
 
     def test_each_product_starts_from_its_first_binomial(self, monkeypatch):
         expr = function_field_decomposition(SBVariety(DivisionContext(2, 6), 5))
         keys = {term.obj for term, _ in expr.term_items()}
         expected = sum(len(obj.dims) - 1 for obj in keys if isinstance(obj, SBProduct))
         assert len(keys) == 17 and expected == 16
-        products = []
-        original = GradedRankPoly.__mul__
-        monkeypatch.setattr(GradedRankPoly, "__mul__", lambda a, b: products.append(b) or original(a, b))
+        expr.split_poincare()  # every factor is cached, so the sum alone builds a polynomial
+        squares, built, products = [], [], []
+        original_reduce, original_trusted = qpoly.reduce, GradedRankPoly._trusted
+
+        def counting_reduce(multiply, packed):
+            return original_reduce(lambda a, b: squares.append(a is b) or multiply(a, b), packed)
+
+        def counting_trusted(cls, bottom, coeffs):
+            built.append(len(coeffs))
+            return original_trusted(bottom, coeffs)
+
+        monkeypatch.setattr(qpoly, "reduce", counting_reduce)
+        monkeypatch.setattr(GradedRankPoly, "_trusted", classmethod(counting_trusted))
+        monkeypatch.setattr(GradedRankPoly, "__mul__", lambda a, b: products.append(b))
         assert expr.split_poincare() == gaussian_binomial(64, 32)
-        assert len(products) == expected
+        # [32, i] and [32, 32 - i] are one object, packed once and squared
+        assert squares == [True] * expected
+        assert built == [32 * 32 + 1] and products == []
 
 
 class TestIdentifyUpperLower:

@@ -487,3 +487,84 @@ def _around_carrier_switch(rng, la, lb, side):
         coeffs[min(coeffs) + rng.randrange(length)] = top
         operands.append(coeffs)
     return operands
+
+
+def _reference_sum(terms):
+    """Schoolbook ``sum(mult * q**twist * prod(factors))`` on {degree: coefficient} maps."""
+    out = Counter()
+    for factors, placements in terms:
+        product = {0: 1}
+        for factor in factors:
+            product = _schoolbook(product, dict(factor.items()))
+        for twist, mult in placements:
+            for degree, count in product.items():
+                out[degree + twist] += mult * count
+    return GradedRankPoly(dict(out))
+
+
+def _placed_span(terms):
+    """Lowest bottom and highest top degree of every placed product."""
+    lows, highs = zip(*[
+        (sum(f.bottom_degree() for f in factors) + twist, sum(f.top_degree() for f in factors) + twist)
+        for factors, placements in terms
+        for twist, _ in placements
+    ])
+    return min(lows), max(highs)
+
+
+# _DECIMAL_CARRIER_BITS and _READ_DIGITS that send every sum through one
+# carrier; the last reads a decimal sum back one slot at a time
+_CARRIERS = pytest.mark.parametrize(
+    "switch,read", [(2**62, 2**20), (0, 2**20), (0, 1)], ids=["int", "decimal", "decimal-slotwise"]
+)
+
+
+class TestPackedSum:
+    pool = st.lists(
+        st.dictionaries(st.integers(0, 12), st.integers(1, 2**40), min_size=1, max_size=6).map(GradedRankPoly),
+        min_size=1,
+        max_size=4,
+    )
+
+    @_CARRIERS
+    @settings(deadline=None)
+    @given(pool, st.data())
+    def test_matches_schoolbook(self, switch, read, pool, data):
+        # factors are drawn from a small pool, so a term may repeat one object
+        index = st.integers(0, len(pool) - 1)
+        placement = st.tuples(st.integers(0, 9), st.integers(0, 4))
+        drawn = data.draw(st.lists(
+            st.tuples(st.lists(index, min_size=1, max_size=3), st.lists(placement, min_size=1, max_size=3)),
+            min_size=1,
+            max_size=4,
+        ))
+        terms = [(tuple(pool[i] for i in picks), placements) for picks, placements in drawn]
+        low, high = _placed_span(terms)
+        bottom = low - data.draw(st.integers(0, low))
+        top = high + data.draw(st.integers(0, 3))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(qpoly, "_DECIMAL_CARRIER_BITS", switch)
+            patch.setattr(qpoly, "_READ_DIGITS", read)
+            assert qpoly._packed_sum(bottom, top, terms) == _reference_sum(terms)
+
+    @_CARRIERS
+    @pytest.mark.parametrize("peak", [2**64, 10**20], ids=["byte-slot", "digit-slot"])
+    def test_every_term_at_its_bound_carries_nothing(self, monkeypatch, switch, read, peak):
+        # Each term reaches its bound, multiplicity times the product of its
+        # factors' lengths over the longest one times their largest
+        # coefficients, at degree 10, so the sum's largest coefficient is the
+        # bound.  2**64 takes 65 bits and 10**20 takes 21 digits, one more than
+        # a bound of half of either gets; the three-factor term, twice placed,
+        # holds about nine tenths of the peak.
+        monkeypatch.setattr(qpoly, "_DECIMAL_CARRIER_BITS", switch)
+        monkeypatch.setattr(qpoly, "_READ_DIGITS", read)
+        flat = lambda low, length, value: GradedRankPoly({d: value for d in range(low, low + length)})
+        square = flat(2, 5, 2**20)  # its square has 5 * 2**40 at degrees 4 + 4 = 8
+        top = peak * 9 // (120 << 40)
+        three = (flat(1, 2, 2**20), flat(0, 3, 2**20), flat(3, 4, top))  # 2 * 3 * 2**40 * top at 4 + 3 = 7
+        rest = peak - 2 * 6 * 2**40 * top - 3 * 5 * 2**40
+        terms = [(three, [(3, 2)]), ((square, square), [(2, 3)]), ((GradedRankPoly({7: rest}),), [(3, 1)])]
+        low, high = _placed_span(terms)
+        total = qpoly._packed_sum(low, high, terms)
+        assert total.coefficient(10) == peak == max(c for _, c in total.items())
+        assert total == _reference_sum(terms)

@@ -479,6 +479,12 @@ class TestSharedPrefix:
     """The traces about one variety share the type bound's recorded steps,
     through a weak registry that holds nothing once those traces are gone."""
 
+    @pytest.fixture(autouse=True)
+    def fresh_registry(self, monkeypatch):
+        """A registry of each test's own: a trace held elsewhere in the
+        process would serve its steps without drawing them."""
+        monkeypatch.setattr(type_calculus, "_PREFIXES", weakref.WeakValueDictionary())
+
     @pytest.mark.parametrize("pnk", [(2, 6, 2), (2, 3, 1), (2, 4, 4), (2, 5, 0), (3, 4, 1)], ids=str)
     @pytest.mark.parametrize("order", list(permutations(range(3))), ids=lambda order: "-".join(map(str, order)))
     def test_every_prefix_position_is_drawn_once(self, drawn, order, pnk):
