@@ -20,6 +20,7 @@ level ``n`` to the Tate unit (the variety is a rational point).
 from __future__ import annotations
 
 from collections import Counter
+from functools import cached_property
 from typing import Iterable, Mapping, Union
 
 from ._record import Record, set_field
@@ -96,8 +97,10 @@ class DivisionContext(Record):
         set_field(self, "p", p)
         set_field(self, "n", n)
 
-    @property
+    @cached_property
     def degree(self) -> int:
+        """``p**n``, computed on first read and kept: at exponents near 10**8
+        one power costs seconds."""
         return self.p**self.n
 
 
@@ -212,10 +215,14 @@ class Term(Record):
 
 def _object_factors(obj: TateUnit | SBProduct) -> tuple[GradedRankPoly, ...]:
     """The factors whose product is the split polynomial: 1 for the Tate
-    unit, the binomial of each factor of a canonical product."""
+    unit, the binomial of each factor of a canonical product.  ``[deg, d]``
+    and ``[deg, deg - d]`` are one object, so the factors are ordered by the
+    narrow side ``min(d, deg - d)``: a repeated one comes next to itself,
+    which ``_packed_sum`` packs once and squares."""
     if isinstance(obj, TateUnit):
         return (GradedRankPoly({0: 1}),)
-    return tuple(gaussian_binomial(obj.context.degree, d) for d in obj.dims)
+    degree = obj.context.degree
+    return tuple(gaussian_binomial(degree, d) for d in sorted(obj.dims, key=lambda d: min(d, degree - d)))
 
 
 def _object_top_degree(obj: MotiveObject) -> int:

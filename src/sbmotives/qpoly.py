@@ -19,27 +19,40 @@ kept as its oracles: a dynamic-programming recurrence
 The test suite and the ``verify`` command check all three against each other.
 
 Every dense sum, product and scalar multiple, the Poincare sums of ``motive``
-included, goes through one accumulator, :func:`_packed_sum`: the factors of
-each term are packed into big numbers, multiplied, shifted and added into one
-number, whose slots are read back once (Kronecker substitution; Harvey,
-J. Symb. Comput. 2009).  The carrier is ``int`` (CPython's Karatsuba) below
-100 000 packed bits and ``decimal`` (libmpdec's number-theoretic transform,
-exact at ``MAX_PREC``) from there up.  Measured with CPython 3.11 on a shared
-2-vCPU x86-64 machine, the two stay within about 15% of each other between
-55 000 and 100 000 packed bits for operands of equal length; below, ``int``
-wins (100 x 100 coefficients of 64 bits: 0.19 ms against 0.64 ms), above,
-``decimal`` does (1400 x 1400 of 256 bits: 62 ms against 20 ms).
+included, goes through one accumulator, :func:`_packed_sum`.  A term of one
+factor is added coefficient by coefficient.  The factors of every other term
+are packed into big numbers, multiplied, shifted and added into one number,
+whose slots are read back once (Kronecker substitution; Harvey, J. Symb.
+Comput. 2009).  The carrier is ``int`` (CPython's Karatsuba) below 100 000
+packed bits and ``decimal`` (libmpdec's number-theoretic transform, exact at
+``MAX_PREC``) from there up.  From 4 500 packed bits the ``int`` carrier
+evaluates at two points, ``+2**b`` and ``-2**b`` with ``b`` half a slot, and
+so multiplies two numbers of half the size in place of one (Harvey's
+multipoint substitution); below, one point costs less than the second
+packing and read-back.
+
+Measured with CPython 3.11 on a shared 2-vCPU x86-64 machine, whole products
+of equal-length operands: two points break even with one between 4 000 and
+5 000 packed bits (32 x 32 coefficients of 64 bits, 4 256 bits: 0.97 of the
+one-point time; 8 x 8 of 256 bits, 4 120 bits: 1.05).  Against ``decimal``,
+the two-point ``int`` carrier breaks even on a lone product between 180 000
+and 340 000 packed bits (1300 x 1300 of 64 bits: 4.73 ms against 4.74 ms;
+650 x 650 of 256 bits: 15.8 ms against 11.6 ms), but on a sum of many
+products nearer 120 000: the 32-product q-Vandermonde sum of ``verify
+--max-n 7``, at 123 000 packed bits, takes 58.6 ms on ``int`` and 56.6 ms on
+``decimal``, and the 16-product one of ``--max-n 8``, at 233 000, 178 ms
+against 119 ms.  So ``decimal`` still takes over at 100 000.
 """
 
 from __future__ import annotations
 
 import sys
 import weakref
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import accumulate
 from math import prod
 from operator import mul
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from ._record import Record, set_field
 from .errors import DomainError
@@ -52,6 +65,8 @@ __all__ = [
     "enumerate_partitions_in_box",
 ]
 
+_T = TypeVar("_T")
+
 # Most dense slots (top - bottom + 1) that the public constructor, a sum, a
 # product or a Gaussian binomial allocates.
 _MAX_DENSE_SPAN = 2**24
@@ -59,6 +74,10 @@ _MAX_DENSE_SPAN = 2**24
 # Packed size (shorter operand length times slot bits) of a product from
 # which a sum is carried by decimal, not int: see _packed_sum.
 _DECIMAL_CARRIER_BITS = 100_000
+
+# Packed size from which the int carrier multiplies at two points, +2**b and
+# -2**b, not at one: the middle of the measured break-even (module docstring).
+_TWO_POINT_BITS = 4_500
 
 # Digits of a decimal-carried sum read back per str(): one str() of a large
 # sum would hold its digits twice over beside the sum itself.
@@ -115,12 +134,21 @@ class GradedRankPoly:
     __slots__ = ("_bottom", "_coeffs", "__weakref__")
 
     def __init__(self, coefficients: Mapping[int, int] | None = None):
-        checked: dict[int, int] = {}
-        if coefficients:
+        checked: Mapping[int, int] = coefficients or {}
+        # every key and value checked by C-level passes; only when one fails
+        # does the loop run, to name the first bad entry
+        if checked and not (
+            {*map(type, checked), *map(type, checked.values())} == {int}
+            and min(checked) >= 0
+            and min(checked.values()) >= 0
+        ):
+            checked = {}
             for degree, count in coefficients.items():
                 _checked_count(degree, "degree")
                 if _checked_count(count, "coefficient"):
                     checked[degree] = count
+        elif 0 in checked.values():
+            checked = {d: c for d, c in checked.items() if c}
         self._bottom = min(checked, default=0)
         span = max(checked) - self._bottom + 1 if checked else 0
         _check_span(span)
@@ -288,46 +316,106 @@ def _packed_sum(
     Each term is a tuple of one or more factors and the ``(twist, mult)``
     placements of their product, inside ``[bottom, top]``; a span wider than
     ``_MAX_DENSE_SPAN`` raises :class:`DomainError` before a lazy ``terms``
-    is drawn.  One slot width serves the whole sum, from a bound on its
-    largest coefficient: a coefficient of a product adds up at most
+    is drawn.  The products of the terms of two or more factors are packed
+    and added into one number, whose slots are read back once into a
+    coefficient list; each placement of a one-factor term is then added into
+    that list directly, with no packing.
+
+    One slot width serves the packed sum, from a bound on its largest
+    coefficient: a coefficient of a product adds up at most
     ``prod(lengths) // max(lengths)`` products of the factors' coefficients,
     so ``a * b`` is bounded by ``shorter * max(a) * max(b)``.  A factor
-    repeated in a term is packed once, and a term's packed factors are
-    dropped once multiplied.  Slots are bytes of an ``int``, or zero-padded
-    digits of a ``decimal`` read back ``_READ_DIGITS`` at a time.
-    ``decimal`` takes over when some term's factors but its longest reach
-    ``_DECIMAL_CARRIER_BITS`` of packed size (their length times slot bits;
-    for ``a * b``, the shorter operand's), the top of the band where the two
-    were measured to break even, unless a slot has more digits than ``str``
-    may convert.
+    repeated next to itself in a term is packed once and squared, and a
+    term's packed factors are dropped once multiplied.  Slots are bytes of an
+    ``int``, or zero-padded digits of a ``decimal`` read back
+    ``_READ_DIGITS`` at a time.  ``decimal`` takes over when some term's
+    factors but its longest reach ``_DECIMAL_CARRIER_BITS`` of packed size
+    (their length times slot bits; for ``a * b``, the shorter operand's), the
+    top of the band where the two were measured to break even, unless a slot
+    has more digits than ``str`` may convert.
+
+    Below ``_TWO_POINT_BITS`` of packed size the ``int`` carrier evaluates
+    at one point, ``X = 2**b`` with ``b`` a whole slot.  From there up it
+    evaluates at two, ``X = 2**b`` and ``-X`` with ``b`` half a slot
+    (Harvey's multipoint Kronecker substitution).  A factor's even and odd
+    coefficients are packed once each, into slots of ``X**2``, as ``E`` and
+    ``O``, so ``f(X) = E + (O << b)`` and ``f(-X) = E - (O << b)``.  Each
+    product is taken at both points, two multiplications of half-size
+    numbers in place of one of full size (about 0.67 of the work under
+    Karatsuba), and added into one total per point; a placement at offset
+    ``t`` enters the ``-X`` total with sign ``(-1)**t``.  The sum ``H`` is
+    read back as its even part ``(H(X) + H(-X)) / 2`` and its odd part
+    ``(H(X) - H(-X)) / (2X)``, each at the byte slots of ``X**2``, where the
+    bound keeps every slot exact, and the two are interleaved.  The module
+    docstring gives the measured break-even of one and two points.
     """
-    _check_span(top - bottom + 1)
-    kept, bound, shorter = [], 0, 0
+    span = top - bottom + 1
+    _check_span(span)
+    products, singles, bound, shorter = [], [], 0, 0
     for factors, placements in terms:
         count = sum([m for _, m in placements])
-        if not count or not all(factors):
-            continue
-        kept.append((factors, placements))
         lengths = [len(f._coeffs) for f in factors]
+        if not count or not all(lengths):
+            continue
+        if len(lengths) == 1:
+            singles.append((factors[0], placements))
+            continue
+        products.append((factors, placements))
         longest = max(lengths)
         # no multiplication of the term has a shorter operand longer than all
         # its factors but the longest together
         shorter = max(shorter, sum(lengths) - longest)
         bound += count * prod(lengths) // longest * prod([max(f._coeffs) for f in factors])
-    if not bound:
-        return GradedRankPoly()
-    bits = bound.bit_length()
+    coeffs = _packed_products(bottom, products, bound.bit_length(), shorter) if products else []
+    if singles:
+        coeffs += [0] * (span - len(coeffs))
+        for poly, placements in singles:
+            for twist, mult in placements:
+                start = poly._bottom + twist - bottom
+                end = start + len(poly._coeffs)
+                coeffs[start:end] = [x + mult * y for x, y in zip(coeffs[start:end], poly._coeffs)]
+    return GradedRankPoly._trusted(bottom, coeffs)
+
+
+def _packed_products(
+    bottom: int,
+    products: list[tuple[Sequence[GradedRankPoly], Sequence[tuple[int, int]]]],
+    bits: int,
+    shorter: int,
+) -> list[int]:
+    """The packed part of :func:`_packed_sum`: the sum of ``products``, in
+    slots of ``bits`` bits, read back from degree ``bottom`` up; ``shorter``
+    is the largest packed size in coefficients."""
     width = bits * 30103 // 100000 + 1  # decimal digits; 10**width > 2**bits
     if shorter * bits < _DECIMAL_CARRIER_BITS or 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < width:
         size = (bits + 7) // 8
 
-        def pack(coeffs: Sequence[int]) -> int:
+        def slots(coeffs: Sequence[int]) -> int:
             return int.from_bytes(b"".join([c.to_bytes(size, "little") for c in coeffs]), "little")
 
-        def place(total: int, product: int, mult: int, offset: int) -> int:
-            return total + (product * mult << 8 * size * offset)
+        if shorter * bits < _TWO_POINT_BITS:  # one point, X = 2**xbits, a whole slot
+            xbits, pack, multiply = 8 * size, slots, mul
 
-        multiply, total = mul, 0
+            def place(total: int, product: int, mult: int, offset: int) -> int:
+                placed = product * mult << xbits * offset
+                return total + placed if total else placed
+
+        else:  # X = 2**xbits, half a slot, and -X; each value is the pair (f(X), f(-X))
+            xbits = 4 * size
+
+            def pack(coeffs: Sequence[int]) -> tuple[int, int]:
+                even, odd = slots(coeffs[::2]), slots(coeffs[1::2]) << xbits
+                return even + odd, even - odd
+
+            def multiply(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+                return x[0] * y[0], x[1] * y[1]
+
+            def place(total: tuple[int, int], product: tuple[int, int], mult: int, offset: int) -> tuple[int, int]:
+                shift = xbits * offset
+                plus, minus = product[0] * mult << shift, product[1] * (-mult if offset & 1 else mult) << shift
+                return (total[0] + plus, total[1] + minus) if total else (plus, minus)
+
+        total = 0
     else:
         import decimal  # here, so that a process packing nothing this large never loads it
 
@@ -343,22 +431,22 @@ def _packed_sum(
             return context.fma(product, context.scaleb(mult, width * offset), total)
 
         multiply, total = context.multiply, decimal.Decimal(0)
-    for factors, placements in kept:
-        packed = {}
-        for f in factors:
-            if id(f) not in packed:
-                packed[id(f)] = pack(f._coeffs)
-        product = reduce(multiply, [packed[id(f)] for f in factors])
-        del packed
+    for factors, placements in products:
+        product = _term_product(factors, pack, multiply)
         start = sum([f._bottom for f in factors]) - bottom
         for twist, mult in placements:
             total = place(total, product, mult, start + twist)
-    del product
+        del product
     # slots above the highest nonzero one are left out; _trusted trims to it anyway
-    if isinstance(total, int):
-        slots = memoryview(total.to_bytes(-(-total.bit_length() // 8), "little"))
+    if isinstance(total, tuple):
+        plus, minus = total
         del total
-        coeffs = [int.from_bytes(slots[i : i + size], "little") for i in range(0, len(slots), size)]
+        even, odd = _byte_slots((plus + minus) >> 1, size), _byte_slots((plus - minus) >> xbits + 1, size)
+        del plus, minus
+        coeffs = [0] * (2 * max(len(even), len(odd)))
+        coeffs[: 2 * len(even) : 2], coeffs[1 : 2 * len(odd) : 2] = even, odd
+    elif isinstance(total, int):
+        coeffs = _byte_slots(total, size)
     else:
         step, read, coeffs = width * (min(_READ_DIGITS, total.adjusted() + 1) // width + 1), 0, []
         while total:
@@ -367,7 +455,27 @@ def _packed_sum(
             digits = str(context.scaleb(context.subtract(total, high), step - read)).zfill(step)
             total = high
             coeffs += [int(digits[i - width : i]) for i in range(step, 0, -width)]
-    return GradedRankPoly._trusted(bottom, coeffs)
+    return coeffs
+
+
+def _term_product(
+    factors: Sequence[GradedRankPoly], pack: Callable[[Sequence[int]], _T], multiply: Callable[[_T, _T], _T]
+) -> _T:
+    """The packed product of a term's factors; a factor repeated next to
+    itself is packed once and squared."""
+    product = previous = None
+    for f in factors:
+        if f is not previous:
+            packed, previous = pack(f._coeffs), f
+        product = packed if product is None else multiply(product, packed)
+    return product
+
+
+def _byte_slots(total: int, size: int) -> list[int]:
+    """The ``size``-byte slots of ``total``, least significant first, up to
+    its highest nonzero byte."""
+    view = memoryview(total.to_bytes(-(-total.bit_length() // 8), "little"))
+    return [int.from_bytes(view[i : i + size], "little") for i in range(0, len(view), size)]
 
 
 @lru_cache(maxsize=None, typed=True)

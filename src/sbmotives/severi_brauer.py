@@ -17,6 +17,7 @@ statements the rest of the engine consumes:
 from __future__ import annotations
 
 from enum import Enum
+from functools import cached_property
 from itertools import count, islice, repeat
 from typing import Iterator
 
@@ -52,8 +53,9 @@ class SBVariety(Record):
         set_field(self, "context", context)
         set_field(self, "level", level)
 
-    @property
+    @cached_property
     def reduced_dimension(self) -> int:
+        """``p**level``, computed on first read and kept, like the context's degree."""
         return self.context.p**self.level
 
     def dimension(self) -> int:

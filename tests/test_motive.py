@@ -32,6 +32,11 @@ class TestDivisionContext:
         assert DivisionContext(3, 2).degree == 9
         assert DivisionContext(5, 0).degree == 1
 
+    def test_degree_is_computed_once(self):
+        context = DivisionContext(2, 200)
+        assert context.degree is context.degree == 2**200
+        assert context == DivisionContext(2, 200) and hash(context) == hash(DivisionContext(2, 200))
+
     # 561 is a Carmichael number, 2047 the least strong pseudoprime to base 2,
     # 318665857834031151167461 the least one to every prime base up to 37
     @pytest.mark.parametrize(
@@ -255,16 +260,16 @@ class TestSplitPoincare:
         assert len(keys) == 17 and expected == 16
         expr.split_poincare()  # every factor is cached, so the sum alone builds a polynomial
         squares, built, products = [], [], []
-        original_reduce, original_trusted = qpoly.reduce, GradedRankPoly._trusted
+        original_product, original_trusted = qpoly._term_product, GradedRankPoly._trusted
 
-        def counting_reduce(multiply, packed):
-            return original_reduce(lambda a, b: squares.append(a is b) or multiply(a, b), packed)
+        def counting_product(factors, pack, multiply):
+            return original_product(factors, pack, lambda a, b: squares.append(a is b) or multiply(a, b))
 
         def counting_trusted(cls, bottom, coeffs):
             built.append(len(coeffs))
             return original_trusted(bottom, coeffs)
 
-        monkeypatch.setattr(qpoly, "reduce", counting_reduce)
+        monkeypatch.setattr(qpoly, "_term_product", counting_product)
         monkeypatch.setattr(GradedRankPoly, "_trusted", classmethod(counting_trusted))
         monkeypatch.setattr(GradedRankPoly, "__mul__", lambda a, b: products.append(b))
         assert expr.split_poincare() == gaussian_binomial(64, 32)

@@ -41,6 +41,29 @@ class TestGradedRankPoly:
         with pytest.raises(DomainError):
             GradedRankPoly({-2: 1})
 
+    @pytest.mark.parametrize(
+        "coefficients,message",
+        [
+            ({0: 1, -2: 1}, "degree must be nonnegative, got -2"),
+            ({0: 1, 2: -1}, "coefficient must be nonnegative, got -1"),
+            ({0: 1, True: 1}, "degree must be an integer, got True"),
+            ({1: 2, 3: 1.0}, "coefficient must be an integer, got 1.0"),
+            ({1: 2, "3": 1}, "degree must be an integer, got '3'"),
+            ({2: -1, -1: 2}, "coefficient must be nonnegative, got -1"),
+            ({-1: 2, 2: -1}, "degree must be nonnegative, got -1"),
+        ],
+    )
+    def test_the_first_bad_entry_is_named(self, coefficients, message):
+        with pytest.raises(DomainError) as caught:
+            GradedRankPoly(coefficients)
+        assert str(caught.value) == message
+
+    def test_int_subclasses_are_counts(self):
+        class Count(int):
+            pass
+
+        assert GradedRankPoly({Count(2): Count(3), 5: 0}) == GradedRankPoly({2: 3})
+
     def test_add(self):
         one = GradedRankPoly({0: 1})
         assert (one + one) == GradedRankPoly({0: 2})
@@ -467,14 +490,15 @@ class TestFastPath:
         assert product == GradedRankPoly(_schoolbook(a, b))
 
 
-def _around_carrier_switch(rng, la, lb, side):
-    """Operands whose packed size is just below, or at least, the carrier switch.
+def _around_carrier_switch(rng, la, lb, side, switch=None):
+    """Operands whose packed size is just below, or at least, ``switch``: the
+    carrier switch ``_DECIMAL_CARRIER_BITS`` unless another is given.
 
     The packed size is the shorter length times the bit length of
     ``shorter * max(a) * max(b)``; both operands get the same largest
     coefficient, and some interior zeros.
     """
-    short, switch = min(la, lb), qpoly._DECIMAL_CARRIER_BITS
+    short, switch = min(la, lb), switch or qpoly._DECIMAL_CARRIER_BITS
     bits = (switch - 1) // short if side == "below" else -(-switch // short)
     top = math.isqrt((1 << (bits - 1)) // short)
     while (short * top * top).bit_length() < bits:
@@ -512,11 +536,19 @@ def _placed_span(terms):
     return min(lows), max(highs)
 
 
-# _DECIMAL_CARRIER_BITS and _READ_DIGITS that send every sum through one
-# carrier; the last reads a decimal sum back one slot at a time
+# _DECIMAL_CARRIER_BITS, _TWO_POINT_BITS and _READ_DIGITS that send every sum
+# through one carrier, the int one at one point ("int") or at two; the last
+# reads a decimal sum back one slot at a time
 _CARRIERS = pytest.mark.parametrize(
-    "switch,read", [(2**62, 2**20), (0, 2**20), (0, 1)], ids=["int", "decimal", "decimal-slotwise"]
+    "carrier",
+    [(2**62, 2**62, 2**20), (2**62, 0, 2**20), (0, 0, 2**20), (0, 0, 1)],
+    ids=["int", "int-two-points", "decimal", "decimal-slotwise"],
 )
+
+
+def _force(patch, carrier):
+    for name, value in zip(("_DECIMAL_CARRIER_BITS", "_TWO_POINT_BITS", "_READ_DIGITS"), carrier):
+        patch.setattr(qpoly, name, value)
 
 
 class TestPackedSum:
@@ -529,7 +561,7 @@ class TestPackedSum:
     @_CARRIERS
     @settings(deadline=None)
     @given(pool, st.data())
-    def test_matches_schoolbook(self, switch, read, pool, data):
+    def test_matches_schoolbook(self, carrier, pool, data):
         # factors are drawn from a small pool, so a term may repeat one object
         index = st.integers(0, len(pool) - 1)
         placement = st.tuples(st.integers(0, 9), st.integers(0, 4))
@@ -543,27 +575,61 @@ class TestPackedSum:
         bottom = low - data.draw(st.integers(0, low))
         top = high + data.draw(st.integers(0, 3))
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(qpoly, "_DECIMAL_CARRIER_BITS", switch)
-            patch.setattr(qpoly, "_READ_DIGITS", read)
+            _force(patch, carrier)
             assert qpoly._packed_sum(bottom, top, terms) == _reference_sum(terms)
 
     @_CARRIERS
+    @pytest.mark.parametrize("lengths", [(1, 2), (2, 2), (3, 3), (2, 5), (4, 7), (2, 3, 4), (3, 3, 5)])
+    @pytest.mark.parametrize("bottoms", [(0, 0, 0), (1, 0, 0), (2, 3, 1)])
+    def test_lengths_bottoms_and_twists_of_both_parities(self, monkeypatch, carrier, lengths, bottoms):
+        # odd and even factor lengths; products starting at odd and even
+        # degrees; twists of both parities, multiplicities above 1, a square,
+        # three factors and a one-factor term, in one sum
+        _force(monkeypatch, carrier)
+        rng = random.Random(repr((lengths, bottoms)))
+        factors = tuple(
+            GradedRankPoly({low + i: rng.getrandbits(40) | 1 for i in range(length)})
+            for length, low in zip(lengths, bottoms)
+        )
+        terms = [
+            (factors, [(0, 1), (1, 3), (4, 2), (7, 5)]),
+            ((factors[0], factors[0]), [(1, 2), (2, 1)]),
+            ((factors[-1], factors[-1], factors[1]), [(3, 4)]),
+            ((factors[1],), [(0, 6), (5, 1)]),
+        ]
+        low, high = _placed_span(terms)
+        for bottom in {low, low - 1} - {-1}:  # the offsets of every placement take both parities
+            assert qpoly._packed_sum(bottom, high, terms) == _reference_sum(terms)
+
+    @pytest.mark.parametrize("side", ["below", "at"])
+    @pytest.mark.parametrize("la,lb", [(40, 40), (40, 57), (61, 30)])
+    def test_two_points_from_their_switch(self, monkeypatch, la, lb, side):
+        a, b = _around_carrier_switch(random.Random(la * lb), la, lb, side, qpoly._TWO_POINT_BITS)
+        products, original = [], qpoly._term_product
+        monkeypatch.setattr(qpoly, "_term_product", lambda *args: products.append(original(*args)) or products[-1])
+        assert GradedRankPoly(a) * GradedRankPoly(b) == GradedRankPoly(_schoolbook(a, b))
+        # a product at two points is the pair of its values at X and -X
+        assert [type(product) for product in products] == [int if side == "below" else tuple]
+
+    @_CARRIERS
     @pytest.mark.parametrize("peak", [2**64, 10**20], ids=["byte-slot", "digit-slot"])
-    def test_every_term_at_its_bound_carries_nothing(self, monkeypatch, switch, read, peak):
+    def test_every_term_at_its_bound_carries_nothing(self, monkeypatch, carrier, peak):
         # Each term reaches its bound, multiplicity times the product of its
         # factors' lengths over the longest one times their largest
         # coefficients, at degree 10, so the sum's largest coefficient is the
         # bound.  2**64 takes 65 bits and 10**20 takes 21 digits, one more than
         # a bound of half of either gets; the three-factor term, twice placed,
-        # holds about nine tenths of the peak.
-        monkeypatch.setattr(qpoly, "_DECIMAL_CARRIER_BITS", switch)
-        monkeypatch.setattr(qpoly, "_READ_DIGITS", read)
+        # holds about nine tenths of the peak.  Every term has two factors or
+        # more, so all of it is packed: a one-factor term would be added
+        # unpacked, outside the bound.
+        _force(monkeypatch, carrier)
         flat = lambda low, length, value: GradedRankPoly({d: value for d in range(low, low + length)})
         square = flat(2, 5, 2**20)  # its square has 5 * 2**40 at degrees 4 + 4 = 8
         top = peak * 9 // (120 << 40)
         three = (flat(1, 2, 2**20), flat(0, 3, 2**20), flat(3, 4, top))  # 2 * 3 * 2**40 * top at 4 + 3 = 7
         rest = peak - 2 * 6 * 2**40 * top - 3 * 5 * 2**40
-        terms = [(three, [(3, 2)]), ((square, square), [(2, 3)]), ((GradedRankPoly({7: rest}),), [(3, 1)])]
+        unit = GradedRankPoly({0: 1})
+        terms = [(three, [(3, 2)]), ((square, square), [(2, 3)]), ((GradedRankPoly({7: rest}), unit), [(3, 1)])]
         low, high = _placed_span(terms)
         total = qpoly._packed_sum(low, high, terms)
         assert total.coefficient(10) == peak == max(c for _, c in total.items())

@@ -35,6 +35,10 @@ class TestVarietyDimension:
         assert SBVariety(DivisionContext(3, 2), 0).dimension() == 8
         assert SBVariety(DivisionContext(2, 3), 3).dimension() == 0
 
+    def test_reduced_dimension_is_computed_once(self):
+        variety = SBVariety(DivisionContext(3, 200), 150)
+        assert variety.reduced_dimension is variety.reduced_dimension == 3**150
+
     def test_level_out_of_range(self):
         with pytest.raises(DomainError):
             SBVariety(DivisionContext(2, 2), 3)
