@@ -374,7 +374,7 @@ def main(argv: list[str] | None = None) -> None:
     try:
         stream = sys.stdout if out == "-" else open(out, "w", encoding="utf-8")
     except OSError as exc:
-        parser.exit(1, f"Error: Could not open file {out!r}: {exc.strerror}\n")
+        parser.exit(1, f"error: cannot open {out!r}: {exc.strerror}\n")
     try:
         try:
             stream.write(text + "\n")

@@ -11,12 +11,14 @@ The degree-``s`` coefficient of ``gaussian_binomial(m + c, c)`` equals the
 number of partitions of ``s`` inside an ``m x c`` box (at most ``m`` rows,
 every entry at most ``c``), and the package reads box counts only there.
 :func:`gaussian_binomial` computes it by the q-product formula, stepping
-along row ``d`` from the nearest value still cached, and hands out one object
-for ``[d, k]`` and ``[d, d-k]``.  Two counters sharing no code with it are
-kept as its oracles: a dynamic-programming recurrence
-(:func:`count_partitions_in_box`) and an exhaustive enumerator
-(:func:`enumerate_partitions_in_box`) that checks the DP on small boxes.
-The test suite and the ``verify`` command check all three against each other.
+along row ``d``, up or down, from the nearest value still cached, and hands
+out one object for ``[d, k]`` and ``[d, d-k]``; a single coefficient is read
+by the same walk cut after the coefficients it needs.  Two counters sharing
+no code with it are kept as its oracles: a dynamic-programming recurrence
+(:func:`count_partitions_in_box`), which adds only over the sizes a box can
+hold, and an exhaustive enumerator (:func:`enumerate_partitions_in_box`) that
+checks the DP on small boxes.  The test suite and the ``verify`` command check
+all three against each other.
 
 Every dense sum, product and scalar multiple, the Poincare sums of ``motive``
 included, goes through one accumulator, :func:`_packed_sum`.  A term of one
@@ -51,7 +53,7 @@ import weakref
 from functools import lru_cache
 from itertools import accumulate
 from math import prod
-from operator import mul
+from operator import add, mul
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from ._record import Record, set_field
@@ -484,43 +486,83 @@ def gaussian_binomial(d: int, k: int) -> GradedRankPoly:
 
     Computed along row ``d`` by the product formula
     ``[d, i+1] = [d, i] * (1 - q^(d-i)) / (1 - q^(i+1))``
-    (Andrews, *The Theory of Partitions*, ch. 3) over exact integers, up to
-    the narrow side ``c = min(k, d-k)``.  The walk starts from the nearest
-    ``[d, c0]`` with ``c0 <= c`` that the cache still holds, or from
-    ``[d, 0] = 1``.  Each step is two passes: multiply by the numerator, then
-    divide exactly by the denominator as running sums over the residue
-    classes of its degree; every intermediate is itself a Gaussian binomial,
-    so the division never leaves the integers.  ``[d, k]`` and ``[d, d-k]``
-    are the same object.  A result of more than ``_MAX_DENSE_SPAN`` degrees
-    raises :class:`DomainError` before the first step.  The result has bottom
-    degree 0, top degree ``k*(d-k)``, symmetric coefficients and total rank
-    ``C(d, k)``; it is the split Poincare polynomial of the Grassmannian of
-    ``k``-planes in ``d``-space.  Shares no code with the box DP or the
-    enumerator.
+    (Andrews, *The Theory of Partitions*, ch. 3) over exact integers, to the
+    narrow side ``c = min(k, d-k)``.  The walk starts from the cached
+    ``[d, c0]`` nearest ``c`` on either side, or from ``[d, 0] = 1``, and
+    from above steps down by ``[d, i-1] = [d, i] * (1 - q^i) / (1 - q^(d-i+1))``
+    (:func:`_walk_step` serves both directions).  Only the result is cached.
+    ``[d, k]`` and ``[d, d-k]`` are the same object.  A result of more than
+    ``_MAX_DENSE_SPAN`` degrees raises :class:`DomainError` before the first
+    step.  The result has bottom degree 0, top degree ``k*(d-k)``, symmetric
+    coefficients and total rank ``C(d, k)``; it is the split Poincare
+    polynomial of the Grassmannian of ``k``-planes in ``d``-space.  Shares no
+    code with the box DP or the enumerator.
     """
     _checked_count(d, "d")
     _checked_count(k, "k")
     if k > d:
         raise DomainError(f"gaussian_binomial requires 0 <= k <= d, got k={k} > d={d}")
     c = min(k, d - k)
-    _check_span(c * (d - c) + 1)
+    span = c * (d - c) + 1
+    _check_span(span)
+    known = _ROWS.get((d, c))
+    if known is None:
+        known = _ROWS[d, c] = GradedRankPoly._trusted(0, _walk(d, c, span))
+    return known
+
+
+def _gaussian_coefficient(d: int, k: int, s: int) -> int:
+    """Degree ``s`` of ``[d, k]``, ``0 <= k <= d``: from the cached row when
+    it is held, otherwise by the walk cut to ``t = min(s, top - s) + 1``
+    coefficients (``top = c*(d-c)``; the mirrored degree when lower), which
+    caches nothing.  Both passes of a step only move weight up, so the cut
+    rows stay exact; the nearest cached row is at most ``c`` steps away, so
+    a read costs at most ``c * t`` coefficients."""
+    c = min(k, d - k)
+    top = c * (d - c)
+    if not 0 <= s <= top:
+        return 0
+    _check_span(top + 1)
+    known = _ROWS.get((d, c))
+    if known is not None:
+        return known.coefficient(s)
+    t = min(s, top - s) + 1
+    return _walk(d, c, t)[t - 1]
+
+
+def _walk(d: int, c: int, length: int) -> list[int]:
+    """The first ``length`` coefficients of ``[d, c]``, which the cache does
+    not hold, walked from the cached ``[d, c0]`` nearest ``c`` (the lower on
+    a tie) or from ``[d, 0] = 1``; ``[d, i]`` has ``i*(d-i) + 1`` in all."""
     start, row = 0, [1]
-    for i in range(c, -1, -1):
+    nearest = (i for j in range(1, c) for i in (c - j, c + j) if 2 * i <= d)
+    for i in nearest:
         known = _ROWS.get((d, i))
         if known is not None:
-            if i == c:
-                return known
-            start, row = i, list(known._coeffs)
+            start, row = i, list(known._coeffs[:length])
             break
     for i in range(start, c):
-        a, b = d - i, i + 1  # [d, i+1] = [d, i] * (1 - q^a) / (1 - q^b)
-        length = len(row) + a - b  # a > b because i < d/2
-        row += [0] * (length - len(row))
-        row = row[:a] + [x - y for x, y in zip(row[a:], row)]
-        for r in range(b):
-            row[r::b] = accumulate(row[r::b])
-    poly = _ROWS[d, c] = GradedRankPoly._trusted(0, row)
-    return poly
+        row = _walk_step(row, d - i, i + 1, min(length, (i + 1) * (d - i - 1) + 1))
+    for i in range(start, c, -1):
+        row = _walk_step(row, i, d - i + 1, min(length, (i - 1) * (d - i + 1) + 1))
+    return row
+
+
+def _walk_step(row: list[int], a: int, b: int, length: int) -> list[int]:
+    """The first ``length`` coefficients of ``row * (1 - q^a) / (1 - q^b)``.
+
+    Two passes: multiply by the numerator, then divide exactly by the
+    denominator as running sums over the residue classes of its degree;
+    every intermediate is itself a Gaussian binomial, so the division never
+    leaves the integers.  Each coefficient out reads only those at or below
+    its degree, so ``row`` is cut or zero-padded to ``length`` first.
+    """
+    del row[length:]
+    row += [0] * (length - len(row))
+    row = row[:a] + [x - y for x, y in zip(row[a:], row)]
+    for r in range(min(b, length)):
+        row[r::b] = accumulate(row[r::b])
+    return row
 
 
 @lru_cache(maxsize=None)
@@ -531,15 +573,16 @@ def _box_size_counts(parts: int, max_part: int) -> tuple[int, ...]:
     ``N(m, c, s) = N(m-1, c, s) + N(m, c-1, s-m)``: a partition either uses
     fewer than ``m`` rows, or all rows are positive and a full column can be
     stripped.  One table, updated in place: row ``c`` holds ``N(m, c, .)``
-    once pass ``m`` has reached it.  Shares no code with the product formula
+    once pass ``m`` has reached it, adding only over sizes ``m..m*c``, where
+    ``N(m, c, .)`` can be nonzero.  Shares no code with the product formula
     of :func:`gaussian_binomial` or with the enumerator.
     """
     table = [[1] + [0] * (parts * max_part) for _ in range(max_part + 1)]
     for m in range(1, parts + 1):
         for c in range(1, max_part + 1):
             # row c - 1 already holds N(m, c - 1, .), so row c becomes N(m, c, .)
-            row = table[c]
-            row[m:] = [x + y for x, y in zip(row[m:], table[c - 1])]
+            row, top = table[c], m * c + 1
+            row[m:top] = map(add, row[m:top], table[c - 1])
     return tuple(table[max_part])
 
 

@@ -24,7 +24,7 @@ from typing import Iterator
 from ._record import Record, set_field
 from .errors import DomainError, UnsupportedOperationError
 from .motive import _PRIMALITY_BOUND, DivisionContext, MotiveExpr, SBProduct, Term, UpperMotive, _is_prime
-from .qpoly import _is_int, gaussian_binomial
+from .qpoly import _gaussian_coefficient, _is_int, gaussian_binomial
 
 __all__ = [
     "SBVariety",
@@ -77,18 +77,17 @@ def mu(context: DivisionContext, level: int, i: int) -> int:
     (``deg = p**n``, ``dim`` that of ``SB_{p^level}``): the number of
     partitions of that size in a ``(p**n - p**level) x p**level`` box.
 
-    Zero, before the binomial is built, when the size falls outside
-    ``[0, dim]``.  These counts index the rational cycle classes in
-    homological degree ``i - 1`` on the product of the classical variety with
-    the level-``level`` one.
+    Zero, with no walk, when the size falls outside ``[0, dim]``.  Read from
+    the binomial cache when it holds the row; otherwise the row walk stops at
+    the coefficient read (or its mirror, when lower), and nothing is cached.
+    These counts index the rational cycle classes in homological degree
+    ``i - 1`` on the product of the classical variety with the level-``level``
+    one.
     """
     variety = SBVariety(context, level)  # validates the level range
     if not _is_int(i):
         raise DomainError(f"homological degree must be an integer, got {i!r}")
-    target = _top_degree(variety) - i
-    if not 0 <= target <= variety.dimension():
-        return 0
-    return gaussian_binomial(context.degree, variety.reduced_dimension).coefficient(target)
+    return _gaussian_coefficient(context.degree, variety.reduced_dimension, _top_degree(variety) - i)
 
 
 def _mu_column(variety: SBVariety) -> Iterator[int]:

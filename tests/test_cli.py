@@ -89,7 +89,7 @@ class TestOutOption:
     def assert_open_error(self, result, target):
         assert result.exit_code == 1
         assert result.stdout == ""
-        assert result.stderr.startswith(f"Error: Could not open file '{target}': ")
+        assert result.stderr.startswith(f"error: cannot open '{target}': ")
         assert len(result.stderr.splitlines()) == 1
 
     @pytest.mark.parametrize("target", ["", "missing/x"])

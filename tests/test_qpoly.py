@@ -16,8 +16,8 @@ from sbmotives import (
     enumerate_partitions_in_box,
     gaussian_binomial,
 )
-from sbmotives import qpoly
-from sbmotives.qpoly import _box_size_counts
+from sbmotives import motive, qpoly, verify
+from sbmotives.qpoly import _box_size_counts, _gaussian_coefficient
 
 
 def brute_force_histogram(parts, max_part):
@@ -255,20 +255,30 @@ class TestGaussianBinomial:
         assert value * denominator == numerator
 
     requests = st.lists(
-        st.none() | st.integers(0, 60).flatmap(lambda d: st.tuples(st.just(d), st.integers(0, d))),
+        st.none()
+        | st.integers(0, 60).flatmap(lambda d: st.tuples(st.just(d), st.integers(0, d)))
+        | st.integers(1, 3),
         max_size=8,
     )
 
-    # None clears the cache between requests
-    @settings(max_examples=25, deadline=None)
+    # None clears the cache between requests; an int j asks for the row of the
+    # last request with a narrow side j lower, which the walk reaches stepping
+    # down from that cached row
+    @settings(max_examples=40, deadline=None)
     @given(requests)
     def test_any_request_order_matches_box_counts(self, requests):
+        last = None
         for request in requests:
             if request is None:
                 gaussian_binomial.cache_clear()
                 continue
-            d, k = request
-            poly = gaussian_binomial(d, k)
+            if isinstance(request, int):
+                if last is None:
+                    continue
+                d, k = last[0], max(0, min(last[1], last[0] - last[1]) - request)
+            else:
+                d, k = request
+            last, poly = (d, k), gaussian_binomial(d, k)
             table = _box_size_counts(min(k, d - k), max(k, d - k))
             assert [poly.coefficient(s) for s in range(len(table))] == list(table)
             assert poly.top_degree() == len(table) - 1
@@ -308,6 +318,23 @@ class TestGaussianBinomial:
         assert warm.items() == cold
         assert warm.top_degree() == 200 * 200 and warm.rank() == math.comb(400, 200)
 
+    @pytest.mark.parametrize("max_n, steps", [(7, 174), (8, 360)])
+    def test_conservation_requests_walk_from_the_nearest_row_either_side(self, monkeypatch, max_n, steps):
+        # the binomials verify's conservation identity asks for, in its order,
+        # with the products skipped; a walk that only steps up takes 330 and 1 110
+        walked = []
+        walk_step = qpoly._walk_step
+        monkeypatch.setattr(qpoly, "_walk_step", lambda *args: walked.append(args[1:]) or walk_step(*args))
+        monkeypatch.setattr(motive, "_packed_sum", lambda bottom, top, terms: [*terms] and GradedRankPoly())
+        gaussian_binomial.cache_clear()
+        try:
+            for _ in verify._check_vandermonde_conservation(max_n):
+                pass
+        finally:
+            gaussian_binomial.cache_clear()
+        assert len(walked) == steps
+        assert any(a < b for a, b, _ in walked)  # some steps go down
+
     @given(st.integers(0, 12))
     def test_symmetry_and_total_rank(self, d):
         for k in range(d + 1):
@@ -317,6 +344,71 @@ class TestGaussianBinomial:
             assert poly.bottom_degree() == 0
             assert all(poly.coefficient(j) == poly.coefficient(top - j) for j in range(top + 1))
             assert poly.rank() == math.comb(d, k)
+
+
+class TestTruncatedReads:
+    """``_gaussian_coefficient``: one coefficient of a row, by a walk cut
+    after the coefficients it needs."""
+
+    @pytest.mark.parametrize("d", range(41))
+    def test_matches_full_rows(self, d):
+        rows = [gaussian_binomial(d, k).items() for k in range(d + 1)]
+        gaussian_binomial.cache_clear()
+        # every third narrow side cached: each other row is one step up or down
+        # from a cached one, or two up when the row above would pass d/2
+        held = [gaussian_binomial(d, c) for c in range(0, d // 2 + 1, 3)]
+        for k, row in enumerate(rows):
+            top = k * (d - k)
+            full = [0] * (top + 3)
+            for s, count in row:
+                full[s + 1] = count
+            assert [_gaussian_coefficient(d, k, s) for s in range(-1, top + 2)] == full
+        del held
+        gaussian_binomial.cache_clear()
+
+    @pytest.mark.parametrize(
+        "d, k, s, held",
+        [(200, 60, 3000, ()), (200, 140, 5000, ()), (200, 60, 0, ()), (120, 30, 1000, (40,)),
+         (120, 30, 1000, (25,)), (120, 50, 2000, (60,)), (9, 4, 10, (3,))],
+    )
+    def test_walk_is_at_most_c_times_t_coefficients(self, monkeypatch, d, k, s, held):
+        gaussian_binomial.cache_clear()
+        rows = [gaussian_binomial(d, c) for c in held]
+        lengths = []
+        walk_step = qpoly._walk_step
+        monkeypatch.setattr(qpoly, "_walk_step", lambda *args: lengths.append(args[3]) or walk_step(*args))
+        c, top = min(k, d - k), k * (d - k)
+        t = min(s, top - s) + 1
+        value = _gaussian_coefficient(d, k, s)
+        monkeypatch.undo()
+        assert lengths and max(lengths) <= t and sum(lengths) <= c * t
+        del rows
+        gaussian_binomial.cache_clear()
+        assert value == gaussian_binomial(d, k).coefficient(s)
+        gaussian_binomial.cache_clear()
+
+    def test_top_of_a_wide_row_walks_one_coefficient_per_step(self, monkeypatch):
+        # mu --p 101 --n 2 --k 1 --i 10201: the top of [10201, 101], which
+        # spans 1 020 101 degrees; the one partition filling the box
+        lengths = []
+        walk_step = qpoly._walk_step
+        monkeypatch.setattr(qpoly, "_walk_step", lambda *args: lengths.append(args[3]) or walk_step(*args))
+        gaussian_binomial.cache_clear()
+        assert _gaussian_coefficient(10201, 101, 101 * 10100) == 1
+        assert _gaussian_coefficient(10201, 10100, 101 * 10100 - 2) == 2
+        assert lengths == [1] * 101 + [3] * 101
+
+    def test_a_read_leaves_the_cache_unchanged(self):
+        gaussian_binomial.cache_clear()
+        held = [gaussian_binomial(60, 10), gaussian_binomial(60, 25)]
+        rows, info = dict(qpoly._ROWS), gaussian_binomial.cache_info()
+        for k in (0, 3, 12, 20, 28, 30, 45, 50):
+            top = k * (60 - k)
+            for s in (-1, 0, 1, top // 3, top // 2, top - 1, top, top + 1):
+                _gaussian_coefficient(60, k, s)
+        assert dict(qpoly._ROWS) == rows and gaussian_binomial.cache_info() == info
+        del held
+        gaussian_binomial.cache_clear()
 
 
 class TestBoxCounts:

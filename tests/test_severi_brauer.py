@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sbmotives import (
     CoverageReason,
@@ -94,6 +95,24 @@ class TestMu:
         assert mu(DivisionContext(101, 2), 1, 10201 + 101 * 10100 + 1) == 0
         assert gaussian_binomial.cache_info().currsize == 0
 
+    # degrees p**n up to 32; held is the narrow side of a row cached before the read
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([(2, 5), (3, 3), (5, 2)]), st.data())
+    def test_agrees_with_the_full_row(self, prime_and_max_n, data):
+        p, max_n = prime_and_max_n
+        n = data.draw(st.integers(0, max_n))
+        k = data.draw(st.integers(0, n))
+        degree, reduced = p**n, p**k
+        top = degree + reduced * (degree - reduced)
+        i = data.draw(st.integers(-1, top + 1))
+        held = data.draw(st.none() | st.integers(0, degree // 2))
+        gaussian_binomial.cache_clear()
+        row = None if held is None else gaussian_binomial(degree, held)
+        count = mu(DivisionContext(p, n), k, i)
+        del row
+        gaussian_binomial.cache_clear()
+        assert count == gaussian_binomial(degree, reduced).coefficient(top - i)
+
     @pytest.mark.parametrize("p, n, k", [(2, 0, 0), (2, 1, 0), (2, 3, 2), (3, 2, 1)])
     def test_table_covers_every_degree_up_to_deg_plus_dim(self, p, n, k):
         v = SBVariety(DivisionContext(p, n), k)
@@ -124,6 +143,24 @@ class TestChowOrder:
             rational_chow_order(v, 3)
         with pytest.raises(DomainError):
             rational_chow_order(v, -1)
+
+    # degrees p**n up to 32; held is the narrow side of a row cached before the read
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([(2, 5), (3, 3), (5, 2)]), st.data())
+    def test_agrees_with_the_full_row(self, prime_and_max_n, data):
+        p, max_n = prime_and_max_n
+        n = data.draw(st.integers(0, max_n))
+        k = data.draw(st.integers(0, n))
+        degree, reduced = p**n, p**k
+        top = degree + reduced * (degree - reduced)
+        i = data.draw(st.integers(-1, top + 1))
+        held = data.draw(st.none() | st.integers(0, degree // 2))
+        gaussian_binomial.cache_clear()
+        row = None if held is None else gaussian_binomial(degree, held)
+        count = mu(DivisionContext(p, n), k, i)
+        del row
+        gaussian_binomial.cache_clear()
+        assert count == gaussian_binomial(degree, reduced).coefficient(top - i)
 
     @pytest.mark.parametrize("p, n, k", [(2, 0, 0), (2, 1, 0), (2, 3, 2), (3, 2, 1)])
     def test_reports_cover_every_degree_of_the_product(self, p, n, k):
