@@ -27,23 +27,18 @@ are packed into big numbers, multiplied, shifted and added into one number,
 whose slots are read back once (Kronecker substitution; Harvey, J. Symb.
 Comput. 2009).  The carrier is ``int`` (CPython's Karatsuba) below 100 000
 packed bits and ``decimal`` (libmpdec's number-theoretic transform, exact at
-``MAX_PREC``) from there up.  From 4 500 packed bits the ``int`` carrier
-evaluates at two points, ``+2**b`` and ``-2**b`` with ``b`` half a slot, and
-so multiplies two numbers of half the size in place of one (Harvey's
-multipoint substitution); below, one point costs less than the second
-packing and read-back.
+``MAX_PREC``) from there up.  The ``int`` carrier multiplies at ``+2**b``
+and ``-2**b``, ``b`` half a slot (Harvey's multipoint substitution).
 
 Measured with CPython 3.11 on a shared 2-vCPU x86-64 machine, whole products
-of equal-length operands: two points break even with one between 4 000 and
-5 000 packed bits (32 x 32 coefficients of 64 bits, 4 256 bits: 0.97 of the
-one-point time; 8 x 8 of 256 bits, 4 120 bits: 1.05).  Against ``decimal``,
-the two-point ``int`` carrier breaks even on a lone product between 180 000
-and 340 000 packed bits (1300 x 1300 of 64 bits: 4.73 ms against 4.74 ms;
-650 x 650 of 256 bits: 15.8 ms against 11.6 ms), but on a sum of many
-products nearer 120 000: the 32-product q-Vandermonde sum of ``verify
---max-n 7``, at 123 000 packed bits, takes 58.6 ms on ``int`` and 56.6 ms on
-``decimal``, and the 16-product one of ``--max-n 8``, at 233 000, 178 ms
-against 119 ms.  So ``decimal`` still takes over at 100 000.
+of equal-length operands: the ``int`` carrier breaks even with ``decimal`` on
+a lone product between 180 000 and 340 000 packed bits (1300 x 1300 of 64
+bits: 4.73 ms against 4.74 ms; 650 x 650 of 256 bits: 15.8 ms against 11.6
+ms), but on a sum of many products nearer 120 000: the 32-product
+q-Vandermonde sum of ``verify --max-n 7``, at 123 000 packed bits, takes
+58.6 ms on ``int`` and 56.6 ms on ``decimal``, and the 16-product one of
+``--max-n 8``, at 233 000, 178 ms against 119 ms.  So ``decimal`` still
+takes over at 100 000.
 """
 
 from __future__ import annotations
@@ -53,7 +48,7 @@ import weakref
 from functools import lru_cache
 from itertools import accumulate
 from math import prod
-from operator import add, mul
+from operator import add
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from ._record import Record, set_field
@@ -76,10 +71,6 @@ _MAX_DENSE_SPAN = 2**24
 # Packed size (shorter operand length times slot bits) of a product from
 # which a sum is carried by decimal, not int: see _packed_sum.
 _DECIMAL_CARRIER_BITS = 100_000
-
-# Packed size from which the int carrier multiplies at two points, +2**b and
-# -2**b, not at one: the middle of the measured break-even (module docstring).
-_TWO_POINT_BITS = 4_500
 
 # Digits of a decimal-carried sum read back per str(): one str() of a large
 # sum would hold its digits twice over beside the sum itself.
@@ -336,20 +327,14 @@ def _packed_sum(
     top of the band where the two were measured to break even, unless a slot
     has more digits than ``str`` may convert.
 
-    Below ``_TWO_POINT_BITS`` of packed size the ``int`` carrier evaluates
-    at one point, ``X = 2**b`` with ``b`` a whole slot.  From there up it
-    evaluates at two, ``X = 2**b`` and ``-X`` with ``b`` half a slot
-    (Harvey's multipoint Kronecker substitution).  A factor's even and odd
-    coefficients are packed once each, into slots of ``X**2``, as ``E`` and
-    ``O``, so ``f(X) = E + (O << b)`` and ``f(-X) = E - (O << b)``.  Each
-    product is taken at both points, two multiplications of half-size
-    numbers in place of one of full size (about 0.67 of the work under
-    Karatsuba), and added into one total per point; a placement at offset
-    ``t`` enters the ``-X`` total with sign ``(-1)**t``.  The sum ``H`` is
-    read back as its even part ``(H(X) + H(-X)) / 2`` and its odd part
-    ``(H(X) - H(-X)) / (2X)``, each at the byte slots of ``X**2``, where the
-    bound keeps every slot exact, and the two are interleaved.  The module
-    docstring gives the measured break-even of one and two points.
+    The ``int`` carrier evaluates at ``X = 2**b`` and ``-X``, ``b`` half a
+    slot (Harvey's multipoint Kronecker substitution): with a factor's even
+    and odd coefficients packed into slots of ``X**2`` as ``E`` and ``O``,
+    ``f(±X) = E ± (O << b)``.  A product is two half-size multiplications,
+    added into one total per point, a placement at offset ``t`` entering the
+    ``-X`` total with sign ``(-1)**t``.  The sum ``H`` is read back as its
+    even part ``(H(X) + H(-X)) / 2`` and odd part ``(H(X) - H(-X)) / (2X)``,
+    each at the byte slots of ``X**2``, and the two are interleaved.
     """
     span = top - bottom + 1
     _check_span(span)
@@ -390,34 +375,26 @@ def _packed_products(
     is the largest packed size in coefficients."""
     width = bits * 30103 // 100000 + 1  # decimal digits; 10**width > 2**bits
     if shorter * bits < _DECIMAL_CARRIER_BITS or 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < width:
+        # X = 2**xbits, half a slot, and -X; each value is the pair (f(X), f(-X))
         size = (bits + 7) // 8
+        xbits = 4 * size
 
         def slots(coeffs: Sequence[int]) -> int:
             return int.from_bytes(b"".join([c.to_bytes(size, "little") for c in coeffs]), "little")
 
-        if shorter * bits < _TWO_POINT_BITS:  # one point, X = 2**xbits, a whole slot
-            xbits, pack, multiply = 8 * size, slots, mul
+        def pack(coeffs: Sequence[int]) -> tuple[int, int]:
+            even, odd = slots(coeffs[::2]), slots(coeffs[1::2]) << xbits
+            return even + odd, even - odd
 
-            def place(total: int, product: int, mult: int, offset: int) -> int:
-                placed = product * mult << xbits * offset
-                return total + placed if total else placed
+        def multiply(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+            return x[0] * y[0], x[1] * y[1]
 
-        else:  # X = 2**xbits, half a slot, and -X; each value is the pair (f(X), f(-X))
-            xbits = 4 * size
+        def place(total: tuple[int, int], product: tuple[int, int], mult: int, offset: int) -> tuple[int, int]:
+            shift = xbits * offset
+            plus, minus = product[0] * mult << shift, product[1] * (-mult if offset & 1 else mult) << shift
+            return (total[0] + plus, total[1] + minus) if total else (plus, minus)
 
-            def pack(coeffs: Sequence[int]) -> tuple[int, int]:
-                even, odd = slots(coeffs[::2]), slots(coeffs[1::2]) << xbits
-                return even + odd, even - odd
-
-            def multiply(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
-                return x[0] * y[0], x[1] * y[1]
-
-            def place(total: tuple[int, int], product: tuple[int, int], mult: int, offset: int) -> tuple[int, int]:
-                shift = xbits * offset
-                plus, minus = product[0] * mult << shift, product[1] * (-mult if offset & 1 else mult) << shift
-                return (total[0] + plus, total[1] + minus) if total else (plus, minus)
-
-        total = 0
+        total = ()
     else:
         import decimal  # here, so that a process packing nothing this large never loads it
 
@@ -447,8 +424,6 @@ def _packed_products(
         del plus, minus
         coeffs = [0] * (2 * max(len(even), len(odd)))
         coeffs[: 2 * len(even) : 2], coeffs[1 : 2 * len(odd) : 2] = even, odd
-    elif isinstance(total, int):
-        coeffs = _byte_slots(total, size)
     else:
         step, read, coeffs = width * (min(_READ_DIGITS, total.adjusted() + 1) // width + 1), 0, []
         while total:

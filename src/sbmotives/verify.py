@@ -218,6 +218,7 @@ def _check_mu_duality(max_n: int) -> Iterator[str]:
             for k in range(n + 1):
                 reduced = p**k
                 capacity = reduced * (degree - reduced)
+                row = gaussian_binomial(degree, reduced)  # held, so every mu below reads it, not a cut walk
                 for i in range(0, degree + capacity + 2):
                     target = degree + capacity - i
                     expected = count_partitions_in_box(PartitionBoxSpec(degree - reduced, reduced, target)) if target >= 0 else 0

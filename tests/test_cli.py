@@ -574,6 +574,14 @@ class TestVerifyCommand:
         assert len(calls) == 49 and len(set(calls)) == 49
         assert len(tuples) == 3431
 
+    def test_mu_duality_walks_only_whole_rows(self, monkeypatch):
+        # each (p, n, k) row is built once and held, so no mu read walks a cut row
+        walks, original = [], qpoly._walk
+        monkeypatch.setattr(qpoly, "_walk", lambda d, c, length: walks.append((d, c, length)) or original(d, c, length))
+        gaussian_binomial.cache_clear()
+        assert list(verify_module._check_mu_duality(3)) == []
+        assert walks and all(length == c * (d - c) + 1 for d, c, length in walks)
+
     def test_box_count_oracle_reports_every_planted_mismatch(self, monkeypatch):
         original = verify_module.count_partitions_in_box
         planted = {(3, 4, 5), (2, 2, 5)}

@@ -4,6 +4,7 @@ import math
 import random
 import sys
 from collections import Counter
+from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -541,9 +542,13 @@ class TestFastPath:
 
     @pytest.mark.parametrize("side", ["below", "at"])
     @pytest.mark.parametrize("la,lb", [(400, 400), (401, 300), (100, 800)])
-    def test_both_carriers_agree_with_schoolbook(self, la, lb, side):
+    def test_both_carriers_agree_with_schoolbook(self, monkeypatch, la, lb, side):
         a, b = _around_carrier_switch(random.Random(la + lb), la, lb, side)
+        products, original = [], qpoly._term_product
+        monkeypatch.setattr(qpoly, "_term_product", lambda *args: products.append(original(*args)) or products[-1])
         assert GradedRankPoly(a) * GradedRankPoly(b) == GradedRankPoly(_schoolbook(a, b))
+        # an int-carried product is the pair of its values at X and -X
+        assert [type(product) for product in products] == [tuple if side == "below" else Decimal]
 
     @pytest.mark.parametrize("side", ["below", "at"])
     def test_squares_of_one_object_and_of_equal_objects(self, side):
@@ -582,15 +587,15 @@ class TestFastPath:
         assert product == GradedRankPoly(_schoolbook(a, b))
 
 
-def _around_carrier_switch(rng, la, lb, side, switch=None):
-    """Operands whose packed size is just below, or at least, ``switch``: the
-    carrier switch ``_DECIMAL_CARRIER_BITS`` unless another is given.
+def _around_carrier_switch(rng, la, lb, side):
+    """Operands whose packed size is just below, or at least, the carrier
+    switch ``_DECIMAL_CARRIER_BITS``.
 
     The packed size is the shorter length times the bit length of
     ``shorter * max(a) * max(b)``; both operands get the same largest
     coefficient, and some interior zeros.
     """
-    short, switch = min(la, lb), switch or qpoly._DECIMAL_CARRIER_BITS
+    short, switch = min(la, lb), qpoly._DECIMAL_CARRIER_BITS
     bits = (switch - 1) // short if side == "below" else -(-switch // short)
     top = math.isqrt((1 << (bits - 1)) // short)
     while (short * top * top).bit_length() < bits:
@@ -628,18 +633,27 @@ def _placed_span(terms):
     return min(lows), max(highs)
 
 
-# _DECIMAL_CARRIER_BITS, _TWO_POINT_BITS and _READ_DIGITS that send every sum
-# through one carrier, the int one at one point ("int") or at two; the last
-# reads a decimal sum back one slot at a time
+# _DECIMAL_CARRIER_BITS and _READ_DIGITS that send every sum through one
+# carrier; the last reads a decimal sum back one slot at a time
 _CARRIERS = pytest.mark.parametrize(
     "carrier",
-    [(2**62, 2**62, 2**20), (2**62, 0, 2**20), (0, 0, 2**20), (0, 0, 1)],
-    ids=["int", "int-two-points", "decimal", "decimal-slotwise"],
+    [(2**62, 2**20), (0, 2**20), (0, 1)],
+    ids=["int", "decimal", "decimal-slotwise"],
 )
 
 
+# Largest coefficients one bit over a whole number of bytes, so the bound fills
+# slots of 9 bytes (2**64) and of 7 to 16, odd and even, where half a slot, the
+# int carrier's X, falls on a byte and between two; and one digit over a power
+# of ten, so the bound fills decimal slots of 21 digits (10**20) and of 16 to 39
+_PEAKS = [2**64, 10**20] + [2 ** (8 * n - 8) for n in (7, 8, 10, 12, 16)] + [10 ** (n - 1) for n in (16, 18, 26, 31, 39)]
+_PEAK_IDS = ["byte-slot", "digit-slot"] + [f"{n}-byte-slot" for n in (7, 8, 10, 12, 16)] + [
+    f"{n}-digit-slot" for n in (16, 18, 26, 31, 39)
+]
+
+
 def _force(patch, carrier):
-    for name, value in zip(("_DECIMAL_CARRIER_BITS", "_TWO_POINT_BITS", "_READ_DIGITS"), carrier):
+    for name, value in zip(("_DECIMAL_CARRIER_BITS", "_READ_DIGITS"), carrier):
         patch.setattr(qpoly, name, value)
 
 
@@ -693,28 +707,20 @@ class TestPackedSum:
         for bottom in {low, low - 1} - {-1}:  # the offsets of every placement take both parities
             assert qpoly._packed_sum(bottom, high, terms) == _reference_sum(terms)
 
-    @pytest.mark.parametrize("side", ["below", "at"])
-    @pytest.mark.parametrize("la,lb", [(40, 40), (40, 57), (61, 30)])
-    def test_two_points_from_their_switch(self, monkeypatch, la, lb, side):
-        a, b = _around_carrier_switch(random.Random(la * lb), la, lb, side, qpoly._TWO_POINT_BITS)
-        products, original = [], qpoly._term_product
-        monkeypatch.setattr(qpoly, "_term_product", lambda *args: products.append(original(*args)) or products[-1])
-        assert GradedRankPoly(a) * GradedRankPoly(b) == GradedRankPoly(_schoolbook(a, b))
-        # a product at two points is the pair of its values at X and -X
-        assert [type(product) for product in products] == [int if side == "below" else tuple]
-
     @_CARRIERS
-    @pytest.mark.parametrize("peak", [2**64, 10**20], ids=["byte-slot", "digit-slot"])
+    @pytest.mark.parametrize("peak", _PEAKS, ids=_PEAK_IDS)
     def test_every_term_at_its_bound_carries_nothing(self, monkeypatch, carrier, peak):
         # Each term reaches its bound, multiplicity times the product of its
         # factors' lengths over the longest one times their largest
         # coefficients, at degree 10, so the sum's largest coefficient is the
-        # bound.  2**64 takes 65 bits and 10**20 takes 21 digits, one more than
-        # a bound of half of either gets; the three-factor term, twice placed,
-        # holds about nine tenths of the peak.  Every term has two factors or
-        # more, so all of it is packed: a one-factor term would be added
-        # unpacked, outside the bound.
+        # bound.  Each peak takes one bit or one digit more than half of it
+        # gets (see _PEAKS); the three-factor term, twice placed, holds about
+        # nine tenths of the peak.  Every term has two factors or more, so all
+        # of it is packed: a one-factor term would be added unpacked, outside
+        # the bound.
         _force(monkeypatch, carrier)
+        slot_bits, original = [], qpoly._packed_products
+        monkeypatch.setattr(qpoly, "_packed_products", lambda *args: slot_bits.append(args[2]) or original(*args))
         flat = lambda low, length, value: GradedRankPoly({d: value for d in range(low, low + length)})
         square = flat(2, 5, 2**20)  # its square has 5 * 2**40 at degrees 4 + 4 = 8
         top = peak * 9 // (120 << 40)
@@ -724,5 +730,6 @@ class TestPackedSum:
         terms = [(three, [(3, 2)]), ((square, square), [(2, 3)]), ((GradedRankPoly({7: rest}), unit), [(3, 1)])]
         low, high = _placed_span(terms)
         total = qpoly._packed_sum(low, high, terms)
+        assert slot_bits == [peak.bit_length()]
         assert total.coefficient(10) == peak == max(c for _, c in total.items())
         assert total == _reference_sum(terms)
