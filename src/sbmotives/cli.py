@@ -31,7 +31,7 @@ from typing import Callable, Iterable, NamedTuple
 
 from .errors import DomainError, EngineError
 from .motive import DivisionContext, _is_prime
-from .qpoly import gaussian_binomial
+from .qpoly import _str_digit_limit, gaussian_binomial
 from .severi_brauer import (
     CoverageReason,
     SBVariety,
@@ -223,7 +223,7 @@ def type_bound_command(p: int, n: int, k: int, show_trace: bool) -> Result:
         return payload
 
     def text():
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        limit = _str_digit_limit()
         if limit and k * (p.bit_length() - 1) > limit * 3322 // 1000:  # so p**k > 10**limit
             raise DomainError(f"the reduced dimension {p}^{k} has more than {limit} digits, past the int-to-str digit limit")
         yield f"type bound for SB_{variety.reduced_dimension} of a degree-{p}^{n} division algebra: {bound.bound}"

@@ -72,10 +72,6 @@ _MAX_DENSE_SPAN = 2**24
 # which a sum is carried by decimal, not int: see _packed_sum.
 _DECIMAL_CARRIER_BITS = 100_000
 
-# Digits of a decimal-carried sum read back per str(): one str() of a large
-# sum would hold its digits twice over beside the sum itself.
-_READ_DIGITS = 2**20
-
 # [d, c] values held by the binomial cache, keyed by (d, c) with c the narrow
 # side; weak, so gaussian_binomial.cache_clear() frees every coefficient tuple.
 _ROWS: "weakref.WeakValueDictionary[tuple[int, int], GradedRankPoly]" = (
@@ -88,6 +84,12 @@ def _check_span(span: int) -> None:
         raise DomainError(
             f"degree span {span} exceeds the dense storage limit {_MAX_DENSE_SPAN}"
         )
+
+
+def _str_digit_limit() -> int:
+    """The interpreter's int-to-str digit limit, 0 where there is none
+    (Python before 3.10.7 has no such limit)."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
 def _is_int(value: object) -> bool:
@@ -320,12 +322,12 @@ def _packed_sum(
     so ``a * b`` is bounded by ``shorter * max(a) * max(b)``.  A factor
     repeated next to itself in a term is packed once and squared, and a
     term's packed factors are dropped once multiplied.  Slots are bytes of an
-    ``int``, or zero-padded digits of a ``decimal`` read back
-    ``_READ_DIGITS`` at a time.  ``decimal`` takes over when some term's
-    factors but its longest reach ``_DECIMAL_CARRIER_BITS`` of packed size
-    (their length times slot bits; for ``a * b``, the shorter operand's), the
-    top of the band where the two were measured to break even, unless a slot
-    has more digits than ``str`` may convert.
+    ``int``, or zero-padded digits of a ``decimal`` read back in one pass.
+    ``decimal`` takes over when some term's factors but its longest reach
+    ``_DECIMAL_CARRIER_BITS`` of packed size (their length times slot bits;
+    for ``a * b``, the shorter operand's), the top of the band where the two
+    were measured to break even, unless a slot has more digits than ``str``
+    may convert.
 
     The ``int`` carrier evaluates at ``X = 2**b`` and ``-X``, ``b`` half a
     slot (Harvey's multipoint Kronecker substitution): with a factor's even
@@ -374,7 +376,7 @@ def _packed_products(
     slots of ``bits`` bits, read back from degree ``bottom`` up; ``shorter``
     is the largest packed size in coefficients."""
     width = bits * 30103 // 100000 + 1  # decimal digits; 10**width > 2**bits
-    if shorter * bits < _DECIMAL_CARRIER_BITS or 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < width:
+    if shorter * bits < _DECIMAL_CARRIER_BITS or 0 < _str_digit_limit() < width:
         # X = 2**xbits, half a slot, and -X; each value is the pair (f(X), f(-X))
         size = (bits + 7) // 8
         xbits = 4 * size
@@ -398,10 +400,8 @@ def _packed_products(
     else:
         import decimal  # here, so that a process packing nothing this large never loads it
 
-        # exact but for quantize, which reads slots back below
-        context = decimal.Context(
-            prec=decimal.MAX_PREC, rounding=decimal.ROUND_DOWN, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN
-        )
+        # multiply, scaleb and fma are exact at MAX_PREC
+        context = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
 
         def pack(coeffs: Sequence[int]) -> "decimal.Decimal":
             return decimal.Decimal("".join([str(c).zfill(width) for c in reversed(coeffs)]))
@@ -425,13 +425,9 @@ def _packed_products(
         coeffs = [0] * (2 * max(len(even), len(odd)))
         coeffs[: 2 * len(even) : 2], coeffs[1 : 2 * len(odd) : 2] = even, odd
     else:
-        step, read, coeffs = width * (min(_READ_DIGITS, total.adjusted() + 1) // width + 1), 0, []
-        while total:
-            read += step
-            high = context.quantize(total, decimal.Decimal(f"1e{read}"))
-            digits = str(context.scaleb(context.subtract(total, high), step - read)).zfill(step)
-            total = high
-            coeffs += [int(digits[i - width : i]) for i in range(step, 0, -width)]
+        digits = format(total, "f")
+        del total
+        coeffs = [int(digits[max(i - width, 0) : i]) for i in range(len(digits), 0, -width)]
     return coeffs
 
 

@@ -496,6 +496,10 @@ def _schoolbook(a, b):
     return dict(out)
 
 
+# Python before 3.10.7 has no int-to-str digit limit to set
+needs_digit_limit = pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit")
+
+
 def _random_coeffs(rng, length, bits):
     """Dense length ``length`` (both ends nonzero), about a tenth of the interior zero."""
     offset = rng.randint(0, 9)
@@ -544,8 +548,7 @@ class TestFastPath:
     @pytest.mark.parametrize("la,lb", [(400, 400), (401, 300), (100, 800)])
     def test_both_carriers_agree_with_schoolbook(self, monkeypatch, la, lb, side):
         a, b = _around_carrier_switch(random.Random(la + lb), la, lb, side)
-        products, original = [], qpoly._term_product
-        monkeypatch.setattr(qpoly, "_term_product", lambda *args: products.append(original(*args)) or products[-1])
+        products = _packed_products_made(monkeypatch)
         assert GradedRankPoly(a) * GradedRankPoly(b) == GradedRankPoly(_schoolbook(a, b))
         # an int-carried product is the pair of its values at X and -X
         assert [type(product) for product in products] == [tuple if side == "below" else Decimal]
@@ -571,6 +574,7 @@ class TestFastPath:
         assert GradedRankPoly(a) * GradedRankPoly(a) == GradedRankPoly(_schoolbook(a, a))
 
     # 2**2330 has 702 digits
+    @needs_digit_limit
     @pytest.mark.parametrize("str_digits,big_bits", [(None, 20000), (640, 2330)])
     def test_slots_too_wide_for_str_stay_exact(self, str_digits, big_bits):
         rng = random.Random(big_bits)
@@ -585,6 +589,48 @@ class TestFastPath:
         finally:
             sys.set_int_max_str_digits(limit)
         assert product == GradedRankPoly(_schoolbook(a, b))
+
+    # the slot bound, 48 * 2**1000 * 2**(bits - 1006), has ``bits`` bits: a
+    # slot of 2 126 bits has 640 digits, as many as str may convert under a
+    # limit of 640, and one of 2 127 bits has 641
+    @needs_digit_limit
+    @pytest.mark.parametrize("bits,carried", [(2126, Decimal), (2127, tuple)])
+    def test_slots_as_wide_as_str_allows_stay_decimal(self, monkeypatch, bits, carried):
+        rng = random.Random(bits)
+        a = _random_coeffs(rng, 48, 900)
+        a[min(a) + 20] = 1 << 1000
+        b = _random_coeffs(rng, 60, 900)
+        b[min(b) + 30] = 1 << (bits - 1006)
+        products = _packed_products_made(monkeypatch)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            product = GradedRankPoly(a) * GradedRankPoly(b)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert [type(p) for p in products] == [carried]
+        assert product == GradedRankPoly(_schoolbook(a, b))
+
+    def test_sums_of_millions_of_digits_read_back_whole(self, monkeypatch):
+        # about 2.4 million digits in slots of 1 208, read back by one format()
+        rng = random.Random(2000)
+        a, b = _random_coeffs(rng, 800, 2000), _random_coeffs(rng, 1200, 2000)
+        products = _packed_products_made(monkeypatch)
+        on_decimal = GradedRankPoly(a) * GradedRankPoly(b)
+        (packed,) = products
+        assert isinstance(packed, Decimal) and packed.adjusted() + 1 > 2**21  # two million digits
+        del products[:], packed
+        monkeypatch.setattr(qpoly, "_DECIMAL_CARRIER_BITS", 2**62)
+        assert on_decimal == GradedRankPoly(a) * GradedRankPoly(b)
+        assert [type(p) for p in products] == [tuple]
+
+
+def _packed_products_made(patch):
+    """The list that every packed product ``_term_product`` makes from now on
+    is appended to."""
+    products, original = [], qpoly._term_product
+    patch.setattr(qpoly, "_term_product", lambda *args: products.append(original(*args)) or products[-1])
+    return products
 
 
 def _around_carrier_switch(rng, la, lb, side):
@@ -633,13 +679,8 @@ def _placed_span(terms):
     return min(lows), max(highs)
 
 
-# _DECIMAL_CARRIER_BITS and _READ_DIGITS that send every sum through one
-# carrier; the last reads a decimal sum back one slot at a time
-_CARRIERS = pytest.mark.parametrize(
-    "carrier",
-    [(2**62, 2**20), (0, 2**20), (0, 1)],
-    ids=["int", "decimal", "decimal-slotwise"],
-)
+# _DECIMAL_CARRIER_BITS that send every sum through one carrier
+_CARRIERS = pytest.mark.parametrize("carrier", [2**62, 0], ids=["int", "decimal"])
 
 
 # Largest coefficients one bit over a whole number of bytes, so the bound fills
@@ -653,8 +694,7 @@ _PEAK_IDS = ["byte-slot", "digit-slot"] + [f"{n}-byte-slot" for n in (7, 8, 10, 
 
 
 def _force(patch, carrier):
-    for name, value in zip(("_DECIMAL_CARRIER_BITS", "_READ_DIGITS"), carrier):
-        patch.setattr(qpoly, name, value)
+    patch.setattr(qpoly, "_DECIMAL_CARRIER_BITS", carrier)
 
 
 class TestPackedSum:
