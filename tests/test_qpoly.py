@@ -679,8 +679,14 @@ def _placed_span(terms):
     return min(lows), max(highs)
 
 
-# _DECIMAL_CARRIER_BITS that send every sum through one carrier
-_CARRIERS = pytest.mark.parametrize("carrier", [2**62, 0], ids=["int", "decimal"])
+# _DECIMAL_CARRIER_BITS that send every sum through one carrier, and an
+# int-to-str digit limit (None leaves the interpreter's): the last wants
+# decimal for every sum, but a slot wider than 20 digits falls back to int
+_CARRIERS = pytest.mark.parametrize(
+    "carrier",
+    [(2**62, None), (0, None), (0, 20)],
+    ids=["int", "decimal", "decimal-under-20-digit-limit"],
+)
 
 
 # Largest coefficients one bit over a whole number of bytes, so the bound fills
@@ -694,7 +700,10 @@ _PEAK_IDS = ["byte-slot", "digit-slot"] + [f"{n}-byte-slot" for n in (7, 8, 10, 
 
 
 def _force(patch, carrier):
-    patch.setattr(qpoly, "_DECIMAL_CARRIER_BITS", carrier)
+    bits, limit = carrier
+    patch.setattr(qpoly, "_DECIMAL_CARRIER_BITS", bits)
+    if limit is not None:
+        patch.setattr(qpoly, "_str_digit_limit", lambda: limit)
 
 
 class TestPackedSum:
