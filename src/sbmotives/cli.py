@@ -246,18 +246,12 @@ def type_bound_command(p: int, n: int, k: int, show_trace: bool) -> Result:
 def conjecture(k: int) -> Result:
     """Is the decomposition-lifting question settled for SB_k?"""
     case = classify_reduced_dimension(k)
-
-    def csv():
-        yield ("key", "value")
-        yield ("covered", "true" if case.covered else "false")
-        if case.reason:
-            yield ("reason", case.reason.value)
-        if case.odd_squarefree_part is not None:
-            yield ("odd_squarefree_part", case.odd_squarefree_part)
-        if case.blocking_factor is not None:
-            yield ("blocking_factor", case.blocking_factor)
-        for c in case.reductions:
-            yield ("reduction", f"p={c.prime}:SB_{c.reduced_dimension}")
+    fields = {
+        "covered": case.covered,
+        "reason": case.reason.value if case.reason else None,
+        "odd_squarefree_part": case.odd_squarefree_part,
+        "blocking_factor": case.blocking_factor,
+    }
 
     def text():
         if not case.covered:
@@ -273,16 +267,15 @@ def conjecture(k: int) -> Result:
     return Result(
         json=lambda: {
             "k": k,
-            "covered": case.covered,
-            "reason": case.reason.value if case.reason else None,
-            "odd_squarefree_part": case.odd_squarefree_part,
-            "blocking_factor": case.blocking_factor,
-            "reductions": [
-                {"p": c.prime, "reduced_dimension": c.reduced_dimension}
-                for c in case.reductions
-            ],
+            **fields,
+            "reductions": [{"p": c.prime, "reduced_dimension": c.reduced_dimension} for c in case.reductions],
         },
-        csv=csv,
+        csv=lambda: [
+            ("key", "value"),
+            # a None field gets no row; lower() spells the boolean true/false, the rest are digits or lowercase
+            *((key, str(value).lower()) for key, value in fields.items() if value is not None),
+            *(("reduction", f"p={c.prime}:SB_{c.reduced_dimension}") for c in case.reductions),
+        ],
         text=text,
     )
 

@@ -215,14 +215,10 @@ class Term(Record):
 
 def _object_factors(obj: TateUnit | SBProduct) -> tuple[GradedRankPoly, ...]:
     """The factors whose product is the split polynomial: 1 for the Tate
-    unit, the binomial of each factor of a canonical product.  ``[deg, d]``
-    and ``[deg, deg - d]`` are one object, so the factors are ordered by the
-    narrow side ``min(d, deg - d)``: a repeated one comes next to itself,
-    which ``_packed_sum`` packs once and squares."""
+    unit, the binomial of each factor of a canonical product."""
     if isinstance(obj, TateUnit):
         return (GradedRankPoly({0: 1}),)
-    degree = obj.context.degree
-    return tuple(gaussian_binomial(degree, d) for d in sorted(obj.dims, key=lambda d: min(d, degree - d)))
+    return tuple(gaussian_binomial(obj.context.degree, d) for d in obj.dims)
 
 
 def _object_top_degree(obj: MotiveObject) -> int:

@@ -177,6 +177,8 @@ class TestGradedRankPoly:
     @pytest.mark.parametrize("call, outcome", [
         pytest.param(lambda: GradedRankPoly().is_zero, True, id="zero-is-zero"),
         pytest.param(lambda: GradedRankPoly({2: 1}).is_zero, False, id="nonzero-is-not-zero"),
+        pytest.param(lambda: bool(GradedRankPoly()), False, id="zero-is-false"),
+        pytest.param(lambda: bool(GradedRankPoly({2: 1})), True, id="nonzero-is-true"),
         pytest.param(lambda: GradedRankPoly().bottom_degree(), DomainError, id="zero-has-no-bottom"),
         pytest.param(lambda: GradedRankPoly({0: 1}) + 1, TypeError, id="add-an-int"),
         pytest.param(lambda: GradedRankPoly({0: 1}) * 1.5, TypeError, id="multiply-by-a-float"),
