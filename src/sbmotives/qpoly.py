@@ -11,14 +11,14 @@ The degree-``s`` coefficient of ``gaussian_binomial(m + c, c)`` equals the
 number of partitions of ``s`` inside an ``m x c`` box (at most ``m`` rows,
 every entry at most ``c``), and the package reads box counts only there.
 :func:`gaussian_binomial` computes it by the q-product formula, stepping
-along row ``d``, up or down, from the nearest value still cached, and hands
-out one object for ``[d, k]`` and ``[d, d-k]``; a single coefficient is read
-by the same walk cut after the coefficients it needs.  Two counters sharing
-no code with it are kept as its oracles: a dynamic-programming recurrence
-(:func:`count_partitions_in_box`), which adds only over the sizes a box can
-hold, and an exhaustive enumerator (:func:`enumerate_partitions_in_box`) that
-checks the DP on small boxes.  The test suite and the ``verify`` command check
-all three against each other.
+along row ``d``, up or down, from the nearest row it holds, and holds one
+object per degree and narrow side for ``[d, k]`` and ``[d, d-k]``; a single
+coefficient is read by the same walk cut after the coefficients it needs.
+Two counters sharing no code with it are kept as its oracles: a dynamic-
+programming recurrence (:func:`count_partitions_in_box`), which adds only
+over the sizes a box can hold, and an exhaustive enumerator
+(:func:`enumerate_partitions_in_box`) that checks the DP on small boxes.  The
+test suite and the ``verify`` command check all three against each other.
 
 Every dense sum, product and scalar multiple, the Poincare sums of ``motive``
 included, goes through one accumulator, :func:`_packed_sum`.  A term of one
@@ -44,12 +44,11 @@ takes over at 100 000.
 from __future__ import annotations
 
 import sys
-import weakref
 from functools import lru_cache
 from itertools import accumulate
 from math import prod
 from operator import add
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
 
 from ._record import Record, set_field
 from .errors import DomainError
@@ -65,18 +64,17 @@ __all__ = [
 _T = TypeVar("_T")
 
 # Most dense slots (top - bottom + 1) that the public constructor, a sum, a
-# product or a Gaussian binomial allocates.
+# product or a Gaussian binomial allocates, and most entries of a box table.
 _MAX_DENSE_SPAN = 2**24
 
 # Packed size (shorter operand length times slot bits) of a product from
 # which a sum is carried by decimal, not int: see _packed_sum.
 _DECIMAL_CARRIER_BITS = 100_000
 
-# [d, c] values held by the binomial cache, keyed by (d, c) with c the narrow
-# side; weak, so gaussian_binomial.cache_clear() frees every coefficient tuple.
-_ROWS: "weakref.WeakValueDictionary[tuple[int, int], GradedRankPoly]" = (
-    weakref.WeakValueDictionary()
-)
+# Every row gaussian_binomial has built: degree d, then c = min(k, d - k), to [d, c].
+_ROWS: dict[int, dict[int, GradedRankPoly]] = {}
+_ROW_TRAFFIC = {"hits": 0, "misses": 0}
+_CacheInfo = NamedTuple("CacheInfo", [("hits", int), ("misses", int), ("maxsize", None), ("currsize", int)])
 
 
 def _check_span(span: int) -> None:
@@ -126,7 +124,7 @@ class GradedRankPoly:
     than ``_MAX_DENSE_SPAN`` before they allocate anything.
     """
 
-    __slots__ = ("_bottom", "_coeffs", "__weakref__")
+    __slots__ = ("_bottom", "_coeffs")
 
     def __init__(self, coefficients: Mapping[int, int] | None = None):
         checked: Mapping[int, int] = coefficients or {}
@@ -400,8 +398,9 @@ def _packed_products(
     else:
         import decimal  # here, so that a process packing nothing this large never loads it
 
-        # multiply, scaleb and fma are exact at MAX_PREC
+        # multiply, scaleb and fma are exact at MAX_PREC; one that would round raises
         context = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+        context.traps[decimal.Inexact] = context.traps[decimal.Rounded] = True
 
         def pack(coeffs: Sequence[int]) -> "decimal.Decimal":
             return decimal.Decimal("".join([str(c).zfill(width) for c in reversed(coeffs)]))
@@ -451,23 +450,23 @@ def _byte_slots(total: int, size: int) -> list[int]:
     return [int.from_bytes(view[i : i + size], "little") for i in range(0, len(view), size)]
 
 
-@lru_cache(maxsize=None, typed=True)
 def gaussian_binomial(d: int, k: int) -> GradedRankPoly:
     """The Gaussian binomial coefficient [d choose k]_q as a rank polynomial.
 
     Computed along row ``d`` by the product formula
     ``[d, i+1] = [d, i] * (1 - q^(d-i)) / (1 - q^(i+1))``
     (Andrews, *The Theory of Partitions*, ch. 3) over exact integers, to the
-    narrow side ``c = min(k, d-k)``.  The walk starts from the cached
-    ``[d, c0]`` nearest ``c`` on either side, or from ``[d, 0] = 1``, and
-    from above steps down by ``[d, i-1] = [d, i] * (1 - q^i) / (1 - q^(d-i+1))``
-    (:func:`_walk_step` serves both directions).  Only the result is cached.
-    ``[d, k]`` and ``[d, d-k]`` are the same object.  A result of more than
-    ``_MAX_DENSE_SPAN`` degrees raises :class:`DomainError` before the first
-    step.  The result has bottom degree 0, top degree ``k*(d-k)``, symmetric
-    coefficients and total rank ``C(d, k)``; it is the split Poincare
-    polynomial of the Grassmannian of ``k``-planes in ``d``-space.  Shares no
-    code with the box DP or the enumerator.
+    narrow side ``c = min(k, d-k)``, from the nearest held row (:func:`_walk`;
+    down by ``[d, i-1] = [d, i] * (1 - q^i) / (1 - q^(d-i+1))``).  Each call
+    is checked, then read from ``_ROWS``, which holds one result per
+    ``(d, c)``, so ``[d, k]`` and ``[d, d-k]`` are the same object;
+    ``cache_info()`` and ``cache_clear()`` count and empty it as on an
+    ``lru_cache``.  A result of more than ``_MAX_DENSE_SPAN`` degrees raises
+    :class:`DomainError` before the first step.  The result has bottom degree
+    0, top degree ``k*(d-k)``, symmetric coefficients and total rank
+    ``C(d, k)``; it is the split Poincare polynomial of the Grassmannian of
+    ``k``-planes in ``d``-space.  Shares no code with the box DP or the
+    enumerator.
     """
     _checked_count(d, "d")
     _checked_count(k, "k")
@@ -476,42 +475,43 @@ def gaussian_binomial(d: int, k: int) -> GradedRankPoly:
     c = min(k, d - k)
     span = c * (d - c) + 1
     _check_span(span)
-    known = _ROWS.get((d, c))
-    if known is None:
-        known = _ROWS[d, c] = GradedRankPoly._trusted(0, _walk(d, c, span))
-    return known
+    held = _ROWS.get(d, {}).get(c)
+    _ROW_TRAFFIC["misses" if held is None else "hits"] += 1
+    if held is None:
+        held = _ROWS.setdefault(d, {})[c] = GradedRankPoly._trusted(0, _walk(d, c, span))
+    return held
+
+
+gaussian_binomial.cache_info = lambda: _CacheInfo(**_ROW_TRAFFIC, maxsize=None, currsize=sum(map(len, _ROWS.values())))
+gaussian_binomial.cache_clear = lambda: _ROWS.clear() or _ROW_TRAFFIC.update(hits=0, misses=0)
 
 
 def _gaussian_coefficient(d: int, k: int, s: int) -> int:
-    """Degree ``s`` of ``[d, k]``, ``0 <= k <= d``: from the cached row when
-    it is held, otherwise by the walk cut to ``t = min(s, top - s) + 1``
+    """Degree ``s`` of ``[d, k]``, ``0 <= k <= d``: from ``_ROWS`` when it
+    holds the row, otherwise by the walk cut to ``t = min(s, top - s) + 1``
     coefficients (``top = c*(d-c)``; the mirrored degree when lower), which
-    caches nothing.  Both passes of a step only move weight up, so the cut
-    rows stay exact; the nearest cached row is at most ``c`` steps away, so
-    a read costs at most ``c * t`` coefficients."""
+    stores nothing.  Both passes of a step only move weight up, so the cut
+    rows stay exact; the walk starts at most ``c`` steps away, so a read
+    costs at most ``c * t`` coefficients."""
     c = min(k, d - k)
     top = c * (d - c)
     if not 0 <= s <= top:
         return 0
     _check_span(top + 1)
-    known = _ROWS.get((d, c))
-    if known is not None:
-        return known.coefficient(s)
+    held = _ROWS.get(d, {}).get(c)
+    if held is not None:
+        return held.coefficient(s)
     t = min(s, top - s) + 1
     return _walk(d, c, t)[t - 1]
 
 
 def _walk(d: int, c: int, length: int) -> list[int]:
-    """The first ``length`` coefficients of ``[d, c]``, which the cache does
-    not hold, walked from the cached ``[d, c0]`` nearest ``c`` (the lower on
-    a tie) or from ``[d, 0] = 1``; ``[d, i]`` has ``i*(d-i) + 1`` in all."""
-    start, row = 0, [1]
-    nearest = (i for j in range(1, c) for i in (c - j, c + j) if 2 * i <= d)
-    for i in nearest:
-        known = _ROWS.get((d, i))
-        if known is not None:
-            start, row = i, list(known._coeffs[:length])
-            break
+    """The first ``length`` coefficients of ``[d, c]``, not held, walked from
+    the held ``[d, c0]`` nearest ``c`` with ``|c0 - c| < c`` (the lower on a
+    tie), else from ``[d, 0] = 1``; ``[d, i]`` has ``i*(d-i) + 1`` in all."""
+    held = _ROWS.get(d, {})
+    start = min([i for i in held if abs(i - c) < c], key=lambda i: (abs(i - c), i), default=0)
+    row = list(held[start]._coeffs[:length]) if start else [1]
     for i in range(start, c):
         row = _walk_step(row, d - i, i + 1, min(length, (i + 1) * (d - i - 1) + 1))
     for i in range(start, c, -1):
@@ -546,8 +546,15 @@ def _box_size_counts(parts: int, max_part: int) -> tuple[int, ...]:
     stripped.  One table, updated in place: row ``c`` holds ``N(m, c, .)``
     once pass ``m`` has reached it, adding only over sizes ``m..m*c``, where
     ``N(m, c, .)`` can be nonzero.  Shares no code with the product formula
-    of :func:`gaussian_binomial` or with the enumerator.
+    of :func:`gaussian_binomial` or with the enumerator.  A table of more
+    than ``_MAX_DENSE_SPAN`` entries raises :class:`DomainError` before
+    anything is allocated.
     """
+    entries = (max_part + 1) * (parts * max_part + 1)
+    if entries > _MAX_DENSE_SPAN:
+        raise DomainError(
+            f"the {parts} x {max_part} box table has {entries} entries, over the dense storage limit {_MAX_DENSE_SPAN}"
+        )
     table = [[1] + [0] * (parts * max_part) for _ in range(max_part + 1)]
     for m in range(1, parts + 1):
         for c in range(1, max_part + 1):

@@ -78,11 +78,11 @@ def mu(context: DivisionContext, level: int, i: int) -> int:
     partitions of that size in a ``(p**n - p**level) x p**level`` box.
 
     Zero, with no walk, when the size falls outside ``[0, dim]``.  Read from
-    the binomial cache when it holds the row; otherwise the row walk stops at
-    the coefficient read (or its mirror, when lower), and nothing is cached.
-    These counts index the rational cycle classes in homological degree
-    ``i - 1`` on the product of the classical variety with the level-``level``
-    one.
+    ``gaussian_binomial``'s row store when it holds the row; otherwise the row
+    walk stops at the coefficient read (or its mirror, when lower), and
+    nothing is stored.  These counts index the rational cycle classes in
+    homological degree ``i - 1`` on the product of the classical variety with
+    the level-``level`` one.
     """
     variety = SBVariety(context, level)  # validates the level range
     if not _is_int(i):

@@ -1,8 +1,9 @@
-import gc
+import decimal
 import itertools
 import math
 import random
 import sys
+import time
 from collections import Counter
 from decimal import Decimal
 
@@ -295,12 +296,28 @@ class TestGaussianBinomial:
             assert gaussian_binomial(d, k) is gaussian_binomial(d, d - k)
 
     def test_cache_clear_empties_the_row_index(self):
-        held = [gaussian_binomial(50, k) for k in (3, 20, 47, 25)]
-        assert len(qpoly._ROWS) >= 3
-        del held
         gaussian_binomial.cache_clear()
-        gc.collect()
-        assert len(qpoly._ROWS) == 0
+        for k in (3, 20, 47, 25):
+            gaussian_binomial(50, k)
+        assert qpoly._ROWS.keys() == {50} and qpoly._ROWS[50].keys() == {3, 20, 25}
+        assert gaussian_binomial.cache_info() == (1, 3, None, 3)  # [50, 47] is [50, 3]
+        gaussian_binomial.cache_clear()
+        assert qpoly._ROWS == {}
+        assert gaussian_binomial.cache_info() == (0, 0, None, 0)
+
+    def test_each_miss_builds_one_held_row(self, monkeypatch):
+        # every module that binds gaussian_binomial calls it through a counter
+        calls, original = [], gaussian_binomial
+        for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "sbmotives"]:
+            for name, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, name, lambda d, k: calls.append((d, k)) or original(d, k))
+        gaussian_binomial.cache_clear()
+        assert verify.run_identity_suite(7).passed
+        info = gaussian_binomial.cache_info()
+        gaussian_binomial.cache_clear()
+        assert info.misses == info.currsize == len({(d, min(k, d - k)) for d, k in calls})
+        assert info.hits + info.misses == len(calls)
 
     def test_wide_binomial_needs_no_recursion(self):
         depth, frame = 0, sys._getframe()
@@ -338,6 +355,19 @@ class TestGaussianBinomial:
         assert len(walked) == steps
         assert any(a < b for a, b, _ in walked)  # some steps go down
 
+    def test_walk_starts_from_the_lower_of_two_equally_near_rows(self, monkeypatch):
+        # [20, 4] and [20, 6] held: [20, 5] is one step up from [20, 4], by
+        # (1 - q^16) / (1 - q^5), whose rows are shorter than those above
+        gaussian_binomial.cache_clear()
+        gaussian_binomial(20, 4), gaussian_binomial(20, 6)
+        walked = []
+        walk_step = qpoly._walk_step
+        monkeypatch.setattr(qpoly, "_walk_step", lambda *args: walked.append(args[1:3]) or walk_step(*args))
+        row = gaussian_binomial(20, 5)
+        gaussian_binomial.cache_clear()
+        assert walked == [(16, 5)]
+        assert row == GradedRankPoly(brute_force_histogram(5, 15))
+
     @given(st.integers(0, 12))
     def test_symmetry_and_total_rank(self, d):
         for k in range(d + 1):
@@ -357,16 +387,16 @@ class TestTruncatedReads:
     def test_matches_full_rows(self, d):
         rows = [gaussian_binomial(d, k).items() for k in range(d + 1)]
         gaussian_binomial.cache_clear()
-        # every third narrow side cached: each other row is one step up or down
-        # from a cached one, or two up when the row above would pass d/2
-        held = [gaussian_binomial(d, c) for c in range(0, d // 2 + 1, 3)]
+        # every third narrow side held: each other row is one step up or down
+        # from a held one, or two up when the row above would pass d/2
+        for c in range(0, d // 2 + 1, 3):
+            gaussian_binomial(d, c)
         for k, row in enumerate(rows):
             top = k * (d - k)
             full = [0] * (top + 3)
             for s, count in row:
                 full[s + 1] = count
             assert [_gaussian_coefficient(d, k, s) for s in range(-1, top + 2)] == full
-        del held
         gaussian_binomial.cache_clear()
 
     @pytest.mark.parametrize(
@@ -376,7 +406,8 @@ class TestTruncatedReads:
     )
     def test_walk_is_at_most_c_times_t_coefficients(self, monkeypatch, d, k, s, held):
         gaussian_binomial.cache_clear()
-        rows = [gaussian_binomial(d, c) for c in held]
+        for c in held:
+            gaussian_binomial(d, c)
         lengths = []
         walk_step = qpoly._walk_step
         monkeypatch.setattr(qpoly, "_walk_step", lambda *args: lengths.append(args[3]) or walk_step(*args))
@@ -385,7 +416,6 @@ class TestTruncatedReads:
         value = _gaussian_coefficient(d, k, s)
         monkeypatch.undo()
         assert lengths and max(lengths) <= t and sum(lengths) <= c * t
-        del rows
         gaussian_binomial.cache_clear()
         assert value == gaussian_binomial(d, k).coefficient(s)
         gaussian_binomial.cache_clear()
@@ -403,14 +433,16 @@ class TestTruncatedReads:
 
     def test_a_read_leaves_the_cache_unchanged(self):
         gaussian_binomial.cache_clear()
-        held = [gaussian_binomial(60, 10), gaussian_binomial(60, 25)]
-        rows, info = dict(qpoly._ROWS), gaussian_binomial.cache_info()
-        for k in (0, 3, 12, 20, 28, 30, 45, 50):
-            top = k * (60 - k)
-            for s in (-1, 0, 1, top // 3, top // 2, top - 1, top, top + 1):
-                _gaussian_coefficient(60, k, s)
-        assert dict(qpoly._ROWS) == rows and gaussian_binomial.cache_info() == info
-        del held
+        gaussian_binomial(60, 10), gaussian_binomial(60, 25)
+        rows = {d: dict(held) for d, held in qpoly._ROWS.items()}
+        info = gaussian_binomial.cache_info()
+        # two rows held at degree 60, none at 59, which must not gain an empty index
+        for d in (60, 59):
+            for k in (0, 3, 12, 20, 28, 30, 45, 50):
+                top = k * (d - k)
+                for s in (-1, 0, 1, top // 3, top // 2, top - 1, top, top + 1):
+                    _gaussian_coefficient(d, k, s)
+        assert qpoly._ROWS == rows and gaussian_binomial.cache_info() == info
         gaussian_binomial.cache_clear()
 
 
@@ -464,6 +496,20 @@ class TestBoxCounts:
 
     def test_oversized_target_counts_zero(self):
         assert count_partitions_in_box(PartitionBoxSpec(4, 4, 17)) == 0
+
+    def test_box_table_past_the_span_limit_refused_before_allocating(self, monkeypatch):
+        # 3 001 rows of 9 000 001 sizes would be 2.7e10 entries
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match="dense storage limit"):
+            count_partitions_in_box(PartitionBoxSpec(3000, 3000, 1))
+        assert time.perf_counter() - start < 1
+        # a 7 x 11 table holds 12 rows of 78 sizes, 936 entries
+        _box_size_counts.cache_clear()
+        monkeypatch.setattr(qpoly, "_MAX_DENSE_SPAN", 935)
+        with pytest.raises(DomainError, match="dense storage limit"):
+            count_partitions_in_box(PartitionBoxSpec(7, 11, 30))
+        monkeypatch.setattr(qpoly, "_MAX_DENSE_SPAN", 936)
+        assert count_partitions_in_box(PartitionBoxSpec(7, 11, 30)) == gaussian_binomial(18, 7).coefficient(30)
 
 
 class TestRankHomomorphism:
@@ -625,6 +671,15 @@ class TestFastPath:
         monkeypatch.setattr(qpoly, "_DECIMAL_CARRIER_BITS", 2**62)
         assert on_decimal == GradedRankPoly(a) * GradedRankPoly(b)
         assert [type(p) for p in products] == [tuple]
+
+    def test_decimal_product_that_would_round_raises(self, monkeypatch):
+        # about 160 000 digits, where a precision of 1 000 can only round
+        rng = random.Random(61)
+        a, b = _random_coeffs(rng, 2000, 61), _random_coeffs(rng, 2000, 61)
+        monkeypatch.setattr(qpoly, "_DECIMAL_CARRIER_BITS", 0)
+        monkeypatch.setattr(decimal, "MAX_PREC", 1000)
+        with pytest.raises((decimal.Inexact, decimal.Rounded)):
+            GradedRankPoly(a) * GradedRankPoly(b)
 
 
 def _packed_products_made(patch):
