@@ -32,13 +32,15 @@ for p in (2, 3):
         row = [type_bound(SBVariety(DivisionContext(p, n), k)).bound for k in range(n + 1)]
         print(f"  p={p}, n={n}: bounds by level {row}")
 
-# Every derivation carries a replayable trace.  Each step records the rule and
-# the numeric side conditions, and its JSON holds just those: the rule id and
-# the conditions.  Its conclusion and citation come from the fixed catalog,
-# rendered in the text below; the CLI's JSON lists each citation once, under
-# "rules".  replay(variety) re-checks each step from the recorded numbers
-# alone, in closed form, as a step about that variety, so it takes time linear
-# in the length of the ladder.
+# Every derivation carries a replayable trace.  The opening level bound records
+# the variety (p, n, k) and its bound; every later step records only the
+# numbers its position in the derivation does not fix, since the position
+# already fixes p, the exponent n, k, the level k - 1 and the bound.  Its JSON
+# holds just the rule id and those conditions.  Each conclusion comes from the
+# fixed catalog, rendered below at the step's position, and each citation too;
+# the CLI's JSON lists each citation once, under "rules".  replay(variety)
+# re-checks each step from its recorded numbers and its position, in closed
+# form, so it takes time linear in the length of the ladder.
 bound = type_bound(SBVariety(DivisionContext(2, 3), 1))
 print(f"\nbound for SB_2, deg D = 8: {bound.bound}  (trace replays: {bound.trace.replay(bound.variety)})")
 print(bound.trace.render_text())

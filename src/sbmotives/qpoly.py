@@ -394,12 +394,13 @@ def _packed_products(
             plus, minus = product[0] * mult << shift, product[1] * (-mult if offset & 1 else mult) << shift
             return (total[0] + plus, total[1] + minus) if total else (plus, minus)
 
-        total = ()
+        total, rounds = (), ()
     else:
         import decimal  # here, so that a process packing nothing this large never loads it
 
         # multiply, scaleb and fma are exact at MAX_PREC; one that would round raises
         context = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+        rounds = (decimal.Inexact, decimal.Rounded)
         context.traps[decimal.Inexact] = context.traps[decimal.Rounded] = True
 
         def pack(coeffs: Sequence[int]) -> "decimal.Decimal":
@@ -409,12 +410,17 @@ def _packed_products(
             return context.fma(product, context.scaleb(mult, width * offset), total)
 
         multiply, total = context.multiply, decimal.Decimal(0)
-    for factors, placements in products:
-        product = _term_product(factors, pack, multiply)
-        start = sum([f._bottom for f in factors]) - bottom
-        for twist, mult in placements:
-            total = place(total, product, mult, start + twist)
-        del product
+    try:
+        for factors, placements in products:
+            product = _term_product(factors, pack, multiply)
+            start = sum([f._bottom for f in factors]) - bottom
+            for twist, mult in placements:
+                total = place(total, product, mult, start + twist)
+            del product
+    except rounds as exc:
+        raise DomainError(
+            f"a packed sum of {width}-digit slots needs more than the {decimal.MAX_PREC} digits decimal carries exactly"
+        ) from exc
     # slots above the highest nonzero one are left out; _trusted trims to it anyway
     if isinstance(total, tuple):
         plus, minus = total

@@ -16,39 +16,46 @@ rule out two by the induction hypothesis, and kill the third by a dimension
 count.
 
 Every derivation is returned as a :class:`ProofTrace`: an ordered list of
-steps whose numeric side conditions can be re-checked from the recorded
-values alone, with no access to engine state (:meth:`ProofTrace.replay`).  A
-trace is recorded when it is first read, so a caller that wants only the
-bound or the verdict records nothing.  The traces about one variety share
-their recorded steps: the type bound's trace is recorded once, and each
-judgment's trace is its steps followed by the judgment's closing.  Each trace
-still holds all of its steps; the registry of type bound traces is weak, so
-it holds none once the traces about a variety are gone.  A step records its
-rule and its side conditions, and that is all its JSON encoding holds:
-``{"rule_id", "conditions"}``.  Its conclusion and citation come from the
-fixed rule catalog, rendered only when a trace is printed as text; the CLI's
-JSON lists each citation once, in a top-level map of the rules the trace
-uses.  So building, encoding, decoding and replaying format no text, and a
-decoded step that carries a citation or a conclusion is rejected.  The
-induction is replayed in full for the requested exponent rather than memoized
-away, so traces are self-contained.  Two generators, the type bound's and a
-closing's, fix the rule and subject of each position of a derivation;
-recording fills in side conditions along them from each rule's catalog row
-(:attr:`Rule.record`), and replay walks them once, checking that each position
-holds the rule it calls for there and speaks about the variety of the opening
-level bound, or of the variety given (:meth:`ProofTrace.failing_steps`).  The
-four rung rules of the halving induction are ``p = 2`` rules, and their checks
-require ``p = 2``; every other rule checks its variety through the engine, by
-building the :class:`SBVariety` (``p`` prime, ``0 <= k <= n``), so even a lone
-step about an algebra that does not exist fails replay, and so does a step
-that names a side condition twice or one its rule's check does not read, or
-records a value that is not an ``int``.  Decoding reads integers only from
-canonical decimal strings, as :meth:`ProofTrace.to_json_obj` writes them,
-parsing each one once.  Every rule check is closed form, so replaying the
-trace of level ``k`` and exponent ``n`` takes time linear in ``n - k``.  A
-check builds a power only after the bit length of a recorded value allows it,
-so a decoded trace costs time in the size of its encoding, however large the
-exponents it names.
+steps whose numeric side conditions are re-checked at their positions in the
+derivation, with no access to engine state (:meth:`ProofTrace.replay`).  Two
+generators, the type bound's and a closing's, fix the rule and subject of
+each position: its variety ``(p, n, k)``, its exponent, the level ``k - 1``
+the induction excludes and the type bound.  Only the opening level bound
+records its variety and bound, and a trace replayed with no variety given is
+about the variety its opening names; every later step records only what its
+position does not fix, and one that records ``p``, ``n``, ``k``, ``level`` or
+``bound`` fails replay.  A trace is recorded when it is first read, so a
+caller that wants only the bound or the verdict records nothing.  The traces
+about one variety share their recorded steps: the type bound's trace is
+recorded once, and each judgment's trace is its steps followed by the
+judgment's closing.  Each trace still holds all of its steps; the registry
+of type bound traces is weak, so it holds none once the traces about a
+variety are gone.  A step records its rule and its side conditions, and that
+is all its JSON encoding holds: ``{"rule_id", "conditions"}``.  Its
+conclusion and citation come from the fixed rule catalog, the conclusion
+rendered at the step's position only when a trace that replays is printed
+as text; the CLI's JSON lists each citation once, in a top-level map of the
+rules the trace uses.  So building, encoding, decoding and replaying format
+no text, and a decoded step that carries a citation or a conclusion is
+rejected.  The induction is replayed in full for the requested exponent
+rather than memoized away, so traces are self-contained.  Recording fills in
+side conditions along the positions from each rule's catalog row
+(:attr:`Rule.record`), and replay walks them once, checking that each
+position holds the rule it calls for there and that the rule's check accepts
+the step's side conditions with the position's coordinates
+(:meth:`ProofTrace.failing_steps`).  The four rung rules of the halving
+induction are ``p = 2`` rules, and their checks require ``p = 2``; every
+other rule checks its variety through the engine, by building the
+:class:`SBVariety` (``p`` prime, ``0 <= k <= n``), so an opening about an
+algebra that does not exist fails replay, and so does a step that names a
+side condition twice or one its rule's check does not read, or records a
+value that is not an ``int``.  Decoding reads integers only from canonical
+decimal strings, as :meth:`ProofTrace.to_json_obj` writes them, parsing each
+one once.  Every rule check is closed form, so replaying the trace of level
+``k`` and exponent ``n`` takes time linear in ``n - k``.  A check builds a
+power only after the bit length of a recorded value allows it, so a decoded
+trace costs time in the size of its encoding, however large the exponents
+it names.
 """
 
 from __future__ import annotations
@@ -88,11 +95,13 @@ class Rule(Record):
     """A named inference rule, one row of :data:`RULE_CATALOG`.
 
     ``citation`` is the rule's statement followed by its source in brackets.
-    ``record(p, n, k, bound)`` is what a trace records at exponent ``n``,
-    in encoding order.  ``check`` re-evaluates recorded side conditions
-    alone; it is what :meth:`ProofTrace.replay` runs, and replay never calls
-    ``record``.  ``template`` states the conclusion a step draws from its
-    side conditions, never formatting a power.
+    ``record(p, n, k, bound)`` is what a step records at a position of
+    exponent ``n``, in encoding order: the opening level bound records its
+    variety and bound, every later step only what its position does not fix.
+    ``check`` re-evaluates the recorded side conditions together with the
+    coordinates of the step's position; it is what :meth:`ProofTrace.replay`
+    runs, and replay never calls ``record``.  ``template`` states the
+    conclusion a step draws from the same values, never formatting a power.
     """
 
     rule_id: str
@@ -219,7 +228,7 @@ RULE_CATALOG: dict[str, Rule] = {
             "rational point whose motive is the Tate unit; no summand of "
             "positive level can occur, so the induction starts for free. "
             "[geometry of ideal varieties]",
-            lambda p, n, k, bound: {"p": p, "n": n, "k": k, "variety_dim": 0},
+            lambda p, n, k, bound: {"variety_dim": 0},
             _check_point_base,
             lambda c: (
                 f"at degree {c['p']}^{c['n']} the level-{c['k']} variety is a rational point; "
@@ -234,7 +243,7 @@ RULE_CATALOG: dict[str, Rule] = {
             "i + j = 2^k, where C is the Brauer-equivalent division algebra "
             "of degree 2^(n-1). [function-field splitting of twisted flag varieties]",
             lambda p, n, k, bound: {
-                "p": p, "n": n, "k": k, "degree": 1 << n, "split_degree": 1 << (n - 1),
+                "degree": 1 << n, "split_degree": 1 << (n - 1),
                 "term_count": (1 << k) + 1, "upper_twist": 0, "lower_twist": 1 << (n + k - 1),
             },
             _check_function_field_split,
@@ -250,9 +259,7 @@ RULE_CATALOG: dict[str, Rule] = {
             "function-field restriction, the restricted motive contains the "
             "level-l upper motive of the half-degree algebra twice: untwisted "
             "and twisted by 2^(n+l-1). [endpoint summands of the split decomposition]",
-            lambda p, n, k, bound: {
-                "p": p, "n": n, "level": k - 1, "upper_twist": 0, "lower_twist": 1 << (n + k - 2),
-            },
+            lambda p, n, k, bound: {"upper_twist": 0, "lower_twist": 1 << (n + k - 2)},
             _check_halved_endpoints,
             lambda c: (
                 f"a surviving twist of the level-{c['level']} upper motive would contain the "
@@ -268,7 +275,7 @@ RULE_CATALOG: dict[str, Rule] = {
             "factor whose pair (i, j) has 2-adic valuation at least k - 1. "
             "[theory of upper motives; Krull-Schmidt uniqueness]",
             lambda p, n, k, bound: {
-                "p": p, "n": n, "k": k, "required_level": k - 1,
+                "required_level": k - 1,
                 "candidate_0_i": 1 << k, "candidate_0_j": 0, "candidate_1_i": 0, "candidate_1_j": 1 << k,
                 "candidate_2_i": 1 << (k - 1), "candidate_2_j": 1 << (k - 1),
             },
@@ -288,10 +295,7 @@ RULE_CATALOG: dict[str, Rule] = {
             "2^(n+k-1) - 2^(2k-1) of the only remaining candidate factor "
             "SB_{2^(k-1)}(C) x SB_{2^(k-1)}(C); the surviving twist cannot "
             "exist, so the variety is of type k - 2. [dimension count]",
-            lambda p, n, k, bound: {
-                "p": p, "n": n, "k": k,
-                **dict(zip(("product_dim", "endpoint_dim"), dimension_obstruction(n, k))),
-            },
+            lambda p, n, k, bound: dict(zip(("product_dim", "endpoint_dim"), dimension_obstruction(n, k))),
             _check_dimension_obstruction,
             lambda c: (
                 f"the remaining factor has dimension {c['product_dim']} < "
@@ -304,7 +308,7 @@ RULE_CATALOG: dict[str, Rule] = {
             "For a variety of type -1 every indecomposable summand is the "
             "upper motive; the degree-zero Chow group has rank one, so there "
             "is exactly one summand and the motive is indecomposable. [theory of upper motives]",
-            lambda p, n, k, bound: {"p": p, "n": n, "k": k, "bound": bound, "ch0_rank": 1},
+            lambda p, n, k, bound: {"ch0_rank": 1},
             _check_rank_one_upper,
             lambda c: (
                 "type -1 leaves only the upper motive, and the rank-one degree-zero "
@@ -318,7 +322,7 @@ RULE_CATALOG: dict[str, Rule] = {
             "with the level-k variety is already rational over the base; the "
             "count of rational classes depends only on (p, n, k). "
             "[rationality of cycles on products with the classical variety]",
-            lambda p, n, k, bound: {"p": p, "n": n, "k": k},
+            lambda p, n, k, bound: {},
             _names_variety,
             lambda c: (
                 "rational cycle counts on the product with the classical variety "
@@ -331,7 +335,7 @@ RULE_CATALOG: dict[str, Rule] = {
             "summand isomorphic to a Tate twist of the motive of the "
             "classical Severi-Brauer variety under a division-preserving "
             "extension. [rigidity of classical summands]",
-            lambda p, n, k, bound: {"p": p, "n": n, "k": k},
+            lambda p, n, k, bound: {},
             _check_classical_summand_exclusion,
             lambda c: (
                 "no twist of the classical variety's motive enters the upper "
@@ -343,7 +347,7 @@ RULE_CATALOG: dict[str, Rule] = {
             "The motive of the classical Severi-Brauer variety of a division "
             "algebra is indecomposable and stays indecomposable under every "
             "division-preserving extension. [classical Severi-Brauer rigidity]",
-            lambda p, n, k, bound: {"p": p, "n": n, "k": k},
+            lambda p, n, k, bound: {},
             _check_classical_base,
             lambda c: (
                 "the variety is the classical Severi-Brauer variety itself; "
@@ -357,7 +361,7 @@ RULE_CATALOG: dict[str, Rule] = {
             "decomposition lifts: the indecomposable summands over the "
             "extension are defined over the base.  The derived bound depends "
             "only on (p, n, k), which such extensions preserve. [type-zero transfer principle]",
-            lambda p, n, k, bound: {"p": p, "n": n, "k": k, "bound": bound},
+            lambda p, n, k, bound: {},
             _check_type_zero_transfer,
             lambda c: (
                 f"the derived bound {c['bound']} <= 0 holds over every "
@@ -372,8 +376,11 @@ class ProofStep(Record):
     """One applied rule and its recorded side conditions.
 
     The rule id must name a catalog rule.  A step holds nothing else: its
-    citation and its conclusion are the catalog's, rendered from the side
-    conditions when asked for, and neither is encoded.
+    citation is the catalog's, and its conclusion is rendered from the side
+    conditions and its position's coordinates by
+    :meth:`ProofTrace.render_text`; neither is encoded.  A step is checked
+    and rendered only at a position of a derivation, which fixes its
+    variety, exponent and bound.
     """
 
     rule_id: str
@@ -389,33 +396,39 @@ class ProofStep(Record):
     def citation(self) -> str:
         return RULE_CATALOG[self.rule_id].citation
 
-    @property
-    def conclusion(self) -> str:
-        return RULE_CATALOG[self.rule_id].template(self.conditions())
-
     def conditions(self) -> dict[str, int]:
         return dict(self.side_conditions)
-
-    def replay(self) -> bool:
-        """Re-check this step's side conditions from the recorded values
-        (:func:`_holds`)."""
-        return _holds(self, self.conditions())
 
 
 # The type of every recorded value: a str, a float or a bool fails replay.
 _INT_TYPE = frozenset((int,))
-_READS = {"level-bound": 4, "point-base": 4, "function-field-split": 8, "halved-endpoints": 5, "rank-one-upper": 5,
-          "valuation-case-split": 10, "dimension-obstruction": 5, "rational-cycle-persistence": 3,
-          "classical-summand-exclusion": 3, "classical-base": 3, "type-zero-transfer": 4}
+# How many names each rule's step records: its check reads these and the
+# coordinates of the step's position, none of which a later step records.
+_READS = {"level-bound": 4, "point-base": 1, "function-field-split": 5, "halved-endpoints": 2, "rank-one-upper": 1,
+          "valuation-case-split": 7, "dimension-obstruction": 2, "rational-cycle-persistence": 0,
+          "classical-summand-exclusion": 0, "classical-base": 0, "type-zero-transfer": 0}
 
 
-def _holds(step: ProofStep, c: dict[str, int]) -> bool:
-    """Whether the rule of ``step`` accepts ``c``, its side conditions as one
-    dict.  A step that repeats a name, names another number than its rule's
-    check reads (``_READS``, counted from the checks, not the recorders), or
-    records a value that is not an ``int``, fails first; one lacking a name fails."""
-    named = len(c) == len(step.side_conditions) == _READS[step.rule_id]  # a check reads all of its names to accept
-    if not named or not _INT_TYPE.issuperset(map(type, c.values())):
+def _read(step: ProofStep, fixed: Conditions) -> dict[str, int]:
+    """The values the rule of ``step`` reads at a position whose
+    coordinates are ``fixed``: those coordinates and the recorded side
+    conditions, as one dict."""
+    c = dict(fixed)
+    c.update(step.side_conditions)
+    return c
+
+
+def _holds(step: ProofStep, fixed: Conditions) -> bool:
+    """Whether the rule of ``step`` accepts its side conditions at a
+    position whose coordinates are ``fixed`` (:func:`_read`).  A step that
+    repeats a name, records a coordinate of its position, names another
+    number than its rule's check reads (``_READS``, counted from the checks,
+    not the recorders), or records a value that is not an ``int``, fails
+    first; one lacking a name fails."""
+    c, count = _read(step, fixed), _READS[step.rule_id]  # a check reads all of its names to accept
+    if len(step.side_conditions) != count or len(c) != len(fixed) + count:
+        return False
+    if not _INT_TYPE.issuperset(map(type, c.values())):
         return False
     try:
         return bool(RULE_CATALOG[step.rule_id].check(c))
@@ -459,6 +472,36 @@ def _closing(n: int, k: int, bound: int, first_rule: str) -> Iterator[tuple[str,
         yield "type-zero-transfer", n, bound
 
 
+def _placed(steps: tuple[ProofStep, ...], p: int, n: int, k: int) -> Iterator[tuple[str, Conditions]]:
+    """The rule the position of each of ``steps`` calls for in the derivation
+    about ``(p, n, k)`` (:func:`_derivation`, then the :func:`_closing` the
+    first step past it names), and the coordinates that position fixes: none
+    at the opening level bound, which records its own, and ``p``, ``n`` (the
+    position's exponent), ``k``, ``level = k - 1`` and ``bound`` at every
+    later one.  A step past the derivation's end gets the rule ``""``.  One
+    more item follows the steps when the derivation goes on past them."""
+    positions, closing = _derivation(p, n, k), None
+    for i, step in enumerate(steps):
+        position = next(positions, None)
+        if position is None and closing is None:  # the type bound's positions are done
+            positions = closing = _closing(n, k, bound, step.rule_id)
+            position = next(positions, None)
+        rule, m, bound = position or ("", m, bound)
+        yield rule, ({"p": p, "n": m, "k": k, "level": k - 1, "bound": bound} if i else {})
+    if next(positions, None):
+        yield "", {}
+
+
+def _named(steps: tuple[ProofStep, ...]) -> tuple[int, int, int] | None:
+    """The ``(p, n, k)`` the opening level bound of ``steps`` records, or
+    None when ``steps`` open with no level bound recording an ``int`` for each."""
+    if not steps or steps[0].rule_id != "level-bound":
+        return None
+    opening = steps[0].conditions()
+    named = opening.get("p"), opening.get("n"), opening.get("k")
+    return named if _INT_TYPE.issuperset(map(type, named)) else None
+
+
 class ProofTrace(Record):
     """Ordered, self-contained derivation."""
 
@@ -479,52 +522,45 @@ class ProofTrace(Record):
 
     def failing_steps(self, variety: SBVariety | None = None) -> tuple[int, ...]:
         """Positions where replay fails: a step whose rule is not the one its
-        position calls for, that records another variety than the one the
-        trace is about, or whose side conditions do not re-check; and
+        position calls for, or whose side conditions do not re-check with
+        the coordinates its position fixes (:func:`_placed`); and
         ``len(self)`` when the derivation stops short, so 0 for an empty
-        trace.  A rule check alone accepts a step sound for *any* variety, in
-        any order: the derivation about that variety fixes what each position
-        holds.  The trace is about ``variety`` when one is given, so an
-        opening level bound that names another ``(p, n, k)`` fails; otherwise
-        it is about the variety its opening level bound names, and a one-step
-        trace whose ``p`` or ``n`` was edited is a sound trace about another
-        variety.  An opening whose ``p``, ``n`` or ``k`` is not an ``int``
-        names no variety, so every position fails."""
-        steps = self.steps
+        trace.  Only the opening level bound records ``p``, ``n``, ``k`` and
+        ``bound``; a later step that records any coordinate fails.  The
+        trace is about ``variety`` when one is given, so an opening that
+        names another ``(p, n, k)`` fails; otherwise it is about the variety
+        its opening names, and a trace whose opening ``p`` or ``n`` was
+        edited to another variety with a derivation of the same shape is a
+        sound trace about that variety.  An opening whose ``p``, ``n`` or
+        ``k`` is not an ``int`` names no variety, so every position fails."""
+        steps, named = self.steps, _named(self.steps)
         if variety is not None:
-            p, n, k = variety.context.p, variety.context.n, variety.level
+            about = (variety.context.p, variety.context.n, variety.level)
+        elif named is None:
+            return tuple(range(len(steps))) or (0,)
         else:
-            opening = steps[0].conditions() if steps else {}
-            p, n, k = opening.get("p"), opening.get("n"), opening.get("k")
-            if not _INT_TYPE.issuperset(map(type, (p, n, k))) or steps[0].rule_id != "level-bound":
-                return tuple(range(len(steps))) or (0,)
-        positions, closing, failing, level = _derivation(p, n, k), None, [], k - 1
-        for i, step in enumerate(steps):
-            position = next(positions, None)
-            if position is None and closing is None:  # the type bound's positions are done
-                positions = closing = _closing(n, k, bound, step.rule_id)
-                position = next(positions, None)
-            rule, m, bound = position or ("", None, None)
-            c = dict(step.side_conditions)
-            if (
-                step.rule_id != rule
-                or c.get("p", p) != p
-                or c.get("n", m) != m
-                or c.get("k", k) != k
-                or c.get("level", level) != level
-                or c.get("bound", bound) != bound
-                or not _holds(step, c)
-            ):
-                failing.append(i)
-        return tuple(failing) + ((len(steps),) if next(positions, None) else ())
+            about = named
+        placed = _placed(steps, *about)
+        failing = [
+            i for i, (step, (rule, fixed)) in enumerate(zip(steps, placed))
+            if step.rule_id != rule or not _holds(step, fixed) or (not i and named != about)
+        ]
+        return tuple(failing) + ((len(steps),) if next(placed, None) else ())
 
     def render_text(self) -> str:
+        """Each step's rule, side conditions, citation and the conclusion
+        its rule draws at its position in the derivation about the variety
+        the opening names.  Only a trace that replays renders; another
+        raises :class:`DomainError`."""
+        failing = self.failing_steps()
+        if failing:
+            raise DomainError(f"the trace fails replay at positions {list(failing)}, so it renders no conclusions")
         lines = []
-        for index, step in enumerate(self.steps, start=1):
-            conds = " ".join(f"{name}={value}" for name, value in step.side_conditions)
+        for index, (step, (_, fixed)) in enumerate(zip(self.steps, _placed(self.steps, *_named(self.steps))), start=1):
+            conds = "".join(f" {name}={value}" for name, value in step.side_conditions)
             lines.append(f"step {index}: {step.rule_id}")
-            lines.append(f"  conditions: {conds}")
-            lines.append(f"  conclusion: {step.conclusion}")
+            lines.append(f"  conditions:{conds}")
+            lines.append(f"  conclusion: {RULE_CATALOG[step.rule_id].template(_read(step, fixed))}")
             lines.append(f"  citation: {step.citation}")
         return "\n".join(lines)
 

@@ -678,8 +678,9 @@ class TestFastPath:
         a, b = _random_coeffs(rng, 2000, 61), _random_coeffs(rng, 2000, 61)
         monkeypatch.setattr(qpoly, "_DECIMAL_CARRIER_BITS", 0)
         monkeypatch.setattr(decimal, "MAX_PREC", 1000)
-        with pytest.raises((decimal.Inexact, decimal.Rounded)):
+        with pytest.raises(DomainError, match="more than the 1000 digits") as raised:
             GradedRankPoly(a) * GradedRankPoly(b)
+        assert isinstance(raised.value.__cause__, (decimal.Inexact, decimal.Rounded))
 
 
 def _packed_products_made(patch):

@@ -2,7 +2,7 @@ import gc
 import json
 import time
 import weakref
-from itertools import permutations
+from itertools import islice, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +24,7 @@ from sbmotives import (
 )
 from sbmotives import type_calculus
 from sbmotives.type_calculus import _RUNG
+from sbmotives.verify import _small_varieties
 
 
 def variety(p, n, k):
@@ -114,11 +115,18 @@ class TestTypeBound:
         assert len(drawn) <= 2
 
     def test_trace_ends_with_the_obstruction_ladder(self):
+        # the exponent of each obstruction is its position's, and its
+        # recorded dimensions are the ones at that exponent
         trace = type_bound(variety(2, 3, 1)).trace
+        positions = list(_DERIVATION(2, 3, 1))
+        assert [s.rule_id for s in trace] == [rule for rule, _, _ in positions]
+        assert [m for rule, m, _ in positions if rule == "dimension-obstruction"] == [2, 3]
         obstruction_steps = [s for s in trace if s.rule_id == "dimension-obstruction"]
-        assert [s.conditions()["n"] for s in obstruction_steps] == [2, 3]
-        assert trace.steps[-1].rule_id == "dimension-obstruction"
-        assert trace.steps[-1].conditions()["n"] == 3
+        assert [s.conditions() for s in obstruction_steps] == [
+            {"product_dim": 2, "endpoint_dim": 3},
+            {"product_dim": 6, "endpoint_dim": 7},
+        ]
+        assert trace.steps[-1].rule_id == "dimension-obstruction" and positions[-1][1] == 3
 
     def test_point_case_has_base_only_trace(self):
         trace = type_bound(variety(2, 4, 4)).trace
@@ -155,6 +163,7 @@ class TestTraceReplay:
     def test_missing_condition_fails_replay(self):
         step = ProofStep("level-bound", ())
         assert not ProofTrace((step,)).replay()
+        assert not ProofTrace((step,)).replay(variety(3, 2, 1))
 
     def test_empty_trace_fails_replay(self):
         # a trace that does not open with a level bound fails
@@ -180,35 +189,60 @@ class TestTraceReplay:
 
 
 def _rewritten_to_p(trace, p):
-    """``trace`` with every step's ``p`` set to ``p`` in its encoding, which
-    holds no text, so only the side conditions can fail."""
+    """``trace`` with its opening's ``p``, the only one it records, set to
+    ``p`` in its encoding, which holds no text, so only the side conditions
+    can fail."""
     encoded = trace.to_json_obj()
-    for entry in encoded:
-        entry["conditions"]["p"] = str(p)
+    encoded[0]["conditions"]["p"] = str(p)
     rewritten = ProofTrace.from_json_obj(encoded)
     assert rewritten.to_json_obj() == encoded
     return rewritten
 
 
-def _lone_steps():
-    """The first step of each catalog rule in built traces at p = 2, n = 3."""
-    steps = {}
-    for judgment in (indecomposability_judgment, rigidity_judgment):
-        for k in (0, 1):
-            for step in judgment(variety(2, 3, k)).trace:
-                steps.setdefault(step.rule_id, step)
-    assert steps.keys() == RULE_CATALOG.keys()
-    return steps
+def _position_of(rule_id):
+    """``(variety, trace, i)``: the first step of ``rule_id`` in the judgments'
+    traces at p = 2, n = 3."""
+    for k in (0, 1):
+        v = variety(2, 3, k)
+        for judgment in (indecomposability_judgment, rigidity_judgment):
+            trace = judgment(v).trace
+            for i, step in enumerate(trace):
+                if step.rule_id == rule_id:
+                    return v, trace, i
+    raise AssertionError(f"no step of {rule_id}")
 
 
-def _step_at_p(step, p):
-    """``step`` with ``p`` rewritten, and a halved-endpoints twist rewritten
-    to its p-adic value ``p^(n+level-1)(p-1)``."""
-    conditions = step.conditions()
-    conditions["p"] = p
-    if step.rule_id == "halved-endpoints":
-        conditions["lower_twist"] = p ** (conditions["n"] + conditions["level"] - 1) * (p - 1)
-    return ProofStep(step.rule_id, tuple(conditions.items()))
+_COORDINATES = ("p", "n", "k", "level", "bound")
+
+
+def _fixed_at(trace, i, about):
+    """The coordinates position ``i`` of the derivation about ``about``
+    fixes for the step there."""
+    return next(islice(type_calculus._placed(trace.steps, *about), i, None))[1]
+
+
+def _reads_at(v, trace, i):
+    """What the rule of step ``i`` of ``trace`` reads at its position in the
+    derivation about ``v``: the coordinates the position fixes, then the
+    step's recorded side conditions."""
+    about = (v.context.p, v.context.n, v.level)
+    return {**_fixed_at(trace, i, about), **trace.steps[i].conditions()}
+
+
+def _at_p(rule_id, c, p):
+    """The values ``c`` the check of ``rule_id`` reads, with ``p`` rewritten,
+    and a halved-endpoints twist rewritten to its p-adic value
+    ``p^(n+level-1)(p-1)``."""
+    c = {**c, "p": p}
+    if rule_id == "halved-endpoints":
+        c["lower_twist"] = p ** (c["n"] + c["level"] - 1) * (p - 1)
+    return c
+
+
+def _conclusions(trace):
+    """The conclusion lines ``trace.render_text()`` prints, in order."""
+    prefix = "  conclusion: "
+    return [line[len(prefix):] for line in trace.render_text().split("\n") if line.startswith(prefix)]
 
 
 class TestNamedVariety:
@@ -216,14 +250,24 @@ class TestNamedVariety:
     and 0 <= k <= n; the rung rules of the halving induction only at p = 2."""
 
     @pytest.mark.parametrize("rule_id", list(RULE_CATALOG))
-    def test_lone_step_at_a_composite_fails_replay(self, rule_id):
-        step = _lone_steps()[rule_id]
-        assert step.replay()
-        assert not _step_at_p(step, 6).replay()
+    def test_step_at_a_composite_fails_replay(self, rule_id):
+        # the check rejects its position's values at p = 6, and the trace
+        # whose opening names p = 6 fails at the step's position: a rung or
+        # the point base by its rule, the others by their check
+        v, trace, i = _position_of(rule_id)
+        c = _reads_at(v, trace, i)
+        assert RULE_CATALOG[rule_id].check(c)
+        assert not RULE_CATALOG[rule_id].check(_at_p(rule_id, c, 6))
+        assert i in _rewritten_to_p(trace, 6).failing_steps()
+        assert not _rewritten_to_p(trace, 6).replay(v)
 
     @pytest.mark.parametrize("rule_id", _RUNG)
-    def test_lone_rung_step_at_an_odd_prime_fails_replay(self, rule_id):
-        assert not _step_at_p(_lone_steps()[rule_id], 3).replay()
+    def test_rung_step_at_an_odd_prime_fails_replay(self, rule_id):
+        v, trace, i = _position_of(rule_id)
+        assert not RULE_CATALOG[rule_id].check(_at_p(rule_id, _reads_at(v, trace, i), 3))
+        # at p = 3 the derivation holds no rung, so every rung position fails
+        odd = _rewritten_to_p(trace, 3)
+        assert i in odd.failing_steps() and not odd.replay(variety(3, 3, v.level))
 
     def test_rigidity_trace_at_a_composite_degree_fails_replay(self):
         trace = rigidity_judgment(variety(3, 2, 0)).trace
@@ -236,9 +280,9 @@ class TestNamedVariety:
         assert len(trace) == 1 and trace.replay()
         assert not _rewritten_to_p(trace, p).replay()
 
-    def test_lone_level_bound_at_a_composite_fails_replay(self):
-        assert not ProofStep("level-bound", (("p", 6), ("n", 2), ("k", 0), ("bound", -1))).replay()
-        assert ProofStep("level-bound", (("p", 5), ("n", 2), ("k", 0), ("bound", -1))).replay()
+    def test_opening_alone_at_a_composite_fails_replay(self):
+        assert not ProofTrace((ProofStep("level-bound", (("p", 6), ("n", 2), ("k", 0), ("bound", -1))),)).replay()
+        assert ProofTrace((ProofStep("level-bound", (("p", 5), ("n", 2), ("k", 0), ("bound", -1))),)).replay()
 
     def test_variety_swap_fails_replay_against_the_named_variety(self):
         # the one-step trace of (3, 2, 1) rewritten to a sound trace about
@@ -265,9 +309,11 @@ class TestNamedVariety:
         assert ProofTrace().failing_steps(variety(3, 2, 1)) == (0,)
 
 
-class TestLoneStepConjuncts:
+class TestStepConjuncts:
     """Each tamper breaks one conjunct of its rule's check and keeps every
-    other one true, so only that conjunct can reject it."""
+    other one true, so only that conjunct can reject it.  A recorded value is
+    tampered in the trace; a coordinate, which the step's position fixes, is
+    tampered by placing the step where the position fixes another value."""
 
     @pytest.mark.parametrize(
         "rule_id, name, tampered",
@@ -284,14 +330,42 @@ class TestLoneStepConjuncts:
         ],
     )
     def test_tamper_fails_replay(self, rule_id, name, tampered):
-        step = _lone_steps()[rule_id]
-        assert step.replay()
-        conditions = step.conditions()
-        assert conditions["n"] >= 1  # so k = 0 still names a variety
-        value = tampered(conditions)
-        assert value != conditions[name]
-        conditions[name] = value
-        assert not ProofStep(rule_id, tuple(conditions.items())).replay()
+        v, trace, i = _position_of(rule_id)
+        c = _reads_at(v, trace, i)
+        assert RULE_CATALOG[rule_id].check(c)
+        assert c["n"] >= 1  # so k = 0 still names a variety
+        value = tampered(c)
+        assert value != c[name]
+        assert not RULE_CATALOG[rule_id].check({**c, name: value})
+        if name in trace.steps[i].conditions():
+            step = trace.steps[i]
+            forged = ProofStep(rule_id, tuple((n, value if n == name else x) for n, x in step.side_conditions))
+            edited = _with_step(trace, i, forged)
+            assert edited.failing_steps(v) == (i,)
+            assert i in edited.failing_steps()
+
+    @pytest.mark.parametrize(
+        "pnk, closing, failing",
+        [
+            # rank-one-upper where the derived bound is 0
+            ((3, 2, 1), ("rank-one-upper",), (1,)),
+            # type-zero-transfer where the derived bound is 1
+            ((3, 2, 2), ("rational-cycle-persistence", "classical-summand-exclusion", "type-zero-transfer"), (3,)),
+            # classical-summand-exclusion at level 0, where the position calls for the classical base
+            ((3, 2, 0), ("rational-cycle-persistence", "classical-summand-exclusion", "type-zero-transfer"), (2,)),
+        ],
+        ids=["rank-one-upper-bound", "type-zero-transfer-bound", "classical-summand-exclusion-k"],
+    )
+    def test_closing_where_its_position_breaks_a_conjunct_fails_replay(self, pnk, closing, failing):
+        # each closing step is sound where the judgments about (2, 3, 1) put it
+        sound = {
+            step.rule_id: step
+            for judgment in (indecomposability_judgment, rigidity_judgment)
+            for step in judgment(variety(2, 3, 1)).trace.steps[len(type_bound(variety(2, 3, 1)).trace):]
+        }
+        steps = type_bound(variety(*pnk)).trace.steps
+        forged = ProofTrace(steps + tuple(sound[rule] for rule in closing))
+        assert forged.failing_steps() == forged.failing_steps(variety(*pnk)) == failing
 
     @pytest.mark.parametrize(
         "rule_id, conditions",
@@ -332,8 +406,32 @@ class TestLoneStepConjuncts:
         ],
     )
     def test_guard_alone_rejects(self, rule_id, conditions):
-        # every other conjunct of the check holds on these values
-        assert not ProofStep(rule_id, tuple(conditions.items())).replay()
+        # every other conjunct of the check holds on these values; no
+        # position of a derivation fixes the coordinates of the first seven
+        # (the point base sits at n = k, the closing at level 0 is the
+        # classical base, and the rungs sit at p = 2 and k < n), so a step of
+        # that rule fails replay wherever a trace puts it at those coordinates
+        assert not RULE_CATALOG[rule_id].check(conditions)
+
+    def test_guard_rejects_at_its_position(self):
+        # the last three guard cases placed in traces: the obstruction of
+        # (2, 3, 2) with the endpoint dimension edited, and a rung at
+        # exponent 2^64, which only the bit-length guards reject in time
+        trace = type_bound(variety(2, 3, 2)).trace
+        i = len(trace) - 1
+        forged = ProofStep("dimension-obstruction", (("product_dim", 8), ("endpoint_dim", 13)))
+        assert trace.steps[i].conditions() == {"product_dim": 8, "endpoint_dim": 12}
+        assert _with_step(trace, i, forged).failing_steps() == (i,)
+        n = 2**64
+        start = time.perf_counter()
+        huge = ProofTrace.from_json_obj([
+            _encoded_step("level-bound", p=2, n=n, k=n - 1, bound=n - 2),
+            _encoded_step("point-base", variety_dim=0),
+            _encoded_step("function-field-split", degree=4, split_degree=2, term_count=3, upper_twist=0, lower_twist=8),
+            _encoded_step("halved-endpoints", upper_twist=0, lower_twist=4),
+        ])
+        assert huge.failing_steps() == (2, 3, 4)
+        assert time.perf_counter() - start < 1.0
 
 
 def _off_by_one_survivors(bound_to_variety):
@@ -358,14 +456,14 @@ def _off_by_one_survivors(bound_to_variety):
 
 
 class TestConclusions:
-    """A step's conclusion is the catalog's rendering of its side conditions,
-    and its encoding holds no text: a decoded step that carries a conclusion
-    is rejected."""
+    """A step's conclusion is the catalog's rendering of its side conditions
+    at its position, and its encoding holds no text: a decoded step that
+    carries a conclusion is rejected."""
 
     def test_step_carrying_a_conclusion_fails_to_decode(self):
         trace = indecomposability_judgment(variety(2, 3, 1)).trace
-        for i, step in enumerate(trace):
-            for conclusion in (step.conclusion, "the motive decomposes into two summands"):
+        for i, rendered in enumerate(_conclusions(trace)):
+            for conclusion in (rendered, "the motive decomposes into two summands"):
                 encoded = trace.to_json_obj()
                 encoded[i]["conclusion"] = conclusion
                 with pytest.raises(DomainError, match="malformed trace encoding: .*conclusion"):
@@ -375,16 +473,18 @@ class TestConclusions:
         assert _off_by_one_survivors(bound_to_variety=True) == []
 
     def test_off_by_one_survivors_without_a_variety(self):
-        # A one-step trace (odd p, or level 0, with no closing) names its
-        # variety in its only step, so an edited p or n that still names a
-        # variety is a sound trace about that other variety; every other
-        # edit fails even without a variety.
+        # Only the opening names the variety, so where the type bound's
+        # derivation is the opening alone (odd p, or level 0), an edited p
+        # or n that still names a variety is a sound trace about that other
+        # variety, closing and all: the closing's steps record no coordinate.
+        # Every other edit fails even without a variety.
         survivors = _off_by_one_survivors(bound_to_variety=False)
-        assert len(survivors) == 177
-        assert {(length, rule_id, name) for _, _, _, length, rule_id, name, _ in survivors} == {
-            (1, "level-bound", "p"),
-            (1, "level-bound", "n"),
-        }
+        assert len(survivors) == 285
+        assert {(rule_id, name) for *_, rule_id, name, _ in survivors} == {("level-bound", "p"), ("level-bound", "n")}
+        # 177 in type bounds, 45 with the rank-one closing, 63 with the transfer closing
+        lengths = [length for _, _, _, length, *_ in survivors]
+        assert {length: lengths.count(length) for length in lengths} == {1: 177, 2: 45, 4: 63}
+        assert all(p != 2 or k == 0 for p, _, k, *_ in survivors)
 
     def test_building_and_replaying_render_no_text(self, monkeypatch):
         def refuse(conditions):
@@ -469,10 +569,95 @@ class TestConclusions:
         for (p, n, k), (indecomposable, rigid) in expected.items():
             v = variety(p, n, k)
             start = len(type_bound(v).trace)
-            closing = indecomposability_judgment(v).trace.steps[start:]
-            assert [step.conclusion for step in closing] == indecomposable
-            closing = rigidity_judgment(v).trace.steps[start:]
-            assert [step.conclusion for step in closing] == rigid
+            assert _conclusions(indecomposability_judgment(v).trace)[start:] == indecomposable
+            assert _conclusions(rigidity_judgment(v).trace)[start:] == rigid
+
+    def test_every_catalog_conclusion_renders(self):
+        # the three traces of every (p, n, k) with p in 2, 3 and n <= 3
+        # render the conclusion of every catalog rule, the closings' among them
+        rendered = {}
+        for v, trace in _judged_traces((2, 3), 3):
+            lines = trace.render_text().split("\n")
+            assert len(lines) == 4 * len(trace)
+            for header, conclusion in zip(lines[::4], lines[2::4]):
+                rule_id = header.split(": ", 1)[1]
+                assert conclusion.startswith("  conclusion: ") and len(conclusion) > len("  conclusion: ")
+                rendered.setdefault(rule_id, conclusion)
+        assert rendered.keys() == RULE_CATALOG.keys()
+        assert rendered["point-base"] == (
+            "  conclusion: at degree 2^1 the level-1 variety is a rational point; "
+            "no twist of the level-0 upper motive occurs"
+        )
+        assert rendered["halved-endpoints"] == (
+            "  conclusion: a surviving twist of the level-0 upper motive would contain the "
+            "half-degree level-0 upper motive untwisted and twisted by 2^1"
+        )
+
+    def test_a_trace_that_fails_replay_renders_nothing(self):
+        # the trace about (2, 3, 1) with its opening's n edited to 4, without
+        # its opening, and an empty trace
+        trace = rigidity_judgment(variety(2, 3, 1)).trace
+        encoded = trace.to_json_obj()
+        encoded[0]["conditions"]["n"] = "4"
+        for edited in (ProofTrace.from_json_obj(encoded), ProofTrace(trace.steps[1:]), ProofTrace()):
+            with pytest.raises(DomainError, match="fails replay at positions"):
+                edited.render_text()
+
+
+# The trace of (2, 3, 1) in the encoding where every step recorded its
+# variety: each rung step its p, exponent and k (or level), the point base
+# its p, n and k.
+_EVERY_STEP_NAMES_ITS_VARIETY = [
+    {"rule_id": "level-bound", "conditions": {"p": "2", "n": "3", "k": "1", "bound": "0"}},
+    {"rule_id": "point-base", "conditions": {"p": "2", "n": "1", "k": "1", "variety_dim": "0"}},
+    {"rule_id": "function-field-split", "conditions": {"p": "2", "n": "2", "k": "1", "degree": "4", "split_degree": "2", "term_count": "3", "upper_twist": "0", "lower_twist": "4"}},
+    {"rule_id": "halved-endpoints", "conditions": {"p": "2", "n": "2", "level": "0", "upper_twist": "0", "lower_twist": "2"}},
+    {"rule_id": "valuation-case-split", "conditions": {"p": "2", "n": "2", "k": "1", "required_level": "0", "candidate_0_i": "2", "candidate_0_j": "0", "candidate_1_i": "0", "candidate_1_j": "2", "candidate_2_i": "1", "candidate_2_j": "1"}},
+    {"rule_id": "dimension-obstruction", "conditions": {"p": "2", "n": "2", "k": "1", "product_dim": "2", "endpoint_dim": "3"}},
+    {"rule_id": "function-field-split", "conditions": {"p": "2", "n": "3", "k": "1", "degree": "8", "split_degree": "4", "term_count": "3", "upper_twist": "0", "lower_twist": "8"}},
+    {"rule_id": "halved-endpoints", "conditions": {"p": "2", "n": "3", "level": "0", "upper_twist": "0", "lower_twist": "4"}},
+    {"rule_id": "valuation-case-split", "conditions": {"p": "2", "n": "3", "k": "1", "required_level": "0", "candidate_0_i": "2", "candidate_0_j": "0", "candidate_1_i": "0", "candidate_1_j": "2", "candidate_2_i": "1", "candidate_2_j": "1"}},
+    {"rule_id": "dimension-obstruction", "conditions": {"p": "2", "n": "3", "k": "1", "product_dim": "6", "endpoint_dim": "7"}}
+]
+
+
+class TestPositionEncoding:
+    """Only the opening level bound records coordinates; every later step
+    records what its position does not fix, and a later step that records a
+    coordinate fails replay, even one equal to its position's."""
+
+    def test_no_step_after_the_opening_records_a_coordinate(self):
+        for v, trace in _judged_traces((2, 3, 5), 7):
+            assert trace.steps[0].conditions().keys() == {"p", "n", "k", "bound"}
+            for step in trace.steps[1:]:
+                assert not step.conditions().keys() & set(_COORDINATES), (v, step)
+
+    def test_a_recorded_coordinate_fails_replay(self):
+        # every later step of the three traces of each (p, n, k) in verify's
+        # N = 4 grid, with each coordinate added at its position's own value
+        for p, n, k, v in _small_varieties(4):
+            for derive in _DERIVES:
+                trace = derive(v).trace
+                for i in range(1, len(trace)):
+                    step, fixed = trace.steps[i], _fixed_at(trace, i, (p, n, k))
+                    for name in _COORDINATES:
+                        forged = ProofStep(step.rule_id, step.side_conditions + ((name, fixed[name]),))
+                        edited = _with_step(trace, i, forged)
+                        assert edited.failing_steps(v) == edited.failing_steps() == (i,), (p, n, k, i, name)
+
+    def test_a_trace_whose_later_steps_name_their_variety_fails_replay(self):
+        old = ProofTrace.from_json_obj(json.loads(json.dumps(_EVERY_STEP_NAMES_ITS_VARIETY)))
+        assert [step.rule_id for step in old] == [step.rule_id for step in type_bound(variety(2, 3, 1)).trace]
+        assert old.failing_steps() == old.failing_steps(variety(2, 3, 1)) == tuple(range(1, len(old)))
+        assert not old.replay() and not old.replay(variety(2, 3, 1))
+
+    def test_every_trace_of_the_grid_round_trips_and_replays(self):
+        for p, n, k, v in _small_varieties(7):
+            for derive in _DERIVES:
+                trace = derive(v).trace
+                decoded = ProofTrace.from_json_obj(json.loads(json.dumps(trace.to_json_obj())))
+                assert decoded == trace
+                assert decoded.replay() and decoded.replay(v), (p, n, k)
 
 
 class TestSharedPrefix:
@@ -533,8 +718,8 @@ class TestSideConditionValues:
     @pytest.mark.parametrize("rule_id, name, spelled", [
         ("function-field-split", "lower_twist", str),
         ("function-field-split", "lower_twist", float),
-        ("function-field-split", "p", float),
-        ("halved-endpoints", "level", str),
+        ("function-field-split", "degree", float),
+        ("halved-endpoints", "upper_twist", str),
         ("valuation-case-split", "candidate_2_i", float),
         ("dimension-obstruction", "product_dim", str),
         ("level-bound", "bound", float),
@@ -542,14 +727,15 @@ class TestSideConditionValues:
         ("level-bound", "k", str),
         ("level-bound", "n", float),
         ("level-bound", "p", bool),
+        ("level-bound", "p", float),
     ])
     def test_value_that_is_not_an_int_fails_its_position(self, rule_id, name, spelled):
         v = variety(2, 3, 1)
         trace = type_bound(v).trace
         i, step = next((i, step) for i, step in enumerate(trace) if step.rule_id == rule_id)
+        assert name in step.conditions()
         forged = ProofStep(rule_id, tuple((n, spelled(x) if n == name else x) for n, x in step.side_conditions))
         edited = _with_step(trace, i, forged)
-        assert forged.replay() is False
         assert edited.failing_steps(v) == (i,)
         # an opening whose p, n or k is not an int names no variety
         opening = i == 0 and name in ("p", "n", "k")
@@ -566,21 +752,8 @@ class TestSideConditionValues:
                     extra = ((name, repeat),)
                     conditions = extra + step.side_conditions if where == "first" else step.side_conditions + extra
                     forged = ProofStep(step.rule_id, conditions)
-                    assert forged.replay() is False
                     assert _with_step(trace, i, forged).failing_steps(v) == (i,)
-
-
-def _position_of(rule_id):
-    """``(variety, trace, i)``: the first step of ``rule_id`` in the judgments'
-    traces at p = 2, n = 3."""
-    for k in (0, 1):
-        v = variety(2, 3, k)
-        for judgment in (indecomposability_judgment, rigidity_judgment):
-            trace = judgment(v).trace
-            for i, step in enumerate(trace):
-                if step.rule_id == rule_id:
-                    return v, trace, i
-    raise AssertionError(f"no step of {rule_id}")
+                    assert i in _with_step(trace, i, forged).failing_steps()
 
 
 def _name_edits(step):
@@ -606,12 +779,12 @@ class TestSideConditionNames:
         for edit, conditions in _name_edits(trace.steps[i]):
             forged = ProofStep(rule_id, conditions)
             edited = _with_step(trace, i, forged)
-            assert forged.replay() is False, edit
             assert edited.failing_steps(v) == (i,), edit
             assert i in edited.failing_steps(), edit
 
     @pytest.mark.parametrize("rule_id", list(RULE_CATALOG))
     def test_each_check_reads_every_name_it_accepts(self, rule_id):
+        # every recorded name, and otherwise only coordinates of the position
         read = set()
 
         class Reading(dict):
@@ -619,10 +792,13 @@ class TestSideConditionNames:
                 read.add(name)
                 return super().__getitem__(name)
 
-        step = _lone_steps()[rule_id]
-        assert RULE_CATALOG[rule_id].check(Reading(step.side_conditions))
-        assert read == step.conditions().keys()
-        assert len(read) == type_calculus._READS[rule_id]
+        v, trace, i = _position_of(rule_id)
+        recorded = trace.steps[i].conditions().keys()
+        assert RULE_CATALOG[rule_id].check(Reading(_reads_at(v, trace, i)))
+        assert read >= recorded and read - recorded <= set(_COORDINATES)
+        assert len(recorded) == type_calculus._READS[rule_id]
+        # only the opening records a coordinate
+        assert (i == 0) == bool(recorded & set(_COORDINATES))
 
     def test_unread_name_in_a_decoded_trace_fails_replay(self):
         v = variety(2, 3, 1)
@@ -631,7 +807,8 @@ class TestSideConditionNames:
         decoded = ProofTrace.from_json_obj(encoded)
         assert decoded.failing_steps(v) == decoded.failing_steps() == (0,)
         assert not decoded.replay(v) and not decoded.replay()
-        assert not ProofStep("level-bound", (("p", 2), ("n", 3), ("k", 1), ("bound", 0), ("extra", 7))).replay()
+        opening = ProofStep("level-bound", (("p", 2), ("n", 3), ("k", 1), ("bound", 0), ("extra", 7)))
+        assert not ProofTrace((opening,)).replay()
 
 
 class TestJudgments:
@@ -728,8 +905,8 @@ class TestTraceSerialization:
     @pytest.mark.parametrize("repeat, shown", [("02", "'02'"), (2, "2"), (True, "True")])
     def test_a_later_spelling_of_a_decoded_value_is_rejected(self, repeat, shown):
         encoded = type_bound(variety(2, 3, 1)).trace.to_json_obj()
-        assert encoded[0]["conditions"]["p"] == encoded[1]["conditions"]["p"] == "2"
-        encoded[1]["conditions"]["p"] = repeat
+        assert encoded[0]["conditions"]["p"] == encoded[2]["conditions"]["split_degree"] == "2"
+        encoded[2]["conditions"]["split_degree"] = repeat
         with pytest.raises(DomainError) as raised:
             ProofTrace.from_json_obj(encoded)
         assert str(raised.value) == (
@@ -759,7 +936,7 @@ class TestReplayProperties:
     @given(two_primary, st.data())
     def test_any_side_condition_off_by_one_fails_replay(self, nk, data):
         encoded = rigidity_judgment(variety(2, *nk)).trace.to_json_obj()
-        entry = data.draw(st.sampled_from(encoded))
+        entry = data.draw(st.sampled_from([entry for entry in encoded if entry["conditions"]]))
         name = data.draw(st.sampled_from(sorted(entry["conditions"])))
         entry["conditions"][name] = str(int(entry["conditions"][name]) + data.draw(st.sampled_from((-1, 1))))
         assert not ProofTrace.from_json_obj(encoded).replay()
@@ -799,8 +976,8 @@ def _one_step_edits(steps):
 
 class TestRuleOrder:
     """Replay checks which rule sits at each position, not only what each
-    step records: every forged trace below passes each step's own rule check
-    and records the opening variety at every step."""
+    step records: every step of the forged traces below is taken from an
+    honest trace about the same variety, where it replays."""
 
     def test_rung_made_of_one_step_fails_replay(self):
         steps = type_bound(variety(2, 5, 2)).trace.steps
@@ -811,7 +988,7 @@ class TestRuleOrder:
             "dimension-obstruction",
         ]
         forged = ProofTrace(steps[:2] + (steps[5],) * 4 + steps[6:])
-        assert all(step.replay() for step in forged)
+        assert all(step in steps for step in forged)
         assert forged.failing_steps() == (2, 3, 4)
         assert not forged.replay()
 
@@ -865,7 +1042,7 @@ class TestHandEncodedTraces:
             trace = ProofTrace.from_json_obj(
                 [
                     _encoded_step("level-bound", p=2, n=3, k=3, bound=2),
-                    _encoded_step("point-base", p=2, n=3, k=3, variety_dim=dim),
+                    _encoded_step("point-base", variety_dim=dim),
                 ]
             )
             assert trace.failing_steps() == (1,)
@@ -876,7 +1053,7 @@ class TestHandEncodedTraces:
         trace = ProofTrace.from_json_obj(
             [
                 _encoded_step("level-bound", p=2, n=n, k=k, bound=k - 1),
-                _encoded_step("point-base", p=2, n=n, k=k, variety_dim=0),
+                _encoded_step("point-base", variety_dim=0),
             ]
         )
         assert trace.replay()
@@ -889,18 +1066,17 @@ class TestHandEncodedTraces:
         trace = ProofTrace.from_json_obj(
             [
                 _encoded_step("level-bound", p=2, n=n, k=k, bound=k - 1),
-                _encoded_step("point-base", p=2, n=k, k=k, variety_dim=0),
+                _encoded_step("point-base", variety_dim=0),
                 _encoded_step(
-                    "function-field-split", p=2, n=n, k=k, degree=4, split_degree=2,
-                    term_count=3, upper_twist=0, lower_twist=8,
+                    "function-field-split", degree=4, split_degree=2, term_count=3, upper_twist=0, lower_twist=8,
                 ),
-                _encoded_step("halved-endpoints", p=2, n=n, level=k - 1, upper_twist=0, lower_twist=4),
+                _encoded_step("halved-endpoints", upper_twist=0, lower_twist=4),
                 _encoded_step(
-                    "valuation-case-split", p=2, n=n, k=k, required_level=k - 1,
+                    "valuation-case-split", required_level=k - 1,
                     candidate_0_i=2, candidate_0_j=0, candidate_1_i=0, candidate_1_j=2,
                     candidate_2_i=1, candidate_2_j=1,
                 ),
-                _encoded_step("dimension-obstruction", p=2, n=n, k=k, product_dim=2, endpoint_dim=3),
+                _encoded_step("dimension-obstruction", product_dim=2, endpoint_dim=3),
             ]
         )
         assert trace.failing_steps() == (2, 3, 4, 5)
