@@ -32,10 +32,10 @@ for p in (2, 3):
         row = [type_bound(SBVariety(DivisionContext(p, n), k)).bound for k in range(n + 1)]
         print(f"  p={p}, n={n}: bounds by level {row}")
 
-# Every derivation carries a replayable trace.  The opening level bound records
-# the variety (p, n, k) and its bound; every later step records only the
-# numbers its position in the derivation does not fix, since the position
-# already fixes p, the exponent n, k, the level k - 1 and the bound.  Its JSON
+# Every derivation carries a replayable trace.  Each step sits at a position
+# (p, n, k, bound) of the derivation: the variety, with n the step's exponent,
+# and the type bound.  The opening level bound records its position; every
+# later step records only the numbers its position does not fix.  Its JSON
 # holds just the rule id and those conditions.  Each conclusion comes from the
 # fixed catalog, rendered below at the step's position, and each citation too;
 # the CLI's JSON lists each citation once, under "rules".  replay(variety)

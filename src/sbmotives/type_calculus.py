@@ -18,12 +18,12 @@ count.
 Every derivation is returned as a :class:`ProofTrace`: an ordered list of
 steps whose numeric side conditions are re-checked at their positions in the
 derivation, with no access to engine state (:meth:`ProofTrace.replay`).  Two
-generators, the type bound's and a closing's, fix the rule and subject of
-each position: its variety ``(p, n, k)``, its exponent, the level ``k - 1``
-the induction excludes and the type bound.  Only the opening level bound
-records its variety and bound, and a trace replayed with no variety given is
-about the variety its opening names; every later step records only what its
-position does not fix, and one that records ``p``, ``n``, ``k``, ``level`` or
+generators, the type bound's and a closing's, fix the rule of each step and
+its position, one tuple ``(p, n, k, bound)``: the variety, with ``n`` the
+step's exponent, and the type bound.  Only the opening level bound records
+its position, and a trace replayed with no variety given is about the
+variety its opening names; every later step records only what its position
+does not fix, and one that records ``p``, ``n``, ``k``, ``level`` or
 ``bound`` fails replay.  A trace is recorded when it is first read, so a
 caller that wants only the bound or the verdict records nothing.  The traces
 about one variety share their recorded steps: the type bound's trace is
@@ -42,20 +42,20 @@ rather than memoized away, so traces are self-contained.  Recording fills in
 side conditions along the positions from each rule's catalog row
 (:attr:`Rule.record`), and replay walks them once, checking that each
 position holds the rule it calls for there and that the rule's check accepts
-the step's side conditions with the position's coordinates
-(:meth:`ProofTrace.failing_steps`).  The four rung rules of the halving
-induction are ``p = 2`` rules, and their checks require ``p = 2``; every
-other rule checks its variety through the engine, by building the
-:class:`SBVariety` (``p`` prime, ``0 <= k <= n``), so an opening about an
-algebra that does not exist fails replay, and so does a step that names a
-side condition twice or one its rule's check does not read, or records a
-value that is not an ``int``.  Decoding reads integers only from canonical
-decimal strings, as :meth:`ProofTrace.to_json_obj` writes them, parsing each
-one once.  Every rule check is closed form, so replaying the trace of level
-``k`` and exponent ``n`` takes time linear in ``n - k``.  A check builds a
-power only after the bit length of a recorded value allows it, so a decoded
-trace costs time in the size of its encoding, however large the exponents
-it names.
+the step's side conditions at that position (:meth:`ProofTrace.failing_steps`).
+The four rung rules of the halving induction are ``p = 2`` rules, and their
+checks require ``p = 2``; every other rule checks its variety through the
+engine, by building the :class:`SBVariety` (``p`` prime, ``0 <= k <= n``),
+so an opening about an algebra that does not exist fails replay, and so
+does an opening that records another position than its own, or a step that
+names a side condition twice or one its rule's check does not read, or
+records a value that is not an ``int``.  Decoding reads integers only from
+canonical decimal strings, as :meth:`ProofTrace.to_json_obj` writes them,
+parsing each one once.  Every rule check is closed form, so replaying the
+trace of level ``k`` and exponent ``n`` takes time linear in ``n - k``.  A
+check builds a power only after the bit length of a recorded value allows
+it, so a decoded trace costs time in the size of its encoding, however large
+the exponents it names.
 """
 
 from __future__ import annotations
@@ -95,20 +95,22 @@ class Rule(Record):
     """A named inference rule, one row of :data:`RULE_CATALOG`.
 
     ``citation`` is the rule's statement followed by its source in brackets.
-    ``record(p, n, k, bound)`` is what a step records at a position of
-    exponent ``n``, in encoding order: the opening level bound records its
-    variety and bound, every later step only what its position does not fix.
-    ``check`` re-evaluates the recorded side conditions together with the
-    coordinates of the step's position; it is what :meth:`ProofTrace.replay`
-    runs, and replay never calls ``record``.  ``template`` states the
-    conclusion a step draws from the same values, never formatting a power.
+    Each callable takes a position ``(p, n, k, bound)``: the variety
+    ``(p, n, k)`` with ``n`` the position's exponent, and the type bound.
+    ``record(p, n, k, bound)`` is what a step records there, in encoding
+    order: the opening level bound records its position, every later step
+    only what its position does not fix.  ``check(c, p, n, k, bound)``
+    re-evaluates the recorded side conditions ``c`` at the position; it is
+    what :meth:`ProofTrace.replay` runs, and replay never calls ``record``.
+    ``template(c, p, n, k, bound)`` states the conclusion a step draws from
+    the same values, never formatting a power.
     """
 
     rule_id: str
     citation: str
     record: Callable[[int, int, int, int], dict[str, int]]
-    check: Callable[[Conditions], bool]
-    template: Callable[[Conditions], str]
+    check: Callable[[Conditions, int, int, int, int], bool]
+    template: Callable[[Conditions, int, int, int, int], str]
 
 
 def _power_fits(value: int, exponent: int) -> bool:
@@ -118,27 +120,26 @@ def _power_fits(value: int, exponent: int) -> bool:
     return exponent < value.bit_length()
 
 
-def _names_variety(c: Conditions) -> bool:
+def _names_variety(p: int, n: int, k: int) -> bool:
     """Whether ``(p, n, k)`` name a variety the engine builds: ``p`` prime
     and ``0 <= k <= n``."""
     try:
-        SBVariety(DivisionContext(c["p"], c["n"]), c["k"])
+        SBVariety(DivisionContext(p, n), k)
     except DomainError:
         return False
     return True
 
 
-def _check_level_bound(c: Conditions) -> bool:
-    return _names_variety(c) and c["bound"] == c["k"] - 1
+def _check_level_bound(c: Conditions, p: int, n: int, k: int, bound: int) -> bool:
+    return (c["p"], c["n"], c["k"], c["bound"]) == (p, n, k, bound) and _names_variety(p, n, k) and bound == k - 1
 
 
-def _check_point_base(c: Conditions) -> bool:
+def _check_point_base(c: Conditions, p: int, n: int, k: int, bound: int) -> bool:
     # p^k * (p^n - p^k) vanishes exactly when k = n
-    return _names_variety(c) and c["k"] == c["n"] and c["variety_dim"] == 0
+    return _names_variety(p, n, k) and k == n and c["variety_dim"] == 0
 
 
-def _check_function_field_split(c: Conditions) -> bool:
-    p, n, k = c["p"], c["n"], c["k"]
+def _check_function_field_split(c: Conditions, p: int, n: int, k: int, bound: int) -> bool:
     if p != 2 or not 1 <= k < n or not _power_fits(c["lower_twist"], n + k - 1):
         return False
     return (
@@ -150,15 +151,14 @@ def _check_function_field_split(c: Conditions) -> bool:
     )
 
 
-def _check_halved_endpoints(c: Conditions) -> bool:
-    p, n, level = c["p"], c["n"], c["level"]
-    if p != 2 or not 0 <= level < n or not _power_fits(c["lower_twist"], n + level - 1):
+def _check_halved_endpoints(c: Conditions, p: int, n: int, k: int, bound: int) -> bool:
+    # the excluded level is k - 1
+    if p != 2 or not 1 <= k <= n or not _power_fits(c["lower_twist"], n + k - 2):
         return False
-    return c["upper_twist"] == 0 and c["lower_twist"] == 1 << (n + level - 1)
+    return c["upper_twist"] == 0 and c["lower_twist"] == 1 << (n + k - 2)
 
 
-def _check_valuation_case_split(c: Conditions) -> bool:
-    p, n, k = c["p"], c["n"], c["k"]
+def _check_valuation_case_split(c: Conditions, p: int, n: int, k: int, bound: int) -> bool:
     if p != 2 or not 1 <= k < n:
         return False
     if c["required_level"] != k - 1:
@@ -177,8 +177,7 @@ def _check_valuation_case_split(c: Conditions) -> bool:
     return recorded == {(0, m), (step, step), (m, 0)}
 
 
-def _check_dimension_obstruction(c: Conditions) -> bool:
-    p, n, k = c["p"], c["n"], c["k"]
+def _check_dimension_obstruction(c: Conditions, p: int, n: int, k: int, bound: int) -> bool:
     if p != 2 or not 1 <= k <= n or not _power_fits(c["endpoint_dim"], n + k - 2):
         return False
     # product_dim < endpoint_dim follows from these, as 2^(2k-1) > 2^(2k-2)
@@ -188,20 +187,20 @@ def _check_dimension_obstruction(c: Conditions) -> bool:
     )
 
 
-def _check_rank_one_upper(c: Conditions) -> bool:
-    return _names_variety(c) and c["bound"] <= -1 and c["ch0_rank"] == 1
+def _check_rank_one_upper(c: Conditions, p: int, n: int, k: int, bound: int) -> bool:
+    return _names_variety(p, n, k) and bound <= -1 and c["ch0_rank"] == 1
 
 
-def _check_classical_summand_exclusion(c: Conditions) -> bool:
-    return _names_variety(c) and c["k"] >= 1
+def _check_classical_summand_exclusion(c: Conditions, p: int, n: int, k: int, bound: int) -> bool:
+    return _names_variety(p, n, k) and k >= 1
 
 
-def _check_classical_base(c: Conditions) -> bool:
-    return _names_variety(c) and c["k"] == 0
+def _check_classical_base(c: Conditions, p: int, n: int, k: int, bound: int) -> bool:
+    return _names_variety(p, n, k) and k == 0
 
 
-def _check_type_zero_transfer(c: Conditions) -> bool:
-    return _names_variety(c) and c["bound"] <= 0
+def _check_type_zero_transfer(c: Conditions, p: int, n: int, k: int, bound: int) -> bool:
+    return _names_variety(p, n, k) and bound <= 0
 
 
 RULE_CATALOG: dict[str, Rule] = {
@@ -217,10 +216,7 @@ RULE_CATALOG: dict[str, Rule] = {
             "k - 1. [theory of upper motives]",
             lambda p, n, k, bound: {"p": p, "n": n, "k": k, "bound": bound},
             _check_level_bound,
-            lambda c: (
-                f"the level-{c['k']} variety of the degree-{c['p']}^{c['n']} algebra "
-                f"is of type {c['bound']}"
-            ),
+            lambda c, p, n, k, bound: f"the level-{k} variety of the degree-{p}^{n} algebra is of type {bound}",
         ),
         Rule(
             "point-base",
@@ -230,9 +226,9 @@ RULE_CATALOG: dict[str, Rule] = {
             "[geometry of ideal varieties]",
             lambda p, n, k, bound: {"variety_dim": 0},
             _check_point_base,
-            lambda c: (
-                f"at degree {c['p']}^{c['n']} the level-{c['k']} variety is a rational point; "
-                f"no twist of the level-{c['k'] - 1} upper motive occurs"
+            lambda c, p, n, k, bound: (
+                f"at degree {p}^{n} the level-{k} variety is a rational point; "
+                f"no twist of the level-{k - 1} upper motive occurs"
             ),
         ),
         Rule(
@@ -247,8 +243,8 @@ RULE_CATALOG: dict[str, Rule] = {
                 "term_count": (1 << k) + 1, "upper_twist": 0, "lower_twist": 1 << (n + k - 1),
             },
             _check_function_field_split,
-            lambda c: (
-                f"the motive of the level-{c['k']} variety of the degree-{c['p']}^{c['n']} "
+            lambda c, p, n, k, bound: (
+                f"the motive of the level-{k} variety of the degree-{p}^{n} "
                 f"algebra splits over the half-degree function field into "
                 f"{c['term_count']} twisted products"
             ),
@@ -261,10 +257,9 @@ RULE_CATALOG: dict[str, Rule] = {
             "and twisted by 2^(n+l-1). [endpoint summands of the split decomposition]",
             lambda p, n, k, bound: {"upper_twist": 0, "lower_twist": 1 << (n + k - 2)},
             _check_halved_endpoints,
-            lambda c: (
-                f"a surviving twist of the level-{c['level']} upper motive would contain the "
-                f"half-degree level-{c['level']} upper motive untwisted and twisted by "
-                f"2^{c['n'] + c['level'] - 1}"
+            lambda c, p, n, k, bound: (
+                f"a surviving twist of the level-{k - 1} upper motive would contain the "
+                f"half-degree level-{k - 1} upper motive untwisted and twisted by 2^{n + k - 2}"
             ),
         ),
         Rule(
@@ -280,11 +275,10 @@ RULE_CATALOG: dict[str, Rule] = {
                 "candidate_2_i": 1 << (k - 1), "candidate_2_j": 1 << (k - 1),
             },
             _check_valuation_case_split,
-            lambda c: (
-                f"only the factors indexed by (2^{c['k']}, 0), (0, 2^{c['k']}) and "
-                f"(2^{c['k'] - 1}, 2^{c['k'] - 1}) can carry a "
-                f"level-{c['required_level']} summand; "
-                f"the first two are the level-{c['k']} motive of the half-degree "
+            lambda c, p, n, k, bound: (
+                f"only the factors indexed by (2^{k}, 0), (0, 2^{k}) and "
+                f"(2^{k - 1}, 2^{k - 1}) can carry a level-{c['required_level']} summand; "
+                f"the first two are the level-{k} motive of the half-degree "
                 f"algebra, excluded by the induction hypothesis above"
             ),
         ),
@@ -297,10 +291,10 @@ RULE_CATALOG: dict[str, Rule] = {
             "exist, so the variety is of type k - 2. [dimension count]",
             lambda p, n, k, bound: dict(zip(("product_dim", "endpoint_dim"), dimension_obstruction(n, k))),
             _check_dimension_obstruction,
-            lambda c: (
+            lambda c, p, n, k, bound: (
                 f"the remaining factor has dimension {c['product_dim']} < "
-                f"{c['endpoint_dim']}; no twist of the level-{c['k'] - 1} upper motive "
-                f"occurs at degree {c['p']}^{c['n']}, so the variety is of type {c['k'] - 2}"
+                f"{c['endpoint_dim']}; no twist of the level-{k - 1} upper motive "
+                f"occurs at degree {p}^{n}, so the variety is of type {k - 2}"
             ),
         ),
         Rule(
@@ -310,7 +304,7 @@ RULE_CATALOG: dict[str, Rule] = {
             "is exactly one summand and the motive is indecomposable. [theory of upper motives]",
             lambda p, n, k, bound: {"ch0_rank": 1},
             _check_rank_one_upper,
-            lambda c: (
+            lambda c, p, n, k, bound: (
                 "type -1 leaves only the upper motive, and the rank-one degree-zero "
                 "Chow group allows a single summand: the motive is indecomposable"
             ),
@@ -323,8 +317,8 @@ RULE_CATALOG: dict[str, Rule] = {
             "count of rational classes depends only on (p, n, k). "
             "[rationality of cycles on products with the classical variety]",
             lambda p, n, k, bound: {},
-            _names_variety,
-            lambda c: (
+            lambda c, p, n, k, bound: _names_variety(p, n, k),
+            lambda c, p, n, k, bound: (
                 "rational cycle counts on the product with the classical variety "
                 "are unchanged by division-preserving extensions"
             ),
@@ -337,7 +331,7 @@ RULE_CATALOG: dict[str, Rule] = {
             "extension. [rigidity of classical summands]",
             lambda p, n, k, bound: {},
             _check_classical_summand_exclusion,
-            lambda c: (
+            lambda c, p, n, k, bound: (
                 "no twist of the classical variety's motive enters the upper "
                 "motive under a division-preserving extension"
             ),
@@ -349,7 +343,7 @@ RULE_CATALOG: dict[str, Rule] = {
             "division-preserving extension. [classical Severi-Brauer rigidity]",
             lambda p, n, k, bound: {},
             _check_classical_base,
-            lambda c: (
+            lambda c, p, n, k, bound: (
                 "the variety is the classical Severi-Brauer variety itself; "
                 "its motive stays indecomposable"
             ),
@@ -363,8 +357,8 @@ RULE_CATALOG: dict[str, Rule] = {
             "only on (p, n, k), which such extensions preserve. [type-zero transfer principle]",
             lambda p, n, k, bound: {},
             _check_type_zero_transfer,
-            lambda c: (
-                f"the derived bound {c['bound']} <= 0 holds over every "
+            lambda c, p, n, k, bound: (
+                f"the derived bound {bound} <= 0 holds over every "
                 "division-preserving extension; motivic decompositions lift"
             ),
         ),
@@ -377,10 +371,9 @@ class ProofStep(Record):
 
     The rule id must name a catalog rule.  A step holds nothing else: its
     citation is the catalog's, and its conclusion is rendered from the side
-    conditions and its position's coordinates by
-    :meth:`ProofTrace.render_text`; neither is encoded.  A step is checked
-    and rendered only at a position of a derivation, which fixes its
-    variety, exponent and bound.
+    conditions at its position by :meth:`ProofTrace.render_text`; neither is
+    encoded.  A step is checked and rendered only at a position of a
+    derivation, which fixes its variety, exponent and bound.
     """
 
     rule_id: str
@@ -402,36 +395,28 @@ class ProofStep(Record):
 
 # The type of every recorded value: a str, a float or a bool fails replay.
 _INT_TYPE = frozenset((int,))
-# How many names each rule's step records: its check reads these and the
-# coordinates of the step's position, none of which a later step records.
+# How many names each rule's step records; its check reads these and its
+# position, which no later step records.
 _READS = {"level-bound": 4, "point-base": 1, "function-field-split": 5, "halved-endpoints": 2, "rank-one-upper": 1,
           "valuation-case-split": 7, "dimension-obstruction": 2, "rational-cycle-persistence": 0,
           "classical-summand-exclusion": 0, "classical-base": 0, "type-zero-transfer": 0}
 
 
-def _read(step: ProofStep, fixed: Conditions) -> dict[str, int]:
-    """The values the rule of ``step`` reads at a position whose
-    coordinates are ``fixed``: those coordinates and the recorded side
-    conditions, as one dict."""
-    c = dict(fixed)
-    c.update(step.side_conditions)
-    return c
-
-
-def _holds(step: ProofStep, fixed: Conditions) -> bool:
-    """Whether the rule of ``step`` accepts its side conditions at a
-    position whose coordinates are ``fixed`` (:func:`_read`).  A step that
-    repeats a name, records a coordinate of its position, names another
-    number than its rule's check reads (``_READS``, counted from the checks,
-    not the recorders), or records a value that is not an ``int``, fails
-    first; one lacking a name fails."""
-    c, count = _read(step, fixed), _READS[step.rule_id]  # a check reads all of its names to accept
-    if len(step.side_conditions) != count or len(c) != len(fixed) + count:
+def _holds(step: ProofStep, position: tuple[int, int, int, int]) -> bool:
+    """Whether the rule of ``step`` accepts its side conditions at
+    ``position``, a ``(p, n, k, bound)``.  A step that repeats a name, names
+    another number than its rule's check reads (``_READS``, counted from the
+    checks, not the recorders), or records a value that is not an ``int``,
+    fails first; one lacking a name fails.  So a later step that records
+    ``p``, ``n``, ``k``, ``level`` or ``bound``, besides its own names or in
+    place of one, fails."""
+    c = step.conditions()  # a check reads all of its names to accept
+    if not len(c) == len(step.side_conditions) == _READS[step.rule_id]:
         return False
     if not _INT_TYPE.issuperset(map(type, c.values())):
         return False
     try:
-        return bool(RULE_CATALOG[step.rule_id].check(c))
+        return bool(RULE_CATALOG[step.rule_id].check(c, *position))
     except KeyError:
         return False
 
@@ -440,56 +425,55 @@ _STEP_KEYS = frozenset(("rule_id", "conditions"))
 _RUNG = ("function-field-split", "halved-endpoints", "valuation-case-split", "dimension-obstruction")
 
 
-def _derivation(p: int, n: int, k: int) -> Iterator[tuple[str, int, int]]:
-    """The rule id, exponent and type bound of each position of the type
+def _derivation(p: int, n: int, k: int) -> Iterator[tuple[str, tuple[int, int, int, int]]]:
+    """The rule id and position ``(p, m, k, bound)`` of each step of the type
     bound's derivation about the level-``k`` variety of the degree-``p^n``
-    algebra; a judgment's :func:`_closing` follows it.
+    algebra, ``m`` the step's exponent; a judgment's :func:`_closing` follows it.
 
-    The level bound opens it at bound ``k - 1``.  At ``p = 2`` and ``k >= 1``
-    the point base and one ``_RUNG`` per exponent ``k+1..n`` follow, and the
-    bound is ``k - 2`` from there on.  Only rule ids and subjects are fixed
-    here, never side-condition values, so the rule checks stay independent of
-    the builders.  Lazy, so a consumer pays for the positions it reads.
+    The level bound opens it at ``(p, n, k, k - 1)``.  At ``p = 2`` and
+    ``k >= 1`` the point base and one ``_RUNG`` per exponent ``k+1..n``
+    follow, and the bound is ``k - 2`` from there on.  Only rule ids and
+    positions are fixed here, never side-condition values, so the rule checks
+    stay independent of the builders.  Lazy, so a consumer pays for the
+    positions it reads.
     """
-    bound = k - 1
-    yield "level-bound", n, bound
+    yield "level-bound", (p, n, k, k - 1)
     if p == 2 and 1 <= k <= n:
-        bound = k - 2
-        yield "point-base", k, bound
+        yield "point-base", (p, k, k, k - 2)
         for m in range(k + 1, n + 1):
+            position = (p, m, k, k - 2)
             for rule in _RUNG:
-                yield rule, m, bound
+                yield rule, position
 
 
-def _closing(n: int, k: int, bound: int, first_rule: str) -> Iterator[tuple[str, int, int]]:
-    """The positions of the closing that ``first_rule`` names after :func:`_derivation`, at
-    exponent ``n``, level ``k`` and the derived ``bound``; none for a rule that opens no closing."""
+def _closing(p: int, n: int, k: int, bound: int, first_rule: str) -> Iterator[tuple[str, tuple[int, int, int, int]]]:
+    """The steps of the closing that ``first_rule`` names after :func:`_derivation`, all at
+    the position ``(p, n, k, bound)`` of the derived ``bound``; none for a rule that opens no closing."""
+    position = (p, n, k, bound)
     if first_rule == "rank-one-upper":
-        yield first_rule, n, bound
+        yield first_rule, position
     elif first_rule == "rational-cycle-persistence":
-        yield first_rule, n, bound
-        yield ("classical-summand-exclusion" if k >= 1 else "classical-base"), n, bound
-        yield "type-zero-transfer", n, bound
+        yield first_rule, position
+        yield ("classical-summand-exclusion" if k >= 1 else "classical-base"), position
+        yield "type-zero-transfer", position
 
 
-def _placed(steps: tuple[ProofStep, ...], p: int, n: int, k: int) -> Iterator[tuple[str, Conditions]]:
-    """The rule the position of each of ``steps`` calls for in the derivation
-    about ``(p, n, k)`` (:func:`_derivation`, then the :func:`_closing` the
-    first step past it names), and the coordinates that position fixes: none
-    at the opening level bound, which records its own, and ``p``, ``n`` (the
-    position's exponent), ``k``, ``level = k - 1`` and ``bound`` at every
-    later one.  A step past the derivation's end gets the rule ``""``.  One
-    more item follows the steps when the derivation goes on past them."""
+def _placed(steps: tuple[ProofStep, ...], p: int, n: int, k: int) -> Iterator[tuple[str, tuple[int, int, int, int]]]:
+    """The rule and position of each of ``steps`` in the derivation about
+    ``(p, n, k)``: :func:`_derivation`, then the :func:`_closing` the first
+    step past it names.  A step past the derivation's end gets the rule
+    ``""``.  One more item follows the steps when the derivation goes on past
+    them."""
     positions, closing = _derivation(p, n, k), None
-    for i, step in enumerate(steps):
-        position = next(positions, None)
-        if position is None and closing is None:  # the type bound's positions are done
-            positions = closing = _closing(n, k, bound, step.rule_id)
-            position = next(positions, None)
-        rule, m, bound = position or ("", m, bound)
-        yield rule, ({"p": p, "n": m, "k": k, "level": k - 1, "bound": bound} if i else {})
+    for step in steps:
+        placed = next(positions, None)
+        if placed is None and closing is None:  # the type bound's positions are done; the last holds its bound
+            positions = closing = _closing(p, n, k, position[3], step.rule_id)
+            placed = next(positions, None)
+        rule, position = placed or ("", position)
+        yield rule, position
     if next(positions, None):
-        yield "", {}
+        yield "", ()
 
 
 def _named(steps: tuple[ProofStep, ...]) -> tuple[int, int, int] | None:
@@ -522,28 +506,26 @@ class ProofTrace(Record):
 
     def failing_steps(self, variety: SBVariety | None = None) -> tuple[int, ...]:
         """Positions where replay fails: a step whose rule is not the one its
-        position calls for, or whose side conditions do not re-check with
-        the coordinates its position fixes (:func:`_placed`); and
-        ``len(self)`` when the derivation stops short, so 0 for an empty
-        trace.  Only the opening level bound records ``p``, ``n``, ``k`` and
-        ``bound``; a later step that records any coordinate fails.  The
-        trace is about ``variety`` when one is given, so an opening that
-        names another ``(p, n, k)`` fails; otherwise it is about the variety
-        its opening names, and a trace whose opening ``p`` or ``n`` was
-        edited to another variety with a derivation of the same shape is a
-        sound trace about that variety.  An opening whose ``p``, ``n`` or
-        ``k`` is not an ``int`` names no variety, so every position fails."""
-        steps, named = self.steps, _named(self.steps)
-        if variety is not None:
-            about = (variety.context.p, variety.context.n, variety.level)
-        elif named is None:
+        position calls for, or whose side conditions do not re-check at that
+        position (:func:`_placed`); and ``len(self)`` when the derivation
+        stops short, so 0 for an empty trace.  The opening level bound
+        records its position ``(p, n, k, bound)`` and fails unless it records
+        exactly that; a later step that records any of ``p``, ``n``, ``k``,
+        ``level`` or ``bound`` fails.  The trace is about ``variety`` when
+        one is given, so an opening that names another ``(p, n, k)`` fails;
+        otherwise it is about the variety its opening names, and a trace
+        whose opening ``p`` or ``n`` was edited to another variety with a
+        derivation of the same shape is a sound trace about that variety.
+        An opening whose ``p``, ``n`` or ``k`` is not an ``int`` names no
+        variety, so every position fails."""
+        steps = self.steps
+        about = (variety.context.p, variety.context.n, variety.level) if variety is not None else _named(steps)
+        if about is None:
             return tuple(range(len(steps))) or (0,)
-        else:
-            about = named
         placed = _placed(steps, *about)
         failing = [
-            i for i, (step, (rule, fixed)) in enumerate(zip(steps, placed))
-            if step.rule_id != rule or not _holds(step, fixed) or (not i and named != about)
+            i for i, (step, (rule, position)) in enumerate(zip(steps, placed))
+            if step.rule_id != rule or not _holds(step, position)
         ]
         return tuple(failing) + ((len(steps),) if next(placed, None) else ())
 
@@ -555,12 +537,12 @@ class ProofTrace(Record):
         failing = self.failing_steps()
         if failing:
             raise DomainError(f"the trace fails replay at positions {list(failing)}, so it renders no conclusions")
-        lines = []
-        for index, (step, (_, fixed)) in enumerate(zip(self.steps, _placed(self.steps, *_named(self.steps))), start=1):
+        lines, placed = [], _placed(self.steps, *_named(self.steps))
+        for index, (step, (_, position)) in enumerate(zip(self.steps, placed), start=1):
             conds = "".join(f" {name}={value}" for name, value in step.side_conditions)
             lines.append(f"step {index}: {step.rule_id}")
             lines.append(f"  conditions:{conds}")
-            lines.append(f"  conclusion: {RULE_CATALOG[step.rule_id].template(_read(step, fixed))}")
+            lines.append(f"  conclusion: {RULE_CATALOG[step.rule_id].template(step.conditions(), *position)}")
             lines.append(f"  citation: {step.citation}")
         return "\n".join(lines)
 
@@ -663,12 +645,10 @@ class TypeBound(Record):
         return RigidityStatus.UNKNOWN
 
 
-def _record(p: int, k: int, positions: Iterator[tuple[str, int, int]]) -> tuple[ProofStep, ...]:
+def _record(positions: Iterator[tuple[str, tuple[int, int, int, int]]]) -> tuple[ProofStep, ...]:
     """Each position recorded from its catalog row; the only caller of
     :attr:`Rule.record`."""
-    return tuple([
-        ProofStep(rule, tuple(RULE_CATALOG[rule].record(p, m, k, bound).items())) for rule, m, bound in positions
-    ])
+    return tuple([ProofStep(rule, tuple(RULE_CATALOG[rule].record(*position).items())) for rule, position in positions])
 
 
 # The type bound's trace about each (p, n, k), while any trace about that
@@ -682,7 +662,7 @@ def _prefix(variety: SBVariety) -> ProofTrace:
     p, n, k = key = variety.context.p, variety.context.n, variety.level
     prefix = _PREFIXES.get(key)
     if prefix is None:
-        prefix = _PREFIXES[key] = ProofTrace(_record(p, k, _derivation(p, n, k)))
+        prefix = _PREFIXES[key] = ProofTrace(_record(_derivation(p, n, k)))
     return prefix
 
 
@@ -695,7 +675,7 @@ def type_bound(variety: SBVariety) -> TypeBound:
     """
     # Each rung keeps the bound of the point base before it, so the first
     # two positions (the level bound, then the point base if any) fix it.
-    for _, _, bound in islice(_derivation(variety.context.p, variety.context.n, variety.level), 2):
+    for _, (_, _, _, bound) in islice(_derivation(variety.context.p, variety.context.n, variety.level), 2):
         pass
     return TypeBound(variety, bound)
 
@@ -722,7 +702,7 @@ class Judgment(Record):
         if closing is None:
             return prefix
         p, n, k = self.variety.context.p, self.variety.context.n, self.variety.level
-        trace = ProofTrace(prefix.steps + _record(p, k, _closing(n, k, self.bound, closing)))
+        trace = ProofTrace(prefix.steps + _record(_closing(p, n, k, self.bound, closing)))
         # not a field, so equality and encoding ignore it: while this trace
         # lives, the prefix stays registered for the other traces about it
         set_field(trace, "_extends", prefix)

@@ -31,7 +31,7 @@ def variety(p, n, k):
     return SBVariety(DivisionContext(p, n), k)
 
 
-_DERIVATION = type_calculus._derivation  # unwrapped: the positions a walk should draw
+_DERIVATION = type_calculus._derivation  # unwrapped: the (rule_id, position) pairs a walk should draw
 
 
 @pytest.fixture()
@@ -119,14 +119,14 @@ class TestTypeBound:
         # recorded dimensions are the ones at that exponent
         trace = type_bound(variety(2, 3, 1)).trace
         positions = list(_DERIVATION(2, 3, 1))
-        assert [s.rule_id for s in trace] == [rule for rule, _, _ in positions]
-        assert [m for rule, m, _ in positions if rule == "dimension-obstruction"] == [2, 3]
+        assert [s.rule_id for s in trace] == [rule for rule, _ in positions]
+        assert [m for rule, (_, m, _, _) in positions if rule == "dimension-obstruction"] == [2, 3]
         obstruction_steps = [s for s in trace if s.rule_id == "dimension-obstruction"]
         assert [s.conditions() for s in obstruction_steps] == [
             {"product_dim": 2, "endpoint_dim": 3},
             {"product_dim": 6, "endpoint_dim": 7},
         ]
-        assert trace.steps[-1].rule_id == "dimension-obstruction" and positions[-1][1] == 3
+        assert trace.steps[-1].rule_id == "dimension-obstruction" and positions[-1][1] == (2, 3, 1, -1)
 
     def test_point_case_has_base_only_trace(self):
         trace = type_bound(variety(2, 4, 4)).trace
@@ -212,31 +212,36 @@ def _position_of(rule_id):
     raise AssertionError(f"no step of {rule_id}")
 
 
-_COORDINATES = ("p", "n", "k", "level", "bound")
+# The names of a position's values, and the names no step after the opening
+# may record: those and the level k - 1 the halving induction excludes.
+_POSITION = ("p", "n", "k", "bound")
+_COORDINATES = _POSITION + ("level",)
 
 
 def _fixed_at(trace, i, about):
-    """The coordinates position ``i`` of the derivation about ``about``
-    fixes for the step there."""
+    """The position ``(p, n, k, bound)`` of step ``i`` in the derivation
+    about ``about``."""
     return next(islice(type_calculus._placed(trace.steps, *about), i, None))[1]
 
 
 def _reads_at(v, trace, i):
-    """What the rule of step ``i`` of ``trace`` reads at its position in the
-    derivation about ``v``: the coordinates the position fixes, then the
-    step's recorded side conditions."""
+    """``(recorded, position)``: what the check of step ``i`` of ``trace``
+    reads at its place in the derivation about ``v``, the step's recorded
+    side conditions and its position."""
     about = (v.context.p, v.context.n, v.level)
-    return {**_fixed_at(trace, i, about), **trace.steps[i].conditions()}
+    return trace.steps[i].conditions(), _fixed_at(trace, i, about)
 
 
-def _at_p(rule_id, c, p):
-    """The values ``c`` the check of ``rule_id`` reads, with ``p`` rewritten,
-    and a halved-endpoints twist rewritten to its p-adic value
-    ``p^(n+level-1)(p-1)``."""
-    c = {**c, "p": p}
+def _at_p(rule_id, recorded, position, p):
+    """``(recorded, position)`` with the position's ``p`` rewritten, and the
+    opening's recorded ``p`` with it, and a halved-endpoints twist rewritten
+    to its p-adic value ``p^(n+k-2)(p-1)``."""
+    _, n, k, bound = position
+    if "p" in recorded:
+        recorded = {**recorded, "p": p}
     if rule_id == "halved-endpoints":
-        c["lower_twist"] = p ** (c["n"] + c["level"] - 1) * (p - 1)
-    return c
+        recorded = {**recorded, "lower_twist": p ** (n + k - 2) * (p - 1)}
+    return recorded, (p, n, k, bound)
 
 
 def _conclusions(trace):
@@ -255,16 +260,18 @@ class TestNamedVariety:
         # whose opening names p = 6 fails at the step's position: a rung or
         # the point base by its rule, the others by their check
         v, trace, i = _position_of(rule_id)
-        c = _reads_at(v, trace, i)
-        assert RULE_CATALOG[rule_id].check(c)
-        assert not RULE_CATALOG[rule_id].check(_at_p(rule_id, c, 6))
+        recorded, position = _reads_at(v, trace, i)
+        assert RULE_CATALOG[rule_id].check(recorded, *position)
+        recorded, position = _at_p(rule_id, recorded, position, 6)
+        assert not RULE_CATALOG[rule_id].check(recorded, *position)
         assert i in _rewritten_to_p(trace, 6).failing_steps()
         assert not _rewritten_to_p(trace, 6).replay(v)
 
     @pytest.mark.parametrize("rule_id", _RUNG)
     def test_rung_step_at_an_odd_prime_fails_replay(self, rule_id):
         v, trace, i = _position_of(rule_id)
-        assert not RULE_CATALOG[rule_id].check(_at_p(rule_id, _reads_at(v, trace, i), 3))
+        recorded, position = _at_p(rule_id, *_reads_at(v, trace, i), 3)
+        assert not RULE_CATALOG[rule_id].check(recorded, *position)
         # at p = 3 the derivation holds no rung, so every rung position fails
         odd = _rewritten_to_p(trace, 3)
         assert i in odd.failing_steps() and not odd.replay(variety(3, 3, v.level))
@@ -286,15 +293,21 @@ class TestNamedVariety:
 
     def test_variety_swap_fails_replay_against_the_named_variety(self):
         # the one-step trace of (3, 2, 1) rewritten to a sound trace about
-        # (5, 3, 1): it replays on its own, but not as a trace about (3, 2, 1)
-        encoded = type_bound(variety(3, 2, 1)).trace.to_json_obj()
-        assert encoded == [{"rule_id": "level-bound", "conditions": {"p": "3", "n": "2", "k": "1", "bound": "0"}}]
-        encoded[0]["conditions"].update(p="5", n="3", k="1", bound="0")
-        swapped = ProofTrace.from_json_obj(encoded)
-        assert swapped.replay()
-        assert not swapped.replay(SBVariety(DivisionContext(3, 2), 1))
-        assert swapped.failing_steps(variety(3, 2, 1)) == (0,)
-        assert swapped.replay(variety(5, 3, 1))
+        # (5, 3, 1): it replays on its own, but not as a trace about (3, 2, 1).
+        # So does each edit of one recorded value that still names a variety:
+        # against (3, 2, 1) the opening fails, and on its own the trace
+        # replays exactly when its bound is k - 1 of the variety it names.
+        for edit in (dict(p="5", n="3"), dict(p="5"), dict(n="3"), dict(k="2"), dict(k="0"), dict(bound="-1")):
+            encoded = type_bound(variety(3, 2, 1)).trace.to_json_obj()
+            assert encoded == [{"rule_id": "level-bound", "conditions": {"p": "3", "n": "2", "k": "1", "bound": "0"}}]
+            encoded[0]["conditions"].update(edit)
+            swapped = ProofTrace.from_json_obj(encoded)
+            p, n, k, bound = (int(value) for value in encoded[0]["conditions"].values())
+            sound = bound == k - 1
+            assert swapped.replay() == sound, edit
+            assert not swapped.replay(SBVariety(DivisionContext(3, 2), 1)), edit
+            assert swapped.failing_steps(variety(3, 2, 1)) == (0,), edit
+            assert swapped.replay(variety(p, n, k)) == sound, edit
 
     def test_named_variety_fixes_every_position(self):
         # Against a given variety, each position is checked from that
@@ -312,8 +325,9 @@ class TestNamedVariety:
 class TestStepConjuncts:
     """Each tamper breaks one conjunct of its rule's check and keeps every
     other one true, so only that conjunct can reject it.  A recorded value is
-    tampered in the trace; a coordinate, which the step's position fixes, is
-    tampered by placing the step where the position fixes another value."""
+    tampered in the trace; a value of the step's position is tampered by
+    placing the step where the position holds another value.  The opening
+    records its position, so its bound is tampered in both."""
 
     @pytest.mark.parametrize(
         "rule_id, name, tampered",
@@ -331,12 +345,18 @@ class TestStepConjuncts:
     )
     def test_tamper_fails_replay(self, rule_id, name, tampered):
         v, trace, i = _position_of(rule_id)
-        c = _reads_at(v, trace, i)
-        assert RULE_CATALOG[rule_id].check(c)
+        recorded, position = _reads_at(v, trace, i)
+        check = RULE_CATALOG[rule_id].check
+        assert check(recorded, *position)
+        c = {**dict(zip(_POSITION, position)), **recorded}
         assert c["n"] >= 1  # so k = 0 still names a variety
         value = tampered(c)
         assert value != c[name]
-        assert not RULE_CATALOG[rule_id].check({**c, name: value})
+        if name in _POSITION:
+            position = tuple(value if coordinate == name else x for coordinate, x in zip(_POSITION, position))
+        if name in recorded:
+            recorded = {**recorded, name: value}
+        assert not check(recorded, *position)
         if name in trace.steps[i].conditions():
             step = trace.steps[i]
             forged = ProofStep(rule_id, tuple((n, value if n == name else x) for n, x in step.side_conditions))
@@ -368,50 +388,53 @@ class TestStepConjuncts:
         assert forged.failing_steps() == forged.failing_steps(variety(*pnk)) == failing
 
     @pytest.mark.parametrize(
-        "rule_id, conditions",
+        "rule_id, recorded, position",
         [
-            pytest.param(rule_id, conditions, id=case)
-            for case, rule_id, conditions in (
-                ("point-base-k-below-n", "point-base", dict(p=2, n=3, k=1, variety_dim=0)),
-                ("classical-base-k-positive", "classical-base", dict(p=2, n=3, k=1)),
+            pytest.param(rule_id, recorded, position, id=case)
+            for case, rule_id, recorded, position in (
+                ("point-base-k-below-n", "point-base", dict(variety_dim=0), (2, 3, 1, -1)),
+                ("classical-base-k-positive", "classical-base", {}, (2, 3, 1, -1)),
                 (
                     "function-field-split-k-zero", "function-field-split",
-                    dict(p=2, n=3, k=0, degree=8, split_degree=4, term_count=2, upper_twist=0, lower_twist=4),
+                    dict(degree=8, split_degree=4, term_count=2, upper_twist=0, lower_twist=4), (2, 3, 0, -2),
                 ),
-                ("halved-endpoints-odd-p", "halved-endpoints", dict(p=3, n=3, level=1, upper_twist=0, lower_twist=8)),
-                ("halved-endpoints-level-n", "halved-endpoints", dict(p=2, n=3, level=3, upper_twist=0, lower_twist=32)),
+                # the excluded level k - 1 is 1, n = 3 and -1
+                ("halved-endpoints-odd-p", "halved-endpoints", dict(upper_twist=0, lower_twist=8), (3, 3, 2, 0)),
+                ("halved-endpoints-level-n", "halved-endpoints", dict(upper_twist=0, lower_twist=32), (2, 3, 4, 2)),
+                ("halved-endpoints-level-negative", "halved-endpoints", dict(upper_twist=0, lower_twist=2), (2, 3, 0, -2)),
                 (
                     "valuation-case-split-k-n", "valuation-case-split",
                     dict(
-                        p=2, n=3, k=3, required_level=2, candidate_0_i=8, candidate_0_j=0,
+                        required_level=2, candidate_0_i=8, candidate_0_j=0,
                         candidate_1_i=0, candidate_1_j=8, candidate_2_i=4, candidate_2_j=4,
                     ),
+                    (2, 3, 3, 1),
                 ),
                 (
                     "dimension-obstruction-k-above-n", "dimension-obstruction",
-                    dict(p=2, n=3, k=5, product_dim=-384, endpoint_dim=-128),
+                    dict(product_dim=-384, endpoint_dim=-128), (2, 3, 5, 3),
                 ),
                 (
                     "dimension-obstruction-endpoint_dim", "dimension-obstruction",
-                    dict(p=2, n=3, k=2, product_dim=8, endpoint_dim=13),
+                    dict(product_dim=8, endpoint_dim=13), (2, 3, 2, 0),
                 ),
                 # n = 2^64 makes 2^n unbuildable: only the bit-length guard
                 # keeps the check from raising instead of answering
                 (
                     "function-field-split-power", "function-field-split",
-                    dict(p=2, n=2**64, k=1, degree=4, split_degree=2, term_count=3, upper_twist=0, lower_twist=8),
+                    dict(degree=4, split_degree=2, term_count=3, upper_twist=0, lower_twist=8), (2, 2**64, 1, -1),
                 ),
-                ("halved-endpoints-power", "halved-endpoints", dict(p=2, n=2**64, level=1, upper_twist=0, lower_twist=4)),
+                ("halved-endpoints-power", "halved-endpoints", dict(upper_twist=0, lower_twist=4), (2, 2**64, 2, 0)),
             )
         ],
     )
-    def test_guard_alone_rejects(self, rule_id, conditions):
+    def test_guard_alone_rejects(self, rule_id, recorded, position):
         # every other conjunct of the check holds on these values; no
-        # position of a derivation fixes the coordinates of the first seven
-        # (the point base sits at n = k, the closing at level 0 is the
-        # classical base, and the rungs sit at p = 2 and k < n), so a step of
-        # that rule fails replay wherever a trace puts it at those coordinates
-        assert not RULE_CATALOG[rule_id].check(conditions)
+        # derivation puts a step of the first eight at its position (the
+        # point base sits at n = k, the closing at level 0 is the classical
+        # base, and the rungs sit at p = 2 and k < n), so a step of that
+        # rule fails replay wherever a trace puts it at that position
+        assert not RULE_CATALOG[rule_id].check(recorded, *position)
 
     def test_guard_rejects_at_its_position(self):
         # the last three guard cases placed in traces: the obstruction of
@@ -639,7 +662,8 @@ class TestPositionEncoding:
             for derive in _DERIVES:
                 trace = derive(v).trace
                 for i in range(1, len(trace)):
-                    step, fixed = trace.steps[i], _fixed_at(trace, i, (p, n, k))
+                    step, position = trace.steps[i], _fixed_at(trace, i, (p, n, k))
+                    fixed = dict(zip(_POSITION, position), level=position[2] - 1)
                     for name in _COORDINATES:
                         forged = ProofStep(step.rule_id, step.side_conditions + ((name, fixed[name]),))
                         edited = _with_step(trace, i, forged)
@@ -784,7 +808,8 @@ class TestSideConditionNames:
 
     @pytest.mark.parametrize("rule_id", list(RULE_CATALOG))
     def test_each_check_reads_every_name_it_accepts(self, rule_id):
-        # every recorded name, and otherwise only coordinates of the position
+        # every recorded name, and nothing else, since the position comes
+        # as arguments
         read = set()
 
         class Reading(dict):
@@ -793,9 +818,10 @@ class TestSideConditionNames:
                 return super().__getitem__(name)
 
         v, trace, i = _position_of(rule_id)
-        recorded = trace.steps[i].conditions().keys()
-        assert RULE_CATALOG[rule_id].check(Reading(_reads_at(v, trace, i)))
-        assert read >= recorded and read - recorded <= set(_COORDINATES)
+        c, position = _reads_at(v, trace, i)
+        recorded = c.keys()
+        assert RULE_CATALOG[rule_id].check(Reading(c), *position)
+        assert read == recorded
         assert len(recorded) == type_calculus._READS[rule_id]
         # only the opening records a coordinate
         assert (i == 0) == bool(recorded & set(_COORDINATES))
