@@ -43,13 +43,16 @@ side conditions along the positions from each rule's catalog row
 (:attr:`Rule.record`), and replay walks them once, checking that each
 position holds the rule it calls for there and that the rule's check accepts
 the step's side conditions at that position (:meth:`ProofTrace.failing_steps`).
-The four rung rules of the halving induction are ``p = 2`` rules, and their
-checks require ``p = 2``; every other rule checks its variety through the
-engine, by building the :class:`SBVariety` (``p`` prime, ``0 <= k <= n``),
-so an opening about an algebra that does not exist fails replay, and so
-does an opening that records another position than its own, or a step that
-names a side condition twice or one its rule's check does not read, or
-records a value that is not an ``int``.  Decoding reads integers only from
+A check runs only where :func:`_derivation` or :func:`_closing` place its
+rule, and tests only what that position leaves open: the four rung rules sit
+only at ``p = 2`` and ``1 <= k < n``, so their checks test neither.  Replay
+checks the variety once, where it is named: a given :class:`SBVariety` is
+already valid, and with none given the opening must name one the engine
+builds (``p`` prime, ``0 <= k <= n``), or every position fails.  So an
+opening about an algebra that does not exist fails replay, and so does an
+opening that records another position than its own, or a step that names a
+side condition twice or one its rule's check does not read, or records a
+value that is not an ``int``.  Decoding reads integers only from
 canonical decimal strings, as :meth:`ProofTrace.to_json_obj` writes them,
 parsing each one once.  Every rule check is closed form, so replaying the
 trace of level ``k`` and exponent ``n`` takes time linear in ``n - k``.  A
@@ -102,6 +105,9 @@ class Rule(Record):
     only what its position does not fix.  ``check(c, p, n, k, bound)``
     re-evaluates the recorded side conditions ``c`` at the position; it is
     what :meth:`ProofTrace.replay` runs, and replay never calls ``record``.
+    It is meaningful only at a position where the derivation places the rule
+    and about a variety the engine builds, and tests only what the position
+    leaves open; a rule its position decides accepts whatever it is given.
     ``template(c, p, n, k, bound)`` states the conclusion a step draws from
     the same values, never formatting a power.
     """
@@ -130,17 +136,8 @@ def _names_variety(p: int, n: int, k: int) -> bool:
     return True
 
 
-def _check_level_bound(c: Conditions, p: int, n: int, k: int, bound: int) -> bool:
-    return (c["p"], c["n"], c["k"], c["bound"]) == (p, n, k, bound) and _names_variety(p, n, k) and bound == k - 1
-
-
-def _check_point_base(c: Conditions, p: int, n: int, k: int, bound: int) -> bool:
-    # p^k * (p^n - p^k) vanishes exactly when k = n
-    return _names_variety(p, n, k) and k == n and c["variety_dim"] == 0
-
-
 def _check_function_field_split(c: Conditions, p: int, n: int, k: int, bound: int) -> bool:
-    if p != 2 or not 1 <= k < n or not _power_fits(c["lower_twist"], n + k - 1):
+    if not _power_fits(c["lower_twist"], n + k - 1):
         return False
     return (
         c["degree"] == 1 << n
@@ -153,14 +150,12 @@ def _check_function_field_split(c: Conditions, p: int, n: int, k: int, bound: in
 
 def _check_halved_endpoints(c: Conditions, p: int, n: int, k: int, bound: int) -> bool:
     # the excluded level is k - 1
-    if p != 2 or not 1 <= k <= n or not _power_fits(c["lower_twist"], n + k - 2):
+    if not _power_fits(c["lower_twist"], n + k - 2):
         return False
     return c["upper_twist"] == 0 and c["lower_twist"] == 1 << (n + k - 2)
 
 
 def _check_valuation_case_split(c: Conditions, p: int, n: int, k: int, bound: int) -> bool:
-    if p != 2 or not 1 <= k < n:
-        return False
     if c["required_level"] != k - 1:
         return False
     recorded = {
@@ -178,29 +173,13 @@ def _check_valuation_case_split(c: Conditions, p: int, n: int, k: int, bound: in
 
 
 def _check_dimension_obstruction(c: Conditions, p: int, n: int, k: int, bound: int) -> bool:
-    if p != 2 or not 1 <= k <= n or not _power_fits(c["endpoint_dim"], n + k - 2):
+    if not _power_fits(c["endpoint_dim"], n + k - 2):
         return False
     # product_dim < endpoint_dim follows from these, as 2^(2k-1) > 2^(2k-2)
     return (
         c["product_dim"] == (1 << (n + k - 1)) - (1 << (2 * k - 1))
         and c["endpoint_dim"] == (1 << (n + k - 1)) - (1 << (2 * k - 2))
     )
-
-
-def _check_rank_one_upper(c: Conditions, p: int, n: int, k: int, bound: int) -> bool:
-    return _names_variety(p, n, k) and bound <= -1 and c["ch0_rank"] == 1
-
-
-def _check_classical_summand_exclusion(c: Conditions, p: int, n: int, k: int, bound: int) -> bool:
-    return _names_variety(p, n, k) and k >= 1
-
-
-def _check_classical_base(c: Conditions, p: int, n: int, k: int, bound: int) -> bool:
-    return _names_variety(p, n, k) and k == 0
-
-
-def _check_type_zero_transfer(c: Conditions, p: int, n: int, k: int, bound: int) -> bool:
-    return _names_variety(p, n, k) and bound <= 0
 
 
 RULE_CATALOG: dict[str, Rule] = {
@@ -215,7 +194,7 @@ RULE_CATALOG: dict[str, Rule] = {
             "so it occurs exactly once and untwisted.  The variety is of type "
             "k - 1. [theory of upper motives]",
             lambda p, n, k, bound: {"p": p, "n": n, "k": k, "bound": bound},
-            _check_level_bound,
+            lambda c, p, n, k, bound: (c["p"], c["n"], c["k"], c["bound"]) == (p, n, k, bound),
             lambda c, p, n, k, bound: f"the level-{k} variety of the degree-{p}^{n} algebra is of type {bound}",
         ),
         Rule(
@@ -225,7 +204,8 @@ RULE_CATALOG: dict[str, Rule] = {
             "positive level can occur, so the induction starts for free. "
             "[geometry of ideal varieties]",
             lambda p, n, k, bound: {"variety_dim": 0},
-            _check_point_base,
+            # p^k * (p^n - p^k) vanishes exactly when k = n, where the point base sits
+            lambda c, p, n, k, bound: c["variety_dim"] == 0,
             lambda c, p, n, k, bound: (
                 f"at degree {p}^{n} the level-{k} variety is a rational point; "
                 f"no twist of the level-{k - 1} upper motive occurs"
@@ -303,7 +283,7 @@ RULE_CATALOG: dict[str, Rule] = {
             "upper motive; the degree-zero Chow group has rank one, so there "
             "is exactly one summand and the motive is indecomposable. [theory of upper motives]",
             lambda p, n, k, bound: {"ch0_rank": 1},
-            _check_rank_one_upper,
+            lambda c, p, n, k, bound: bound <= -1 and c["ch0_rank"] == 1,
             lambda c, p, n, k, bound: (
                 "type -1 leaves only the upper motive, and the rank-one degree-zero "
                 "Chow group allows a single summand: the motive is indecomposable"
@@ -317,7 +297,7 @@ RULE_CATALOG: dict[str, Rule] = {
             "count of rational classes depends only on (p, n, k). "
             "[rationality of cycles on products with the classical variety]",
             lambda p, n, k, bound: {},
-            lambda c, p, n, k, bound: _names_variety(p, n, k),
+            lambda c, p, n, k, bound: True,
             lambda c, p, n, k, bound: (
                 "rational cycle counts on the product with the classical variety "
                 "are unchanged by division-preserving extensions"
@@ -330,7 +310,7 @@ RULE_CATALOG: dict[str, Rule] = {
             "classical Severi-Brauer variety under a division-preserving "
             "extension. [rigidity of classical summands]",
             lambda p, n, k, bound: {},
-            _check_classical_summand_exclusion,
+            lambda c, p, n, k, bound: True,
             lambda c, p, n, k, bound: (
                 "no twist of the classical variety's motive enters the upper "
                 "motive under a division-preserving extension"
@@ -342,7 +322,7 @@ RULE_CATALOG: dict[str, Rule] = {
             "algebra is indecomposable and stays indecomposable under every "
             "division-preserving extension. [classical Severi-Brauer rigidity]",
             lambda p, n, k, bound: {},
-            _check_classical_base,
+            lambda c, p, n, k, bound: True,
             lambda c, p, n, k, bound: (
                 "the variety is the classical Severi-Brauer variety itself; "
                 "its motive stays indecomposable"
@@ -356,7 +336,7 @@ RULE_CATALOG: dict[str, Rule] = {
             "extension are defined over the base.  The derived bound depends "
             "only on (p, n, k), which such extensions preserve. [type-zero transfer principle]",
             lambda p, n, k, bound: {},
-            _check_type_zero_transfer,
+            lambda c, p, n, k, bound: bound <= 0,
             lambda c, p, n, k, bound: (
                 f"the derived bound {bound} <= 0 holds over every "
                 "division-preserving extension; motivic decompositions lift"
@@ -404,15 +384,16 @@ _READS = {"level-bound": 4, "point-base": 1, "function-field-split": 5, "halved-
 
 def _holds(step: ProofStep, position: tuple[int, int, int, int]) -> bool:
     """Whether the rule of ``step`` accepts its side conditions at
-    ``position``, a ``(p, n, k, bound)``.  A step that repeats a name, names
-    another number than its rule's check reads (``_READS``, counted from the
-    checks, not the recorders), or records a value that is not an ``int``,
-    fails first; one lacking a name fails.  So a later step that records
-    ``p``, ``n``, ``k``, ``level`` or ``bound``, besides its own names or in
-    place of one, fails."""
-    c = step.conditions()  # a check reads all of its names to accept
-    if not len(c) == len(step.side_conditions) == _READS[step.rule_id]:
+    ``position``, a ``(p, n, k, bound)``.  A step that records another
+    number of names than its rule's check reads (``_READS``, counted from
+    the checks, not the recorders), or a value that is not an ``int``, fails
+    first; one lacking a name fails, so does one that repeats a name with the
+    count kept, since it lacks another.  So a later step that records ``p``,
+    ``n``, ``k``, ``level`` or ``bound``, besides its own names or in place
+    of one, fails."""
+    if len(step.side_conditions) != _READS[step.rule_id]:
         return False
+    c = step.conditions()  # a check reads all of its names to accept
     if not _INT_TYPE.issuperset(map(type, c.values())):
         return False
     try:
@@ -478,12 +459,14 @@ def _placed(steps: tuple[ProofStep, ...], p: int, n: int, k: int) -> Iterator[tu
 
 def _named(steps: tuple[ProofStep, ...]) -> tuple[int, int, int] | None:
     """The ``(p, n, k)`` the opening level bound of ``steps`` records, or
-    None when ``steps`` open with no level bound recording an ``int`` for each."""
+    None when ``steps`` open with no level bound recording an ``int`` for
+    each that together name a variety the engine builds.  The one place
+    replay checks a variety: a given one is already valid."""
     if not steps or steps[0].rule_id != "level-bound":
         return None
     opening = steps[0].conditions()
     named = opening.get("p"), opening.get("n"), opening.get("k")
-    return named if _INT_TYPE.issuperset(map(type, named)) else None
+    return named if _INT_TYPE.issuperset(map(type, named)) and _names_variety(*named) else None
 
 
 class ProofTrace(Record):
@@ -516,8 +499,9 @@ class ProofTrace(Record):
         otherwise it is about the variety its opening names, and a trace
         whose opening ``p`` or ``n`` was edited to another variety with a
         derivation of the same shape is a sound trace about that variety.
-        An opening whose ``p``, ``n`` or ``k`` is not an ``int`` names no
-        variety, so every position fails."""
+        An opening whose ``p``, ``n`` or ``k`` is not an ``int``, or that
+        names no variety the engine builds, fails every position, and
+        nothing more."""
         steps = self.steps
         about = (variety.context.p, variety.context.n, variety.level) if variety is not None else _named(steps)
         if about is None:

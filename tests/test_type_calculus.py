@@ -232,18 +232,6 @@ def _reads_at(v, trace, i):
     return trace.steps[i].conditions(), _fixed_at(trace, i, about)
 
 
-def _at_p(rule_id, recorded, position, p):
-    """``(recorded, position)`` with the position's ``p`` rewritten, and the
-    opening's recorded ``p`` with it, and a halved-endpoints twist rewritten
-    to its p-adic value ``p^(n+k-2)(p-1)``."""
-    _, n, k, bound = position
-    if "p" in recorded:
-        recorded = {**recorded, "p": p}
-    if rule_id == "halved-endpoints":
-        recorded = {**recorded, "lower_twist": p ** (n + k - 2) * (p - 1)}
-    return recorded, (p, n, k, bound)
-
-
 def _conclusions(trace):
     """The conclusion lines ``trace.render_text()`` prints, in order."""
     prefix = "  conclusion: "
@@ -251,27 +239,25 @@ def _conclusions(trace):
 
 
 class TestNamedVariety:
-    """Replay accepts only a variety the engine itself would build: p prime
-    and 0 <= k <= n; the rung rules of the halving induction only at p = 2."""
+    """Replay with no variety given accepts only an opening that names a
+    variety the engine itself would build, p prime and 0 <= k <= n, and
+    fails every position of any other trace.  The rung rules of the halving
+    induction sit only at p = 2, so at an odd prime each fails by its rule."""
 
     @pytest.mark.parametrize("rule_id", list(RULE_CATALOG))
     def test_step_at_a_composite_fails_replay(self, rule_id):
-        # the check rejects its position's values at p = 6, and the trace
-        # whose opening names p = 6 fails at the step's position: a rung or
-        # the point base by its rule, the others by their check
+        # the trace whose opening names p = 6 names no variety, so it fails
+        # at every position, the step's among them; against its own variety
+        # its opening fails
         v, trace, i = _position_of(rule_id)
         recorded, position = _reads_at(v, trace, i)
         assert RULE_CATALOG[rule_id].check(recorded, *position)
-        recorded, position = _at_p(rule_id, recorded, position, 6)
-        assert not RULE_CATALOG[rule_id].check(recorded, *position)
         assert i in _rewritten_to_p(trace, 6).failing_steps()
         assert not _rewritten_to_p(trace, 6).replay(v)
 
     @pytest.mark.parametrize("rule_id", _RUNG)
     def test_rung_step_at_an_odd_prime_fails_replay(self, rule_id):
         v, trace, i = _position_of(rule_id)
-        recorded, position = _at_p(rule_id, *_reads_at(v, trace, i), 3)
-        assert not RULE_CATALOG[rule_id].check(recorded, *position)
         # at p = 3 the derivation holds no rung, so every rung position fails
         odd = _rewritten_to_p(trace, 3)
         assert i in odd.failing_steps() and not odd.replay(variety(3, 3, v.level))
@@ -327,7 +313,8 @@ class TestStepConjuncts:
     other one true, so only that conjunct can reject it.  A recorded value is
     tampered in the trace; a value of the step's position is tampered by
     placing the step where the position holds another value.  The opening
-    records its position, so its bound is tampered in both."""
+    records its position, whose bound is always k - 1, so only its recorded
+    bound is tampered."""
 
     @pytest.mark.parametrize(
         "rule_id, name, tampered",
@@ -338,7 +325,6 @@ class TestStepConjuncts:
                 ("function-field-split", "term_count", lambda c: c["term_count"] + 1),
                 ("rank-one-upper", "bound", lambda c: 0),
                 ("type-zero-transfer", "bound", lambda c: 1),
-                ("classical-summand-exclusion", "k", lambda c: 0),
                 ("level-bound", "bound", lambda c: c["k"]),
             )
         ],
@@ -349,13 +335,12 @@ class TestStepConjuncts:
         check = RULE_CATALOG[rule_id].check
         assert check(recorded, *position)
         c = {**dict(zip(_POSITION, position)), **recorded}
-        assert c["n"] >= 1  # so k = 0 still names a variety
         value = tampered(c)
         assert value != c[name]
-        if name in _POSITION:
-            position = tuple(value if coordinate == name else x for coordinate, x in zip(_POSITION, position))
         if name in recorded:
             recorded = {**recorded, name: value}
+        else:
+            position = tuple(value if coordinate == name else x for coordinate, x in zip(_POSITION, position))
         assert not check(recorded, *position)
         if name in trace.steps[i].conditions():
             step = trace.steps[i]
@@ -373,19 +358,47 @@ class TestStepConjuncts:
             ((3, 2, 2), ("rational-cycle-persistence", "classical-summand-exclusion", "type-zero-transfer"), (3,)),
             # classical-summand-exclusion at level 0, where the position calls for the classical base
             ((3, 2, 0), ("rational-cycle-persistence", "classical-summand-exclusion", "type-zero-transfer"), (2,)),
+            # the classical base at level 1, where the position calls for the summand exclusion
+            ((3, 2, 1), ("rational-cycle-persistence", "classical-base", "type-zero-transfer"), (2,)),
         ],
-        ids=["rank-one-upper-bound", "type-zero-transfer-bound", "classical-summand-exclusion-k"],
+        ids=["rank-one-upper-bound", "type-zero-transfer-bound", "classical-summand-exclusion-k", "classical-base-k"],
     )
     def test_closing_where_its_position_breaks_a_conjunct_fails_replay(self, pnk, closing, failing):
-        # each closing step is sound where the judgments about (2, 3, 1) put it
+        # each closing step is sound where the judgments about (2, 3, 1) or
+        # (2, 3, 0) put it
         sound = {
             step.rule_id: step
+            for v in (variety(2, 3, 1), variety(2, 3, 0))
             for judgment in (indecomposability_judgment, rigidity_judgment)
-            for step in judgment(variety(2, 3, 1)).trace.steps[len(type_bound(variety(2, 3, 1)).trace):]
+            for step in judgment(v).trace.steps[len(type_bound(v).trace):]
         }
         steps = type_bound(variety(*pnk)).trace.steps
         forged = ProofTrace(steps + tuple(sound[rule] for rule in closing))
         assert forged.failing_steps() == forged.failing_steps(variety(*pnk)) == failing
+
+    @pytest.mark.parametrize(
+        "rule_id, recorded, position",
+        [
+            pytest.param(rule_id, recorded, position, id=case)
+            for case, rule_id, recorded, position in (
+                (
+                    "dimension-obstruction-endpoint_dim", "dimension-obstruction",
+                    dict(product_dim=8, endpoint_dim=13), (2, 3, 2, 0),
+                ),
+                # n = 2^64 makes 2^n unbuildable: only the bit-length guard
+                # keeps the check from raising instead of answering
+                (
+                    "function-field-split-power", "function-field-split",
+                    dict(degree=4, split_degree=2, term_count=3, upper_twist=0, lower_twist=8), (2, 2**64, 1, -1),
+                ),
+                ("halved-endpoints-power", "halved-endpoints", dict(upper_twist=0, lower_twist=4), (2, 2**64, 2, 0)),
+            )
+        ],
+    )
+    def test_guard_alone_rejects(self, rule_id, recorded, position):
+        # every other conjunct of the check holds on these values, each at a
+        # position where the derivation places a step of that rule
+        assert not RULE_CATALOG[rule_id].check(recorded, *position)
 
     @pytest.mark.parametrize(
         "rule_id, recorded, position",
@@ -414,30 +427,33 @@ class TestStepConjuncts:
                     "dimension-obstruction-k-above-n", "dimension-obstruction",
                     dict(product_dim=-384, endpoint_dim=-128), (2, 3, 5, 3),
                 ),
-                (
-                    "dimension-obstruction-endpoint_dim", "dimension-obstruction",
-                    dict(product_dim=8, endpoint_dim=13), (2, 3, 2, 0),
-                ),
-                # n = 2^64 makes 2^n unbuildable: only the bit-length guard
-                # keeps the check from raising instead of answering
-                (
-                    "function-field-split-power", "function-field-split",
-                    dict(degree=4, split_degree=2, term_count=3, upper_twist=0, lower_twist=8), (2, 2**64, 1, -1),
-                ),
-                ("halved-endpoints-power", "halved-endpoints", dict(upper_twist=0, lower_twist=4), (2, 2**64, 2, 0)),
             )
         ],
     )
-    def test_guard_alone_rejects(self, rule_id, recorded, position):
-        # every other conjunct of the check holds on these values; no
-        # derivation puts a step of the first eight at its position (the
+    def test_step_where_no_derivation_places_its_rule_fails_replay(self, rule_id, recorded, position):
+        # the check accepts these values, as it tests nothing its positions
+        # fix; but no derivation puts a step of the rule at this position (the
         # point base sits at n = k, the closing at level 0 is the classical
-        # base, and the rungs sit at p = 2 and k < n), so a step of that
-        # rule fails replay wherever a trace puts it at that position
-        assert not RULE_CATALOG[rule_id].check(recorded, *position)
+        # base, the rungs sit at p = 2 and 1 <= k < n), so the step fails
+        # replay where a trace about (p, n, k) closes with it, and a trace
+        # whose opening names no variety fails at every position
+        assert RULE_CATALOG[rule_id].check(recorded, *position)
+        p, n, k, _ = position
+        step = ProofStep(rule_id, tuple(recorded.items()))
+        if k <= n:
+            v = variety(p, n, k)
+            forged = ProofTrace(type_bound(v).trace.steps + (step,))
+            assert forged.failing_steps() == forged.failing_steps(v) == (len(forged) - 1,)
+        else:
+            forged = ProofTrace.from_json_obj([
+                _encoded_step("level-bound", p=p, n=n, k=k, bound=k - 1),
+                _encoded_step(rule_id, **recorded),
+            ])
+            assert forged.failing_steps() == (0, 1)
+        assert not forged.replay()
 
     def test_guard_rejects_at_its_position(self):
-        # the last three guard cases placed in traces: the obstruction of
+        # the guard cases placed in traces: the obstruction of
         # (2, 3, 2) with the endpoint dimension edited, and a rung at
         # exponent 2^64, which only the bit-length guards reject in time
         trace = type_bound(variety(2, 3, 2)).trace
@@ -455,6 +471,22 @@ class TestStepConjuncts:
         ])
         assert huge.failing_steps() == (2, 3, 4)
         assert time.perf_counter() - start < 1.0
+
+    def test_step_where_the_derivation_places_another_rule_fails_replay(self):
+        # the checks test neither p, k nor n, which the derivation fixes:
+        # the rungs of (2, 3, 1) fail after the openings of level 0 and of
+        # level n, whose derivations hold no rung, and so does the point base
+        # at a rung's position; an opening with k above n names no variety
+        trace = type_bound(variety(2, 3, 1)).trace
+        for k in (0, 3):
+            opening = type_bound(variety(2, 3, k)).trace.steps
+            forged = ProofTrace(opening + trace.steps[2:6])
+            failing = tuple(range(len(opening), len(forged)))
+            assert forged.failing_steps() == forged.failing_steps(variety(2, 3, k)) == failing
+        assert _with_step(trace, 2, trace.steps[1]).failing_steps() == (2,)
+        encoded = trace.to_json_obj()
+        encoded[0]["conditions"].update(k="4", bound="3")
+        assert ProofTrace.from_json_obj(encoded).failing_steps() == tuple(range(len(encoded)))
 
 
 def _off_by_one_survivors(bound_to_variety):
@@ -520,6 +552,8 @@ class TestConclusions:
 
     def test_replay_never_records(self, monkeypatch):
         encoded = [trace.to_json_obj() for trace in _honest_traces((2, 3, 5), 4)]
+        v = variety(2, 5, 1)
+        trace = rigidity_judgment(v).trace
 
         def refuse(p, n, k, bound):
             raise AssertionError("side conditions were recorded")
@@ -528,6 +562,13 @@ class TestConclusions:
             monkeypatch.setitem(RULE_CATALOG, rule_id, Rule(rule.rule_id, rule.citation, refuse, rule.check, rule.template))
         for entries in encoded:
             assert ProofTrace.from_json_obj(entries).replay()
+        # nor does it build the variety more than once: a given variety is
+        # already built, and only the opening's is checked
+        built = []
+        init = SBVariety.__init__
+        monkeypatch.setattr(SBVariety, "__init__", lambda self, *args: built.append(args) or init(self, *args))
+        assert trace.replay(v) and built == []
+        assert trace.replay() and len(built) <= 1
         # only the split's check reads lower_twist
         tampered = next(e for e in encoded if any(s["rule_id"] == "function-field-split" for s in e))
         split = next(s for s in tampered if s["rule_id"] == "function-field-split")
@@ -1044,6 +1085,9 @@ class TestRuleOrder:
     def test_truncated_closing_reports_the_missing_position(self):
         steps = rigidity_judgment(variety(3, 2, 1)).trace.steps
         assert ProofTrace(steps[:-1]).failing_steps() == (len(steps) - 1,)
+        # a trace whose opening names no variety has no derivation to miss a
+        # position of: each of its steps fails, and nothing more
+        assert _rewritten_to_p(ProofTrace(steps[:-1]), 6).failing_steps() == tuple(range(len(steps) - 1))
 
     def test_replay_agrees_with_failing_steps(self):
         for trace in _honest_traces((2, 3, 5), 5):
