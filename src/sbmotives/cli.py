@@ -16,6 +16,8 @@ int-to-str digit limit fails rendering and is reported the same way, before
 anything is written.  JSON integers other than ``bool`` are decimal strings, so
 values above 2**53 survive any consumer.  CSV fields are joined with commas,
 never quoted.  Usage text reads the same on every supported Python.
+``type-bound`` and ``verify`` import the type calculus and the identity suite
+when they run, so no other command compiles or loads them.
 
 Exit codes: 0 success, 1 engine domain error or an output that cannot be
 opened or written, 2 usage error, 3 failed ``verify`` identities.
@@ -41,8 +43,6 @@ from .severi_brauer import (
     mu_table,
     rational_chow_orders,
 )
-from .type_calculus import type_bound
-from .verify import run_identity_suite
 
 FORMATS = ("text", "json", "csv")
 
@@ -205,6 +205,8 @@ def decompose(p: int, n: int, k: int) -> Result:
 
 def type_bound_command(p: int, n: int, k: int, show_trace: bool) -> Result:
     """Derived type bound with indecomposability and rigidity judgments."""
+    from .type_calculus import type_bound  # loaded here: only this command and verify run it
+
     variety = SBVariety(DivisionContext(p, n), k)
     bound = type_bound(variety)
     summary = {
@@ -284,6 +286,8 @@ def verify(max_n: int) -> Result:
     """Run the full identity suite; exit 3 when any identity fails."""
     if max_n < 1:
         raise argparse.ArgumentError(None, f"--max-n must be at least 1, got {max_n}")
+    from .verify import run_identity_suite  # loaded only once the usage check has passed
+
     report = run_identity_suite(max_n)
 
     def text():

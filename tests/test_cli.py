@@ -467,7 +467,6 @@ class TestTypeBoundCommand:
             return original(variety)
 
         monkeypatch.setattr(type_calculus, "type_bound", counting)
-        monkeypatch.setattr(cli_module, "type_bound", counting)
         result = run_cli("type-bound", "--p", "2", "--n", "4", "--k", "2", "--trace")
         assert result.exit_code == 0
         assert builds == [SBVariety(DivisionContext(2, 4), 2)]
@@ -873,7 +872,7 @@ class TestVerifyCommand:
                 IdentityResult("demo/fail", False, ("broken",)),
             ),
         )
-        monkeypatch.setattr("sbmotives.cli.run_identity_suite", lambda max_n: fake)
+        monkeypatch.setattr(verify_module, "run_identity_suite", lambda max_n: fake)
         result = run_cli("verify", "--max-n", "2")
         assert result.exit_code == 3
         assert "FAIL demo/fail" in result.stdout

@@ -31,7 +31,7 @@ FAILING_SUITE = SuiteReport(
 @pytest.mark.parametrize("case", CASES, ids=[" ".join(c["args"]) or "<none>" for c in CASES])
 def test_cli_bytes(case, tmp_path, monkeypatch, run_cli):
     if case.get("suite") == "failing":
-        monkeypatch.setattr("sbmotives.cli.run_identity_suite", lambda max_n: FAILING_SUITE)
+        monkeypatch.setattr("sbmotives.verify.run_identity_suite", lambda max_n: FAILING_SUITE)
     out = tmp_path / "out.txt"
     args = [str(out) if a == "{out}" else a for a in case["args"]]
     env = {"COLUMNS": "80", "SBMOTIVES_FORMAT": None, **case.get("env", {})}
