@@ -17,7 +17,8 @@ anything is written.  JSON integers other than ``bool`` are decimal strings, so
 values above 2**53 survive any consumer.  CSV fields are joined with commas,
 never quoted.  Usage text reads the same on every supported Python.
 ``type-bound`` and ``verify`` import the type calculus and the identity suite
-when they run, so no other command compiles or loads them.
+when they run, so no other command compiles or loads them, and only JSON
+output loads ``json``.
 
 Exit codes: 0 success, 1 engine domain error or an output that cannot be
 opened or written, 2 usage error, 3 failed ``verify`` identities.
@@ -26,7 +27,6 @@ opened or written, 2 usage error, 3 failed ``verify`` identities.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from typing import Callable, Iterable, NamedTuple
@@ -77,6 +77,8 @@ def _json_strings(obj: object) -> object:
 def _render(result: Result, fmt: str) -> str:
     try:
         if fmt == "json":
+            import json  # here, so that a text or CSV command never loads it
+
             # compact separators; keys are emitted in canonical insertion order
             return json.dumps(_json_strings(result.json()), separators=(",", ":"))
         if fmt == "csv":

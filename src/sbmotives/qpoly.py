@@ -47,7 +47,7 @@ import sys
 from functools import lru_cache
 from itertools import accumulate
 from math import prod
-from operator import add
+from operator import add, sub
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
 
 from ._record import Record, set_field
@@ -290,9 +290,15 @@ class PartitionBoxSpec(Record):
     size: int
 
     def __init__(self, parts: int, max_part: int, size: int) -> None:
-        set_field(self, "parts", _checked_count(parts, "parts"))
-        set_field(self, "max_part", _checked_count(max_part, "max_part"))
-        set_field(self, "size", _checked_count(size, "size"))
+        # one pass over the three; only when it fails are they checked one
+        # by one, to name the first bad field
+        if not (type(parts) is type(max_part) is type(size) is int and min(parts, max_part, size) >= 0):
+            _checked_count(parts, "parts")
+            _checked_count(max_part, "max_part")
+            _checked_count(size, "size")
+        set_field(self, "parts", parts)
+        set_field(self, "max_part", max_part)
+        set_field(self, "size", size)
 
     @property
     def capacity(self) -> int:
@@ -320,7 +326,8 @@ def _packed_sum(
     so ``a * b`` is bounded by ``shorter * max(a) * max(b)``.  A factor
     repeated next to itself in a term is packed once and squared, and a
     term's packed factors are dropped once multiplied.  Slots are bytes of an
-    ``int``, or zero-padded digits of a ``decimal`` read back in one pass.
+    ``int``, or zero-padded digits of a ``decimal``, all written by one
+    repeated ``%0Nd`` template (``N`` the slot width) and read back in one pass.
     ``decimal`` takes over when some term's factors but its longest reach
     ``_DECIMAL_CARRIER_BITS`` of packed size (their length times slot bits;
     for ``a * b``, the shorter operand's), the top of the band where the two
@@ -403,8 +410,10 @@ def _packed_products(
         rounds = (decimal.Inexact, decimal.Rounded)
         context.traps[decimal.Inexact] = context.traps[decimal.Rounded] = True
 
+        slot = f"%0{width}d"
+
         def pack(coeffs: Sequence[int]) -> "decimal.Decimal":
-            return decimal.Decimal("".join([str(c).zfill(width) for c in reversed(coeffs)]))
+            return decimal.Decimal(slot * len(coeffs) % tuple(reversed(coeffs)))
 
         def place(total: "decimal.Decimal", product: "decimal.Decimal", mult: int, offset: int) -> "decimal.Decimal":
             return context.fma(product, context.scaleb(mult, width * offset), total)
@@ -536,7 +545,7 @@ def _walk_step(row: list[int], a: int, b: int, length: int) -> list[int]:
     """
     del row[length:]
     row += [0] * (length - len(row))
-    row = row[:a] + [x - y for x, y in zip(row[a:], row)]
+    row[a:] = map(sub, row[a:], row)  # the slice is built from the old row before it is stored
     for r in range(min(b, length)):
         row[r::b] = accumulate(row[r::b])
     return row

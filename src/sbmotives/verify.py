@@ -1,13 +1,17 @@
 """Self-check suite: every module invariant, runnable over a requested range.
 
 Each identity is a generator that yields its failure lines (none means it
-holds).  The registry order is fixed so reports are deterministic.
+holds).  The registry order is fixed so reports are deterministic.  Each
+oracle's work is done once per run: the enumerator walks each box once, into
+a histogram that both enumeration identities read, and the box identities
+read the box DP's whole table per box.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
+from functools import lru_cache
 from typing import Callable, Iterator
 
 from ._record import Record
@@ -16,6 +20,7 @@ from .motive import TATE, DivisionContext, MotiveExpr, SBProduct, Term
 from .qpoly import (
     GradedRankPoly,
     PartitionBoxSpec,
+    _box_size_counts,
     _is_int,
     count_partitions_in_box,
     enumerate_partitions_in_box,
@@ -59,17 +64,34 @@ class SuiteReport(Record):
         return tuple(r.identity for r in self.results if not r.passed)
 
 
-def _brute_force_histogram(parts: int, max_part: int) -> dict[int, int]:
-    hist: Counter[int] = Counter()
-    for lam in enumerate_partitions_in_box(parts, max_part):
-        hist[sum(lam)] += 1
-    return dict(hist)
+@lru_cache(maxsize=None)
+def _brute_force_histogram(parts: int, max_part: int) -> Counter[int]:
+    """The partitions in the ``parts x max_part`` box counted by size, by the
+    enumerator; a size it never reaches counts zero.
+
+    Held for one :func:`run_identity_suite` call, which empties it as it
+    starts, so a run enumerates each box once, with the enumerator bound at
+    the time: ``gaussian-brute-force`` fills it with the 91 boxes of
+    ``parts + max_part <= 12`` (8 191 partitions), and ``box-count-oracle``
+    reads its 49 boxes from them.
+    """
+    return Counter(map(sum, enumerate_partitions_in_box(parts, max_part)))
+
+
+def _box_counts(parts: int, max_part: int) -> list[int]:
+    """The box DP's counts for the box by size, from 0 through its capacity
+    plus one: its whole table, then the public counter at the one size past
+    the capacity, its out-of-box branch.  What the box identities compare."""
+    beyond = PartitionBoxSpec(parts, max_part, parts * max_part + 1)
+    return [*_box_size_counts(parts, max_part), count_partitions_in_box(beyond)]
 
 
 def _small_gaussians() -> Iterator[tuple[int, int, GradedRankPoly]]:
     """``(d, k, [d choose k]_q)`` for every ``0 <= k <= d < 13``, ascending.
 
-    The one table the brute-force, symmetry and total-rank identities share.
+    The one table the brute-force, symmetry and total-rank identities share;
+    the brute-force identity compares each entry with the histogram of the
+    ``k x (d - k)`` box.
     """
     for d in range(13):
         for k in range(d + 1):
@@ -96,26 +118,28 @@ def _check_gaussian_total_rank(max_n: int) -> Iterator[str]:
 
 
 def _check_box_count_duality(max_n: int) -> Iterator[str]:
+    """The DP against ``[m + c, c]_q`` for every box with ``m, c <= 8``, at
+    every size from 0 through the box capacity plus one."""
     for m in range(9):
         for c in range(9):
             poly = gaussian_binomial(m + c, c)
-            for s in range(m * c + 2):
-                counted = count_partitions_in_box(PartitionBoxSpec(m, c, s))
+            for s, counted in enumerate(_box_counts(m, c)):
                 if counted != poly.coefficient(s):
                     yield f"box count ({m},{c},{s}) != coefficient"
 
 
 def _check_box_count_oracle(max_n: int) -> Iterator[str]:
-    """The DP against the enumerator for every box with ``m, c <= 6``.
+    """The DP against the enumerator for every box with ``m, c <= 6``, at
+    every size from 0 through the box capacity plus one.
 
-    Each box is enumerated once, into a histogram by size, and the DP is
-    compared with it at every size from 0 through the box capacity plus one.
+    The histograms are the ones ``gaussian-brute-force`` built earlier in
+    the run: every such box has ``m + c <= 12``.
     """
     for m in range(7):
         for c in range(7):
             histogram = _brute_force_histogram(m, c)
-            for s in range(m * c + 2):
-                if count_partitions_in_box(PartitionBoxSpec(m, c, s)) != histogram.get(s, 0):
+            for s, counted in enumerate(_box_counts(m, c)):
+                if counted != histogram[s]:
                     yield f"recurrence vs enumeration mismatch at ({m},{c},{s})"
 
 
@@ -211,6 +235,10 @@ def _check_upper_lower_endpoints(max_n: int) -> Iterator[str]:
 
 
 def _check_mu_duality(max_n: int) -> Iterator[str]:
+    """``mu(i)`` against the box DP at size ``degree + capacity - i`` of the
+    ``(degree - p^k) x p^k`` box, for every ``i`` from 0 through ``degree +
+    capacity + 1``; a size past the DP's counts, which stop at the capacity
+    plus one, counts zero."""
     for p in (2, 3):
         for n in range(0, min(3, max_n) + 1):
             context = DivisionContext(p, n)
@@ -219,9 +247,10 @@ def _check_mu_duality(max_n: int) -> Iterator[str]:
                 reduced = p**k
                 capacity = reduced * (degree - reduced)
                 row = gaussian_binomial(degree, reduced)  # held, so every mu below reads it, not a cut walk
+                counts = _box_counts(degree - reduced, reduced)
                 for i in range(0, degree + capacity + 2):
                     target = degree + capacity - i
-                    expected = count_partitions_in_box(PartitionBoxSpec(degree - reduced, reduced, target)) if target >= 0 else 0
+                    expected = counts[target] if 0 <= target < len(counts) else 0
                     if mu(context, k, i) != expected:
                         yield f"mu duality fails at (p={p}, n={n}, k={k}, i={i})"
 
@@ -346,6 +375,7 @@ def run_identity_suite(max_n: int = 5) -> SuiteReport:
     if not _is_int(max_n) or max_n < 1:
         raise DomainError(f"max_n must be a positive integer, got {max_n!r}")
     results = []
+    _brute_force_histogram.cache_clear()  # this run's histograms come from the enumerator bound now
     for identity, check in _REGISTRY:
         failures = tuple(check(max_n))
         results.append(IdentityResult(identity, not failures, failures))

@@ -521,6 +521,24 @@ class TestConjectureBounds:
         assert "p=" not in result.stderr
 
 
+def plant_box_faults(monkeypatch, planted):
+    """Add one to the box DP's count at each planted ``(parts, max_part, size)``:
+    in the whole table that ``verify`` reads for sizes up to the capacity, and
+    past it in the public counter, whose in-box counts are left right so a
+    check that read them instead would miss the fault."""
+    table, counter = verify_module._box_size_counts, verify_module.count_partitions_in_box
+
+    def planted_table(parts, max_part):
+        return tuple(count + ((parts, max_part, s) in planted) for s, count in enumerate(table(parts, max_part)))
+
+    def planted_counter(box):
+        past = box.size > box.capacity and (box.parts, box.max_part, box.size) in planted
+        return counter(box) + past
+
+    monkeypatch.setattr(verify_module, "_box_size_counts", planted_table)
+    monkeypatch.setattr(verify_module, "count_partitions_in_box", planted_counter)
+
+
 class TestVerifyCommand:
     def test_suite_rejects_nonpositive_range(self):
         from sbmotives import DomainError, run_identity_suite
@@ -567,22 +585,27 @@ class TestVerifyCommand:
         monkeypatch.setattr(verify_module, "gaussian_binomial", planted)
         assert list(check(1)) == [line]
 
-    def test_box_count_oracle_enumerates_each_box_once(self, monkeypatch):
-        calls = []
-        tuples = []
+    def test_identity_suite_enumerates_each_box_once_per_run(self, monkeypatch):
+        # the 91 boxes with parts + max_part <= 12, whose partitions number
+        # 2**0 + ... + 2**12; box-count-oracle's 49 boxes are among them
         original = qpoly.enumerate_partitions_in_box
 
-        def counting(parts, max_part):
-            calls.append((parts, max_part))
-            for lam in original(parts, max_part):
-                tuples.append(lam)
-                yield lam
+        def counting(calls, partitions):
+            def enumerate_counted(parts, max_part):
+                calls.append((parts, max_part))
+                for lam in original(parts, max_part):
+                    partitions.append(lam)
+                    yield lam
 
-        monkeypatch.setattr(qpoly, "enumerate_partitions_in_box", counting)
-        monkeypatch.setattr(verify_module, "enumerate_partitions_in_box", counting)
-        assert list(verify_module._check_box_count_oracle(1)) == []
-        assert len(calls) == 49 and len(set(calls)) == 49
-        assert len(tuples) == 3431
+            return enumerate_counted
+
+        boxes = sorted((m, c) for m in range(13) for c in range(13 - m))
+        for _ in range(2):  # a second run sees the enumerator patched after the first
+            calls, partitions = [], []
+            monkeypatch.setattr(verify_module, "enumerate_partitions_in_box", counting(calls, partitions))
+            assert verify_module.run_identity_suite(1).passed
+            assert sorted(calls) == boxes and len(boxes) == 91
+            assert len(partitions) == 8191
 
     def test_mu_duality_walks_only_whole_rows(self, monkeypatch):
         # each (p, n, k) row is built once and held, so no mu read walks a cut row
@@ -593,32 +616,25 @@ class TestVerifyCommand:
         assert walks and all(length == c * (d - c) + 1 for d, c, length in walks)
 
     def test_box_count_oracle_reports_every_planted_mismatch(self, monkeypatch):
-        original = verify_module.count_partitions_in_box
-        planted = {(3, 4, 5), (2, 2, 5)}
-
-        def off_by_one(box):
-            wrong = (box.parts, box.max_part, box.size) in planted
-            return original(box) + wrong
-
-        monkeypatch.setattr(verify_module, "count_partitions_in_box", off_by_one)
+        # (3, 4, 5) lies in its box's DP table; (2, 2, 5) is one past the capacity
+        plant_box_faults(monkeypatch, {(3, 4, 5), (2, 2, 5)})
         assert list(verify_module._check_box_count_oracle(1)) == [
             "recurrence vs enumeration mismatch at (2,2,5)",
             "recurrence vs enumeration mismatch at (3,4,5)",
         ]
 
     def test_box_count_duality_reports_every_planted_mismatch(self, monkeypatch):
-        original = verify_module.count_partitions_in_box
-        planted = {(3, 4, 5), (2, 2, 5)}
-
-        def off_by_one(box):
-            wrong = (box.parts, box.max_part, box.size) in planted
-            return original(box) + wrong
-
-        monkeypatch.setattr(verify_module, "count_partitions_in_box", off_by_one)
+        plant_box_faults(monkeypatch, {(3, 4, 5), (2, 2, 5)})
         assert list(verify_module._check_box_count_duality(1)) == [
             "box count (2,2,5) != coefficient",
             "box count (3,4,5) != coefficient",
         ]
+
+    def test_both_box_identities_report_a_fault_one_past_the_capacity(self, monkeypatch):
+        # the public counter's out-of-box branch; two past the capacity is never read
+        plant_box_faults(monkeypatch, {(3, 3, 10), (3, 3, 11)})
+        assert list(verify_module._check_box_count_duality(1)) == ["box count (3,3,10) != coefficient"]
+        assert list(verify_module._check_box_count_oracle(1)) == ["recurrence vs enumeration mismatch at (3,3,10)"]
 
     def test_rank_homomorphism_reports_every_planted_mismatch(self, monkeypatch):
         # one extra class in 1 + 2q^3 shifted by 7, and in (5q)^2
@@ -689,14 +705,7 @@ class TestVerifyCommand:
         # that verify compares it with shows up as a mu-duality failure.
         # Box (2, 2, s) is queried only at (p=2, n=2, k=1), at i = 8 - s;
         # box (2, 1, s) only at (p=3, n=1, k=0), at i = 5 - s.
-        original = verify_module.count_partitions_in_box
-        planted = {(2, 2, 5), (2, 2, 3), (2, 1, 0)}
-
-        def off_by_one(box):
-            wrong = (box.parts, box.max_part, box.size) in planted
-            return original(box) + wrong
-
-        monkeypatch.setattr(verify_module, "count_partitions_in_box", off_by_one)
+        plant_box_faults(monkeypatch, {(2, 2, 5), (2, 2, 3), (2, 1, 0)})
         assert list(verify_module._check_mu_duality(3)) == [
             "mu duality fails at (p=2, n=2, k=1, i=3)",
             "mu duality fails at (p=2, n=2, k=1, i=5)",

@@ -67,8 +67,9 @@ START_UPS = [  # (the CLI's arguments, or None for the package alone; the sbmoti
     ids=["import sbmotives" if argv is None else " ".join(argv) or "import sbmotives.cli" for argv, _ in START_UPS],
 )
 def test_cli_start_up_loads_no_click_decimal_or_dataclasses(argv, loaded):
-    # in a fresh interpreter, since pytest itself has loaded decimal and dataclasses;
-    # a command loads exactly the package modules it runs, and none of the three
+    # in a fresh interpreter, since pytest itself has loaded decimal, dataclasses and json;
+    # a command loads exactly the package modules it runs, and none of the four
+    # (a text command has no use for json)
     if argv is None:
         run = "import sbmotives"
     elif not argv:
@@ -78,7 +79,7 @@ def test_cli_start_up_loads_no_click_decimal_or_dataclasses(argv, loaded):
     probe = (
         "import sys\n"
         f"try:\n    {run}\nexcept SystemExit:\n    pass\n"
-        "print(sorted(m for m in sys.modules if m.partition('.')[0] in {'sbmotives', 'click', 'dataclasses', 'decimal'}))"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] in {'sbmotives', 'click', 'dataclasses', 'decimal', 'json'}))"
     )
     src = str(Path(sbmotives.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
