@@ -25,27 +25,31 @@ included, goes through one accumulator, :func:`_packed_sum`.  A term of one
 factor is added coefficient by coefficient.  The factors of every other term
 are packed into big numbers, multiplied, shifted and added into one number,
 whose slots are read back once (Kronecker substitution; Harvey, J. Symb.
-Comput. 2009).  The carrier is ``int`` (CPython's Karatsuba) below 100 000
+Comput. 2009).  The carrier is ``int`` (CPython's Karatsuba) below 180 000
 packed bits and ``decimal`` (libmpdec's number-theoretic transform, exact at
 ``MAX_PREC``) from there up.  The ``int`` carrier multiplies at ``+2**b``
 and ``-2**b``, ``b`` half a slot (Harvey's multipoint substitution).
 
-Measured with CPython 3.11 on a shared 2-vCPU x86-64 machine, whole products
-of equal-length operands: the ``int`` carrier breaks even with ``decimal`` on
-a lone product between 180 000 and 340 000 packed bits (1300 x 1300 of 64
-bits: 4.73 ms against 4.74 ms; 650 x 650 of 256 bits: 15.8 ms against 11.6
-ms), but on a sum of many products nearer 120 000: the 32-product
-q-Vandermonde sum of ``verify --max-n 7``, at 123 000 packed bits, takes
-58.6 ms on ``int`` and 56.6 ms on ``decimal``, and the 16-product one of
-``--max-n 8``, at 233 000, 178 ms against 119 ms.  So ``decimal`` still
-takes over at 100 000.
+Measured with CPython 3.11 on a shared 2-vCPU x86-64 machine, alternating
+the two carriers on one input, medians of 11: ``int`` and ``decimal`` break
+even between 170 000 and 190 000 packed bits on lone products and on sums
+of 16 or 32 squares or general products alike (180 000 bits: 12.0 against
+12.0 ms for a lone product of 60-bit slots, 99.7 against 95.1 ms for 32
+squares of 250-bit slots), so one switch serves both; ``int`` is the faster
+from 130 000 to 160 000.  Between 110 000 and 129 000 bits, just below a
+step up in ``decimal``'s times, ``decimal`` takes up to a quarter less time
+on sums of equal-length products, but the one real sum there, the 32-product
+q-Vandermonde sum of ``verify --max-n 7`` at 123 000 bits, 22 of whose
+products are under 110 000, takes 57.2 ms on ``int`` against 62.1 ms on
+``decimal``.  The 16-product sum of ``--max-n 8``, at 233 000 bits, takes
+116 ms against 99.
 """
 
 from __future__ import annotations
 
 import sys
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, combinations_with_replacement
 from math import prod
 from operator import add, sub
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
@@ -68,8 +72,10 @@ _T = TypeVar("_T")
 _MAX_DENSE_SPAN = 2**24
 
 # Packed size (shorter operand length times slot bits) of a product from
-# which a sum is carried by decimal, not int: see _packed_sum.
-_DECIMAL_CARRIER_BITS = 100_000
+# which a sum is carried by decimal, not int: where the two carriers were
+# measured to break even, on lone products and on sums of many alike (see
+# the module docstring and _packed_sum).
+_DECIMAL_CARRIER_BITS = 180_000
 
 # Every row gaussian_binomial has built: degree d, then c = min(k, d - k), to [d, c].
 _ROWS: dict[int, dict[int, GradedRankPoly]] = {}
@@ -330,9 +336,9 @@ def _packed_sum(
     repeated ``%0Nd`` template (``N`` the slot width) and read back in one pass.
     ``decimal`` takes over when some term's factors but its longest reach
     ``_DECIMAL_CARRIER_BITS`` of packed size (their length times slot bits;
-    for ``a * b``, the shorter operand's), the top of the band where the two
-    were measured to break even, unless a slot has more digits than ``str``
-    may convert.
+    for ``a * b``, the shorter operand's), where the two were measured to
+    break even on lone products and on many-product sums alike, unless a
+    slot has more digits than ``str`` may convert.
 
     The ``int`` carrier evaluates at ``X = 2**b`` and ``-X``, ``b`` half a
     slot (Harvey's multipoint Kronecker substitution): with a factor's even
@@ -594,18 +600,12 @@ def enumerate_partitions_in_box(parts: int, max_part: int) -> Iterator[tuple[int
 
     Exhaustive and deliberately naive: this is the oracle the recurrence is
     tested against, so it shares no code with :func:`count_partitions_in_box`.
-    Partitions come in descending lexicographic order, from the full box to
-    the empty one, by an odometer: lower the last nonzero entry by one and
-    refill every entry after it with the lowered value.
+    A partition in the box is a multiset of ``parts`` entries from
+    ``max_part`` down to 0, listed weakly decreasing; C-level
+    ``combinations_with_replacement`` over the entries in descending order
+    yields every one once, in descending lexicographic order, from the full
+    box to the empty one.
     """
     _checked_count(parts, "parts")
     _checked_count(max_part, "max_part")
-    lam = [max_part] * parts
-    while True:
-        yield tuple(lam)
-        i = parts - 1
-        while i >= 0 and not lam[i]:
-            i -= 1
-        if i < 0:
-            return
-        lam[i:] = [lam[i] - 1] * (parts - i)
+    yield from combinations_with_replacement(range(max_part, -1, -1), parts)

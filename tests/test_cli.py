@@ -389,12 +389,12 @@ class TestDecomposeCommand:
         assert result.exit_code == 1
 
     def test_sum_past_the_decimal_precision_exits_one(self, run_cli, monkeypatch):
-        # the (7, 6) sum, at about 123 000 packed bits, is carried by decimal;
+        # the (8, 5) sum, at about 233 000 packed bits, is carried by decimal;
         # at a precision of 1 000 digits its products can only round
         import decimal
 
         monkeypatch.setattr(decimal, "MAX_PREC", 1000)
-        result = run_cli("decompose", "--p", "2", "--n", "7", "--k", "6")
+        result = run_cli("decompose", "--p", "2", "--n", "8", "--k", "5")
         assert result.exit_code == 1 and result.stdout == ""
         assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
         assert "Traceback" not in result.stderr

@@ -1,21 +1,27 @@
 import decimal
 import itertools
 import math
+import os
 import random
+import subprocess
 import sys
 import time
 from collections import Counter
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sbmotives import (
+    DivisionContext,
     DomainError,
     GradedRankPoly,
     PartitionBoxSpec,
+    SBVariety,
     count_partitions_in_box,
     enumerate_partitions_in_box,
+    function_field_decomposition,
     gaussian_binomial,
 )
 from sbmotives import motive, qpoly, verify
@@ -462,15 +468,27 @@ class TestBoxCounts:
         with pytest.raises(DomainError):
             PartitionBoxSpec(True, 2, 1)
 
-    @pytest.mark.parametrize("parts,max_part", [(0, 0), (0, 5), (1, 0), (1, 4), (3, 2), (4, 5), (6, 3)])
+    @pytest.mark.parametrize("parts", range(7))
+    @pytest.mark.parametrize("max_part", range(7))
     def test_enumeration_order(self, parts, max_part):
-        # weakly decreasing tuples in descending lexicographic order
-        expected = itertools.combinations_with_replacement(range(max_part, -1, -1), parts)
-        assert list(enumerate_partitions_in_box(parts, max_part)) == list(expected)
+        # every tuple of entries in the box, kept when weakly decreasing and
+        # sorted into descending lexicographic order
+        expected = sorted(
+            (lam for lam in itertools.product(range(max_part + 1), repeat=parts) if list(lam) == sorted(lam, reverse=True)),
+            reverse=True,
+        )
+        assert list(enumerate_partitions_in_box(parts, max_part)) == expected
 
     def test_enumeration_of_degenerate_boxes(self):
         assert list(enumerate_partitions_in_box(2000, 0)) == [(0,) * 2000]
         assert list(enumerate_partitions_in_box(0, 5)) == [()]
+
+    @pytest.mark.parametrize("parts,max_part", [(-1, 2), (2, -1), (True, 2), (2, 1.0)])
+    def test_enumeration_checks_its_box_on_the_first_draw(self, parts, max_part):
+        # a generator: the call itself does nothing, the first next() checks
+        partitions = enumerate_partitions_in_box(parts, max_part)
+        with pytest.raises(DomainError):
+            next(partitions)
 
     def test_enumeration_yields_padded_decreasing_tuples(self):
         partitions = list(enumerate_partitions_in_box(3, 2))
@@ -638,17 +656,20 @@ class TestFastPath:
             sys.set_int_max_str_digits(limit)
         assert product == GradedRankPoly(_schoolbook(a, b))
 
-    # the slot bound, 48 * 2**1000 * 2**(bits - 1006), has ``bits`` bits: a
-    # slot of 2 126 bits has 640 digits, as many as str may convert under a
-    # limit of 640, and one of 2 127 bits has 641
+    # the slot bound, short * 2**1000 * 2**(bits - 1000 - short.bit_length()),
+    # has ``bits`` bits: a slot of 2 126 bits has 640 digits, as many as str
+    # may convert under a limit of 640, and one of 2 127 bits has 641;
+    # ``short`` is the fewest slots of 2 126 bits that reach the carrier
+    # switch, so both sizes pass it
     @needs_digit_limit
     @pytest.mark.parametrize("bits,carried", [(2126, Decimal), (2127, tuple)])
     def test_slots_as_wide_as_str_allows_stay_decimal(self, monkeypatch, bits, carried):
         rng = random.Random(bits)
-        a = _random_coeffs(rng, 48, 900)
+        short = -(-qpoly._DECIMAL_CARRIER_BITS // 2126)
+        a = _random_coeffs(rng, short, 900)
         a[min(a) + 20] = 1 << 1000
-        b = _random_coeffs(rng, 60, 900)
-        b[min(b) + 30] = 1 << (bits - 1006)
+        b = _random_coeffs(rng, short + 12, 900)
+        b[min(b) + 30] = 1 << (bits - 1000 - short.bit_length())
         products = _packed_products_made(monkeypatch)
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(640)
@@ -681,6 +702,28 @@ class TestFastPath:
         with pytest.raises(DomainError, match="more than the 1000 digits") as raised:
             GradedRankPoly(a) * GradedRankPoly(b)
         assert isinstance(raised.value.__cause__, (decimal.Inexact, decimal.Rounded))
+
+    def test_identity_suite_sums_sit_on_both_sides_of_the_switch(self, monkeypatch):
+        # the largest N = 7 conservation sum, (7, 6) at about 123 000 packed
+        # bits, is carried by int, so a fresh run_identity_suite(7) never
+        # loads decimal (pytest itself has); (8, 5), at about 233 000, is
+        # carried by decimal
+        probe = (
+            "import sys\n"
+            "from sbmotives import run_identity_suite\n"
+            "assert run_identity_suite(7).passed\n"
+            "print('decimal' in sys.modules)"
+        )
+        src = str(Path(qpoly.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+        assert done.stdout.splitlines()[-1] == "False"
+        for n, k, carried in ((7, 6, tuple), (8, 5, Decimal)):
+            products = _packed_products_made(monkeypatch)
+            variety = SBVariety(DivisionContext(2, n), k)
+            assert function_field_decomposition(variety).split_poincare() == gaussian_binomial(2**n, 2**k)
+            assert products and {type(p) for p in products} == {carried}
+            monkeypatch.undo()
 
 
 def _packed_products_made(patch):
