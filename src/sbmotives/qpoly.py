@@ -183,6 +183,10 @@ class GradedRankPoly:
         return tuple((d, c) for d, c in enumerate(self._coeffs, self._bottom) if c)
 
     def coefficient(self, degree: int) -> int:
+        """The coefficient of ``q**degree``; 0 outside the support, a negative
+        degree included."""
+        if not _is_int(degree):
+            raise DomainError(f"degree must be an integer, got {degree!r}")
         index = degree - self._bottom
         return self._coeffs[index] if 0 <= index < len(self._coeffs) else 0
 
@@ -324,7 +328,11 @@ def _packed_sum(
     is drawn.  The products of the terms of two or more factors are packed
     and added into one number, whose slots are read back once into a
     coefficient list; each placement of a one-factor term is then added into
-    that list directly, with no packing.
+    that list directly, with no packing.  Tate terms, one-factor products,
+    both sides of ``+`` and scalar multiples are such terms.  They multiply
+    nothing, so packing them would only add a pack and a read-back of every
+    slot: measured, it made ``+`` and scalar multiples 2 to 19 times slower
+    (``one + one.shift(10**6)``: 0.016 s unpacked, 0.19 s packed).
 
     One slot width serves the packed sum, from a bound on its largest
     coefficient: a coefficient of a product adds up at most

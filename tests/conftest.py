@@ -1,5 +1,9 @@
 import contextlib
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 from typing import NamedTuple
 
 import pytest
@@ -39,3 +43,13 @@ def run_cli(monkeypatch):
         return CliRun(code, stdout.getvalue(), stderr.getvalue())
 
     return run
+
+
+def run_python(*args: str, **kwargs) -> subprocess.CompletedProcess:
+    """``python ARGS`` run in a fresh interpreter, this checkout's ``src`` first
+    on ``PYTHONPATH`` and, as for ``run_cli``, ``SBMOTIVES_FORMAT`` unset;
+    ``kwargs`` go to ``subprocess.run``."""
+    env = {name: value for name, value in os.environ.items() if name != "SBMOTIVES_FORMAT"}
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, *args], env=env, **kwargs)

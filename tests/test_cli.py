@@ -3,7 +3,6 @@ import os
 import subprocess
 import sys
 import time
-from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -28,10 +27,11 @@ from sbmotives import (
     rational_chow_order,
     type_bound,
 )
-from sbmotives import cli as cli_module
 from sbmotives.cli import FORMATS
 from sbmotives import verify as verify_module
 from sbmotives.verify import IdentityResult, SuiteReport
+
+from conftest import run_python
 
 
 class TestGaussianCommand:
@@ -112,33 +112,32 @@ class TestOutOption:
         assert list(tmp_path.iterdir()) == []
 
     def test_reader_closing_stdout_exits_one_without_traceback(self):
-        # as `sbmotives ... | head` does; the ~120 kB of output outgrow any pipe buffer
-        proc = cli_process("chow-order", "--p", "2", "--n", "12", "--k", "0", stdout=subprocess.PIPE)
-        proc.stdout.close()
-        stderr = proc.stderr.read()
-        assert (proc.wait(timeout=30), stderr) == (1, b"")
+        # as `sbmotives ... | head` does, with the reader gone before the first write
+        reader, writer = os.pipe()
+        os.close(reader)
+        try:
+            done = cli_process("chow-order", "--p", "2", "--n", "12", "--k", "0", stdout=writer)
+        finally:
+            os.close(writer)
+        assert (done.returncode, done.stderr) == (1, b"")
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full to write to")
     @pytest.mark.parametrize("via_out", [False, True], ids=["stdout", "out-option"])
     def test_full_device_exits_one_with_one_error_line(self, via_out):
         with open("/dev/full", "w") as full:
             if via_out:
-                proc = cli_process("gaussian", "4", "2", "--out", "/dev/full", stdout=subprocess.DEVNULL)
+                done = cli_process("gaussian", "4", "2", "--out", "/dev/full", stdout=subprocess.DEVNULL)
             else:
-                proc = cli_process("gaussian", "4", "2", stdout=full)
-            stderr = proc.stderr.read().decode()
-            assert proc.wait(timeout=30) == 1
+                done = cli_process("gaussian", "4", "2", stdout=full)
+        stderr = done.stderr.decode()
+        assert done.returncode == 1
         assert len(stderr.splitlines()) == 1 and stderr.startswith("error: ")
         assert "Traceback" not in stderr
 
 
-def cli_process(*args: str, stdout) -> subprocess.Popen:
-    """``sbmotives ARGS`` in a fresh interpreter, stderr piped, this checkout's package first."""
-    src = str(Path(cli_module.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    return subprocess.Popen(
-        [sys.executable, "-m", "sbmotives.cli", *args], env=env, stdout=stdout, stderr=subprocess.PIPE
-    )
+def cli_process(*args: str, stdout) -> subprocess.CompletedProcess:
+    """``sbmotives ARGS`` run in a fresh interpreter, stderr captured."""
+    return run_python("-m", "sbmotives.cli", *args, stdout=stdout, stderr=subprocess.PIPE, timeout=30)
 
 
 # the options each command requires (mu: --i, one of its two selectors); None stands for a positional
@@ -348,7 +347,9 @@ class TestChowOrderCommand:
     def test_order_past_digit_limit_is_error(self, run_cli):
         # 7^mu at the top degree has more digits than the default limit allows
         default = sys.int_info.default_max_str_digits
+        start = time.perf_counter()
         result = run_with_digit_limit(run_cli, default, "chow-order", "--p", "7", "--n", "2", "--k", "1")
+        assert time.perf_counter() - start < 5.0
         assert_render_error(result)
 
     def test_round_trip(self, run_cli):
@@ -407,15 +408,28 @@ class TestTypeBoundCommand:
         assert "indecomposability: indecomposable" in result.stdout
         assert "rigidity: conjecture-holds" in result.stdout
 
-    def test_trace_round_trip(self, run_cli):
-        result = run_cli("type-bound", "--p", "2", "--n", "4", "--k", "2", "--trace", "--format", "json")
+    @pytest.mark.parametrize("n, k", [(4, 2), (40, 3)])
+    def test_trace_round_trip(self, run_cli, n, k):
+        result = run_cli("type-bound", "--p", "2", "--n", str(n), "--k", str(k), "--trace", "--format", "json")
+        assert result.exit_code == 0
         payload = json.loads(result.stdout)
         trace = ProofTrace.from_json_obj(payload["trace"])
-        engine = type_bound(SBVariety(DivisionContext(2, 4), 2))
+        engine = type_bound(SBVariety(DivisionContext(2, n), k))
         assert trace == engine.trace
         assert int(payload["bound"]) == engine.bound
         assert trace.replay() and trace.replay(engine.variety)
         assert list(payload["rules"]) == list(dict.fromkeys(step.rule_id for step in trace))
+        # only the opening records coordinates
+        for entry in payload["trace"][1:]:
+            assert not entry["conditions"].keys() & {"p", "n", "k", "level", "bound"}, entry
+        # an opening edited to name no variety fails every position on its
+        # own, and only the opening against the variety
+        for name, value in (("p", "6"), ("k", str(n + 1))):
+            encoded = json.loads(result.stdout)["trace"]
+            encoded[0]["conditions"][name] = value
+            edited = ProofTrace.from_json_obj(encoded)
+            assert edited.failing_steps() == tuple(range(len(trace))), name
+            assert edited.failing_steps(engine.variety) == (0,), name
 
     def test_text_trace_rendering(self, run_cli):
         result = run_cli("type-bound", "--p", "2", "--n", "3", "--k", "1", "--trace")
@@ -440,8 +454,10 @@ class TestTypeBoundCommand:
     def test_trace_past_digit_limit_is_error_except_in_csv(self, run_cli):
         # text and JSON print the trace's ~900-digit integers; CSV lists rule ids
         args = ("type-bound", "--p", "2", "--n", "3000", "--k", "1", "--trace", "--format")
+        start = time.perf_counter()
         for fmt in ("text", "json"):
             assert_render_error(run_with_digit_limit(run_cli, 640, *args, fmt))
+        assert time.perf_counter() - start < 5.0
         result = run_with_digit_limit(run_cli, 640, *args, "csv")
         assert result.exit_code == 0, result.stdout
         assert "step 1,level-bound" in result.stdout

@@ -5,12 +5,11 @@ change that moves any of them shows here.  To re-record after a deliberate
 change, run ``PYTHONPATH=src python demos/NAME.py > tests/demo_output/NAME.txt``.
 """
 
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
+
+from conftest import run_python
 
 ROOT = Path(__file__).resolve().parent.parent
 RECORDED = Path(__file__).resolve().parent / "demo_output"
@@ -19,10 +18,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[demo.stem for demo in DEMOS])
 def test_demo_prints_the_recorded_bytes(demo):
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    run = subprocess.run(
-        [sys.executable, str(demo)], capture_output=True, env={**os.environ, "PYTHONPATH": path}, timeout=60
-    )
+    run = run_python(str(demo), capture_output=True, timeout=10)
     assert run.returncode == 0, run.stderr.decode()
     assert run.stdout == (RECORDED / f"{demo.stem}.txt").read_bytes()
 

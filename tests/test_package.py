@@ -1,14 +1,11 @@
 """The package namespace: exactly the exports of its modules."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 
 import sbmotives
 from sbmotives import motive, qpoly, severi_brauer, type_calculus, verify
+
+from conftest import run_python
 
 
 def test_all_is_the_concatenation_of_the_module_lists():
@@ -57,6 +54,9 @@ START_UPS = [  # (the CLI's arguments, or None for the package alone; the sbmoti
     (["conjecture", "--k", "12"], CLI),
     (["type-bound", *SMALL], [*CLI, "type_calculus"]),
     (["verify", "--max-n", "1"], [*CLI, "type_calculus", "verify"]),
+    (["verify", "--max-n", "2", "--format", "text"], [*CLI, "type_calculus", "verify"]),
+    # every N = 7 packed sum is carried by int, so the suite never loads decimal
+    (["verify", "--max-n", "7"], [*CLI, "type_calculus", "verify"]),
     (["verify", "--max-n", "0"], CLI),  # a usage error, exit 2
 ]
 
@@ -81,7 +81,5 @@ def test_cli_start_up_loads_no_click_decimal_or_dataclasses(argv, loaded):
         f"try:\n    {run}\nexcept SystemExit:\n    pass\n"
         "print(sorted(m for m in sys.modules if m.partition('.')[0] in {'sbmotives', 'click', 'dataclasses', 'decimal', 'json'}))"
     )
-    src = str(Path(sbmotives.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    done = run_python("-c", probe, capture_output=True, text=True, check=True)
     assert done.stdout.splitlines()[-1] == repr(sorted(["sbmotives", *(f"sbmotives.{m}" for m in loaded)]))

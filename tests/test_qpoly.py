@@ -1,14 +1,11 @@
 import decimal
 import itertools
 import math
-import os
 import random
-import subprocess
 import sys
 import time
 from collections import Counter
 from decimal import Decimal
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,6 +23,8 @@ from sbmotives import (
 )
 from sbmotives import motive, qpoly, verify
 from sbmotives.qpoly import _box_size_counts, _gaussian_coefficient
+
+from conftest import run_python
 
 
 def brute_force_histogram(parts, max_part):
@@ -170,6 +169,11 @@ class TestGradedRankPoly:
     def test_bool_degree_rejected(self):
         with pytest.raises(DomainError):
             str(GradedRankPoly({True: 1}))
+        poly = gaussian_binomial(4, 2)
+        for degree in (True, 2.0):
+            with pytest.raises(DomainError, match="degree must be an integer"):
+                poly.coefficient(degree)
+        assert poly.coefficient(-1) == 0 and poly.coefficient(1) == 1
 
     @pytest.mark.parametrize("scalar", [True, False, -1])
     def test_invalid_scalar_rejected(self, scalar):
@@ -714,9 +718,7 @@ class TestFastPath:
             "assert run_identity_suite(7).passed\n"
             "print('decimal' in sys.modules)"
         )
-        src = str(Path(qpoly.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-        done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+        done = run_python("-c", probe, capture_output=True, text=True, check=True)
         assert done.stdout.splitlines()[-1] == "False"
         for n, k, carried in ((7, 6, tuple), (8, 5, Decimal)):
             products = _packed_products_made(monkeypatch)
@@ -833,6 +835,17 @@ class TestPackedSum:
         with pytest.MonkeyPatch.context() as patch:
             _force(patch, carrier)
             assert qpoly._packed_sum(bottom, top, terms) == _reference_sum(terms)
+
+    def test_sums_and_scalar_multiples_pack_nothing(self, monkeypatch):
+        # one-factor terms are added unpacked, where packing measured 2-19x slower
+        def packed(*args):
+            raise AssertionError("a one-factor term was packed")
+
+        monkeypatch.setattr(qpoly, "_packed_products", packed)
+        a, b = GradedRankPoly({0: 1, 2: 5}), GradedRankPoly({1: 3, 2: 4})
+        assert a + b == GradedRankPoly({0: 1, 1: 3, 2: 9})
+        assert a * 3 == 3 * a == GradedRankPoly({0: 3, 2: 15})
+        assert a + b.shift(10**6) == GradedRankPoly({0: 1, 2: 5, 10**6 + 1: 3, 10**6 + 2: 4})
 
     @_CARRIERS
     @pytest.mark.parametrize("lengths", [(1, 2), (2, 2), (3, 3), (2, 5), (4, 7), (2, 3, 4), (3, 3, 5)])
