@@ -20,8 +20,9 @@ level ``n`` to the Tate unit (the variety is a rational point).
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterable, Mapping
 from functools import cached_property
-from typing import Iterable, Mapping, Union
+from typing import Union
 
 from ._record import Record, set_field
 from .errors import DomainError, UnsupportedOperationError
@@ -121,6 +122,8 @@ class UpperMotive(Record):
     level: int
 
     def __init__(self, context: DivisionContext, level: int) -> None:
+        if not isinstance(context, DivisionContext):
+            raise DomainError(f"not a division context: {context!r}")
         if not _is_int(level) or not 0 <= level <= context.n:
             raise DomainError(f"level must satisfy 0 <= level <= {context.n}, got {level!r}")
         set_field(self, "context", context)
@@ -144,6 +147,10 @@ class SBProduct(Record):
     dims: tuple[int, ...]
 
     def __init__(self, context: DivisionContext, dims: tuple[int, ...]) -> None:
+        if not isinstance(context, DivisionContext):
+            raise DomainError(f"not a division context: {context!r}")
+        if not isinstance(dims, Iterable):
+            raise DomainError(f"not a sequence of reduced dimensions: {dims!r}")
         dims = tuple(dims)
         degree = context.degree
         for d in dims:
@@ -282,8 +289,10 @@ class MotiveExpr:
         counts: Counter[Term] = Counter()
         if isinstance(terms, Mapping):
             entries: Iterable[tuple[_TermLike, int]] = terms.items()
-        else:
+        elif isinstance(terms, Iterable):
             entries = ((t, 1) for t in terms)
+        else:
+            raise DomainError(f"not a collection of terms: {terms!r}")
         for entry, mult in entries:
             if isinstance(entry, Term):
                 term = entry

@@ -48,11 +48,12 @@ products are under 110 000, takes 57.2 ms on ``int`` against 62.1 ms on
 from __future__ import annotations
 
 import sys
+from collections.abc import Mapping
 from functools import lru_cache
 from itertools import accumulate, combinations_with_replacement
 from math import prod
 from operator import add, sub
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 from ._record import Record, set_field
 from .errors import DomainError
@@ -133,6 +134,8 @@ class GradedRankPoly:
     __slots__ = ("_bottom", "_coeffs")
 
     def __init__(self, coefficients: Mapping[int, int] | None = None):
+        if coefficients is not None and not isinstance(coefficients, Mapping):
+            raise DomainError(f"coefficients are not a mapping of degrees to counts: {type(coefficients).__name__}")
         checked: Mapping[int, int] = coefficients or {}
         # every key and value checked by C-level passes; only when one fails
         # does the loop run, to name the first bad entry

@@ -42,7 +42,9 @@ rather than memoized away, so traces are self-contained.  Recording fills in
 side conditions along the positions from each rule's catalog row
 (:attr:`Rule.record`), and replay walks them once, checking that each
 position holds the rule it calls for there and that the rule's check accepts
-the step's side conditions at that position (:meth:`ProofTrace.failing_steps`).
+the step's side conditions at that position (:meth:`ProofTrace.failing_steps`):
+the check takes the position as arguments and the side conditions as its
+keyword-only parameters, whose names are the names a step of the rule records.
 A check runs only where :func:`_derivation` or :func:`_closing` place its
 rule, and tests only what that position leaves open: the four rung rules sit
 only at ``p = 2`` and ``1 <= k < n``, so their checks test neither.  Replay
@@ -50,8 +52,8 @@ checks the variety once, where it is named: a given :class:`SBVariety` is
 already valid, and with none given the opening must name one the engine
 builds (``p`` prime, ``0 <= k <= n``), or every position fails.  So an
 opening about an algebra that does not exist fails replay, and so does an
-opening that records another position than its own, or a step that names a
-side condition twice or one its rule's check does not read, or records a
+opening that records another position than its own, or a step that records
+other names than its check's keyword parameters, the same name twice, or a
 value that is not an ``int``.  Decoding reads integers only from
 canonical decimal strings, as :meth:`ProofTrace.to_json_obj` writes them,
 parsing each one once.  Every rule check is closed form, so replaying the
@@ -102,12 +104,15 @@ class Rule(Record):
     ``(p, n, k)`` with ``n`` the position's exponent, and the type bound.
     ``record(p, n, k, bound)`` is what a step records there, in encoding
     order: the opening level bound records its position, every later step
-    only what its position does not fix.  ``check(c, p, n, k, bound)``
+    only what its position does not fix.  ``check(p, n, k, bound, **c)``
     re-evaluates the recorded side conditions ``c`` at the position; it is
     what :meth:`ProofTrace.replay` runs, and replay never calls ``record``.
-    It is meaningful only at a position where the derivation places the rule
-    and about a variety the engine builds, and tests only what the position
-    leaves open; a rule its position decides accepts whatever it is given.
+    Its keyword-only parameters are the names a step records (the level
+    bound's are its position, which it takes as ``*at``); a step recording
+    another name, one twice, or a value that is not an ``int`` fails replay
+    unchecked.  A check is meaningful only at a position where the derivation
+    places the rule and about a variety the engine builds, and tests only what
+    the position leaves open; a rule its position decides accepts anything.
     ``template(c, p, n, k, bound)`` states the conclusion a step draws from
     the same values, never formatting a power.
     """
@@ -115,7 +120,7 @@ class Rule(Record):
     rule_id: str
     citation: str
     record: Callable[[int, int, int, int], dict[str, int]]
-    check: Callable[[Conditions, int, int, int, int], bool]
+    check: Callable[..., bool]
     template: Callable[[Conditions, int, int, int, int], str]
 
 
@@ -136,33 +141,32 @@ def _names_variety(p: int, n: int, k: int) -> bool:
     return True
 
 
-def _check_function_field_split(c: Conditions, p: int, n: int, k: int, bound: int) -> bool:
-    if not _power_fits(c["lower_twist"], n + k - 1):
+def _check_function_field_split(p: int, n: int, k: int, bound: int, *, degree: int, split_degree: int,
+                                term_count: int, upper_twist: int, lower_twist: int) -> bool:
+    if not _power_fits(lower_twist, n + k - 1):
         return False
     return (
-        c["degree"] == 1 << n
-        and c["split_degree"] == 1 << (n - 1)
-        and c["term_count"] == (1 << k) + 1
-        and c["upper_twist"] == 0
-        and c["lower_twist"] == 1 << (n + k - 1)
+        degree == 1 << n
+        and split_degree == 1 << (n - 1)
+        and term_count == (1 << k) + 1
+        and upper_twist == 0
+        and lower_twist == 1 << (n + k - 1)
     )
 
 
-def _check_halved_endpoints(c: Conditions, p: int, n: int, k: int, bound: int) -> bool:
+def _check_halved_endpoints(p: int, n: int, k: int, bound: int, *, upper_twist: int, lower_twist: int) -> bool:
     # the excluded level is k - 1
-    if not _power_fits(c["lower_twist"], n + k - 2):
+    if not _power_fits(lower_twist, n + k - 2):
         return False
-    return c["upper_twist"] == 0 and c["lower_twist"] == 1 << (n + k - 2)
+    return upper_twist == 0 and lower_twist == 1 << (n + k - 2)
 
 
-def _check_valuation_case_split(c: Conditions, p: int, n: int, k: int, bound: int) -> bool:
-    if c["required_level"] != k - 1:
+def _check_valuation_case_split(p: int, n: int, k: int, bound: int, *, required_level: int,
+                                candidate_0_i: int, candidate_0_j: int, candidate_1_i: int, candidate_1_j: int,
+                                candidate_2_i: int, candidate_2_j: int) -> bool:
+    if required_level != k - 1:
         return False
-    recorded = {
-        (c["candidate_0_i"], c["candidate_0_j"]),
-        (c["candidate_1_i"], c["candidate_1_j"]),
-        (c["candidate_2_i"], c["candidate_2_j"]),
-    }
+    recorded = {(candidate_0_i, candidate_0_j), (candidate_1_i, candidate_1_j), (candidate_2_i, candidate_2_j)}
     if not _power_fits(max(max(pair) for pair in recorded), k):
         return False
     # For i + j = 2^k, 2^(k-1) divides gcd(i, j) exactly when it divides i,
@@ -172,13 +176,13 @@ def _check_valuation_case_split(c: Conditions, p: int, n: int, k: int, bound: in
     return recorded == {(0, m), (step, step), (m, 0)}
 
 
-def _check_dimension_obstruction(c: Conditions, p: int, n: int, k: int, bound: int) -> bool:
-    if not _power_fits(c["endpoint_dim"], n + k - 2):
+def _check_dimension_obstruction(p: int, n: int, k: int, bound: int, *, product_dim: int, endpoint_dim: int) -> bool:
+    if not _power_fits(endpoint_dim, n + k - 2):
         return False
     # product_dim < endpoint_dim follows from these, as 2^(2k-1) > 2^(2k-2)
     return (
-        c["product_dim"] == (1 << (n + k - 1)) - (1 << (2 * k - 1))
-        and c["endpoint_dim"] == (1 << (n + k - 1)) - (1 << (2 * k - 2))
+        product_dim == (1 << (n + k - 1)) - (1 << (2 * k - 1))
+        and endpoint_dim == (1 << (n + k - 1)) - (1 << (2 * k - 2))
     )
 
 
@@ -194,7 +198,7 @@ RULE_CATALOG: dict[str, Rule] = {
             "so it occurs exactly once and untwisted.  The variety is of type "
             "k - 1. [theory of upper motives]",
             lambda p, n, k, bound: {"p": p, "n": n, "k": k, "bound": bound},
-            lambda c, p, n, k, bound: (c["p"], c["n"], c["k"], c["bound"]) == (p, n, k, bound),
+            lambda *at, p, n, k, bound: at == (p, n, k, bound),
             lambda c, p, n, k, bound: f"the level-{k} variety of the degree-{p}^{n} algebra is of type {bound}",
         ),
         Rule(
@@ -205,7 +209,7 @@ RULE_CATALOG: dict[str, Rule] = {
             "[geometry of ideal varieties]",
             lambda p, n, k, bound: {"variety_dim": 0},
             # p^k * (p^n - p^k) vanishes exactly when k = n, where the point base sits
-            lambda c, p, n, k, bound: c["variety_dim"] == 0,
+            lambda p, n, k, bound, *, variety_dim: variety_dim == 0,
             lambda c, p, n, k, bound: (
                 f"at degree {p}^{n} the level-{k} variety is a rational point; "
                 f"no twist of the level-{k - 1} upper motive occurs"
@@ -283,7 +287,7 @@ RULE_CATALOG: dict[str, Rule] = {
             "upper motive; the degree-zero Chow group has rank one, so there "
             "is exactly one summand and the motive is indecomposable. [theory of upper motives]",
             lambda p, n, k, bound: {"ch0_rank": 1},
-            lambda c, p, n, k, bound: bound <= -1 and c["ch0_rank"] == 1,
+            lambda p, n, k, bound, *, ch0_rank: bound <= -1 and ch0_rank == 1,
             lambda c, p, n, k, bound: (
                 "type -1 leaves only the upper motive, and the rank-one degree-zero "
                 "Chow group allows a single summand: the motive is indecomposable"
@@ -297,7 +301,7 @@ RULE_CATALOG: dict[str, Rule] = {
             "count of rational classes depends only on (p, n, k). "
             "[rationality of cycles on products with the classical variety]",
             lambda p, n, k, bound: {},
-            lambda c, p, n, k, bound: True,
+            lambda p, n, k, bound: True,
             lambda c, p, n, k, bound: (
                 "rational cycle counts on the product with the classical variety "
                 "are unchanged by division-preserving extensions"
@@ -310,7 +314,7 @@ RULE_CATALOG: dict[str, Rule] = {
             "classical Severi-Brauer variety under a division-preserving "
             "extension. [rigidity of classical summands]",
             lambda p, n, k, bound: {},
-            lambda c, p, n, k, bound: True,
+            lambda p, n, k, bound: True,
             lambda c, p, n, k, bound: (
                 "no twist of the classical variety's motive enters the upper "
                 "motive under a division-preserving extension"
@@ -322,7 +326,7 @@ RULE_CATALOG: dict[str, Rule] = {
             "algebra is indecomposable and stays indecomposable under every "
             "division-preserving extension. [classical Severi-Brauer rigidity]",
             lambda p, n, k, bound: {},
-            lambda c, p, n, k, bound: True,
+            lambda p, n, k, bound: True,
             lambda c, p, n, k, bound: (
                 "the variety is the classical Severi-Brauer variety itself; "
                 "its motive stays indecomposable"
@@ -336,7 +340,7 @@ RULE_CATALOG: dict[str, Rule] = {
             "extension are defined over the base.  The derived bound depends "
             "only on (p, n, k), which such extensions preserve. [type-zero transfer principle]",
             lambda p, n, k, bound: {},
-            lambda c, p, n, k, bound: bound <= 0,
+            lambda p, n, k, bound: bound <= 0,
             lambda c, p, n, k, bound: (
                 f"the derived bound {bound} <= 0 holds over every "
                 "division-preserving extension; motivic decompositions lift"
@@ -375,31 +379,18 @@ class ProofStep(Record):
 
 # The type of every recorded value: a str, a float or a bool fails replay.
 _INT_TYPE = frozenset((int,))
-# How many names each rule's step records; its check reads these and its
-# position, which no later step records.
-_READS = {"level-bound": 4, "point-base": 1, "function-field-split": 5, "halved-endpoints": 2, "rank-one-upper": 1,
-          "valuation-case-split": 7, "dimension-obstruction": 2, "rational-cycle-persistence": 0,
-          "classical-summand-exclusion": 0, "classical-base": 0, "type-zero-transfer": 0}
 
 
-def _holds(step: ProofStep, position: tuple[int, int, int, int]) -> bool:
-    """Whether the rule of ``step`` accepts its side conditions at
-    ``position``, a ``(p, n, k, bound)``.  A step that records another
-    number of names than its rule's check reads (``_READS``, counted from
-    the checks, not the recorders), or a value that is not an ``int``, fails
-    first; one lacking a name fails, so does one that repeats a name with the
-    count kept, since it lacks another.  So a later step that records ``p``,
-    ``n``, ``k``, ``level`` or ``bound``, besides its own names or in place
-    of one, fails."""
-    if len(step.side_conditions) != _READS[step.rule_id]:
-        return False
-    c = step.conditions()  # a check reads all of its names to accept
-    if not _INT_TYPE.issuperset(map(type, c.values())):
-        return False
-    try:
-        return bool(RULE_CATALOG[step.rule_id].check(c, *position))
-    except KeyError:
-        return False
+def _keyword_only(check: Callable[..., bool]) -> frozenset[str]:
+    """The names ``check`` takes as keyword-only parameters, read from its code."""
+    code = check.__code__
+    return frozenset(code.co_varnames[code.co_argcount:code.co_argcount + code.co_kwonlyargcount])
+
+
+# Each rule's check, and the names a step of the rule records: its keyword-only parameters.
+_CHECKS = {rule_id: (rule.check, _keyword_only(rule.check)) for rule_id, rule in RULE_CATALOG.items()}
+# Each such name as the checks' own string, so a decoded name meets its parameter by identity.
+_parameter_name = {name: name for _, names in _CHECKS.values() for name in names}.get
 
 
 _STEP_KEYS = frozenset(("rule_id", "conditions"))
@@ -507,10 +498,16 @@ class ProofTrace(Record):
         if about is None:
             return tuple(range(len(steps))) or (0,)
         placed = _placed(steps, *about)
-        failing = [
-            i for i, (step, (rule, position)) in enumerate(zip(steps, placed))
-            if step.rule_id != rule or not _holds(step, position)
-        ]
+        failing = []
+        for i, (step, (rule, position)) in enumerate(zip(steps, placed)):
+            if step.rule_id == rule:
+                check, names = _CHECKS[rule]
+                recorded = step.side_conditions
+                # as many names as the check's, so each is distinct if they are its names
+                if (len(recorded) == len(names) and (c := dict(recorded)).keys() == names
+                        and _INT_TYPE.issuperset(map(type, c.values())) and check(*position, **c)):
+                    continue
+            failing.append(i)
         return tuple(failing) + ((len(steps),) if next(placed, None) else ())
 
     def render_text(self) -> str:
@@ -553,7 +550,7 @@ class ProofTrace(Record):
                 if entry.keys() != _STEP_KEYS:
                     raise ValueError(f"step keys {list(entry)} are not ['rule_id', 'conditions']")
                 conditions = tuple([
-                    (name, known[value] if value.__class__ is str and value in known
+                    (_parameter_name(name, name), known[value] if value.__class__ is str and value in known
                      else known.setdefault(value, _int_from_json(value)))
                     for name, value in entry["conditions"].items()
                 ])

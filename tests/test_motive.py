@@ -142,10 +142,15 @@ class TestExprAlgebra:
             a * b
 
     # Each case fails if its guard is removed: the call would return, or
-    # raise an AttributeError or a NameError instead.
+    # raise an AttributeError, a TypeError or a NameError instead.
     @pytest.mark.parametrize("call, outcome", [
         pytest.param(lambda: normalize_object(42), DomainError, id="normalize-not-an-object"),
         pytest.param(lambda: MotiveExpr([42]), DomainError, id="expr-not-a-term"),
+        pytest.param(lambda: MotiveExpr(5), DomainError, id="expr-not-a-collection"),
+        pytest.param(lambda: UpperMotive(5, 1), DomainError, id="upper-not-a-context"),
+        pytest.param(lambda: SBVariety(5, 1), DomainError, id="variety-not-a-context"),
+        pytest.param(lambda: SBProduct(5, (1,)), DomainError, id="product-not-a-context"),
+        pytest.param(lambda: SBProduct(C22, 5), DomainError, id="product-dims-not-a-sequence"),
         pytest.param(lambda: MotiveExpr.of((TATE, 1)) + 1, TypeError, id="add-an-int"),
         pytest.param(lambda: MotiveExpr.of((TATE, 1)) * 1, TypeError, id="multiply-by-an-int"),
         pytest.param(lambda: MotiveExpr.of((TATE, 1)) == 1, False, id="equal-to-an-int"),

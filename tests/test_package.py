@@ -67,9 +67,10 @@ START_UPS = [  # (the CLI's arguments, or None for the package alone; the sbmoti
     ids=["import sbmotives" if argv is None else " ".join(argv) or "import sbmotives.cli" for argv, _ in START_UPS],
 )
 def test_cli_start_up_loads_no_click_decimal_or_dataclasses(argv, loaded):
-    # in a fresh interpreter, since pytest itself has loaded decimal, dataclasses and json;
-    # a command loads exactly the package modules it runs, and none of the four
-    # (a text command has no use for json)
+    # in a fresh interpreter, since pytest itself has loaded decimal, dataclasses, json and
+    # inspect; a command loads exactly the package modules it runs, and none of the five
+    # (a text command has no use for json, and replay reads each check's parameters from
+    # its code object rather than through inspect)
     if argv is None:
         run = "import sbmotives"
     elif not argv:
@@ -79,7 +80,7 @@ def test_cli_start_up_loads_no_click_decimal_or_dataclasses(argv, loaded):
     probe = (
         "import sys\n"
         f"try:\n    {run}\nexcept SystemExit:\n    pass\n"
-        "print(sorted(m for m in sys.modules if m.partition('.')[0] in {'sbmotives', 'click', 'dataclasses', 'decimal', 'json'}))"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] in {'sbmotives', 'click', 'dataclasses', 'decimal', 'inspect', 'json'}))"
     )
     done = run_python("-c", probe, capture_output=True, text=True, check=True)
     assert done.stdout.splitlines()[-1] == repr(sorted(["sbmotives", *(f"sbmotives.{m}" for m in loaded)]))

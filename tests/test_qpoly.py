@@ -114,6 +114,11 @@ class TestGradedRankPoly:
         with pytest.raises(DomainError, match="malformed rank polynomial encoding"):
             GradedRankPoly.from_json_dict([("1", "2")])
 
+    @pytest.mark.parametrize("coefficients", [[1, 2], [], "12", 5])
+    def test_coefficients_that_are_not_a_mapping_rejected(self, coefficients):
+        with pytest.raises(DomainError, match="not a mapping"):
+            GradedRankPoly(coefficients)
+
     @pytest.mark.parametrize(
         "data",
         [
