@@ -4,10 +4,10 @@ Run with:  python demos/type_bounds_and_rigidity.py
 """
 
 from sbmotives import (
+    RULE_CATALOG,
     DivisionContext,
     SBVariety,
     classify_reduced_dimension,
-    dimension_obstruction,
     indecomposability_judgment,
     rigidity_judgment,
     type_bound,
@@ -19,11 +19,13 @@ from sbmotives import (
 
 # At every prime, the level bound gives type k-1.  At p = 2 a halving
 # induction improves this to max(k-2, -1); the numeric heart of the
-# induction step is a dimension comparison that holds across the board.
+# induction step is a dimension comparison that holds across the board: the
+# candidate factor is smaller than the span of the two endpoint copies.  These
+# are the dimensions a trace's obstruction step records at exponent n.
 print("dimension obstruction, small range:")
 for n in range(1, 5):
     for k in range(1, n + 1):
-        print(f"  n={n} k={k}:", dimension_obstruction(n, k))
+        print(f"  n={n} k={k}:", RULE_CATALOG["dimension-obstruction"].record(2, n, k, k - 2))
 
 # The derived bounds, tabulated.
 print("\ntype bounds (p=2 improves, odd primes keep the level bound):")

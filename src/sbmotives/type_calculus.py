@@ -25,36 +25,35 @@ its position, and a trace replayed with no variety given is about the
 variety its opening names; every later step records only what its position
 does not fix, and one that records ``p``, ``n``, ``k``, ``level`` or
 ``bound`` fails replay.  A trace is recorded when it is first read, so a
-caller that wants only the bound or the verdict records nothing.  The traces
-about one variety share their recorded steps: the type bound's trace is
-recorded once, and each judgment's trace is its steps followed by the
-judgment's closing.  Each trace still holds all of its steps; the registry
-of type bound traces is weak, so it holds none once the traces about a
-variety are gone.  A step records its rule and its side conditions, and that
-is all its JSON encoding holds: ``{"rule_id", "conditions"}``.  Its
-conclusion and citation come from the fixed rule catalog, the conclusion
-rendered at the step's position only when a trace that replays is printed
-as text; the CLI's JSON lists each citation once, in a top-level map of the
-rules the trace uses.  So building, encoding, decoding and replaying format
-no text, and a decoded step that carries a citation or a conclusion is
-rejected.  The induction is replayed in full for the requested exponent
-rather than memoized away, so traces are self-contained.  Recording fills in
-side conditions along the positions from each rule's catalog row
-(:attr:`Rule.record`), and replay walks them once, checking that each
-position holds the rule it calls for there and that the rule's check accepts
-the step's side conditions at that position (:meth:`ProofTrace.failing_steps`):
-the check takes the position as arguments and the side conditions as its
-keyword-only parameters, whose names are the names a step of the rule records.
-A check runs only where :func:`_derivation` or :func:`_closing` place its
-rule, and tests only what that position leaves open: the four rung rules sit
-only at ``p = 2`` and ``1 <= k < n``, so their checks test neither.  Replay
-checks the variety once, where it is named: a given :class:`SBVariety` is
-already valid, and with none given the opening must name one the engine
-builds (``p`` prime, ``0 <= k <= n``), or every position fails.  So an
-opening about an algebra that does not exist fails replay, and so does an
-opening that records another position than its own, or a step that records
-other names than its check's keyword parameters, the same name twice, or a
-value that is not an ``int``.  Decoding reads integers only from
+caller that wants only the bound or the verdict records nothing.  Each
+judgment's trace is the type bound's steps followed by the judgment's
+closing; the last variety's type bound trace is held, so traces about one
+variety read one after another share those steps.  A step records its rule
+and its side conditions, and that is all its JSON encoding holds:
+``{"rule_id", "conditions"}``.  Its conclusion and citation come from the
+fixed rule catalog, the conclusion rendered at the step's position only when
+a trace that replays is printed as text; the CLI's JSON lists each citation
+once, in a top-level map of the rules the trace uses.  So building,
+encoding, decoding and replaying format no text, and a decoded step that
+carries a citation or a conclusion is rejected.  The induction is replayed
+in full for the requested exponent rather than memoized away, so traces are
+self-contained.  Recording fills in side conditions along the positions from
+each rule's catalog row (:attr:`Rule.record`), and replay walks them once,
+checking that each position holds the rule it calls for there and that the
+rule's check accepts the step's side conditions at that position
+(:meth:`ProofTrace.failing_steps`): the check takes the position as
+arguments and the side conditions as its keyword-only parameters, whose
+names are the names a step of the rule records.  A check runs only where
+:func:`_derivation` or :func:`_closing` place its rule, and tests only what
+that position leaves open: the four rung rules sit only at ``p = 2`` and
+``1 <= k < n``, so their checks test neither.  Replay checks the variety
+once, where it is named: a given :class:`SBVariety` is already valid, and
+with none given the opening must name one the engine builds (``p`` prime,
+``0 <= k <= n``), or every position fails.  So an opening about an algebra that
+does not exist fails replay, and so does an opening that records another
+position than its own, or a step that records other names than its check's
+keyword parameters, the same name twice, a value that is not an ``int``, or
+anything but (name, value) pairs.  Decoding reads integers only from
 canonical decimal strings, as :meth:`ProofTrace.to_json_obj` writes them,
 parsing each one once.  Every rule check is closed form, so replaying the
 trace of level ``k`` and exponent ``n`` takes time linear in ``n - k``.  A
@@ -65,16 +64,15 @@ the exponents it names.
 
 from __future__ import annotations
 
-import weakref
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import islice
-from typing import Callable, Iterator, Mapping, NamedTuple
+from typing import Callable, Iterable, Iterator, Mapping
 
 from ._record import Record, set_field
 from .errors import DomainError
 from .motive import DivisionContext
-from .qpoly import _int_from_json, _is_int
+from .qpoly import _int_from_json
 from .severi_brauer import SBVariety
 
 __all__ = [
@@ -82,8 +80,6 @@ __all__ = [
     "RULE_CATALOG",
     "ProofStep",
     "ProofTrace",
-    "DimensionObstruction",
-    "dimension_obstruction",
     "TypeBound",
     "type_bound",
     "IndecomposabilityStatus",
@@ -273,7 +269,8 @@ RULE_CATALOG: dict[str, Rule] = {
             "2^(n+k-1) - 2^(2k-1) of the only remaining candidate factor "
             "SB_{2^(k-1)}(C) x SB_{2^(k-1)}(C); the surviving twist cannot "
             "exist, so the variety is of type k - 2. [dimension count]",
-            lambda p, n, k, bound: dict(zip(("product_dim", "endpoint_dim"), dimension_obstruction(n, k))),
+            lambda p, n, k, bound: {"product_dim": (1 << (n + k - 1)) - (1 << (2 * k - 1)),
+                                    "endpoint_dim": (1 << (n + k - 1)) - (1 << (2 * k - 2))},
             _check_dimension_obstruction,
             lambda c, p, n, k, bound: (
                 f"the remaining factor has dimension {c['product_dim']} < "
@@ -422,10 +419,9 @@ def _closing(p: int, n: int, k: int, bound: int, first_rule: str) -> Iterator[tu
     """The steps of the closing that ``first_rule`` names after :func:`_derivation`, all at
     the position ``(p, n, k, bound)`` of the derived ``bound``; none for a rule that opens no closing."""
     position = (p, n, k, bound)
-    if first_rule == "rank-one-upper":
+    if first_rule in ("rank-one-upper", "rational-cycle-persistence"):
         yield first_rule, position
-    elif first_rule == "rational-cycle-persistence":
-        yield first_rule, position
+    if first_rule == "rational-cycle-persistence":
         yield ("classical-summand-exclusion" if k >= 1 else "classical-base"), position
         yield "type-zero-transfer", position
 
@@ -455,18 +451,21 @@ def _named(steps: tuple[ProofStep, ...]) -> tuple[int, int, int] | None:
     replay checks a variety: a given one is already valid."""
     if not steps or steps[0].rule_id != "level-bound":
         return None
-    opening = steps[0].conditions()
+    try:
+        opening = steps[0].conditions()
+    except (TypeError, ValueError):  # a hand-built opening that records no (name, value) pairs
+        return None
     named = opening.get("p"), opening.get("n"), opening.get("k")
     return named if _INT_TYPE.issuperset(map(type, named)) and _names_variety(*named) else None
 
 
 class ProofTrace(Record):
-    """Ordered, self-contained derivation."""
+    """Ordered, self-contained derivation; its steps are held as a tuple."""
 
     steps: tuple[ProofStep, ...]
 
-    def __init__(self, steps: tuple[ProofStep, ...] = ()) -> None:
-        set_field(self, "steps", steps)
+    def __init__(self, steps: Iterable[ProofStep] = ()) -> None:
+        set_field(self, "steps", tuple(steps))
 
     def __iter__(self) -> Iterator[ProofStep]:
         return iter(self.steps)
@@ -503,8 +502,11 @@ class ProofTrace(Record):
             if step.rule_id == rule:
                 check, names = _CHECKS[rule]
                 recorded = step.side_conditions
-                # as many names as the check's, so each is distinct if they are its names
-                if (len(recorded) == len(names) and (c := dict(recorded)).keys() == names
+                try:  # as many names as the check's, so each is distinct if they are its names
+                    c = dict(recorded) if len(recorded) == len(names) else None
+                except (TypeError, ValueError):  # a hand-built step that records no (name, value) pairs
+                    c = None
+                if (c is not None and c.keys() == names
                         and _INT_TYPE.issuperset(map(type, c.values())) and check(*position, **c)):
                     continue
             failing.append(i)
@@ -557,31 +559,7 @@ class ProofTrace(Record):
                 steps.append(ProofStep(entry["rule_id"], conditions))
             except (AttributeError, TypeError, ValueError) as exc:
                 raise DomainError(f"malformed trace encoding: {exc}") from exc
-        return cls(tuple(steps))
-
-
-class DimensionObstruction(NamedTuple):
-    """The two dimensions compared in the induction step, and the verdict."""
-
-    product_dim: int
-    endpoint_dim: int
-    holds: bool
-
-
-def dimension_obstruction(n: int, k: int) -> DimensionObstruction:
-    """Compare the candidate factor against the endpoint span at ``p = 2``.
-
-    ``product_dim = 2^(n+k-1) - 2^(2k-1)`` is the dimension of
-    ``SB_{2^(k-1)}(C) x SB_{2^(k-1)}(C)`` for ``deg C = 2^(n-1)``;
-    ``endpoint_dim = 2^(n+k-1) - 2^(2k-2)`` is the span of the untwisted and
-    twisted endpoint copies.  The obstruction holds (strictly less) for every
-    ``1 <= k <= n``; the engine evaluates it rather than assuming it.
-    """
-    if not _is_int(n) or not _is_int(k) or not 1 <= k <= n:
-        raise DomainError(f"dimension obstruction requires 1 <= k <= n, got k={k!r}, n={n!r}")
-    product_dim = (1 << (n + k - 1)) - (1 << (2 * k - 1))
-    endpoint_dim = (1 << (n + k - 1)) - (1 << (2 * k - 2))
-    return DimensionObstruction(product_dim, endpoint_dim, product_dim < endpoint_dim)
+        return cls(steps)
 
 
 class IndecomposabilityStatus(Enum):
@@ -600,8 +578,8 @@ class TypeBound(Record):
     ``bound`` is at most ``level - 1`` (the level bound always applies) and
     at least -1 (there are no upper motives of negative level to exclude).
     Both verdicts are read off the bound; the judgments add the closing
-    steps of their derivations.  The trace is recorded when first read,
-    or shared from a live trace about the same variety.
+    steps of their derivations.  The trace is recorded when first read, or
+    is the one held for the last variety whose type bound trace was read.
     """
 
     variety: SBVariety
@@ -609,7 +587,7 @@ class TypeBound(Record):
 
     @cached_property
     def trace(self) -> ProofTrace:
-        return _prefix(self.variety)
+        return _prefix(self.variety.context.p, self.variety.context.n, self.variety.level)
 
     @property
     def indecomposability(self) -> IndecomposabilityStatus:
@@ -627,24 +605,15 @@ class TypeBound(Record):
 
 
 def _record(positions: Iterator[tuple[str, tuple[int, int, int, int]]]) -> tuple[ProofStep, ...]:
-    """Each position recorded from its catalog row; the only caller of
-    :attr:`Rule.record`."""
+    """Each position recorded from its catalog row (:attr:`Rule.record`)."""
     return tuple([ProofStep(rule, tuple(RULE_CATALOG[rule].record(*position).items())) for rule, position in positions])
 
 
-# The type bound's trace about each (p, n, k), while any trace about that
-# variety is alive: every trace about a variety begins with the same steps.
-_PREFIXES: "weakref.WeakValueDictionary[tuple[int, int, int], ProofTrace]" = weakref.WeakValueDictionary()
-
-
-def _prefix(variety: SBVariety) -> ProofTrace:
-    """The type bound's trace about ``variety``, recorded if no trace about
-    it is alive."""
-    p, n, k = key = variety.context.p, variety.context.n, variety.level
-    prefix = _PREFIXES.get(key)
-    if prefix is None:
-        prefix = _PREFIXES[key] = ProofTrace(_record(_derivation(p, n, k)))
-    return prefix
+@lru_cache(maxsize=1)
+def _prefix(p: int, n: int, k: int) -> ProofTrace:
+    """The type bound's trace about ``(p, n, k)``, which every trace about it begins
+    with; only the last variety's is held, as every caller reads one variety's traces in turn."""
+    return ProofTrace(_record(_derivation(p, n, k)))
 
 
 def type_bound(variety: SBVariety) -> TypeBound:
@@ -656,8 +625,7 @@ def type_bound(variety: SBVariety) -> TypeBound:
     """
     # Each rung keeps the bound of the point base before it, so the first
     # two positions (the level bound, then the point base if any) fix it.
-    for _, (_, _, _, bound) in islice(_derivation(variety.context.p, variety.context.n, variety.level), 2):
-        pass
+    *_, (_, (_, _, _, bound)) = islice(_derivation(variety.context.p, variety.context.n, variety.level), 2)
     return TypeBound(variety, bound)
 
 
@@ -671,7 +639,8 @@ class Judgment(Record):
     """A verdict on a variety, the type bound it rests on, and its derivation:
     the type bound's, then the closing whose first rule ``_CLOSING`` names for
     the status, if any, recorded at ``bound``.  The trace is recorded when
-    first read, after the steps of the type bound's trace, which it shares."""
+    first read, after the steps of the type bound's trace, which it shares
+    with the other traces about the last variety whose trace was read."""
 
     variety: SBVariety
     status: IndecomposabilityStatus | RigidityStatus
@@ -679,15 +648,11 @@ class Judgment(Record):
 
     @cached_property
     def trace(self) -> ProofTrace:
-        prefix, closing = _prefix(self.variety), _CLOSING.get(self.status)
+        p, n, k = self.variety.context.p, self.variety.context.n, self.variety.level
+        prefix, closing = _prefix(p, n, k), _CLOSING.get(self.status)
         if closing is None:
             return prefix
-        p, n, k = self.variety.context.p, self.variety.context.n, self.variety.level
-        trace = ProofTrace(prefix.steps + _record(_closing(p, n, k, self.bound, closing)))
-        # not a field, so equality and encoding ignore it: while this trace
-        # lives, the prefix stays registered for the other traces about it
-        set_field(trace, "_extends", prefix)
-        return trace
+        return ProofTrace(prefix.steps + _record(_closing(p, n, k, self.bound, closing)))
 
 
 def indecomposability_judgment(variety: SBVariety) -> Judgment:

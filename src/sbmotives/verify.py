@@ -35,9 +35,9 @@ from .severi_brauer import (
     rational_chow_order,
 )
 from .type_calculus import (
+    RULE_CATALOG,
     IndecomposabilityStatus,
     RigidityStatus,
-    dimension_obstruction,
     indecomposability_judgment,
     rigidity_judgment,
     type_bound,
@@ -287,16 +287,18 @@ def _check_classifier_known_cases(max_n: int) -> Iterator[str]:
 
 
 def _check_dimension_obstruction(max_n: int) -> Iterator[str]:
-    """Both dimensions read from the half-degree algebra C: the candidate
-    factor is SB_{2^(k-1)}(C) squared, and the endpoint copies span that
-    variety's dimension plus their twist apart."""
-    limit = max(10, max_n)
+    """The dimensions a rung records at exponent n, read from the half-degree
+    algebra C: the candidate factor is SB_{2^(k-1)}(C) squared, and the
+    endpoint copies span that variety's dimension plus their twist apart.
+    The factor must be the smaller."""
+    limit, record = max(10, max_n), RULE_CATALOG["dimension-obstruction"].record
     for n in range(1, limit + 1):
         for k in range(1, n + 1):
-            result = dimension_obstruction(n, k)
+            recorded = record(2, n, k, k - 2)
             factor_dim = SBVariety(DivisionContext(2, n - 1), k - 1).dimension()
             _, lower = function_field_endpoints(DivisionContext(2, n), k - 1)
-            if result != (2 * factor_dim, factor_dim + lower.twist, True):
+            if (recorded != {"product_dim": 2 * factor_dim, "endpoint_dim": factor_dim + lower.twist}
+                    or not recorded["product_dim"] < recorded["endpoint_dim"]):
                 yield f"obstruction fails at (n={n}, k={k})"
 
 

@@ -17,13 +17,13 @@ from sbmotives import (
     GradedRankPoly,
     IndecomposabilityStatus,
     PartitionBoxSpec,
+    RULE_CATALOG,
     RigidityStatus,
     SBProduct,
     SBVariety,
     Term,
     classify_reduced_dimension,
     count_partitions_in_box,
-    dimension_obstruction,
     enumerate_partitions_in_box,
     function_field_decomposition,
     function_field_endpoints,
@@ -142,12 +142,13 @@ def test_criterion_5_upper_lower_identification():
 
 def test_criterion_6_dimension_obstruction():
     with criterion(6, "dimension obstruction over the full range"):
+        record = RULE_CATALOG["dimension-obstruction"].record
         for n in range(1, 11):
             for k in range(1, n + 1):
-                result = dimension_obstruction(n, k)
-                assert result.holds, (n, k)
-                assert result.product_dim == 2 ** (n + k - 1) - 2 ** (2 * k - 1), (n, k)
-                assert result.endpoint_dim == 2 ** (n + k - 1) - 2 ** (2 * k - 2), (n, k)
+                result = record(2, n, k, k - 2)  # what the rung at exponent n records
+                assert result["product_dim"] < result["endpoint_dim"], (n, k)
+                assert result["product_dim"] == 2 ** (n + k - 1) - 2 ** (2 * k - 1), (n, k)
+                assert result["endpoint_dim"] == 2 ** (n + k - 1) - 2 ** (2 * k - 2), (n, k)
 
 
 def test_criterion_7_type_calculus():

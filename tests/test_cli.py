@@ -17,6 +17,8 @@ from sbmotives import (
     GradedRankPoly,
     MotiveExpr,
     ProofTrace,
+    RULE_CATALOG,
+    Rule,
     SBProduct,
     SBVariety,
     Term,
@@ -807,14 +809,33 @@ class TestVerifyCommand:
             "open case without blocking factor at k=9",
         ]
 
+    @staticmethod
+    def _plant_obstruction_row(monkeypatch, planted):
+        rule = RULE_CATALOG["dimension-obstruction"]
+
+        def record(p, n, k, bound):
+            return planted.get((n, k)) or rule.record(p, n, k, bound)
+
+        monkeypatch.setitem(RULE_CATALOG, rule.rule_id, Rule(rule.rule_id, rule.citation, record, rule.check, rule.template))
+
     def test_dimension_obstruction_reports_every_planted_mismatch(self, monkeypatch):
-        original = verify_module.dimension_obstruction
+        recorded = RULE_CATALOG["dimension-obstruction"].record(2, 6, 3, 1)
+        planted = {(6, 3): {**recorded, "endpoint_dim": recorded["endpoint_dim"] + 1}}
+        self._plant_obstruction_row(monkeypatch, planted)
+        assert list(verify_module._check_dimension_obstruction(1)) == ["obstruction fails at (n=6, k=3)"]
 
-        def planted(n, k):
-            result = original(n, k)
-            return result._replace(endpoint_dim=result.endpoint_dim + ((n, k) == (6, 3)))
+    def test_dimension_obstruction_needs_the_factor_below_the_endpoints(self, monkeypatch):
+        # the row and the endpoint twist agree at (6, 3) on two equal
+        # dimensions, so only the comparison can fail there
+        factor_dim = SBVariety(DivisionContext(2, 5), 2).dimension()
+        endpoints = verify_module.function_field_endpoints
 
-        monkeypatch.setattr(verify_module, "dimension_obstruction", planted)
+        def planted_endpoints(context, level):
+            upper, lower = endpoints(context, level)
+            return (upper, Term(lower.obj, factor_dim)) if (context.n, level) == (6, 2) else (upper, lower)
+
+        monkeypatch.setattr(verify_module, "function_field_endpoints", planted_endpoints)
+        self._plant_obstruction_row(monkeypatch, {(6, 3): {"product_dim": 2 * factor_dim, "endpoint_dim": 2 * factor_dim}})
         assert list(verify_module._check_dimension_obstruction(1)) == ["obstruction fails at (n=6, k=3)"]
 
     def test_type_bound_table_reports_every_planted_mismatch(self, monkeypatch):

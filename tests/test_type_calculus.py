@@ -1,8 +1,6 @@
-import gc
 import inspect
 import json
 import time
-import weakref
 from itertools import islice, permutations
 
 import pytest
@@ -18,7 +16,6 @@ from sbmotives import (
     Rule,
     RULE_CATALOG,
     SBVariety,
-    dimension_obstruction,
     indecomposability_judgment,
     rigidity_judgment,
     type_bound,
@@ -33,6 +30,13 @@ def variety(p, n, k):
 
 
 _DERIVATION = type_calculus._derivation  # unwrapped: the (rule_id, position) pairs a walk should draw
+
+
+@pytest.fixture(autouse=True)
+def fresh_memo():
+    """Each test starts with no type bound trace held: one held from an
+    earlier test would serve its steps without drawing or recording them."""
+    type_calculus._prefix.cache_clear()
 
 
 @pytest.fixture()
@@ -67,27 +71,26 @@ def _honest_traces(primes, max_n):
         yield trace
 
 
+def _obstruction(n, k):
+    """The dimensions the rung at exponent ``n`` records at level ``k``."""
+    return RULE_CATALOG["dimension-obstruction"].record(2, n, k, k - 2)
+
+
 class TestDimensionObstruction:
     @pytest.mark.parametrize(
         "n,k,expected",
-        [(2, 1, (2, 3, True)), (3, 2, (8, 12, True)), (5, 1, (30, 31, True))],
+        [(2, 1, (2, 3)), (3, 2, (8, 12)), (5, 1, (30, 31))],
     )
     def test_printed_values(self, n, k, expected):
-        assert dimension_obstruction(n, k) == expected
+        assert _obstruction(n, k) == dict(zip(("product_dim", "endpoint_dim"), expected))
 
     def test_holds_over_full_range(self):
         for n in range(1, 11):
             for k in range(1, n + 1):
-                result = dimension_obstruction(n, k)
-                assert result.holds
-                assert result.product_dim == 2 ** (n + k - 1) - 2 ** (2 * k - 1)
-                assert result.endpoint_dim == 2 ** (n + k - 1) - 2 ** (2 * k - 2)
-
-    def test_range_validation(self):
-        with pytest.raises(DomainError):
-            dimension_obstruction(2, 0)
-        with pytest.raises(DomainError):
-            dimension_obstruction(2, 3)
+                result = _obstruction(n, k)
+                assert result["product_dim"] < result["endpoint_dim"]
+                assert result["product_dim"] == 2 ** (n + k - 1) - 2 ** (2 * k - 1)
+                assert result["endpoint_dim"] == 2 ** (n + k - 1) - 2 ** (2 * k - 2)
 
 
 class TestTypeBound:
@@ -728,13 +731,7 @@ class TestPositionEncoding:
 
 class TestSharedPrefix:
     """The traces about one variety share the type bound's recorded steps,
-    through a weak registry that holds nothing once those traces are gone."""
-
-    @pytest.fixture(autouse=True)
-    def fresh_registry(self, monkeypatch):
-        """A registry of each test's own: a trace held elsewhere in the
-        process would serve its steps without drawing them."""
-        monkeypatch.setattr(type_calculus, "_PREFIXES", weakref.WeakValueDictionary())
+    through a memo that holds the last variety's only."""
 
     @pytest.mark.parametrize("pnk", [(2, 6, 2), (2, 3, 1), (2, 4, 4), (2, 5, 0), (3, 4, 1)], ids=str)
     @pytest.mark.parametrize("order", list(permutations(range(3))), ids=lambda order: "-".join(map(str, order)))
@@ -750,15 +747,16 @@ class TestSharedPrefix:
             assert all(a is b for a, b in zip(trace.steps, prefix))
         assert traces == {i: derive(v).trace for i, derive in enumerate(_DERIVES)}
 
-    def test_registry_holds_nothing_once_the_traces_are_dropped(self):
-        keys = [(2, 6, 2), (2, 3, 1), (3, 2, 0)]
-        traces = [derive(variety(*key)).trace for key in keys for derive in _DERIVES]
-        refs = [weakref.ref(trace) for trace in traces]
-        assert set(keys) <= set(type_calculus._PREFIXES.keys())
-        del traces
-        gc.collect()
-        assert [ref() for ref in refs] == [None] * len(refs)
-        assert len(type_calculus._PREFIXES) == 0
+    def test_memo_holds_one_prefix_so_a_variety_read_again_is_recorded_again(self, drawn):
+        read = []
+        for pnk in ((2, 6, 2), (3, 4, 1), (2, 6, 2)):
+            derived = type_bound(variety(*pnk))
+            drawn.clear()  # the bound reads its first positions
+            read.append(derived.trace)
+            assert drawn == list(_DERIVATION(*pnk)), pnk
+            assert type_calculus._prefix.cache_info().currsize == 1
+        assert read[0] == read[2]
+        assert not any(a is b for a, b in zip(read[0].steps, read[2].steps))
 
     def test_traces_of_different_varieties_share_no_step(self):
         held, owner = [], {}  # every trace is held, so no step's id is reused
@@ -830,6 +828,25 @@ def _name_edits(step):
     for j, (name, value) in enumerate(conditions):
         yield f"missing {name}", conditions[:j] + conditions[j + 1:]
         yield f"renamed {name}", conditions[:j] + (("zzz", value),) + conditions[j + 1:]
+
+
+class TestSideConditionPairs:
+    @pytest.mark.parametrize("conditions", [((["x"], 0),), 5, (("variety_dim", 0, 1),)],
+                             ids=["unhashable-name", "not-a-tuple", "three-tuple"])
+    def test_side_conditions_that_are_not_pairs_fail_their_position(self, conditions):
+        # a hand-built step; decoding always builds (name, value) pairs
+        v = variety(2, 3, 3)
+        trace = rigidity_judgment(v).trace
+        assert [step.rule_id for step in trace.steps[:2]] == ["level-bound", "point-base"]
+        edited = _with_step(trace, 1, ProofStep("point-base", conditions))
+        assert edited.failing_steps(v) == edited.failing_steps() == (1,)
+        assert not edited.replay(v)
+        with pytest.raises(DomainError, match="fails replay at positions"):
+            edited.render_text()
+        # an opening that records no pairs names no variety
+        opening = _with_step(trace, 0, ProofStep("level-bound", conditions))
+        assert opening.failing_steps(v) == (0,)
+        assert opening.failing_steps() == tuple(range(len(trace)))
 
 
 class TestSideConditionNames:
@@ -996,6 +1013,14 @@ class TestTraceSerialization:
         assert str(raised.value) == (
             f"malformed trace encoding: integers are encoded as canonical decimal strings, got {shown}"
         )
+
+    def test_steps_given_as_a_list_are_held_as_a_tuple(self):
+        v = variety(2, 3, 1)
+        trace = rigidity_judgment(v).trace
+        listed = ProofTrace(list(trace.steps))
+        assert type(listed.steps) is tuple and listed.replay(v)
+        assert listed == trace and hash(listed) == hash(trace)
+        assert ProofTrace(trace.steps).steps is trace.steps
 
     def test_text_rendering_lists_every_step(self):
         trace = type_bound(variety(2, 3, 1)).trace
