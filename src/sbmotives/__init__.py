@@ -12,7 +12,8 @@ conclusions as replayable proof traces.
 ``errors`` and ``_record``) and binds their exports.  The two leaf modules,
 ``type_calculus`` and ``verify``, load on the first access to either of them,
 to a name either exports, or to ``__all__``; the value is then bound here, so
-later lookups are plain attribute reads.
+later lookups are plain attribute reads.  ``classify_reduced_dimension`` loads
+``type_calculus`` on its first call, as it reads its verdicts from it.
 """
 
 import importlib
@@ -26,7 +27,7 @@ from .severi_brauer import *
 
 __version__ = "0.1.0"
 
-# compiled and run only by the commands that call them (type-bound, verify)
+# compiled only by the commands that run them: type_calculus by type-bound, conjecture and verify; verify by verify
 _LEAVES = ("type_calculus", "verify")
 
 

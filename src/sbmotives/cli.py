@@ -16,9 +16,10 @@ int-to-str digit limit fails rendering and is reported the same way, before
 anything is written.  JSON integers other than ``bool`` are decimal strings, so
 values above 2**53 survive any consumer.  CSV fields are joined with commas,
 never quoted.  Usage text reads the same on every supported Python.
-``type-bound`` and ``verify`` import the type calculus and the identity suite
-when they run, so no other command compiles or loads them, and only JSON
-output loads ``json``.
+``type-bound``, ``conjecture`` and ``verify`` import the type calculus when
+they run (``conjecture`` through the classifier, which reads each case's
+verdict from it), and ``verify`` the identity suite too, so no other command
+compiles or loads them, and only JSON output loads ``json``.
 
 Exit codes: 0 success, 1 engine domain error or an output that cannot be
 opened or written, 2 usage error, 3 failed ``verify`` identities.

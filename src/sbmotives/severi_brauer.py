@@ -11,7 +11,8 @@ statements the rest of the engine consumes:
   ideal variety (explicit twists are only printed for ``p = 2``; for other
   primes only the endpoint summands are produced);
 * the classification of reduced dimensions for which the lifting property of
-  motivic decompositions is settled.
+  motivic decompositions is settled, each prime-primary case's verdict read
+  from the type calculus.
 """
 
 from __future__ import annotations
@@ -221,10 +222,12 @@ class PrimaryCase(Record):
 class CaseClassification(Record):
     """Whether the decomposition-lifting property is settled for ``SB_k``.
 
-    Covered exactly when ``k`` is squarefree or four times an odd squarefree
-    number.  Covered classifications carry the prime-primary sub-cases the
-    question reduces to (reduced dimension 1, ``p`` or 4); open ones record
-    the smallest prime-power factor that blocks the reduction.
+    Covered exactly when the type calculus proves every prime-primary case
+    ``k`` reduces to rigid; verify's oracle checks that against "``k`` is
+    squarefree or four times an odd squarefree number".  Covered
+    classifications carry the prime-primary sub-cases the question reduces to
+    (reduced dimension 1, ``p`` or 4); open ones record the smallest
+    prime-power factor that blocks the reduction.
     """
 
     k: int
@@ -268,14 +271,20 @@ def _factorize(k: int) -> list[tuple[int, int]]:
 def classify_reduced_dimension(k: int) -> CaseClassification:
     """Classify a reduced dimension against the settled cases.
 
-    The settled condition is arithmetic: every odd prime must divide ``k`` at
-    most once, and 2 may divide it 0, 1 or exactly 2 times.
+    ``k`` reduces to one prime-primary case ``p**e`` per prime factor, the
+    level-``e`` variety of the degree-``p**e`` algebra, and the type calculus
+    decides each: the case blocks when its rigidity is unknown.  Verify's
+    oracle checks the result against "``k`` is squarefree or four times an
+    odd squarefree number".
     """
+    from .type_calculus import RigidityStatus, type_bound  # here, as type_calculus imports this module
+
     if not _is_int(k) or k < 1:
         raise DomainError(f"reduced dimension must be a positive integer, got {k!r}")
     factors = _factorize(k)
     blocking = sorted(
-        p**e for p, e in factors if (p == 2 and e >= 3) or (p > 2 and e >= 2)
+        p**e for p, e in factors
+        if type_bound(SBVariety(DivisionContext(p, e), e)).rigidity is RigidityStatus.UNKNOWN
     )
     reductions = tuple(PrimaryCase(p, p**e) for p, e in factors)
     if blocking:

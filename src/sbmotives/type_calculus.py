@@ -127,16 +127,6 @@ def _power_fits(value: int, exponent: int) -> bool:
     return exponent < value.bit_length()
 
 
-def _names_variety(p: int, n: int, k: int) -> bool:
-    """Whether ``(p, n, k)`` name a variety the engine builds: ``p`` prime
-    and ``0 <= k <= n``."""
-    try:
-        SBVariety(DivisionContext(p, n), k)
-    except DomainError:
-        return False
-    return True
-
-
 def _check_function_field_split(p: int, n: int, k: int, bound: int, *, degree: int, split_degree: int,
                                 term_count: int, upper_twist: int, lower_twist: int) -> bool:
     if not _power_fits(lower_twist, n + k - 1):
@@ -354,15 +344,21 @@ class ProofStep(Record):
     citation is the catalog's, and its conclusion is rendered from the side
     conditions at its position by :meth:`ProofTrace.render_text`; neither is
     encoded.  A step is checked and rendered only at a position of a
-    derivation, which fixes its variety, exponent and bound.
+    derivation, which fixes its variety, exponent and bound.  Its side
+    conditions are held as a tuple of what they iterate over; ones that are
+    not iterable raise :class:`DomainError`.
     """
 
     rule_id: str
     side_conditions: tuple[tuple[str, int], ...]
 
-    def __init__(self, rule_id: str, side_conditions: tuple[tuple[str, int], ...]) -> None:
+    def __init__(self, rule_id: str, side_conditions: Iterable[tuple[str, int]]) -> None:
         if rule_id not in RULE_CATALOG:
             raise DomainError(f"unknown rule id: {rule_id!r}")
+        try:  # held as a tuple, so a step built from a list equals and hashes as the tuple-built one
+            side_conditions = tuple(side_conditions)
+        except TypeError:
+            raise DomainError(f"not a sequence of side conditions: {side_conditions!r}") from None
         set_field(self, "rule_id", rule_id)
         set_field(self, "side_conditions", side_conditions)
 
@@ -451,12 +447,13 @@ def _named(steps: tuple[ProofStep, ...]) -> tuple[int, int, int] | None:
     replay checks a variety: a given one is already valid."""
     if not steps or steps[0].rule_id != "level-bound":
         return None
-    try:
+    try:  # a hand-built opening may record no (name, value) pairs; DomainError is a ValueError
         opening = steps[0].conditions()
-    except (TypeError, ValueError):  # a hand-built opening that records no (name, value) pairs
+        named = opening.get("p"), opening.get("n"), opening.get("k")
+        SBVariety(DivisionContext(named[0], named[1]), named[2])  # p prime and 0 <= k <= n
+    except (TypeError, ValueError):
         return None
-    named = opening.get("p"), opening.get("n"), opening.get("k")
-    return named if _INT_TYPE.issuperset(map(type, named)) and _names_variety(*named) else None
+    return named if _INT_TYPE.issuperset(map(type, named)) else None
 
 
 class ProofTrace(Record):

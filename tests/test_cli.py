@@ -809,6 +809,20 @@ class TestVerifyCommand:
             "open case without blocking factor at k=9",
         ]
 
+    def test_classifier_known_cases_catches_a_planted_calculus_verdict(self, monkeypatch):
+        # the (p = 2, level 3) case given bound 0 covers every k <= 100 whose only square factor is 8
+        original = type_calculus.type_bound
+
+        def planted(variety):
+            if (variety.context.p, variety.level) == (2, 3):
+                return type_calculus.TypeBound(variety, 0)
+            return original(variety)
+
+        monkeypatch.setattr(type_calculus, "type_bound", planted)
+        assert list(verify_module._check_classifier_known_cases(1)) == [
+            f"classifier disagrees with factorization at k={k}" for k in (8, 24, 40, 56, 88)
+        ]
+
     @staticmethod
     def _plant_obstruction_row(monkeypatch, planted):
         rule = RULE_CATALOG["dimension-obstruction"]

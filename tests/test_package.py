@@ -1,5 +1,7 @@
 """The package namespace: exactly the exports of its modules."""
 
+from pathlib import Path
+
 import pytest
 
 import sbmotives
@@ -51,7 +53,7 @@ START_UPS = [  # (the CLI's arguments, or None for the package alone; the sbmoti
     (["mu", *SMALL, "--all"], CLI),
     (["chow-order", *SMALL], CLI),
     (["decompose", *SMALL], CLI),
-    (["conjecture", "--k", "12"], CLI),
+    (["conjecture", "--k", "12"], [*CLI, "type_calculus"]),
     (["type-bound", *SMALL], [*CLI, "type_calculus"]),
     (["verify", "--max-n", "1"], [*CLI, "type_calculus", "verify"]),
     (["verify", "--max-n", "2", "--format", "text"], [*CLI, "type_calculus", "verify"]),
@@ -84,3 +86,29 @@ def test_cli_start_up_loads_no_click_decimal_or_dataclasses(argv, loaded):
     )
     done = run_python("-c", probe, capture_output=True, text=True, check=True)
     assert done.stdout.splitlines()[-1] == repr(sorted(["sbmotives", *(f"sbmotives.{m}" for m in loaded)]))
+
+
+ONE_FAILING_GIVEN = """
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(x):
+    assert x < 0
+
+
+def test_passes():
+    pass
+"""
+
+
+def test_a_failing_hypothesis_test_is_reported_and_the_rest_run(tmp_path):
+    # hypothesis reports a failure through a module that imports libcst, whose
+    # import warning filterwarnings = error must not turn into INTERNALERROR
+    pytest.importorskip("libcst")
+    (tmp_path / "test_one_fails.py").write_text(ONE_FAILING_GIVEN)
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    done = run_python("-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(pyproject), "test_one_fails.py",
+                      cwd=tmp_path, capture_output=True, text=True)
+    assert done.returncode == 1, done.stdout
+    assert "1 failed, 1 passed" in done.stdout.splitlines()[-1]

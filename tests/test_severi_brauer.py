@@ -23,6 +23,7 @@ from sbmotives import (
     rational_chow_order,
     rational_chow_orders,
 )
+from sbmotives import type_calculus
 
 
 class TestVarietyDimension:
@@ -285,7 +286,7 @@ class TestClassifier:
             return True
 
         open_cases = {8, 9, 16, 18, 24, 25, 27}
-        for k in range(1, 31):
+        for k in range(1, 1001):
             case = classify_reduced_dimension(k)
             expected = squarefree(k) or (
                 k % 4 == 0 and squarefree(k // 4) and (k // 4) % 2 == 1
@@ -293,6 +294,19 @@ class TestClassifier:
             assert case.covered is expected, k
             if k in open_cases:
                 assert not case.covered
+
+    def test_verdicts_come_from_the_type_calculus(self, monkeypatch):
+        # with the (p = 2, level 3) case given bound 0, 8 is covered
+        original = type_calculus.type_bound
+
+        def planted(variety):
+            if (variety.context.p, variety.level) == (2, 3):
+                return type_calculus.TypeBound(variety, 0)
+            return original(variety)
+
+        assert not classify_reduced_dimension(8).covered
+        monkeypatch.setattr(type_calculus, "type_bound", planted)
+        assert classify_reduced_dimension(8).covered
 
     def test_smallest_blocking_factor(self):
         assert classify_reduced_dimension(24).blocking_factor == 8

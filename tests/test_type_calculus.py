@@ -831,8 +831,8 @@ def _name_edits(step):
 
 
 class TestSideConditionPairs:
-    @pytest.mark.parametrize("conditions", [((["x"], 0),), 5, (("variety_dim", 0, 1),)],
-                             ids=["unhashable-name", "not-a-tuple", "three-tuple"])
+    @pytest.mark.parametrize("conditions", [((["x"], 0),), (("variety_dim", 0, 1),), {"variety_dim": 0}],
+                             ids=["unhashable-name", "three-tuple", "a-dict"])
     def test_side_conditions_that_are_not_pairs_fail_their_position(self, conditions):
         # a hand-built step; decoding always builds (name, value) pairs
         v = variety(2, 3, 3)
@@ -847,6 +847,19 @@ class TestSideConditionPairs:
         opening = _with_step(trace, 0, ProofStep("level-bound", conditions))
         assert opening.failing_steps(v) == (0,)
         assert opening.failing_steps() == tuple(range(len(trace)))
+
+    def test_side_conditions_that_are_not_iterable_are_refused_at_construction(self):
+        with pytest.raises(DomainError, match="not a sequence of side conditions: 5"):
+            ProofStep("point-base", 5)
+
+    def test_side_conditions_given_as_a_list_are_held_as_the_tuple(self):
+        v = variety(2, 3, 3)
+        trace = rigidity_judgment(v).trace
+        listed = ProofStep("point-base", [("variety_dim", 0)])
+        assert listed == trace.steps[1] and hash(listed) == hash(trace.steps[1])
+        assert listed.side_conditions == (("variety_dim", 0),)
+        edited = _with_step(trace, 1, listed)
+        assert edited == trace and hash(edited) == hash(trace) and edited.replay(v)
 
 
 class TestSideConditionNames:
