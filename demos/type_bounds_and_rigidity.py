@@ -21,7 +21,8 @@ from sbmotives import (
 # induction improves this to max(k-2, -1); the numeric heart of the
 # induction step is a dimension comparison that holds across the board: the
 # candidate factor is smaller than the span of the two endpoint copies.  These
-# are the dimensions a trace's obstruction step records at exponent n.
+# are the dimensions the rung's obstruction step checks at exponent n; a trace
+# records the rung once, at exponent k + 1, and the induction carries it to n.
 print("dimension obstruction, small range:")
 for n in range(1, 5):
     for k in range(1, n + 1):
@@ -42,7 +43,8 @@ for p in (2, 3):
 # fixed catalog, rendered below at the step's position, and each citation too;
 # the CLI's JSON lists each citation once, under "rules".  replay(variety)
 # re-checks each step from its recorded numbers and its position, in closed
-# form, so it takes time linear in the length of the ladder.
+# form; the halving induction is one step, so a trace has the same seven
+# steps at every exponent above the level.
 bound = type_bound(SBVariety(DivisionContext(2, 3), 1))
 print(f"\nbound for SB_2, deg D = 8: {bound.bound}  (trace replays: {bound.trace.replay(bound.variety)})")
 print(bound.trace.render_text())

@@ -24,23 +24,26 @@ step's exponent, and the type bound.  Only the opening level bound records
 its position, and a trace replayed with no variety given is about the
 variety its opening names; every later step records only what its position
 does not fix, and one that records ``p``, ``n``, ``k``, ``level`` or
-``bound`` fails replay.  A trace is recorded when it is first read, so a
-caller that wants only the bound or the verdict records nothing.  Each
-judgment's trace is the type bound's steps followed by the judgment's
-closing; the last variety's type bound trace is held, so traces about one
-variety read one after another share those steps.  A step records its rule
-and its side conditions, and that is all its JSON encoding holds:
-``{"rule_id", "conditions"}``.  Its conclusion and citation come from the
-fixed rule catalog, the conclusion rendered at the step's position only when
-a trace that replays is printed as text; the CLI's JSON lists each citation
-once, in a top-level map of the rules the trace uses.  So building,
+``bound`` fails replay.  The halving induction is recorded as it is proved:
+the point base at exponent ``k``, one rung of four steps at exponent
+``k + 1``, and the ``halving-induction`` step that carries the rung to ``n``.
+The rung uses only the bound at the exponent below and closed forms in the
+exponent, so the trace about ``(2, n, k)`` has the same steps for every
+``n > k``, apart from the opening's ``n``, and its values grow with ``k``,
+not ``n``.  A trace is recorded when it is first read, so a caller that
+wants only the bound or the verdict records nothing.  Each judgment's trace
+is the type bound's steps followed by the judgment's closing.  A step
+records its rule and its side conditions, and that is all its JSON encoding
+holds: ``{"rule_id", "conditions"}``.  Its conclusion and citation come from
+the fixed rule catalog, the conclusion rendered at the step's position only
+when a trace that replays is printed as text; the CLI's JSON lists each
+citation once, in a top-level map of the rules the trace uses.  So building,
 encoding, decoding and replaying format no text, and a decoded step that
-carries a citation or a conclusion is rejected.  The induction is replayed
-in full for the requested exponent rather than memoized away, so traces are
-self-contained.  Recording fills in side conditions along the positions from
-each rule's catalog row (:attr:`Rule.record`), and replay walks them once,
-checking that each position holds the rule it calls for there and that the
-rule's check accepts the step's side conditions at that position
+carries a citation or a conclusion is rejected.  Recording fills in side
+conditions along the positions from each rule's catalog row
+(:attr:`Rule.record`), and replay walks them once, checking that each
+position holds the rule it calls for there and that the rule's check
+accepts the step's side conditions at that position
 (:meth:`ProofTrace.failing_steps`): the check takes the position as
 arguments and the side conditions as its keyword-only parameters, whose
 names are the names a step of the rule records.  A check runs only where
@@ -54,19 +57,17 @@ does not exist fails replay, and so does an opening that records another
 position than its own, or a step that records other names than its check's
 keyword parameters, the same name twice, a value that is not an ``int``, or
 anything but (name, value) pairs.  Decoding reads integers only from
-canonical decimal strings, as :meth:`ProofTrace.to_json_obj` writes them,
-parsing each one once.  Every rule check is closed form, so replaying the
-trace of level ``k`` and exponent ``n`` takes time linear in ``n - k``.  A
-check builds a power only after the bit length of a recorded value allows
-it, so a decoded trace costs time in the size of its encoding, however large
-the exponents it names.
+canonical decimal strings, as :meth:`ProofTrace.to_json_obj` writes them.
+Every rule check is closed form, and a check builds a power only after the
+bit length of a recorded value allows it, so a decoded trace costs time in
+the size of its encoding, however large the exponents it names.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from functools import cached_property, lru_cache
-from itertools import islice
+from functools import cached_property
+from itertools import chain, islice
 from typing import Callable, Iterable, Iterator, Mapping
 
 from ._record import Record, set_field
@@ -269,6 +270,22 @@ RULE_CATALOG: dict[str, Rule] = {
             ),
         ),
         Rule(
+            "halving-induction",
+            "The rung derives type k - 2 at exponent m from type k - 2 at "
+            "exponent m - 1, using that bound and closed forms in m alone, so "
+            "the rung at exponent k + 1 is the rung at every exponent above k. "
+            "By induction on the exponent from the point base at k, the "
+            "level-k variety of every degree 2^n with n > k is of type k - 2. "
+            "[induction on the exponent]",
+            lambda p, n, k, bound: {},
+            # the derivation places it only after the point base and one rung, which decides it
+            lambda p, n, k, bound: True,
+            lambda c, p, n, k, bound: (
+                f"by induction on the exponent from the point base at degree {p}^{k}, the rung holds at "
+                f"every degree up to {p}^{n}: the level-{k} variety of the degree-{p}^{n} algebra is of type {bound}"
+            ),
+        ),
+        Rule(
             "rank-one-upper",
             "For a variety of type -1 every indecomposable summand is the "
             "upper motive; the degree-zero Chow group has rank one, so there "
@@ -346,14 +363,15 @@ class ProofStep(Record):
     encoded.  A step is checked and rendered only at a position of a
     derivation, which fixes its variety, exponent and bound.  Its side
     conditions are held as a tuple of what they iterate over; ones that are
-    not iterable raise :class:`DomainError`.
+    not iterable, or a rule id that is not a catalog rule's, raise
+    :class:`DomainError`.
     """
 
     rule_id: str
     side_conditions: tuple[tuple[str, int], ...]
 
     def __init__(self, rule_id: str, side_conditions: Iterable[tuple[str, int]]) -> None:
-        if rule_id not in RULE_CATALOG:
+        if not isinstance(rule_id, str) or rule_id not in RULE_CATALOG:
             raise DomainError(f"unknown rule id: {rule_id!r}")
         try:  # held as a tuple, so a step built from a list equals and hashes as the tuple-built one
             side_conditions = tuple(side_conditions)
@@ -382,8 +400,6 @@ def _keyword_only(check: Callable[..., bool]) -> frozenset[str]:
 
 # Each rule's check, and the names a step of the rule records: its keyword-only parameters.
 _CHECKS = {rule_id: (rule.check, _keyword_only(rule.check)) for rule_id, rule in RULE_CATALOG.items()}
-# Each such name as the checks' own string, so a decoded name meets its parameter by identity.
-_parameter_name = {name: name for _, names in _CHECKS.values() for name in names}.get
 
 
 _STEP_KEYS = frozenset(("rule_id", "conditions"))
@@ -396,8 +412,9 @@ def _derivation(p: int, n: int, k: int) -> Iterator[tuple[str, tuple[int, int, i
     algebra, ``m`` the step's exponent; a judgment's :func:`_closing` follows it.
 
     The level bound opens it at ``(p, n, k, k - 1)``.  At ``p = 2`` and
-    ``k >= 1`` the point base and one ``_RUNG`` per exponent ``k+1..n``
-    follow, and the bound is ``k - 2`` from there on.  Only rule ids and
+    ``k >= 1`` the point base at exponent ``k`` follows, and when ``k < n``
+    one ``_RUNG`` at exponent ``k + 1`` and the halving induction at ``n``;
+    the bound is ``k - 2`` from the point base on.  Only rule ids and
     positions are fixed here, never side-condition values, so the rule checks
     stay independent of the builders.  Lazy, so a consumer pays for the
     positions it reads.
@@ -405,10 +422,10 @@ def _derivation(p: int, n: int, k: int) -> Iterator[tuple[str, tuple[int, int, i
     yield "level-bound", (p, n, k, k - 1)
     if p == 2 and 1 <= k <= n:
         yield "point-base", (p, k, k, k - 2)
-        for m in range(k + 1, n + 1):
-            position = (p, m, k, k - 2)
+        if k < n:
             for rule in _RUNG:
-                yield rule, position
+                yield rule, (p, k + 1, k, k - 2)
+            yield "halving-induction", (p, n, k, k - 2)
 
 
 def _closing(p: int, n: int, k: int, bound: int, first_rule: str) -> Iterator[tuple[str, tuple[int, int, int, int]]]:
@@ -457,12 +474,21 @@ def _named(steps: tuple[ProofStep, ...]) -> tuple[int, int, int] | None:
 
 
 class ProofTrace(Record):
-    """Ordered, self-contained derivation; its steps are held as a tuple."""
+    """Ordered, self-contained derivation; its steps are held as a tuple.
+    Steps that are not iterable, or one that is not a :class:`ProofStep`,
+    raise :class:`DomainError`."""
 
     steps: tuple[ProofStep, ...]
 
     def __init__(self, steps: Iterable[ProofStep] = ()) -> None:
-        set_field(self, "steps", tuple(steps))
+        try:  # held as a tuple, so a trace built from a list equals and hashes as the tuple-built one
+            steps = tuple(steps)
+        except TypeError:
+            raise DomainError(f"not a sequence of proof steps: {steps!r}") from None
+        for step in steps:
+            if not isinstance(step, ProofStep):
+                raise DomainError(f"not a proof step: {step!r}")
+        set_field(self, "steps", steps)
 
     def __iter__(self) -> Iterator[ProofStep]:
         return iter(self.steps)
@@ -527,10 +553,17 @@ class ProofTrace(Record):
         return "\n".join(lines)
 
     def to_json_obj(self) -> list[dict]:
-        return [
-            {"rule_id": step.rule_id, "conditions": {name: str(value) for name, value in step.side_conditions}}
-            for step in self.steps
-        ]
+        """Each step as ``{"rule_id", "conditions"}``, its values as decimal
+        strings.  A hand-built step whose side conditions are not (name,
+        value) pairs raises :class:`DomainError`."""
+        encoded = []
+        for step in self.steps:
+            try:  # only the pairs: a value past the digit limit raises its own ValueError
+                conditions = dict(step.side_conditions)
+            except (TypeError, ValueError):
+                raise DomainError(f"side conditions are not (name, value) pairs: {step.side_conditions!r}") from None
+            encoded.append({"rule_id": step.rule_id, "conditions": {name: str(value) for name, value in conditions.items()}})
+        return encoded
 
     @classmethod
     def from_json_obj(cls, data: list[Mapping]) -> "ProofTrace":
@@ -538,21 +571,15 @@ class ProofTrace(Record):
         each with exactly the keys ``rule_id`` and ``conditions``.  Another
         top level, a step with other keys (such as a ``citation`` or a
         ``conclusion``), an unknown rule id, or a side condition that is not
-        a canonical decimal string raises :class:`DomainError`.  Each
-        distinct string is parsed once per call."""
+        a canonical decimal string raises :class:`DomainError`."""
         if not isinstance(data, list):
             raise DomainError(f"malformed trace encoding: expected a list, got {type(data).__name__}")
         steps = []
-        known: dict[str, int] = {}  # each canonical string this call has decoded
         for entry in data:
             try:
                 if entry.keys() != _STEP_KEYS:
                     raise ValueError(f"step keys {list(entry)} are not ['rule_id', 'conditions']")
-                conditions = tuple([
-                    (_parameter_name(name, name), known[value] if value.__class__ is str and value in known
-                     else known.setdefault(value, _int_from_json(value)))
-                    for name, value in entry["conditions"].items()
-                ])
+                conditions = tuple([(name, _int_from_json(value)) for name, value in entry["conditions"].items()])
                 steps.append(ProofStep(entry["rule_id"], conditions))
             except (AttributeError, TypeError, ValueError) as exc:
                 raise DomainError(f"malformed trace encoding: {exc}") from exc
@@ -575,8 +602,7 @@ class TypeBound(Record):
     ``bound`` is at most ``level - 1`` (the level bound always applies) and
     at least -1 (there are no upper motives of negative level to exclude).
     Both verdicts are read off the bound; the judgments add the closing
-    steps of their derivations.  The trace is recorded when first read, or
-    is the one held for the last variety whose type bound trace was read.
+    steps of their derivations.  The trace is recorded when first read.
     """
 
     variety: SBVariety
@@ -584,7 +610,7 @@ class TypeBound(Record):
 
     @cached_property
     def trace(self) -> ProofTrace:
-        return _prefix(self.variety.context.p, self.variety.context.n, self.variety.level)
+        return ProofTrace(_record(_derivation(self.variety.context.p, self.variety.context.n, self.variety.level)))
 
     @property
     def indecomposability(self) -> IndecomposabilityStatus:
@@ -606,13 +632,6 @@ def _record(positions: Iterator[tuple[str, tuple[int, int, int, int]]]) -> tuple
     return tuple([ProofStep(rule, tuple(RULE_CATALOG[rule].record(*position).items())) for rule, position in positions])
 
 
-@lru_cache(maxsize=1)
-def _prefix(p: int, n: int, k: int) -> ProofTrace:
-    """The type bound's trace about ``(p, n, k)``, which every trace about it begins
-    with; only the last variety's is held, as every caller reads one variety's traces in turn."""
-    return ProofTrace(_record(_derivation(p, n, k)))
-
-
 def type_bound(variety: SBVariety) -> TypeBound:
     """Best upper bound on the type of the variety the rules can derive.
 
@@ -620,8 +639,8 @@ def type_bound(variety: SBVariety) -> TypeBound:
     ``level >= 1`` the halving induction improves it to ``level - 2``, which
     is at least -1.  It is read off the derivation, which is not recorded.
     """
-    # Each rung keeps the bound of the point base before it, so the first
-    # two positions (the level bound, then the point base if any) fix it.
+    # Every step after the point base keeps its bound, so the first two
+    # positions (the level bound, then the point base if any) fix it.
     *_, (_, (_, _, _, bound)) = islice(_derivation(variety.context.p, variety.context.n, variety.level), 2)
     return TypeBound(variety, bound)
 
@@ -636,8 +655,7 @@ class Judgment(Record):
     """A verdict on a variety, the type bound it rests on, and its derivation:
     the type bound's, then the closing whose first rule ``_CLOSING`` names for
     the status, if any, recorded at ``bound``.  The trace is recorded when
-    first read, after the steps of the type bound's trace, which it shares
-    with the other traces about the last variety whose trace was read."""
+    first read."""
 
     variety: SBVariety
     status: IndecomposabilityStatus | RigidityStatus
@@ -646,10 +664,8 @@ class Judgment(Record):
     @cached_property
     def trace(self) -> ProofTrace:
         p, n, k = self.variety.context.p, self.variety.context.n, self.variety.level
-        prefix, closing = _prefix(p, n, k), _CLOSING.get(self.status)
-        if closing is None:
-            return prefix
-        return ProofTrace(prefix.steps + _record(_closing(p, n, k, self.bound, closing)))
+        closing = _closing(p, n, k, self.bound, _CLOSING.get(self.status, ""))
+        return ProofTrace(_record(chain(_derivation(p, n, k), closing)))
 
 
 def indecomposability_judgment(variety: SBVariety) -> Judgment:

@@ -442,20 +442,21 @@ class TestTypeBoundCommand:
         not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit"
     )
     def test_large_exponent_prints_no_power_without_trace(self, run_cli):
-        # the trace records integers of about 900 digits; only --trace prints them
+        # the trace records integers of about 660 digits; only --trace prints them
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(640)
         try:
-            result = run_cli("type-bound", "--p", "2", "--n", "3000", "--k", "1")
+            result = run_cli("type-bound", "--p", "2", "--n", "1101", "--k", "1100")
         finally:
             sys.set_int_max_str_digits(limit)
         assert result.exit_code == 0, result.stdout
-        assert "degree-2^3000 division algebra: -1" in result.stdout
+        assert "degree-2^1101 division algebra: 1098" in result.stdout
 
     @needs_digit_limit
     def test_trace_past_digit_limit_is_error_except_in_csv(self, run_cli):
-        # text and JSON print the trace's ~900-digit integers; CSV lists rule ids
-        args = ("type-bound", "--p", "2", "--n", "3000", "--k", "1", "--trace", "--format")
+        # text and JSON print the rung's ~660-digit integers, which grow with
+        # the level, not the exponent; CSV lists rule ids
+        args = ("type-bound", "--p", "2", "--n", "1101", "--k", "1100", "--trace", "--format")
         start = time.perf_counter()
         for fmt in ("text", "json"):
             assert_render_error(run_with_digit_limit(run_cli, 640, *args, fmt))

@@ -32,13 +32,6 @@ def variety(p, n, k):
 _DERIVATION = type_calculus._derivation  # unwrapped: the (rule_id, position) pairs a walk should draw
 
 
-@pytest.fixture(autouse=True)
-def fresh_memo():
-    """Each test starts with no type bound trace held: one held from an
-    earlier test would serve its steps without drawing or recording them."""
-    type_calculus._prefix.cache_clear()
-
-
 @pytest.fixture()
 def drawn(monkeypatch):
     """The positions drawn from ``_derivation`` while the test runs, in order."""
@@ -118,19 +111,28 @@ class TestTypeBound:
         assert type_bound(variety(2, 10**6, 1)).bound == -1
         assert len(drawn) <= 2
 
-    def test_trace_ends_with_the_obstruction_ladder(self):
-        # the exponent of each obstruction is its position's, and its
-        # recorded dimensions are the ones at that exponent
+    def test_trace_records_one_rung_then_the_induction(self):
+        # the rung sits at exponent k + 1, its obstruction records the
+        # dimensions there, and the halving induction carries it to n
         trace = type_bound(variety(2, 3, 1)).trace
         positions = list(_DERIVATION(2, 3, 1))
         assert [s.rule_id for s in trace] == [rule for rule, _ in positions]
-        assert [m for rule, (_, m, _, _) in positions if rule == "dimension-obstruction"] == [2, 3]
+        assert [rule for rule, _ in positions] == ["level-bound", "point-base", *_RUNG, "halving-induction"]
+        assert [position for rule, position in positions if rule in _RUNG] == [(2, 2, 1, -1)] * 4
         obstruction_steps = [s for s in trace if s.rule_id == "dimension-obstruction"]
-        assert [s.conditions() for s in obstruction_steps] == [
-            {"product_dim": 2, "endpoint_dim": 3},
-            {"product_dim": 6, "endpoint_dim": 7},
-        ]
-        assert trace.steps[-1].rule_id == "dimension-obstruction" and positions[-1][1] == (2, 3, 1, -1)
+        assert [s.conditions() for s in obstruction_steps] == [{"product_dim": 2, "endpoint_dim": 3}]
+        assert positions[-1] == ("halving-induction", (2, 3, 1, -1)) and trace.steps[-1].side_conditions == ()
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_trace_is_the_same_at_every_exponent_above_the_level(self, k):
+        for derive in _DERIVES:
+            encodings = []
+            for n in (k + 1, k + 2, 50, 10**8):
+                encoded = derive(variety(2, n, k)).trace.to_json_obj()
+                assert encoded[0]["conditions"].pop("n") == str(n)
+                encodings.append(encoded)
+            assert all(encoded == encodings[0] for encoded in encodings), derive.__name__
+            assert len(encodings[0]) <= 10
 
     def test_point_case_has_base_only_trace(self):
         trace = type_bound(variety(2, 4, 4)).trace
@@ -148,17 +150,18 @@ class TestTraceReplay:
 
     def test_tampered_side_condition_fails_replay(self):
         trace = type_bound(variety(2, 3, 1)).trace
-        last = trace.steps[-1]
+        i = _RUNG.index("dimension-obstruction") + 2
+        obstruction = trace.steps[i]
         forged = ProofStep(
-            rule_id=last.rule_id,
+            rule_id=obstruction.rule_id,
             side_conditions=tuple(
                 (name, value + 1 if name == "product_dim" else value)
-                for name, value in last.side_conditions
+                for name, value in obstruction.side_conditions
             ),
         )
-        tampered = ProofTrace(trace.steps[:-1] + (forged,))
+        tampered = _with_step(trace, i, forged)
         assert not tampered.replay()
-        assert tampered.failing_steps() == (len(trace.steps) - 1,)
+        assert tampered.failing_steps() == (i,)
 
     def test_unknown_rule_fails_replay(self):
         with pytest.raises(DomainError):
@@ -301,14 +304,17 @@ class TestNamedVariety:
 
     def test_named_variety_fixes_every_position(self):
         # Against a given variety, each position is checked from that
-        # variety's derivation, not from the opening step's.  The ladder of
-        # exponents 3 and 4 also starts the one for exponent 5, so only the
-        # opening (n = 4) and the closing, where the rung of exponent 5
-        # belongs, fail; the rung is then missing at position 13.
+        # variety's derivation, not from the opening step's.  The traces
+        # about (2, 4, 2) and (2, 5, 2) differ only in the opening's n, so
+        # only the opening fails against the other.  Against (2, 5, 3) the
+        # rung's values are those of another level and exponent, and the
+        # transfer fails at that variety's bound 1; the point base, the
+        # induction and the first two closing steps test nothing a level fixes.
         steps = rigidity_judgment(variety(2, 4, 2)).trace.steps
-        assert len(steps) == 13
+        assert len(steps) == 10
         assert ProofTrace(steps).failing_steps(variety(2, 4, 2)) == ()
-        assert ProofTrace(steps).failing_steps(variety(2, 5, 2)) == (0, 10, 11, 12, 13)
+        assert ProofTrace(steps).failing_steps(variety(2, 5, 2)) == (0,)
+        assert ProofTrace(steps).failing_steps(variety(2, 5, 3)) == (0, 2, 3, 4, 5, 9)
         assert ProofTrace().failing_steps(variety(3, 2, 1)) == (0,)
 
 
@@ -461,7 +467,7 @@ class TestStepConjuncts:
         # (2, 3, 2) with the endpoint dimension edited, and a rung at
         # exponent 2^64, which only the bit-length guards reject in time
         trace = type_bound(variety(2, 3, 2)).trace
-        i = len(trace) - 1
+        i = _RUNG.index("dimension-obstruction") + 2
         forged = ProofStep("dimension-obstruction", (("product_dim", 8), ("endpoint_dim", 13)))
         assert trace.steps[i].conditions() == {"product_dim": 8, "endpoint_dim": 12}
         assert _with_step(trace, i, forged).failing_steps() == (i,)
@@ -507,7 +513,10 @@ def _off_by_one_survivors(bound_to_variety):
             for name, value in list(conditions.items()):
                 for delta in (-1, 1):
                     conditions[name] = str(int(value) + delta)
-                    if ProofTrace.from_json_obj(encoded).replay(v if bound_to_variety else None):
+                    edited = ProofTrace.from_json_obj(encoded)
+                    if edited.replay(v if bound_to_variety else None):
+                        # a survivor is sound about the variety its opening names
+                        assert edited.replay(variety(*(int(encoded[0]["conditions"][c]) for c in "pnk")))
                         key = (v.context.p, v.context.n, v.level, len(trace), entry["rule_id"], name, delta)
                         survivors.append(key)
                 conditions[name] = value
@@ -536,14 +545,19 @@ class TestConclusions:
         # derivation is the opening alone (odd p, or level 0), an edited p
         # or n that still names a variety is a sound trace about that other
         # variety, closing and all: the closing's steps record no coordinate.
-        # Every other edit fails even without a variety.
+        # At p = 2 and 1 <= k < n the trace has the same steps at every
+        # n > k, so an opening's n edited to another exponent above k is a
+        # sound trace about that variety too.  Every other edit fails even
+        # without a variety.
         survivors = _off_by_one_survivors(bound_to_variety=False)
-        assert len(survivors) == 285
+        assert len(survivors) == 333
         assert {(rule_id, name) for *_, rule_id, name, _ in survivors} == {("level-bound", "p"), ("level-bound", "n")}
-        # 177 in type bounds, 45 with the rank-one closing, 63 with the transfer closing
+        # at odd p or level 0: 177 in type bounds, 45 with the rank-one
+        # closing, 63 with the transfer closing; at p = 2 and 1 <= k < n:
+        # 29 in type bounds, 7 with the rank-one closing, 12 with the transfer closing
         lengths = [length for _, _, _, length, *_ in survivors]
-        assert {length: lengths.count(length) for length in lengths} == {1: 177, 2: 45, 4: 63}
-        assert all(p != 2 or k == 0 for p, _, k, *_ in survivors)
+        assert {length: lengths.count(length) for length in lengths} == {1: 177, 2: 45, 4: 63, 7: 29, 8: 7, 10: 12}
+        assert all(p != 2 or k == 0 or (name == "n" and k < n + delta) for p, n, k, _, _, name, delta in survivors)
 
     def test_building_and_replaying_render_no_text(self, monkeypatch):
         def refuse(conditions):
@@ -662,11 +676,11 @@ class TestConclusions:
         )
 
     def test_a_trace_that_fails_replay_renders_nothing(self):
-        # the trace about (2, 3, 1) with its opening's n edited to 4, without
-        # its opening, and an empty trace
+        # the trace about (2, 3, 1) with its opening's n edited to 1, where
+        # the derivation holds no rung, without its opening, and an empty trace
         trace = rigidity_judgment(variety(2, 3, 1)).trace
         encoded = trace.to_json_obj()
-        encoded[0]["conditions"]["n"] = "4"
+        encoded[0]["conditions"]["n"] = "1"
         for edited in (ProofTrace.from_json_obj(encoded), ProofTrace(trace.steps[1:]), ProofTrace()):
             with pytest.raises(DomainError, match="fails replay at positions"):
                 edited.render_text()
@@ -687,6 +701,55 @@ _EVERY_STEP_NAMES_ITS_VARIETY = [
     {"rule_id": "valuation-case-split", "conditions": {"p": "2", "n": "3", "k": "1", "required_level": "0", "candidate_0_i": "2", "candidate_0_j": "0", "candidate_1_i": "0", "candidate_1_j": "2", "candidate_2_i": "1", "candidate_2_j": "1"}},
     {"rule_id": "dimension-obstruction", "conditions": {"p": "2", "n": "3", "k": "1", "product_dim": "6", "endpoint_dim": "7"}}
 ]
+
+
+# The trace of (2, 3, 1) in the encoding where the rung was recorded at every
+# exponent k + 1..n, not once with the halving induction after it.
+_UNROLLED_LADDER = [
+    {"rule_id": "level-bound", "conditions": {"p": "2", "n": "3", "k": "1", "bound": "0"}},
+    {"rule_id": "point-base", "conditions": {"variety_dim": "0"}},
+    {"rule_id": "function-field-split", "conditions": {"degree": "4", "split_degree": "2", "term_count": "3", "upper_twist": "0", "lower_twist": "4"}},
+    {"rule_id": "halved-endpoints", "conditions": {"upper_twist": "0", "lower_twist": "2"}},
+    {"rule_id": "valuation-case-split", "conditions": {"required_level": "0", "candidate_0_i": "2", "candidate_0_j": "0", "candidate_1_i": "0", "candidate_1_j": "2", "candidate_2_i": "1", "candidate_2_j": "1"}},
+    {"rule_id": "dimension-obstruction", "conditions": {"product_dim": "2", "endpoint_dim": "3"}},
+    {"rule_id": "function-field-split", "conditions": {"degree": "8", "split_degree": "4", "term_count": "3", "upper_twist": "0", "lower_twist": "8"}},
+    {"rule_id": "halved-endpoints", "conditions": {"upper_twist": "0", "lower_twist": "4"}},
+    {"rule_id": "valuation-case-split", "conditions": {"required_level": "0", "candidate_0_i": "2", "candidate_0_j": "0", "candidate_1_i": "0", "candidate_1_j": "2", "candidate_2_i": "1", "candidate_2_j": "1"}},
+    {"rule_id": "dimension-obstruction", "conditions": {"product_dim": "6", "endpoint_dim": "7"}}
+]
+
+
+class TestHalvingInduction:
+    """The rung is recorded once, at exponent k + 1, and the halving
+    induction after it carries it to n; a trace that unrolls the rung, or
+    that drops, repeats or moves the induction, fails replay."""
+
+    def test_unrolled_ladder_decodes_and_fails_replay(self):
+        v = variety(2, 3, 1)
+        old = ProofTrace.from_json_obj(json.loads(json.dumps(_UNROLLED_LADDER)))
+        # the first rung is the one the derivation records; the second sits
+        # where the induction belongs and past the derivation's end
+        assert old.steps[:6] == type_bound(v).trace.steps[:6]
+        assert old.failing_steps(v) == old.failing_steps() == (6, 7, 8, 9)
+
+    @pytest.mark.parametrize("derive", _DERIVES, ids=lambda derive: derive.__name__)
+    def test_induction_dropped_repeated_or_moved_fails_replay(self, derive):
+        v = variety(2, 5, 2)
+        steps = derive(v).trace.steps
+        i = steps.index(next(step for step in steps if step.rule_id == "halving-induction"))
+        assert i == 6 and ProofTrace(steps).replay(v)
+        induction, rest = steps[i], steps[:i] + steps[i + 1:]
+        edits = {
+            "dropped": rest,
+            "repeated": steps[:i + 1] + steps[i:],
+            "before the rung": rest[:2] + (induction,) + rest[2:],
+            "after the opening": rest[:1] + (induction,) + rest[1:],
+            "last": rest + (induction,),
+        }
+        for edit, forged in edits.items():
+            if forged != steps:
+                assert not ProofTrace(forged).replay(v), edit
+                assert not ProofTrace(forged).replay(), edit
 
 
 class TestPositionEncoding:
@@ -716,7 +779,7 @@ class TestPositionEncoding:
 
     def test_a_trace_whose_later_steps_name_their_variety_fails_replay(self):
         old = ProofTrace.from_json_obj(json.loads(json.dumps(_EVERY_STEP_NAMES_ITS_VARIETY)))
-        assert [step.rule_id for step in old] == [step.rule_id for step in type_bound(variety(2, 3, 1)).trace]
+        assert [step.rule_id for step in old] == [step.rule_id for step in ProofTrace.from_json_obj(_UNROLLED_LADDER)]
         assert old.failing_steps() == old.failing_steps(variety(2, 3, 1)) == tuple(range(1, len(old)))
         assert not old.replay() and not old.replay(variety(2, 3, 1))
 
@@ -730,8 +793,9 @@ class TestPositionEncoding:
 
 
 class TestSharedPrefix:
-    """The traces about one variety share the type bound's recorded steps,
-    through a memo that holds the last variety's only."""
+    """The traces about one variety begin with the type bound's steps, and
+    each trace records them itself when first read: nothing is held between
+    traces, so none shares a step object with another."""
 
     @pytest.mark.parametrize("pnk", [(2, 6, 2), (2, 3, 1), (2, 4, 4), (2, 5, 0), (3, 4, 1)], ids=str)
     @pytest.mark.parametrize("order", list(permutations(range(3))), ids=lambda order: "-".join(map(str, order)))
@@ -741,20 +805,20 @@ class TestSharedPrefix:
         drawn.clear()  # the bounds read their first positions
         # only the traces are held: each object is dropped once read
         traces = {i: built.pop(i).trace for i in order}
-        assert drawn == list(_DERIVATION(*pnk))
+        # once per trace read, in whatever order they are read
+        assert drawn == list(_DERIVATION(*pnk)) * len(order)
         prefix = traces[0].steps
         for trace in traces.values():
-            assert all(a is b for a, b in zip(trace.steps, prefix))
+            assert trace.steps[:len(prefix)] == prefix
         assert traces == {i: derive(v).trace for i, derive in enumerate(_DERIVES)}
 
-    def test_memo_holds_one_prefix_so_a_variety_read_again_is_recorded_again(self, drawn):
+    def test_a_variety_read_again_is_recorded_again(self, drawn):
         read = []
         for pnk in ((2, 6, 2), (3, 4, 1), (2, 6, 2)):
             derived = type_bound(variety(*pnk))
             drawn.clear()  # the bound reads its first positions
             read.append(derived.trace)
             assert drawn == list(_DERIVATION(*pnk)), pnk
-            assert type_calculus._prefix.cache_info().currsize == 1
         assert read[0] == read[2]
         assert not any(a is b for a, b in zip(read[0].steps, read[2].steps))
 
@@ -831,8 +895,9 @@ def _name_edits(step):
 
 
 class TestSideConditionPairs:
-    @pytest.mark.parametrize("conditions", [((["x"], 0),), (("variety_dim", 0, 1),), {"variety_dim": 0}],
-                             ids=["unhashable-name", "three-tuple", "a-dict"])
+    @pytest.mark.parametrize("conditions", [((["x"], 0),), (("variety_dim", 0, 1),), (("variety_dim",),),
+                                            {"variety_dim": 0}],
+                             ids=["unhashable-name", "three-tuple", "one-tuple", "a-dict"])
     def test_side_conditions_that_are_not_pairs_fail_their_position(self, conditions):
         # a hand-built step; decoding always builds (name, value) pairs
         v = variety(2, 3, 3)
@@ -843,6 +908,8 @@ class TestSideConditionPairs:
         assert not edited.replay(v)
         with pytest.raises(DomainError, match="fails replay at positions"):
             edited.render_text()
+        with pytest.raises(DomainError, match=r"side conditions are not \(name, value\) pairs"):
+            edited.to_json_obj()
         # an opening that records no pairs names no variety
         opening = _with_step(trace, 0, ProofStep("level-bound", conditions))
         assert opening.failing_steps(v) == (0,)
@@ -851,6 +918,15 @@ class TestSideConditionPairs:
     def test_side_conditions_that_are_not_iterable_are_refused_at_construction(self):
         with pytest.raises(DomainError, match="not a sequence of side conditions: 5"):
             ProofStep("point-base", 5)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: ProofTrace(5), "not a sequence of proof steps: 5"),
+        (lambda: ProofTrace([1]), "not a proof step: 1"),
+        (lambda: ProofStep([], ()), r"unknown rule id: \[\]"),
+    ], ids=["trace-of-an-int", "trace-of-a-non-step", "unhashable-rule-id"])
+    def test_what_is_not_a_trace_is_refused_at_construction(self, build, message):
+        with pytest.raises(DomainError, match=message):
+            build()
 
     def test_side_conditions_given_as_a_list_are_held_as_the_tuple(self):
         v = variety(2, 3, 3)
@@ -904,15 +980,6 @@ class TestSideConditionNames:
         monkeypatch.setitem(type_calculus._CHECKS, "point-base", (faulty, names))
         with pytest.raises(KeyError):
             rigidity_judgment(v).trace.failing_steps(v)
-
-    def test_decoded_names_are_the_checks_own_strings(self):
-        # so replay's keyword call meets each name's parameter by identity;
-        # matching by value made replay about a fifth slower
-        encoded = json.dumps(rigidity_judgment(variety(2, 5, 2)).trace.to_json_obj())
-        for step in ProofTrace.from_json_obj(json.loads(encoded)):
-            parameters = RULE_CATALOG[step.rule_id].check.__code__.co_varnames
-            for name, _ in step.side_conditions:
-                assert any(name is parameter for parameter in parameters), name
 
     def test_unread_name_in_a_decoded_trace_fails_replay(self):
         v = variety(2, 3, 1)
@@ -997,9 +1064,9 @@ class TestTraceSerialization:
 
     @pytest.mark.parametrize("value", [6.9, 6, True, " +0_6 ", "06", "\u0666", "6 "])
     def test_integer_that_is_not_a_string_rejected(self, value):
-        encoded = type_bound(variety(2, 3, 1)).trace.to_json_obj()
-        assert encoded[-1]["conditions"]["product_dim"] == "6"
-        encoded[-1]["conditions"]["product_dim"] = value
+        encoded = type_bound(variety(2, 6, 1)).trace.to_json_obj()
+        assert encoded[0]["conditions"]["n"] == "6"
+        encoded[0]["conditions"]["n"] = value
         with pytest.raises(DomainError, match="decimal strings"):
             ProofTrace.from_json_obj(encoded)
 
@@ -1057,11 +1124,17 @@ class TestReplayProperties:
     @settings(max_examples=100, deadline=None)
     @given(two_primary, st.data())
     def test_any_side_condition_off_by_one_fails_replay(self, nk, data):
-        encoded = rigidity_judgment(variety(2, *nk)).trace.to_json_obj()
+        # without a variety, only an opening's n edited to another exponent
+        # above k replays: the trace is the same at every n > k
+        n, k = nk
+        encoded = rigidity_judgment(variety(2, n, k)).trace.to_json_obj()
         entry = data.draw(st.sampled_from([entry for entry in encoded if entry["conditions"]]))
         name = data.draw(st.sampled_from(sorted(entry["conditions"])))
-        entry["conditions"][name] = str(int(entry["conditions"][name]) + data.draw(st.sampled_from((-1, 1))))
-        assert not ProofTrace.from_json_obj(encoded).replay()
+        delta = data.draw(st.sampled_from((-1, 1)))
+        entry["conditions"][name] = str(int(entry["conditions"][name]) + delta)
+        edited = ProofTrace.from_json_obj(encoded)
+        assert not edited.replay(variety(2, n, k))
+        assert edited.replay() == (entry is encoded[0] and name == "n" and n + delta > k)
 
     @settings(max_examples=25, deadline=None)
     @given(two_primary, st.data())
@@ -1204,6 +1277,6 @@ class TestHandEncodedTraces:
                 _encoded_step("dimension-obstruction", product_dim=2, endpoint_dim=3),
             ]
         )
-        assert trace.failing_steps() == (2, 3, 4, 5)
+        assert trace.failing_steps() == (2, 3, 4, 5, 6)
         assert not trace.replay()
         assert time.perf_counter() - start < 1.0
