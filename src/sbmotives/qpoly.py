@@ -28,21 +28,24 @@ whose slots are read back once (Kronecker substitution; Harvey, J. Symb.
 Comput. 2009).  The carrier is ``int`` (CPython's Karatsuba) below 180 000
 packed bits and ``decimal`` (libmpdec's number-theoretic transform, exact at
 ``MAX_PREC``) from there up.  The ``int`` carrier multiplies at ``+2**b``
-and ``-2**b``, ``b`` half a slot (Harvey's multipoint substitution).
+and ``-2**b``, ``b`` half a slot (Harvey's multipoint substitution), or,
+when every factor is palindromic, as those of a split Poincare sum are, and
+the sum packs at least ``_REVERSAL_BITS``, once at ``2**w``, read from both
+ends (Harvey's reciprocal point).
 
 Measured with CPython 3.11 on a shared 2-vCPU x86-64 machine, alternating
 the two carriers on one input, medians of 11: ``int`` and ``decimal`` break
 even between 170 000 and 190 000 packed bits on lone products and on sums
 of 16 or 32 squares or general products alike (180 000 bits: 12.0 against
 12.0 ms for a lone product of 60-bit slots, 99.7 against 95.1 ms for 32
-squares of 250-bit slots), so one switch serves both; ``int`` is the faster
-from 130 000 to 160 000.  Between 110 000 and 129 000 bits, just below a
-step up in ``decimal``'s times, ``decimal`` takes up to a quarter less time
-on sums of equal-length products, but the one real sum there, the 32-product
-q-Vandermonde sum of ``verify --max-n 7`` at 123 000 bits, 22 of whose
-products are under 110 000, takes 57.2 ms on ``int`` against 62.1 ms on
-``decimal``.  The 16-product sum of ``--max-n 8``, at 233 000 bits, takes
-116 ms against 99.
+squares of 250-bit slots), so one switch serves both.  Alternating the two
+``int`` schemes on palindromic sums, medians of 9, one point takes 1.39 and
+1.12 times as long as ``+-2**b`` on the ``(2, 8, 3)`` and ``(2, 7, 4)``
+split sums (21 000 and 27 000 packed bits), 0.87 to 0.70 times on
+``(2, 8, 4)``, ``(2, 7, 5)`` and ``(2, 7, 6)`` (74 000, 73 000 and
+123 000; 22.1 against 31.4 ms on the last), and 0.62 to 0.83 times on
+q-Vandermonde sums and sums of 16 squares from 27 000 up; it breaks even
+near 60 000 on sums of two products, and only near 150 000 on one.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ from collections.abc import Mapping
 from functools import lru_cache
 from itertools import accumulate, combinations_with_replacement
 from math import prod
-from operator import add, sub
+from operator import add, mul, sub
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 from ._record import Record, set_field
@@ -77,6 +80,10 @@ _MAX_DENSE_SPAN = 2**24
 # measured to break even, on lone products and on sums of many alike (see
 # the module docstring and _packed_sum).
 _DECIMAL_CARRIER_BITS = 180_000
+
+# Packed size from which an int-carried sum of palindromic factors is taken at
+# one point (see _packed_sum): measured, below it the read-back costs more.
+_REVERSAL_BITS = 60_000
 
 # Every row gaussian_binomial has built: degree d, then c = min(k, d - k), to [d, c].
 _ROWS: dict[int, dict[int, GradedRankPoly]] = {}
@@ -359,6 +366,21 @@ def _packed_sum(
     ``-X`` total with sign ``(-1)**t``.  The sum ``H`` is read back as its
     even part ``(H(X) + H(-X)) / 2`` and odd part ``(H(X) - H(-X)) / (2X)``,
     each at the byte slots of ``X**2``, and the two are interleaved.
+
+    When every packed factor is palindromic (``f._coeffs`` equals its
+    reverse, as a Gaussian binomial's does) and the packed size is from
+    ``_REVERSAL_BITS`` up, ``int`` evaluates once, at ``Y = 2**w``,
+    ``w = 8 * ceil((bits + 1) / 16)``, packed as above at ``Y**2`` (Harvey's
+    reciprocal point).  A palindromic product ``P`` of degree ``d`` has
+    ``Y**d * P(1/Y) = P(Y)``, so one multiplication, placed at ``o`` in a
+    forward total ``F = H(Y)`` and at ``D - o - d`` in a reversed total
+    ``R = Y**D * H(1/Y)`` (``D = span - 1``), serves both.  Read in ``w``-bit
+    digits from the low end, ``F`` less the carry ``E`` of the coefficients
+    below gives ``h_j mod Y``, and ``R``'s digit ``D - j`` plus ``Y`` times
+    the previous ``kappa`` gives ``h_j + kappa_j``, ``kappa_j`` the part of
+    the coefficients above ``j`` that reaches that digit.  Every coefficient
+    is below ``2**bits <= Y**2 - Y``, so ``kappa_j < sum((Y**2 - Y) / Y**i
+    for i >= 1) = Y`` and ``kappa_j = (h_j + kappa_j - h_j mod Y) mod Y``.
     """
     span = top - bottom + 1
     _check_span(span)
@@ -377,7 +399,7 @@ def _packed_sum(
         # its factors but the longest together
         shorter = max(shorter, sum(lengths) - longest)
         bound += count * prod(lengths) // longest * prod([max(f._coeffs) for f in factors])
-    coeffs = _packed_products(bottom, products, bound.bit_length(), shorter) if products else []
+    coeffs = _packed_products(bottom, products, bound.bit_length(), shorter, span) if products else []
     if singles:
         coeffs += [0] * (span - len(coeffs))
         for poly, placements in singles:
@@ -393,31 +415,42 @@ def _packed_products(
     products: list[tuple[Sequence[GradedRankPoly], Sequence[tuple[int, int]]]],
     bits: int,
     shorter: int,
+    span: int,
 ) -> list[int]:
     """The packed part of :func:`_packed_sum`: the sum of ``products``, in
     slots of ``bits`` bits, read back from degree ``bottom`` up; ``shorter``
-    is the largest packed size in coefficients."""
+    is the largest packed size in coefficients, ``span`` the sum's degrees."""
     width = bits * 30103 // 100000 + 1  # decimal digits; 10**width > 2**bits
+    reverse = _REVERSAL_BITS <= shorter * bits < _DECIMAL_CARRIER_BITS and all(
+        [f._coeffs == f._coeffs[::-1] for factors, _ in products for f in factors]
+    )
     if shorter * bits < _DECIMAL_CARRIER_BITS or 0 < _str_digit_limit() < width:
-        # X = 2**xbits, half a slot, and -X; each value is the pair (f(X), f(-X))
-        size = (bits + 7) // 8
+        # X = 2**xbits, half a slot, and -X, each value the pair (f(X), f(-X));
+        # reversed, the one point X, whole bytes, with X**2 - X >= 2**bits
+        size = 2 * (bits // 16 + 1) if reverse else (bits + 7) // 8
         xbits = 4 * size
 
         def slots(coeffs: Sequence[int]) -> int:
             return int.from_bytes(b"".join([c.to_bytes(size, "little") for c in coeffs]), "little")
 
-        def pack(coeffs: Sequence[int]) -> tuple[int, int]:
+        def pack(coeffs: Sequence[int]) -> int | tuple[int, int]:
             even, odd = slots(coeffs[::2]), slots(coeffs[1::2]) << xbits
-            return even + odd, even - odd
+            return even + odd if reverse else (even + odd, even - odd)
 
         def multiply(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
             return x[0] * y[0], x[1] * y[1]
 
-        def place(total: tuple[int, int], product: tuple[int, int], mult: int, offset: int) -> tuple[int, int]:
-            shift = xbits * offset
-            plus, minus = product[0] * mult << shift, product[1] * (-mult if offset & 1 else mult) << shift
-            return (total[0] + plus, total[1] + minus) if total else (plus, minus)
+        def place(total: tuple[int, int], product: int | tuple[int, int], mult: int, low: int, high: int) -> tuple[int, int]:
+            if reverse:
+                product *= mult
+                one, two = product << xbits * low, product << xbits * (span - 1 - high)
+            else:
+                shift = xbits * low
+                one, two = product[0] * mult << shift, product[1] * (-mult if low & 1 else mult) << shift
+            return (total[0] + one, total[1] + two) if total else (one, two)
 
+        if reverse:
+            multiply = mul
         total, rounds = (), ()
     else:
         import decimal  # here, so that a process packing nothing this large never loads it
@@ -432,23 +465,35 @@ def _packed_products(
         def pack(coeffs: Sequence[int]) -> "decimal.Decimal":
             return decimal.Decimal(slot * len(coeffs) % tuple(reversed(coeffs)))
 
-        def place(total: "decimal.Decimal", product: "decimal.Decimal", mult: int, offset: int) -> "decimal.Decimal":
-            return context.fma(product, context.scaleb(mult, width * offset), total)
+        def place(total: "decimal.Decimal", product: "decimal.Decimal", mult: int, low: int, high: int) -> "decimal.Decimal":
+            return context.fma(product, context.scaleb(mult, width * low), total)
 
         multiply, total = context.multiply, decimal.Decimal(0)
     try:
         for factors, placements in products:
             product = _term_product(factors, pack, multiply)
             start = sum([f._bottom for f in factors]) - bottom
+            stop = start + sum([len(f._coeffs) - 1 for f in factors])
             for twist, mult in placements:
-                total = place(total, product, mult, start + twist)
+                total = place(total, product, mult, start + twist, stop + twist)
             del product
     except rounds as exc:
         raise DomainError(
             f"a packed sum of {width}-digit slots needs more than the {decimal.MAX_PREC} digits decimal carries exactly"
         ) from exc
     # slots above the highest nonzero one are left out; _trusted trims to it anyway
-    if isinstance(total, tuple):
+    if reverse:
+        forward, back = total
+        del total
+        reflected = _byte_slots(back, size // 2)[:span]  # digits 0..D of the reversed total
+        mask, kappa, carry, coeffs = (1 << xbits) - 1, back >> xbits * span, 0, []
+        del back
+        for a, b in zip(_byte_slots(forward, size // 2), reversed(reflected + [0] * (span - len(reflected)))):
+            r = (kappa << xbits) + b
+            kappa = (r - ((a - carry) & mask)) & mask
+            carry = (carry + r - kappa) >> xbits
+            coeffs.append(r - kappa)
+    elif isinstance(total, tuple):
         plus, minus = total
         del total
         even, odd = _byte_slots((plus + minus) >> 1, size), _byte_slots((plus - minus) >> xbits + 1, size)

@@ -714,9 +714,11 @@ class TestFastPath:
 
     def test_identity_suite_sums_sit_on_both_sides_of_the_switch(self, monkeypatch):
         # the largest N = 7 conservation sum, (7, 6) at about 123 000 packed
-        # bits, is carried by int, so a fresh run_identity_suite(7) never
-        # loads decimal (pytest itself has); (8, 5), at about 233 000, is
-        # carried by decimal
+        # bits, is carried by int, at one point since its factors are
+        # palindromes, so a fresh run_identity_suite(7) never loads decimal
+        # (pytest itself has); (8, 5), at about 233 000, is carried by
+        # decimal; a grassmannian-workload product above the one-point
+        # threshold keeps the pair of values at X and -X
         probe = (
             "import sys\n"
             "from sbmotives import run_identity_suite\n"
@@ -725,12 +727,18 @@ class TestFastPath:
         )
         done = run_python("-c", probe, capture_output=True, text=True, check=True)
         assert done.stdout.splitlines()[-1] == "False"
-        for n, k, carried in ((7, 6, tuple), (8, 5, Decimal)):
+        for n, k, carried in ((7, 6, int), (8, 5, Decimal)):
             products = _packed_products_made(monkeypatch)
             variety = SBVariety(DivisionContext(2, n), k)
             assert function_field_decomposition(variety).split_poincare() == gaussian_binomial(2**n, 2**k)
             assert products and {type(p) for p in products} == {carried}
             monkeypatch.undo()
+        rng = random.Random(76)
+        a, b = _random_coeffs(rng, 270, 128), _random_coeffs(rng, 280, 128)
+        sizes, products = _packed_sizes(monkeypatch), _packed_products_made(monkeypatch)
+        assert GradedRankPoly(a) * GradedRankPoly(b) == GradedRankPoly(_schoolbook(a, b))
+        assert qpoly._REVERSAL_BITS <= sizes[0][0] * sizes[0][1] < qpoly._DECIMAL_CARRIER_BITS
+        assert [type(p) for p in products] == [tuple]
 
 
 def _packed_products_made(patch):
@@ -739,6 +747,14 @@ def _packed_products_made(patch):
     products, original = [], qpoly._term_product
     patch.setattr(qpoly, "_term_product", lambda *args: products.append(original(*args)) or products[-1])
     return products
+
+
+def _packed_sizes(patch):
+    """The list that the slot bits and packed length of every packed sum are
+    appended to from now on."""
+    sizes, original = [], qpoly._packed_products
+    patch.setattr(qpoly, "_packed_products", lambda *args: sizes.append(args[2:4]) or original(*args))
+    return sizes
 
 
 def _around_carrier_switch(rng, la, lb, side):
@@ -901,3 +917,87 @@ class TestPackedSum:
         assert slot_bits == [peak.bit_length()]
         assert total.coefficient(10) == peak == max(c for _, c in total.items())
         assert total == _reference_sum(terms)
+
+
+def _palindrome(coeffs, low=0, even=False):
+    """``coeffs`` followed by its mirror image, from degree ``low``; the
+    last of ``coeffs`` is the middle one, or, if ``even``, is repeated."""
+    return GradedRankPoly({low + i: c for i, c in enumerate([*coeffs, *reversed(coeffs if even else coeffs[:-1])])})
+
+
+class TestOnePointReversal:
+    """Sums whose packed factors are all palindromes, carried by ``int`` at one
+    point and read back from both ends (``_REVERSAL_BITS`` 0 puts every such
+    sum there)."""
+
+    pool = st.lists(
+        # an end coefficient of 0 would be trimmed, so the first is at least 1
+        st.tuples(
+            st.integers(1, 2**70), st.lists(st.integers(0, 2**70), max_size=5), st.integers(0, 4), st.booleans()
+        ).map(lambda drawn: _palindrome([drawn[0], *drawn[1]], drawn[2], drawn[3])),
+        min_size=1,
+        max_size=4,
+    )
+
+    @settings(deadline=None)
+    @given(pool, st.data())
+    def test_matches_schoolbook(self, pool, data):
+        # squares of one object, lopsided lengths of both parities, bottoms
+        # above 0, several placements, multiplicities above 1 and one-factor
+        # terms in one sum
+        index = st.integers(0, len(pool) - 1)
+        placement = st.tuples(st.integers(0, 9), st.integers(1, 5))
+        drawn = data.draw(st.lists(
+            st.tuples(st.lists(index, min_size=1, max_size=3), st.lists(placement, min_size=1, max_size=3)),
+            min_size=1,
+            max_size=4,
+        ))
+        terms = [(tuple(pool[i] for i in picks), placements) for picks, placements in drawn]
+        low, high = _placed_span(terms)
+        bottom = low - data.draw(st.integers(0, low))
+        top = high + data.draw(st.integers(0, 3))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(qpoly, "_REVERSAL_BITS", 0)
+            products = _packed_products_made(patch)
+            assert qpoly._packed_sum(bottom, top, terms) == _reference_sum(terms)
+        assert {type(p) for p in products} <= {int}
+
+    @pytest.mark.parametrize("bits", [16 * m + d for m in (1, 4, 7) for d in (-1, 0, 1)])
+    def test_slot_bits_around_whole_double_bytes(self, monkeypatch, bits):
+        # Y = 2**(8m) at 16m - 1, but 2**(8m + 8) at 16m and 16m + 1, where
+        # Y**2 - Y < 2**bits - 1 at 2**(8m); every coefficient is 2**bits - 1,
+        # the slot bound, in a sum from degree 0 that reverses it at an offset
+        monkeypatch.setattr(qpoly, "_REVERSAL_BITS", 0)
+        sizes, products = _packed_sizes(monkeypatch), _packed_products_made(monkeypatch)
+        flat = _palindrome([(1 << bits) - 1] * 3)
+        terms = [((flat, GradedRankPoly({0: 1})), [(2, 1)])]
+        assert qpoly._packed_sum(0, 9, terms) == flat.shift(2)
+        assert sizes == [(bits, 1)] and [type(p) for p in products] == [int]
+
+    def test_slots_hold_the_largest_possible_coefficient(self, monkeypatch):
+        # every coefficient at the maximum, so the middle coefficient of the
+        # square is short * top**2, the bound the slot width is taken from
+        monkeypatch.setattr(qpoly, "_REVERSAL_BITS", 0)
+        products = _packed_products_made(monkeypatch)
+        for short, bits in ((9, 40), (400, 200), (401, 257)):
+            top = math.isqrt(((1 << bits) - 1) // short)
+            assert (short * top * top).bit_length() == bits
+            a = {i: top for i in range(short)}
+            assert GradedRankPoly(a) * GradedRankPoly(a) == GradedRankPoly(_schoolbook(a, a))
+        assert [type(p) for p in products] == [int] * 3
+
+    def test_one_factor_not_a_palindrome_keeps_both_points(self, monkeypatch):
+        # above the threshold, one lopsided factor sends the whole sum to +-X
+        rng = random.Random(43)
+        pals = [_palindrome([rng.getrandbits(50) | 1 for _ in range(400)]) for _ in range(3)]
+        lopsided = GradedRankPoly({i: rng.getrandbits(50) | 1 for i in range(799)})
+        terms = [((pals[0], pals[1]), [(0, 1), (3, 2)]), ((pals[2], lopsided), [(1, 1)])]
+        low, high = _placed_span(terms)
+        sizes, products = _packed_sizes(monkeypatch), _packed_products_made(monkeypatch)
+        assert qpoly._packed_sum(low, high, terms) == _reference_sum(terms)
+        assert qpoly._REVERSAL_BITS <= sizes[0][0] * sizes[0][1] < qpoly._DECIMAL_CARRIER_BITS
+        assert [type(p) for p in products] == [tuple, tuple]
+        del products[:]
+        terms[1] = ((pals[2], pals[2]), [(1, 1)])
+        assert qpoly._packed_sum(low, high, terms) == _reference_sum(terms)
+        assert [type(p) for p in products] == [int, int]
