@@ -30,8 +30,8 @@ packed bits and ``decimal`` (libmpdec's number-theoretic transform, exact at
 ``MAX_PREC``) from there up.  The ``int`` carrier multiplies at ``+2**b``
 and ``-2**b``, ``b`` half a slot (Harvey's multipoint substitution), or,
 when every factor is palindromic, as those of a split Poincare sum are, and
-the sum packs at least ``_REVERSAL_BITS``, once at ``2**w``, read from both
-ends (Harvey's reciprocal point).
+the sum has at least two products and packs at least ``_REVERSAL_BITS``,
+once at ``2**w``, read from both ends (Harvey's reciprocal point).
 
 Measured with CPython 3.11 on a shared 2-vCPU x86-64 machine, alternating
 the two carriers on one input, medians of 11: ``int`` and ``decimal`` break
@@ -45,7 +45,8 @@ split sums (21 000 and 27 000 packed bits), 0.87 to 0.70 times on
 ``(2, 8, 4)``, ``(2, 7, 5)`` and ``(2, 7, 6)`` (74 000, 73 000 and
 123 000; 22.1 against 31.4 ms on the last), and 0.62 to 0.83 times on
 q-Vandermonde sums and sums of 16 squares from 27 000 up; it breaks even
-near 60 000 on sums of two products, and only near 150 000 on one.
+near 60 000 on sums of two products, and only near 150 000 on one, so a
+lone product stays on ``+-2**b``.
 """
 
 from __future__ import annotations
@@ -81,8 +82,9 @@ _MAX_DENSE_SPAN = 2**24
 # the module docstring and _packed_sum).
 _DECIMAL_CARRIER_BITS = 180_000
 
-# Packed size from which an int-carried sum of palindromic factors is taken at
-# one point (see _packed_sum): measured, below it the read-back costs more.
+# Packed size from which an int-carried sum of two or more products of
+# palindromic factors is taken at one point (see _packed_sum): measured,
+# below it the read-back costs more.
 _REVERSAL_BITS = 60_000
 
 # Every row gaussian_binomial has built: degree d, then c = min(k, d - k), to [d, c].
@@ -367,11 +369,11 @@ def _packed_sum(
     even part ``(H(X) + H(-X)) / 2`` and odd part ``(H(X) - H(-X)) / (2X)``,
     each at the byte slots of ``X**2``, and the two are interleaved.
 
-    When every packed factor is palindromic (``f._coeffs`` equals its
-    reverse, as a Gaussian binomial's does) and the packed size is from
-    ``_REVERSAL_BITS`` up, ``int`` evaluates once, at ``Y = 2**w``,
-    ``w = 8 * ceil((bits + 1) / 16)``, packed as above at ``Y**2`` (Harvey's
-    reciprocal point).  A palindromic product ``P`` of degree ``d`` has
+    When the sum has at least two products, every packed factor is
+    palindromic (``f._coeffs`` equals its reverse, as a Gaussian binomial's
+    does) and the packed size is from ``_REVERSAL_BITS`` up, ``int``
+    evaluates once, at ``Y = 2**w``, ``w = 8 * ceil((bits + 1) / 16)``,
+    packed as above at ``Y**2`` (Harvey's reciprocal point).  A palindromic product ``P`` of degree ``d`` has
     ``Y**d * P(1/Y) = P(Y)``, so one multiplication, placed at ``o`` in a
     forward total ``F = H(Y)`` and at ``D - o - d`` in a reversed total
     ``R = Y**D * H(1/Y)`` (``D = span - 1``), serves both.  Read in ``w``-bit
@@ -421,7 +423,8 @@ def _packed_products(
     slots of ``bits`` bits, read back from degree ``bottom`` up; ``shorter``
     is the largest packed size in coefficients, ``span`` the sum's degrees."""
     width = bits * 30103 // 100000 + 1  # decimal digits; 10**width > 2**bits
-    reverse = _REVERSAL_BITS <= shorter * bits < _DECIMAL_CARRIER_BITS and all(
+    # a lone product saves one multiplication, less than the read-back costs
+    reverse = len(products) > 1 and _REVERSAL_BITS <= shorter * bits < _DECIMAL_CARRIER_BITS and all(
         [f._coeffs == f._coeffs[::-1] for factors, _ in products for f in factors]
     )
     if shorter * bits < _DECIMAL_CARRIER_BITS or 0 < _str_digit_limit() < width:

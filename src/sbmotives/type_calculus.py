@@ -17,14 +17,15 @@ count.
 
 Every derivation is returned as a :class:`ProofTrace`: an ordered list of
 steps whose numeric side conditions are re-checked at their positions in the
-derivation, with no access to engine state (:meth:`ProofTrace.replay`).  Two
-generators, the type bound's and a closing's, fix the rule of each step and
-its position, one tuple ``(p, n, k, bound)``: the variety, with ``n`` the
-step's exponent, and the type bound.  Only the opening level bound records
-its position, and a trace replayed with no variety given is about the
-variety its opening names; every later step records only what its position
-does not fix, and one that records ``p``, ``n``, ``k``, ``level`` or
-``bound`` fails replay.  The halving induction is recorded as it is proved:
+derivation, with no access to engine state (:meth:`ProofTrace.replay`).  One
+list, :func:`_derivation`'s, fixes the rule of each step and its position,
+one tuple ``(p, n, k, bound)``: the variety, with ``n`` the step's exponent,
+and the type bound.  It holds the type bound's positions, at most seven,
+then a judgment's closing, at most three.  Only the opening level bound
+records its position, and a trace replayed with no variety given is about
+the variety its opening names; every later step records only what its
+position does not fix, and one that records ``p``, ``n``, ``k``, ``level``
+or ``bound`` fails replay.  The halving induction is recorded as it is proved:
 the point base at exponent ``k``, one rung of four steps at exponent
 ``k + 1``, and the ``halving-induction`` step that carries the rung to ``n``.
 The rung uses only the bound at the exponent below and closed forms in the
@@ -67,7 +68,6 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import cached_property
-from itertools import chain, islice
 from typing import Callable, Iterable, Iterator, Mapping
 
 from ._record import Record, set_field
@@ -406,55 +406,48 @@ _STEP_KEYS = frozenset(("rule_id", "conditions"))
 _RUNG = ("function-field-split", "halved-endpoints", "valuation-case-split", "dimension-obstruction")
 
 
-def _derivation(p: int, n: int, k: int) -> Iterator[tuple[str, tuple[int, int, int, int]]]:
-    """The rule id and position ``(p, m, k, bound)`` of each step of the type
-    bound's derivation about the level-``k`` variety of the degree-``p^n``
-    algebra, ``m`` the step's exponent; a judgment's :func:`_closing` follows it.
+def _derivation(p: int, n: int, k: int, closing: str = "") -> list[tuple[str, tuple[int, int, int, int]]]:
+    """The rule id and position ``(p, m, k, bound)`` of each step of the
+    derivation about the level-``k`` variety of the degree-``p^n`` algebra,
+    ``m`` the step's exponent: the type bound's, then the :func:`_closing`
+    whose first rule is ``closing``.
 
     The level bound opens it at ``(p, n, k, k - 1)``.  At ``p = 2`` and
     ``k >= 1`` the point base at exponent ``k`` follows, and when ``k < n``
     one ``_RUNG`` at exponent ``k + 1`` and the halving induction at ``n``;
-    the bound is ``k - 2`` from the point base on.  Only rule ids and
-    positions are fixed here, never side-condition values, so the rule checks
-    stay independent of the builders.  Lazy, so a consumer pays for the
-    positions it reads.
+    the bound is ``k - 2`` from the point base on, so the type bound's last
+    position is ``(p, n, k, bound)``.  Only rule ids and positions are fixed
+    here, never side-condition values, so the rule checks stay independent
+    of the builders.
     """
-    yield "level-bound", (p, n, k, k - 1)
+    placed = [("level-bound", (p, n, k, k - 1))]
     if p == 2 and 1 <= k <= n:
-        yield "point-base", (p, k, k, k - 2)
+        placed.append(("point-base", (p, k, k, k - 2)))
         if k < n:
-            for rule in _RUNG:
-                yield rule, (p, k + 1, k, k - 2)
-            yield "halving-induction", (p, n, k, k - 2)
+            placed += [(rule, (p, k + 1, k, k - 2)) for rule in _RUNG]
+            placed.append(("halving-induction", (p, n, k, k - 2)))
+    return placed + _closing(placed[-1][1], closing)
 
 
-def _closing(p: int, n: int, k: int, bound: int, first_rule: str) -> Iterator[tuple[str, tuple[int, int, int, int]]]:
-    """The steps of the closing that ``first_rule`` names after :func:`_derivation`, all at
-    the position ``(p, n, k, bound)`` of the derived ``bound``; none for a rule that opens no closing."""
-    position = (p, n, k, bound)
-    if first_rule in ("rank-one-upper", "rational-cycle-persistence"):
-        yield first_rule, position
+def _closing(position: tuple[int, int, int, int], first_rule: str) -> list[tuple[str, tuple[int, int, int, int]]]:
+    """The steps of the closing that ``first_rule`` names, all at the type
+    bound's last ``position``; none for a rule that opens no closing."""
+    if first_rule == "rank-one-upper":
+        return [(first_rule, position)]
     if first_rule == "rational-cycle-persistence":
-        yield ("classical-summand-exclusion" if k >= 1 else "classical-base"), position
-        yield "type-zero-transfer", position
+        classical = "classical-summand-exclusion" if position[2] >= 1 else "classical-base"
+        return [(first_rule, position), (classical, position), ("type-zero-transfer", position)]
+    return []
 
 
-def _placed(steps: tuple[ProofStep, ...], p: int, n: int, k: int) -> Iterator[tuple[str, tuple[int, int, int, int]]]:
-    """The rule and position of each of ``steps`` in the derivation about
-    ``(p, n, k)``: :func:`_derivation`, then the :func:`_closing` the first
-    step past it names.  A step past the derivation's end gets the rule
-    ``""``.  One more item follows the steps when the derivation goes on past
-    them."""
-    positions, closing = _derivation(p, n, k), None
-    for step in steps:
-        placed = next(positions, None)
-        if placed is None and closing is None:  # the type bound's positions are done; the last holds its bound
-            positions = closing = _closing(p, n, k, position[3], step.rule_id)
-            placed = next(positions, None)
-        rule, position = placed or ("", position)
-        yield rule, position
-    if next(positions, None):
-        yield "", ()
+def _placed(steps: tuple[ProofStep, ...], p: int, n: int, k: int) -> list[tuple[str, tuple[int, int, int, int]]]:
+    """The rule and position of each step of the derivation about ``(p, n,
+    k)`` that ``steps`` are checked against: the type bound's, then the
+    closing the first of ``steps`` past them names."""
+    placed = _derivation(p, n, k)
+    if len(steps) > len(placed):
+        placed += _closing(placed[-1][1], steps[len(placed)].rule_id)
+    return placed
 
 
 def _named(steps: tuple[ProofStep, ...]) -> tuple[int, int, int] | None:
@@ -503,18 +496,18 @@ class ProofTrace(Record):
     def failing_steps(self, variety: SBVariety | None = None) -> tuple[int, ...]:
         """Positions where replay fails: a step whose rule is not the one its
         position calls for, or whose side conditions do not re-check at that
-        position (:func:`_placed`); and ``len(self)`` when the derivation
-        stops short, so 0 for an empty trace.  The opening level bound
-        records its position ``(p, n, k, bound)`` and fails unless it records
-        exactly that; a later step that records any of ``p``, ``n``, ``k``,
-        ``level`` or ``bound`` fails.  The trace is about ``variety`` when
-        one is given, so an opening that names another ``(p, n, k)`` fails;
-        otherwise it is about the variety its opening names, and a trace
-        whose opening ``p`` or ``n`` was edited to another variety with a
-        derivation of the same shape is a sound trace about that variety.
-        An opening whose ``p``, ``n`` or ``k`` is not an ``int``, or that
-        names no variety the engine builds, fails every position, and
-        nothing more."""
+        position (:func:`_placed`), or that is past the derivation's end; and
+        ``len(self)`` when the trace stops short, so 0 for an empty trace.
+        The opening level bound records its position ``(p, n, k, bound)`` and
+        fails unless it records exactly that; a later step that records any
+        of ``p``, ``n``, ``k``, ``level`` or ``bound`` fails.  The trace is
+        about ``variety`` when one is given, so an opening that names another
+        ``(p, n, k)`` fails; otherwise it is about the variety its opening
+        names, and a trace whose opening ``p`` or ``n`` was edited to another
+        variety with a derivation of the same shape is a sound trace about
+        that variety.  An opening whose ``p``, ``n`` or ``k`` is not an
+        ``int``, or that names no variety the engine builds, fails every
+        position, and nothing more."""
         steps = self.steps
         about = (variety.context.p, variety.context.n, variety.level) if variety is not None else _named(steps)
         if about is None:
@@ -533,7 +526,10 @@ class ProofTrace(Record):
                         and _INT_TYPE.issuperset(map(type, c.values())) and check(*position, **c)):
                     continue
             failing.append(i)
-        return tuple(failing) + ((len(steps),) if next(placed, None) else ())
+        if len(steps) < len(placed):  # the trace stops short
+            failing.append(len(steps))
+        failing += range(len(placed), len(steps))  # steps past the derivation's end
+        return tuple(failing)
 
     def render_text(self) -> str:
         """Each step's rule, side conditions, citation and the conclusion
@@ -543,8 +539,8 @@ class ProofTrace(Record):
         failing = self.failing_steps()
         if failing:
             raise DomainError(f"the trace fails replay at positions {list(failing)}, so it renders no conclusions")
-        lines, placed = [], _placed(self.steps, *_named(self.steps))
-        for index, (step, (_, position)) in enumerate(zip(self.steps, placed), start=1):
+        lines = []
+        for index, (step, (_, position)) in enumerate(zip(self.steps, _placed(self.steps, *_named(self.steps))), start=1):
             conds = "".join(f" {name}={value}" for name, value in step.side_conditions)
             lines.append(f"step {index}: {step.rule_id}")
             lines.append(f"  conditions:{conds}")
@@ -610,7 +606,7 @@ class TypeBound(Record):
 
     @cached_property
     def trace(self) -> ProofTrace:
-        return ProofTrace(_record(_derivation(self.variety.context.p, self.variety.context.n, self.variety.level)))
+        return _recorded(self.variety)
 
     @property
     def indecomposability(self) -> IndecomposabilityStatus:
@@ -627,9 +623,11 @@ class TypeBound(Record):
         return RigidityStatus.UNKNOWN
 
 
-def _record(positions: Iterator[tuple[str, tuple[int, int, int, int]]]) -> tuple[ProofStep, ...]:
-    """Each position recorded from its catalog row (:attr:`Rule.record`)."""
-    return tuple([ProofStep(rule, tuple(RULE_CATALOG[rule].record(*position).items())) for rule, position in positions])
+def _recorded(variety: SBVariety, closing: str = "") -> ProofTrace:
+    """The :func:`_derivation` about ``variety`` whose closing opens with
+    ``closing``, each position recorded from its catalog row (:attr:`Rule.record`)."""
+    placed = _derivation(variety.context.p, variety.context.n, variety.level, closing)
+    return ProofTrace([ProofStep(rule, tuple(RULE_CATALOG[rule].record(*position).items())) for rule, position in placed])
 
 
 def type_bound(variety: SBVariety) -> TypeBound:
@@ -637,11 +635,10 @@ def type_bound(variety: SBVariety) -> TypeBound:
 
     The level bound gives ``level - 1`` for every prime.  For ``p = 2`` and
     ``level >= 1`` the halving induction improves it to ``level - 2``, which
-    is at least -1.  It is read off the derivation, which is not recorded.
+    is at least -1.  It is read off the last position of the derivation,
+    which is not recorded.
     """
-    # Every step after the point base keeps its bound, so the first two
-    # positions (the level bound, then the point base if any) fix it.
-    *_, (_, (_, _, _, bound)) = islice(_derivation(variety.context.p, variety.context.n, variety.level), 2)
+    _, (_, _, _, bound) = _derivation(variety.context.p, variety.context.n, variety.level)[-1]
     return TypeBound(variety, bound)
 
 
@@ -654,8 +651,8 @@ _CLOSING = {
 class Judgment(Record):
     """A verdict on a variety, the type bound it rests on, and its derivation:
     the type bound's, then the closing whose first rule ``_CLOSING`` names for
-    the status, if any, recorded at ``bound``.  The trace is recorded when
-    first read."""
+    the status, if any, at the type bound's last position.  The trace is
+    recorded when first read."""
 
     variety: SBVariety
     status: IndecomposabilityStatus | RigidityStatus
@@ -663,9 +660,7 @@ class Judgment(Record):
 
     @cached_property
     def trace(self) -> ProofTrace:
-        p, n, k = self.variety.context.p, self.variety.context.n, self.variety.level
-        closing = _closing(p, n, k, self.bound, _CLOSING.get(self.status, ""))
-        return ProofTrace(_record(chain(_derivation(p, n, k), closing)))
+        return _recorded(self.variety, _CLOSING.get(self.status, ""))
 
 
 def indecomposability_judgment(variety: SBVariety) -> Judgment:

@@ -926,9 +926,9 @@ def _palindrome(coeffs, low=0, even=False):
 
 
 class TestOnePointReversal:
-    """Sums whose packed factors are all palindromes, carried by ``int`` at one
-    point and read back from both ends (``_REVERSAL_BITS`` 0 puts every such
-    sum there)."""
+    """Sums of two or more products whose packed factors are all palindromes,
+    carried by ``int`` at one point and read back from both ends
+    (``_REVERSAL_BITS`` 0 puts every such sum there)."""
 
     pool = st.lists(
         # an end coefficient of 0 would be trimmed, so the first is at least 1
@@ -944,7 +944,8 @@ class TestOnePointReversal:
     def test_matches_schoolbook(self, pool, data):
         # squares of one object, lopsided lengths of both parities, bottoms
         # above 0, several placements, multiplicities above 1 and one-factor
-        # terms in one sum
+        # terms in one sum; a square of the first palindrome is a second
+        # product where only one term is a product
         index = st.integers(0, len(pool) - 1)
         placement = st.tuples(st.integers(0, 9), st.integers(1, 5))
         drawn = data.draw(st.lists(
@@ -953,6 +954,8 @@ class TestOnePointReversal:
             max_size=4,
         ))
         terms = [(tuple(pool[i] for i in picks), placements) for picks, placements in drawn]
+        if sum([len(factors) > 1 for factors, _ in terms]) == 1:
+            terms.append(((pool[0], pool[0]), [(data.draw(st.integers(0, 9)), 1)]))
         low, high = _placed_span(terms)
         bottom = low - data.draw(st.integers(0, low))
         top = high + data.draw(st.integers(0, 3))
@@ -966,25 +969,43 @@ class TestOnePointReversal:
     def test_slot_bits_around_whole_double_bytes(self, monkeypatch, bits):
         # Y = 2**(8m) at 16m - 1, but 2**(8m + 8) at 16m and 16m + 1, where
         # Y**2 - Y < 2**bits - 1 at 2**(8m); every coefficient is 2**bits - 1,
-        # the slot bound, in a sum from degree 0 that reverses it at an offset
+        # the slot bound, two products adding 2**bits - 2 and 1, in a sum
+        # from degree 0 that reverses it at an offset
         monkeypatch.setattr(qpoly, "_REVERSAL_BITS", 0)
         sizes, products = _packed_sizes(monkeypatch), _packed_products_made(monkeypatch)
-        flat = _palindrome([(1 << bits) - 1] * 3)
-        terms = [((flat, GradedRankPoly({0: 1})), [(2, 1)])]
-        assert qpoly._packed_sum(0, 9, terms) == flat.shift(2)
-        assert sizes == [(bits, 1)] and [type(p) for p in products] == [int]
+        one = GradedRankPoly({0: 1})
+        terms = [((_palindrome([(1 << bits) - 2] * 3), one), [(2, 1)]), ((_palindrome([1] * 3), one), [(2, 1)])]
+        assert qpoly._packed_sum(0, 9, terms) == _palindrome([(1 << bits) - 1] * 3).shift(2)
+        assert sizes == [(bits, 1)] and [type(p) for p in products] == [int, int]
 
     def test_slots_hold_the_largest_possible_coefficient(self, monkeypatch):
         # every coefficient at the maximum, so the middle coefficient of the
-        # square is short * top**2, the bound the slot width is taken from
+        # square, plus the 1 a second product adds there, is
+        # short * top**2 + 1, the bound the slot width is taken from
         monkeypatch.setattr(qpoly, "_REVERSAL_BITS", 0)
         products = _packed_products_made(monkeypatch)
+        one = GradedRankPoly({0: 1})
         for short, bits in ((9, 40), (400, 200), (401, 257)):
-            top = math.isqrt(((1 << bits) - 1) // short)
-            assert (short * top * top).bit_length() == bits
-            a = {i: top for i in range(short)}
-            assert GradedRankPoly(a) * GradedRankPoly(a) == GradedRankPoly(_schoolbook(a, a))
-        assert [type(p) for p in products] == [int] * 3
+            top = math.isqrt(((1 << bits) - 2) // short)
+            assert (short * top * top + 1).bit_length() == bits
+            a = GradedRankPoly({i: top for i in range(short)})
+            terms = [((a, a), [(0, 1)]), ((one, one), [(short - 1, 1)])]
+            total = qpoly._packed_sum(0, 2 * short - 2, terms)
+            assert total == _reference_sum(terms) and total.coefficient(short - 1) == short * top * top + 1
+        assert [type(p) for p in products] == [int] * 6
+
+    @pytest.mark.parametrize("length", [500, 800])
+    def test_lone_product_keeps_both_points(self, monkeypatch, length):
+        # above the threshold, a sum of one product of palindromes is read
+        # back at +-X: one multiplication saved costs less than the read-back
+        rng = random.Random(length)
+        a, b = (_palindrome([rng.getrandbits(60) | 1 for _ in range(length // 2)], even=True) for _ in range(2))
+        terms = [((a, b), [(0, 1)])]
+        low, high = _placed_span(terms)
+        sizes, products = _packed_sizes(monkeypatch), _packed_products_made(monkeypatch)
+        assert qpoly._packed_sum(low, high, terms) == _reference_sum(terms)
+        assert qpoly._REVERSAL_BITS <= sizes[0][0] * sizes[0][1] < qpoly._DECIMAL_CARRIER_BITS
+        assert [type(p) for p in products] == [tuple]
 
     def test_one_factor_not_a_palindrome_keeps_both_points(self, monkeypatch):
         # above the threshold, one lopsided factor sends the whole sum to +-X

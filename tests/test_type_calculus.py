@@ -1,7 +1,7 @@
 import inspect
 import json
 import time
-from itertools import islice, permutations
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,21 +29,20 @@ def variety(p, n, k):
     return SBVariety(DivisionContext(p, n), k)
 
 
-_DERIVATION = type_calculus._derivation  # unwrapped: the (rule_id, position) pairs a walk should draw
+_DERIVATION = type_calculus._derivation  # unwrapped: the (rule_id, position) pairs a derivation places
 
 
 @pytest.fixture()
-def drawn(monkeypatch):
-    """The positions drawn from ``_derivation`` while the test runs, in order."""
-    positions = []
+def derived(monkeypatch):
+    """The variety ``(p, n, k)`` of each call of ``_derivation`` while the test runs, in order."""
+    varieties = []
 
-    def counting(*args):
-        for position in _DERIVATION(*args):
-            positions.append(position)
-            yield position
+    def recording(p, n, k, *closing):
+        varieties.append((p, n, k))
+        return _DERIVATION(p, n, k, *closing)
 
-    monkeypatch.setattr(type_calculus, "_derivation", counting)
-    return positions
+    monkeypatch.setattr(type_calculus, "_derivation", recording)
+    return varieties
 
 
 _DERIVES = (type_bound, indecomposability_judgment, rigidity_judgment)
@@ -107,15 +106,11 @@ class TestTypeBound:
                     derived = type_bound(variety(p, n, k))
                     assert -1 <= derived.bound <= max(k - 1, -1)
 
-    def test_bound_reads_at_most_two_positions(self, drawn):
-        assert type_bound(variety(2, 10**6, 1)).bound == -1
-        assert len(drawn) <= 2
-
     def test_trace_records_one_rung_then_the_induction(self):
         # the rung sits at exponent k + 1, its obstruction records the
         # dimensions there, and the halving induction carries it to n
         trace = type_bound(variety(2, 3, 1)).trace
-        positions = list(_DERIVATION(2, 3, 1))
+        positions = _DERIVATION(2, 3, 1)
         assert [s.rule_id for s in trace] == [rule for rule, _ in positions]
         assert [rule for rule, _ in positions] == ["level-bound", "point-base", *_RUNG, "halving-induction"]
         assert [position for rule, position in positions if rule in _RUNG] == [(2, 2, 1, -1)] * 4
@@ -180,14 +175,14 @@ class TestTraceReplay:
         assert ProofTrace().failing_steps() == (0,)
 
     @pytest.mark.parametrize("pnk", [(2, 6, 2), (2, 3, 1), (2, 4, 4), (2, 5, 0), (3, 4, 1)], ids=str)
-    def test_replay_draws_each_position_once(self, drawn, pnk):
+    def test_each_replay_derives_its_positions_once(self, derived, pnk):
         v = variety(*pnk)
         for derive in _DERIVES:
             trace = derive(v).trace
-            for about in (None, v):
-                drawn.clear()
+            derived.clear()
+            for about in (None, v, None):
                 assert trace.replay(about)
-                assert drawn == list(_DERIVATION(*pnk))
+            assert derived == [pnk] * 3
 
     def test_citations_come_from_the_catalog(self):
         for v in (variety(2, 4, 2), variety(5, 2, 1)):
@@ -228,7 +223,7 @@ _COORDINATES = _POSITION + ("level",)
 def _fixed_at(trace, i, about):
     """The position ``(p, n, k, bound)`` of step ``i`` in the derivation
     about ``about``."""
-    return next(islice(type_calculus._placed(trace.steps, *about), i, None))[1]
+    return type_calculus._placed(trace.steps, *about)[i][1]
 
 
 def _reads_at(v, trace, i):
@@ -792,33 +787,33 @@ class TestPositionEncoding:
                 assert decoded.replay() and decoded.replay(v), (p, n, k)
 
 
-class TestSharedPrefix:
+class TestTraceReads:
     """The traces about one variety begin with the type bound's steps, and
-    each trace records them itself when first read: nothing is held between
-    traces, so none shares a step object with another."""
+    each trace derives and records them itself when first read: nothing is
+    held between reads or traces, so none shares a step object with another."""
 
     @pytest.mark.parametrize("pnk", [(2, 6, 2), (2, 3, 1), (2, 4, 4), (2, 5, 0), (3, 4, 1)], ids=str)
     @pytest.mark.parametrize("order", list(permutations(range(3))), ids=lambda order: "-".join(map(str, order)))
-    def test_every_prefix_position_is_drawn_once(self, drawn, order, pnk):
+    def test_each_trace_read_derives_once(self, derived, order, pnk):
         v = variety(*pnk)
         built = {i: derive(v) for i, derive in enumerate(_DERIVES)}
-        drawn.clear()  # the bounds read their first positions
+        derived.clear()  # the bounds derive too
         # only the traces are held: each object is dropped once read
         traces = {i: built.pop(i).trace for i in order}
         # once per trace read, in whatever order they are read
-        assert drawn == list(_DERIVATION(*pnk)) * len(order)
+        assert derived == [pnk] * len(order)
         prefix = traces[0].steps
         for trace in traces.values():
             assert trace.steps[:len(prefix)] == prefix
         assert traces == {i: derive(v).trace for i, derive in enumerate(_DERIVES)}
 
-    def test_a_variety_read_again_is_recorded_again(self, drawn):
+    def test_a_variety_read_again_is_recorded_again(self, derived):
         read = []
         for pnk in ((2, 6, 2), (3, 4, 1), (2, 6, 2)):
-            derived = type_bound(variety(*pnk))
-            drawn.clear()  # the bound reads its first positions
-            read.append(derived.trace)
-            assert drawn == list(_DERIVATION(*pnk)), pnk
+            bound = type_bound(variety(*pnk))
+            derived.clear()  # the bound derives too
+            read.append(bound.trace)
+            assert derived == [pnk], pnk
         assert read[0] == read[2]
         assert not any(a is b for a, b in zip(read[0].steps, read[2].steps))
 
